@@ -15,16 +15,17 @@ Four builtin constructions are provided:
   like the others.
 
 All layouts are validated on construction: axis-aligned regions must
-tile the canvas exactly (grid coverage over the certified cut lines)
-and every star center must lie inside a region.
+lie inside the canvas and tile it exactly (grid coverage over the
+certified cut lines) and every star center must lie inside a region.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from .errors import (
     InvalidDimension,
@@ -37,7 +38,6 @@ from .exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
     Expr,
-    Sign,
     Verdict,
     add,
     as_rational,
@@ -53,6 +53,8 @@ from .exactnum import (
     truncated_str,
     verify_identity,
 )
+from .exactnum.expr import SIGN_REFINE_START, eval_interval
+from .exactnum.interval import StraddlesZero
 from .geometry import (
     TAN36,
     TAN72,
@@ -128,70 +130,106 @@ class FlagLayout:
 # layout invariants
 
 
-def _certified_distinct_sorted(values: list[Expr]) -> list[Expr]:
-    """Deduplicate by proven equality, then sort by certified sign of
-    differences.  Any undecidable pair is a layout defect."""
-    reps: list[Expr] = []
-    for value in values:
-        for rep in reps:
-            verdict = compare_values(value, rep)
+def _enclosure(value: Expr) -> tuple[float | int, float | int]:
+    """64-bit enclosure of a cut line, unbounded when a divisor's
+    interval straddles zero at that precision."""
+    try:
+        return eval_interval(value, SIGN_REFINE_START)
+    except StraddlesZero:
+        return -math.inf, math.inf
+
+
+def _compare_certified(a: Expr, b: Expr) -> int:
+    try:
+        sign = certified_sign(sub(a, b))
+    except PrecisionExhausted as exc:
+        raise LayoutError("region cut lines not orderable") from exc
+    return sign.value
+
+
+def _ordered_classes(values: list[Expr], members: list[int]) -> list[list[int]]:
+    """Group one cluster's input indices by proven equality, ordered by
+    certified signs of differences; each group's first index is its
+    representative."""
+    classes: list[list[int]] = []
+    for index in members:
+        for cls in classes:
+            verdict = compare_values(values[index], values[cls[0]])
             if verdict is Verdict.PROVED_EQUAL:
+                cls.append(index)
                 break
             if verdict is Verdict.UNDECIDED:
                 raise LayoutError("region cut lines not certified distinct/equal")
         else:
-            reps.append(value)
-    ordered: list[Expr] = []
-    for value in reps:  # insertion sort with a certified comparator
-        position = len(ordered)
-        for i, existing in enumerate(ordered):
-            try:
-                sign = certified_sign(sub(value, existing))
-            except PrecisionExhausted as exc:
-                raise LayoutError("region cut lines not orderable") from exc
-            if sign is Sign.NEGATIVE:
-                position = i
-                break
-        ordered.insert(position, value)
-    return ordered
+            classes.append([index])
+    classes.sort(key=cmp_to_key(lambda p, q: _compare_certified(values[p[0]], values[q[0]])))
+    return classes
 
 
-def _strictly_between(value: Expr, low: Expr, high: Expr) -> bool:
-    return (
-        certified_sign(sub(value, low)) is Sign.POSITIVE
-        and certified_sign(sub(high, value)) is Sign.POSITIVE
-    )
+def _certified_distinct_sorted(values: list[Expr]) -> list[int]:
+    """Rank of each value among the distinct values, in increasing order.
+
+    A sweep over the values sorted by 64-bit enclosure: values whose
+    enclosures are disjoint are ordered outright, and only clusters of
+    overlapping enclosures are compared exactly.  Any undecidable pair is
+    a layout defect."""
+    enclosures = [_enclosure(value) for value in values]
+    clusters: list[list[int]] = []
+    reach: float | int = -math.inf
+    for index in sorted(range(len(values)), key=enclosures.__getitem__):
+        lo, hi = enclosures[index]
+        if clusters and lo <= reach:
+            clusters[-1].append(index)
+            reach = max(reach, hi)
+        else:
+            clusters.append([index])
+            reach = hi
+    ranks = [0] * len(values)
+    rank = 0
+    for cluster in clusters:
+        for cls in _ordered_classes(values, cluster):
+            for index in cls:
+                ranks[index] = rank
+            rank += 1
+    return ranks
 
 
 def _check_tiling(layout: FlagLayout) -> None:
-    """Axis-aligned tiling check: over the grid of all region/canvas cut
-    lines, every cell midpoint must be covered by exactly one region.
-    Region edges all lie on cut lines, so midpoint coverage decides both
-    interior-disjointness and the exact area identity."""
+    """Axis-aligned tiling check over the grid of all region/canvas cut
+    lines.  With each line replaced by its rank among the distinct lines,
+    a region covers the cells ``rank(x0) <= i < rank(x1)``.  Every region
+    must lie inside the canvas and every cell must be covered by exactly
+    one region; region edges all lie on cut lines, so cell coverage
+    decides both interior-disjointness and the exact area identity."""
     canvas = layout.canvas
     cx0, cy0 = canvas.origin.x, canvas.origin.y
-    cx1, cy1 = add(cx0, canvas.width), add(cy0, canvas.height)
-    xs: list[Expr] = [cx0, cx1]
-    ys: list[Expr] = [cy0, cy1]
+    xs: list[Expr] = [cx0, add(cx0, canvas.width)]
+    ys: list[Expr] = [cy0, add(cy0, canvas.height)]
     for region in layout.regions:
         x0, x1, y0, y1 = region.bounds
         xs.extend((x0, x1))
         ys.extend((y0, y1))
-    xs = _certified_distinct_sorted(xs)
-    ys = _certified_distinct_sorted(ys)
-    for i in range(len(xs) - 1):
-        mid_x = div(add(xs[i], xs[i + 1]), lit(2))
-        for j in range(len(ys) - 1):
-            mid_y = div(add(ys[j], ys[j + 1]), lit(2))
-            covering = sum(
-                1
-                for region in layout.regions
-                if _strictly_between(mid_x, region.bounds[0], region.bounds[1])
-                and _strictly_between(mid_y, region.bounds[2], region.bounds[3])
-            )
-            if covering == 0:
+    x_ranks = _certified_distinct_sorted(xs)
+    y_ranks = _certified_distinct_sorted(ys)
+    (ci0, ci1, cj0, cj1), *spans = (
+        (x_ranks[k], x_ranks[k + 1], y_ranks[k], y_ranks[k + 1])
+        for k in range(0, len(xs), 2)
+    )
+    for i0, i1, j0, j1 in spans:
+        if i0 < ci0 or i1 > ci1 or j0 < cj0 or j1 > cj1:
+            raise LayoutError("region extends outside the canvas")
+    # every cut line now lies on the canvas (ci0 == cj0 == 0), so the
+    # canvas cells are the whole grid
+    coverage = [[0] * cj1 for _ in range(ci1)]
+    for i0, i1, j0, j1 in spans:
+        for column in coverage[i0:i1]:
+            for j in range(j0, j1):
+                column[j] += 1
+    for column in coverage:
+        for count in column:
+            if count == 0:
                 raise LayoutError("regions leave a gap in the canvas")
-            if covering > 1:
+            if count > 1:
                 raise LayoutError("regions overlap")
 
 

@@ -7,10 +7,11 @@ side conditions are certified when a node is constructed:
 * every ``Sqrt`` operand has certified sign >= 0,
 * every ``Div`` divisor has certified sign != 0.
 
-Certification prefers an exact route (normalization into the a+b*sqrt(5)
-field, or into a single quadratic extension of it) and falls back to
-interval refinement with a deterministic doubling schedule, starting at
-64 bits and capped at 4096 bits.
+Certification first tries one 64-bit interval enclosure, which settles
+every sign it separates from zero.  It then takes an exact route
+(normalization into the a+b*sqrt(5) field, or into a single quadratic
+extension of it) and falls back to interval refinement with a
+deterministic doubling schedule, from 128 bits up to a cap of 4096 bits.
 
 Evaluation returns a :class:`Ball` (center +/- radius, both dyadic
 rationals) that rigorously contains the exact value.
@@ -413,17 +414,6 @@ def exact_rational(x: Expr) -> Fraction | None:
     return None
 
 
-def is_certainly_irrational(x: Expr) -> bool:
-    """True when exact normalization proves the value irrational."""
-    try:
-        tower, value = _tower_normalize(x)
-    except (_TowerFail, DivisionByZero):
-        return False
-    if not value.v.is_zero:
-        return True
-    return not value.u.is_rational
-
-
 # ---------------------------------------------------------------------------
 # interval evaluation and balls
 
@@ -534,29 +524,38 @@ def expr_eval(x: Expr, precision_bits: int) -> Ball:
     )
 
 
+def _interval_sign(x: Expr, working_bits: int) -> Sign | None:
+    """Sign when the enclosure at this precision excludes zero, else None."""
+    try:
+        lo, hi = eval_interval(x, working_bits)
+    except iv.StraddlesZero:
+        return None
+    if lo > 0:
+        return Sign.POSITIVE
+    if hi < 0:
+        return Sign.NEGATIVE
+    return None
+
+
 def certified_sign(x: Expr, cap_bits: int = SIGN_REFINE_CAP) -> Sign:
     """Rigorous sign of an expression.
 
-    Tries the exact normal form first (which also decides exact zero),
-    then interval refinement from 64 bits doubling up to the cap.
-    Raises :class:`PrecisionExhausted` when neither route certifies.
+    Layer 0 is one interval enclosure at 64 bits: when it excludes zero
+    it is a proof, and most nonzero values are settled there.  Otherwise
+    the exact normal form runs (which also decides exact zero), then
+    interval refinement from 128 bits doubling up to the cap.  Raises
+    :class:`PrecisionExhausted` when no route certifies.
     """
-    sign = exact_sign(x)
-    if sign is not None:
-        return sign
-    w = SIGN_REFINE_START
-    while w <= cap_bits:
-        try:
-            lo, hi = eval_interval(x, w)
-        except iv.StraddlesZero:
-            w *= 2
-            continue
-        if lo > 0:
-            return Sign.POSITIVE
-        if hi < 0:
-            return Sign.NEGATIVE
+    sign = _interval_sign(x, SIGN_REFINE_START)
+    if sign is None:
+        sign = exact_sign(x)
+    w = 2 * SIGN_REFINE_START
+    while sign is None and w <= cap_bits:
+        sign = _interval_sign(x, w)
         w *= 2
-    raise PrecisionExhausted(f"sign not certified within {cap_bits} bits")
+    if sign is None:
+        raise PrecisionExhausted(f"sign not certified within {cap_bits} bits")
+    return sign
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Identity verification for constructible expressions.
 
-The pipeline is layered from cheap-and-exact to numeric:
+The pipeline decides cheaply first and exactly second:
 
+0. a filter: identical nodes are ProvedEqual, and disjoint 64-bit
+   interval enclosures of the two sides are ProvedUnequal,
 1. structural equality of the DAGs,
 2. monomial canonicalization (exact rational coefficient times a
    multiset of structural factors),
 3. exact normalization of the difference in a quadratic tower,
 4. repeated squaring (sound once both sides share a sign), retrying the
    exact layers on the squared pair,
-5. interval separation with the deterministic refinement schedule.
+5. interval separation with the deterministic refinement schedule,
+   from 128 bits on.
 
 Exact layers can only answer ProvedEqual/ProvedUnequal; intervals can
 only answer ProvedUnequal.  Whatever remains is Undecided.
@@ -138,16 +141,20 @@ def _exact_compare(lhs: Expr, rhs: Expr) -> Verdict | None:
     return Verdict.PROVED_UNEQUAL
 
 
+def _enclosures_disjoint(lhs: Expr, rhs: Expr, working_bits: int) -> bool:
+    try:
+        a_lo, a_hi = eval_interval(lhs, working_bits)
+        b_lo, b_hi = eval_interval(rhs, working_bits)
+    except iv.StraddlesZero:
+        return False
+    return a_hi < b_lo or b_hi < a_lo
+
+
 def _interval_separate(lhs: Expr, rhs: Expr) -> Verdict:
-    w = SIGN_REFINE_START
+    # 64 bits was already tried by the filter in compare_values
+    w = 2 * SIGN_REFINE_START
     while w <= SIGN_REFINE_CAP:
-        try:
-            a_lo, a_hi = eval_interval(lhs, w)
-            b_lo, b_hi = eval_interval(rhs, w)
-        except iv.StraddlesZero:
-            w *= 2
-            continue
-        if a_hi < b_lo or b_hi < a_lo:
+        if _enclosures_disjoint(lhs, rhs, w):
             return Verdict.PROVED_UNEQUAL
         w *= 2
     return Verdict.UNDECIDED
@@ -163,6 +170,10 @@ def compare_values(
     ``signs``, when provided, are trusted certified signs of the two
     sides and unlock the squaring layer.
     """
+    if lhs is rhs:
+        return Verdict.PROVED_EQUAL
+    if _enclosures_disjoint(lhs, rhs, SIGN_REFINE_START):
+        return Verdict.PROVED_UNEQUAL
     current_l, current_r = lhs, rhs
     may_square = None if signs is None else (
         (signs[0].is_nonnegative and signs[1].is_nonnegative)

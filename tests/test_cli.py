@@ -9,6 +9,9 @@ import pytest
 from goldenflag.cli import main
 
 
+OUT_OF_CANVAS = 'flag "oob" { canvas 3 x 2; region a blue rect 0 0 4 2; }'
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -111,6 +114,14 @@ class TestVerify:
         assert code == 0
         assert "tile" in out
 
+    def test_region_outside_the_canvas_fails(self, capsys, tmp_path):
+        path = tmp_path / "oob.flag"
+        path.write_text(OUT_OF_CANVAS)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "goldenflag: error: region extends outside the canvas\n"
+
     def test_spec_file_parse_error_is_positioned(self, capsys, tmp_path):
         path = tmp_path / "broken.flag"
         path.write_text('flag "broken" { canvas 1 x 1 }')
@@ -162,6 +173,16 @@ class TestBuild:
         code, out, _ = run(capsys, "build", str(src), "--out", str(out_path))
         assert code == 0
         assert out_path.exists()
+
+    def test_region_outside_the_canvas_fails(self, capsys, tmp_path):
+        src = tmp_path / "oob.flag"
+        src.write_text(OUT_OF_CANVAS)
+        out_path = tmp_path / "oob.svg"
+        code, out, err = run(capsys, "build", str(src), "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == "goldenflag: error: region extends outside the canvas\n"
+        assert not out_path.exists()
 
     def test_missing_out_flag_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "build", "togo")

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+import goldenflag.constructions as constructions
 from goldenflag.constructions import (
     BUILTIN_NAMES,
     CheckStatus,
     ColorRole,
     FlagLayout,
     Region,
+    _certified_distinct_sorted,
     build_current_flag,
     build_flag,
     build_independence_flag,
@@ -26,6 +28,7 @@ from goldenflag.errors import InvalidDimension, LayoutError, UnknownFlag, WrongL
 from goldenflag.exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
+    Expr,
     Sign,
     Verdict,
     add,
@@ -41,7 +44,12 @@ from goldenflag.exactnum import (
     truncated_str,
     verify_identity,
 )
+from goldenflag.exactnum.expr import eval_interval
+from goldenflag.exactnum.interval import StraddlesZero
+from goldenflag.flagspec import lower_source
 from goldenflag.geometry import Point, Rect
+
+TINY = Fraction(1, 2**80)
 
 
 def region_size(region: Region):
@@ -287,3 +295,106 @@ class TestLayoutInvariants:
         # construction validates; reaching here means the grid coverage
         # check proved the exact tiling
         assert layouts[name].regions
+
+    @pytest.mark.parametrize(
+        "x, y, width, height",
+        [(0, 0, 4, 2), (-1, 0, 3, 2), (0, 1, 3, 2), (0, -1, 3, 3)],
+        ids=["right", "left", "top", "bottom"],
+    )
+    def test_region_outside_the_canvas_is_rejected(self, x, y, width, height):
+        canvas = Rect(Point(lit(0), lit(0)), lit(3), lit(2))
+        spilling = (
+            Region.from_rect("a", ColorRole.BLUE, Rect(Point(lit(x), lit(y)), lit(width), lit(height))),
+        )
+        with pytest.raises(LayoutError, match="region extends outside the canvas"):
+            FlagLayout.create(canvas, spilling, (), "broken")
+
+
+def stripes_source(n: int) -> str:
+    lines = [f'flag "stripes-{n}" {{', f"  canvas 3 x {n}*(2*phi);", "  let w = 2*phi;"]
+    lines += [f"  region s{i} red rect 0 {i}*w 3 w;" for i in range(n)]
+    return "\n".join(lines + ["}"])
+
+
+class TestTilingWork:
+    def test_tiling_compares_each_cut_line_at_most_once(self, monkeypatch):
+        calls = {"compare_values": 0, "certified_sign": 0}
+
+        def counting(name):
+            original = getattr(constructions, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(constructions, name, counting(name))
+        n = 64
+        layout = lower_source(stripes_source(n))
+        assert len(layout.regions) == n
+        cut_lines = 2 * 2 * (n + 1)  # canvas and region edges, both axes
+        assert 0 < calls["compare_values"] <= cut_lines
+        assert calls["certified_sign"] == 0
+
+
+class TestTilingExactFallback:
+    """Cut lines closer than a 64-bit enclosure can separate, and equal
+    lines written differently, are decided by the exact layers."""
+
+    phi_squared = mul(PHI_EXPR, PHI_EXPR)
+
+    def test_close_lines_share_one_64_bit_cluster(self):
+        lo, hi = eval_interval(self.phi_squared, 64)
+        near_lo, near_hi = eval_interval(add(self.phi_squared, lit(TINY)), 64)
+        assert near_lo <= hi and lo <= near_hi
+
+    def test_ranks_inside_one_cluster(self):
+        values = [
+            add(PHI_EXPR, lit(1)),
+            add(self.phi_squared, lit(TINY)),
+            lit(0),
+            self.phi_squared,
+            sub(self.phi_squared, lit(TINY)),
+            lit(Fraction(1, 2) + TINY),
+            lit(Fraction(1, 2)),
+        ]
+        assert _certified_distinct_sorted(values) == [4, 5, 0, 4, 3, 2, 1]
+
+    def split_canvas(self, split: Expr) -> tuple[Region, ...]:
+        # canvas width phi + 1; the right region ends at 1 + (phi*phi - 1)
+        right_width = sub(sub(self.phi_squared, lit(1)), sub(split, lit(1)))
+        return (
+            Region.from_rect("left", ColorRole.RED, Rect(Point(lit(0), lit(0)), lit(1), lit(1))),
+            Region.from_rect("right", ColorRole.BLUE, Rect(Point(split, lit(0)), right_width, lit(1))),
+        )
+
+    def canvas(self) -> Rect:
+        return Rect(Point(lit(0), lit(0)), add(PHI_EXPR, lit(1)), lit(1))
+
+    def test_equal_lines_written_differently_tile(self):
+        layout = FlagLayout.create(self.canvas(), self.split_canvas(lit(1)), (), "close")
+        assert len(layout.regions) == 2
+
+    def test_line_without_a_64_bit_enclosure(self):
+        # the divisor (phi + 2**-80) - phi straddles zero at 64 bits
+        width = div(lit(1), sub(add(PHI_EXPR, lit(TINY)), PHI_EXPR))
+        with pytest.raises(StraddlesZero):
+            eval_interval(width, 64)
+        canvas = Rect(Point(lit(0), lit(0)), width, lit(1))
+        regions = (
+            Region.from_rect("left", ColorRole.RED, Rect(Point(lit(0), lit(0)), lit(1), lit(1))),
+            Region.from_rect("right", ColorRole.BLUE, Rect(Point(lit(1), lit(0)), sub(width, lit(1)), lit(1))),
+        )
+        assert len(FlagLayout.create(canvas, regions, (), "unbounded").regions) == 2
+        with pytest.raises(LayoutError, match="regions overlap"):
+            FlagLayout.create(canvas, regions + regions[:1], (), "unbounded")
+
+    def test_gap_of_two_to_the_minus_80_is_found(self):
+        with pytest.raises(LayoutError, match="regions leave a gap in the canvas"):
+            FlagLayout.create(self.canvas(), self.split_canvas(lit(1 + TINY)), (), "close")
+
+    def test_overlap_of_two_to_the_minus_80_is_found(self):
+        with pytest.raises(LayoutError, match="regions overlap"):
+            FlagLayout.create(self.canvas(), self.split_canvas(lit(1 - TINY)), (), "close")

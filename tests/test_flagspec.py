@@ -229,6 +229,13 @@ class TestLowerLayouts:
         with pytest.raises(LayoutError):
             lower_source(source)
 
+    def test_region_spilling_past_the_canvas_is_rejected(self):
+        source = 'flag "oob" { canvas 3 x 2; region a blue rect 0 0 4 2; }'
+        from goldenflag.errors import LayoutError
+
+        with pytest.raises(LayoutError, match="region extends outside the canvas"):
+            lower_source(source)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["chile-1818", "chile-current", "togo", "nepal-ratio"])

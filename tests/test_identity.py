@@ -16,6 +16,7 @@ from goldenflag.exactnum import (
     GoldenNumber,
     Verdict,
     add,
+    certified_sign,
     compare_values,
     div,
     gn_normalize,
@@ -28,11 +29,39 @@ from goldenflag.exactnum import (
     sub,
     verify_identity,
 )
+from goldenflag.exactnum.expr import exact_sign
+from goldenflag.exactnum.identity import _exact_compare
 from goldenflag.geometry import TAN36
 
 TAN36_SECOND_FORM = div(sqrt_(sqrt_(lit(5))), sqrt_(add(lit(2), SQRT5_EXPR)))
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=25)
+
+# Small coefficients make equal pairs and exact zeros common, so the
+# exact layers behind the 64-bit filter are reached often.
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+golden_exprs = st.builds(lambda a, b: gn_to_expr(GoldenNumber(a, b)), small, small)
+RADICANDS = (
+    lit(2),
+    sub(lit(10), mul(lit(2), SQRT5_EXPR)),
+    add(lit(3), SQRT5_EXPR),
+)
+
+
+@st.composite
+def tower_exprs(draw):
+    """Golden-field expressions, or expressions with square roots of one
+    radicand, combined by + - *: all inside one quadratic tower."""
+    radical = sqrt_(draw(st.sampled_from(RADICANDS)))
+    leaves = golden_exprs | st.just(radical) | st.just(PHI_EXPR)
+    combine = st.sampled_from((add, sub, mul))
+    return draw(
+        st.recursive(
+            leaves,
+            lambda children: st.builds(lambda f, x, y: f(x, y), combine, children, children),
+            max_leaves=6,
+        )
+    )
 
 
 class TestProvedEqual:
@@ -115,3 +144,26 @@ class TestCompareValuesLenient:
 
     def test_opposite_signs_still_compare(self):
         assert compare_values(PHI_EXPR, neg(PHI_EXPR)) is Verdict.PROVED_UNEQUAL
+
+
+class TestIntervalFilterAgreesWithExactLayers:
+    @given(tower_exprs())
+    @settings(max_examples=100, deadline=None)
+    def test_certified_sign_matches_the_exact_sign(self, x):
+        exact = exact_sign(x)
+        if exact is not None:
+            assert certified_sign(x) is exact
+
+    @given(tower_exprs(), tower_exprs())
+    @settings(max_examples=100, deadline=None)
+    def test_compare_values_matches_the_exact_layers(self, lhs, rhs):
+        exact = _exact_compare(lhs, rhs)
+        if exact is not None:
+            assert compare_values(lhs, rhs) is exact
+
+    @given(golden_exprs, small)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_written_differently(self, x, shift):
+        rewritten = sub(add(x, lit(shift)), lit(shift))
+        assert compare_values(x, rewritten) is Verdict.PROVED_EQUAL
+        assert compare_values(add(x, lit(Fraction(1, 2**80))), x) is Verdict.PROVED_UNEQUAL
