@@ -45,6 +45,19 @@ def _positive_rational(text: str):
     return value
 
 
+def _digits_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goldenflag",
@@ -74,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scale so the emitted width equals this exact rational "
         "(overrides --scale; e.g. 2.4 for a physical width)",
     )
-    build.add_argument("--digits", type=int, default=12, help="significant digits")
+    build.add_argument(
+        "--digits", type=_digits_at_least(3), default=12, help="significant digits"
+    )
     build.add_argument(
         "--format",
         choices=("svg", "json"),
@@ -93,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("expr", help="expression, e.g. 'sqrt(10-2*sqrt(5))/(1+sqrt(5))'")
     evaluate.add_argument(
         "--digits",
-        type=int,
+        type=_digits_at_least(1),
         default=12,
         help="significant digits, printed round-half-even (never truncated)",
     )
@@ -107,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ratio = commands.add_parser("ratio", help="print a flag's width-height ratio")
     ratio.add_argument("name", help="builtin name or path to a .flag file")
-    ratio.add_argument("--digits", type=int, default=6)
+    ratio.add_argument("--digits", type=_digits_at_least(1), default=6)
 
     commands.add_parser("list", help="print builtin flag names")
     return parser
@@ -209,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except OSError as exc:
         print(f"goldenflag: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # no input may end in a traceback
+        print(f"goldenflag: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -80,19 +80,23 @@ class ColorRole(enum.Enum):
 
 @dataclass(frozen=True)
 class Region:
-    """A named, colored axis-aligned rectangular region stored as its
-    corner polygon (counterclockwise in the y-up frame)."""
+    """A named, colored axis-aligned rectangular region."""
 
     name: str
     color: ColorRole
-    polygon: tuple[Point, ...]
     bounds: tuple[Expr, Expr, Expr, Expr]  # x0, x1, y0, y1
 
     @staticmethod
     def from_rect(name: str, color: ColorRole, rect: Rect) -> "Region":
         x0, y0 = rect.origin.x, rect.origin.y
         x1, y1 = add(x0, rect.width), add(y0, rect.height)
-        return Region(name, color, rect.corners(), (x0, x1, y0, y1))
+        return Region(name, color, (x0, x1, y0, y1))
+
+    @property
+    def polygon(self) -> tuple[Point, Point, Point, Point]:
+        """Corners, counterclockwise in the y-up frame from (x0, y0)."""
+        x0, x1, y0, y1 = self.bounds
+        return Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,11 @@ from .expr import Expr, eval_interval, exact_rational
 
 _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
 
+# Python's default limit on the digits of an int converted to a string
+# (sys.int_info.default_max_str_digits), fixed here so that every
+# interpreter accepts and rejects the same requests.
+MAX_DIGITS = 4300
+
 
 def _decimal_magnitude(value: Fraction) -> int:
     """The unique d with 10**(d-1) <= |value| < 10**d."""
@@ -35,7 +40,8 @@ def _decimal_magnitude(value: Fraction) -> int:
             return num < den * 10**exp
         return num * 10**-exp < den
 
-    d = len(str(num)) - len(str(den)) + 1
+    # log10(2) ~ 0.30103; the loops below correct the estimate
+    d = (num.bit_length() - den.bit_length()) * 30103 // 100000 + 1
     while not below_pow10(d):
         d += 1
     while below_pow10(d - 1):
@@ -105,10 +111,13 @@ def _refinement_schedule(digits: int, min_bits: int):
 def decimal_str(x: Expr, digits: int, min_bits: int = 0) -> str:
     """Certified round-half-even rendering with significant digits.
 
-    ``min_bits`` forces the starting working precision upward (used by
-    re-evaluation tests); it never changes the output of a certified
-    rounding, only how soon certification happens.
+    ``digits`` is at most :data:`MAX_DIGITS`.  ``min_bits`` forces the
+    starting working precision upward (used by re-evaluation tests); it
+    never changes the output of a certified rounding, only how soon
+    certification happens.
     """
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
     exact = exact_rational(x)
     if exact is not None:
         return round_fraction_str(exact, digits)

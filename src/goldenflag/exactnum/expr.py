@@ -1,17 +1,23 @@
 """Constructible-number expressions with certified side conditions.
 
 An expression is a finite DAG over rationals built from +, -, *, /, and
-square roots (shared subterms are permitted and encouraged).  The two
-side conditions are certified when a node is constructed:
+square roots.  Nodes are hash-consed: building a node with the same
+class and fields as a live one returns that live node, so equal
+expressions are the same object, ``==`` and ``hash`` are identity, and
+shared subterms are shared.  Every walk over a DAG is one :func:`fold`,
+an explicit-stack post-order traversal that visits each distinct node
+once, so neither sharing nor depth makes a walk blow up.
+
+The two side conditions are certified when a node is constructed:
 
 * every ``Sqrt`` operand has certified sign >= 0,
 * every ``Div`` divisor has certified sign != 0.
 
 Certification first tries one 64-bit interval enclosure, which settles
 every sign it separates from zero.  It then takes an exact route
-(normalization into the a+b*sqrt(5) field, or into a single quadratic
-extension of it) and falls back to interval refinement with a
-deterministic doubling schedule, from 128 bits up to a cap of 4096 bits.
+(normalization into a single quadratic extension of the a+b*sqrt(5)
+field) and falls back to interval refinement with a deterministic
+doubling schedule, from 128 bits up to a cap of 4096 bits.
 
 Evaluation returns a :class:`Ball` (center +/- radius, both dyadic
 rationals) that rigorously contains the exact value.
@@ -19,9 +25,11 @@ rationals) that rigorously contains the exact value.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache, partial
+from typing import Callable, Mapping, TypeVar, Union
 
 from ..errors import (
     CertificationError,
@@ -30,24 +38,50 @@ from ..errors import (
     PrecisionExhausted,
 )
 from . import interval as iv
-from .golden import GN_ZERO, GoldenNumber, Sign, gn_sqrt
+from .golden import GN_ONE, GN_ZERO, GoldenNumber, Sign, gn_sqrt
 from .rational import Rational, as_rational, is_perfect_square
 
 SIGN_REFINE_START = 64
 SIGN_REFINE_CAP = 4096
 
 ExprLike = Union["Expr", int, Fraction]
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
 # nodes
 
+# (node class, fields) -> weak reference to the live node with those fields;
+# children are keyed by identity, a Literal by its Fraction.  Two threads
+# that build the same new node at once may both keep one: that loses
+# sharing, never soundness, since identity is only used to prove equality.
+_interned: dict[tuple, weakref.ref] = {}
+
 
 class Expr:
     """Base class for expression nodes.  Instances are immutable and
-    compare structurally."""
+    interned, so structurally equal nodes are identical."""
 
     __slots__ = ()
+    _children: tuple["Expr", ...]
+
+    def __new__(cls, *fields):
+        key = (cls, fields)
+        ref = _interned.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            state = node.__dict__
+            state.update(zip(cls.__match_args__, fields))  # the dataclass fields
+            # every field is a child, except a Literal's value
+            state["_children"] = () if cls is Literal else fields
+
+            def forget(dead: weakref.ref, key: tuple = key) -> None:
+                if _interned.get(key) is dead:
+                    del _interned[key]
+
+            _interned[key] = weakref.ref(node, forget)
+        return node
 
     def __add__(self, other: ExprLike) -> "Expr":
         return add(self, _coerce(other))
@@ -77,43 +111,80 @@ class Expr:
         return neg(self)
 
 
-@dataclass(frozen=True, repr=True)
+# Fields are set once, by Expr.__new__; a second construction returns the
+# live node and never rewrites it.
+_node = dataclass(frozen=True, eq=False, init=False)
+
+
+@_node
 class Literal(Expr):
     value: Rational
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sqrt(Expr):
     operand: Expr
+
+
+def fold(root: Expr, leaf: Callable[[Expr], T], ops: Mapping[type, Callable[..., T]]) -> T:
+    """Bottom-up value of ``root``, computing each distinct node once.
+
+    A node whose class is in ``ops`` gets ``ops[class]`` applied to its
+    children's values; any other node is a leaf and gets ``leaf(node)``
+    without its children being visited.  The walk keeps an explicit
+    stack, so depth is bounded by memory, not by the Python stack.
+    """
+    values: dict[Expr, T] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in values:
+            stack.pop()
+            continue
+        op = ops.get(node.__class__)
+        if op is None:
+            values[node] = leaf(node)
+            stack.pop()
+            continue
+        children = node._children
+        ready = True
+        for child in reversed(children):  # so the leftmost is done first
+            if child not in values:
+                stack.append(child)
+                ready = False
+        if ready:
+            stack.pop()
+            values[node] = op(*[values[child] for child in children])
+    return values[root]
 
 
 def _coerce(value: ExprLike) -> Expr:
@@ -122,14 +193,10 @@ def _coerce(value: ExprLike) -> Expr:
     return Literal(as_rational(value))
 
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _is_literal(e: Expr, q: Fraction | None = None) -> bool:
-    if not isinstance(e, Literal):
-        return False
-    return q is None or e.value == q
+# interned, so any literal 0 or 1 is one of these objects
+_ZERO_LIT = Literal(Fraction(0))
+_ONE_LIT = Literal(_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +224,9 @@ def add(a: ExprLike, b: ExprLike) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Literal) and isinstance(b, Literal):
         return Literal(a.value + b.value)
-    if _is_literal(a, _ZERO):
+    if a is _ZERO_LIT:
         return b
-    if _is_literal(b, _ZERO):
+    if b is _ZERO_LIT:
         return a
     return Add(a, b)
 
@@ -168,9 +235,9 @@ def sub(a: ExprLike, b: ExprLike) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Literal) and isinstance(b, Literal):
         return Literal(a.value - b.value)
-    if _is_literal(b, _ZERO):
+    if b is _ZERO_LIT:
         return a
-    if _is_literal(a, _ZERO):
+    if a is _ZERO_LIT:
         return neg(b)
     return Sub(a, b)
 
@@ -179,11 +246,11 @@ def mul(a: ExprLike, b: ExprLike) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Literal) and isinstance(b, Literal):
         return Literal(a.value * b.value)
-    if _is_literal(a, _ZERO) or _is_literal(b, _ZERO):
-        return Literal(_ZERO)
-    if _is_literal(a, _ONE):
+    if a is _ZERO_LIT or b is _ZERO_LIT:
+        return _ZERO_LIT
+    if a is _ONE_LIT:
         return b
-    if _is_literal(b, _ONE):
+    if b is _ONE_LIT:
         return a
     return Mul(a, b)
 
@@ -194,10 +261,10 @@ def div(a: ExprLike, b: ExprLike) -> Expr:
         raise DivisionByZero("divisor is certified zero")
     if isinstance(a, Literal) and isinstance(b, Literal):
         return Literal(a.value / b.value)
-    if _is_literal(b, _ONE):
+    if b is _ONE_LIT:
         return a
-    if _is_literal(a, _ZERO):
-        return Literal(_ZERO)
+    if a is _ZERO_LIT:
+        return _ZERO_LIT
     return Div(a, b)
 
 
@@ -207,7 +274,7 @@ def sqrt_(x: ExprLike) -> Expr:
     if sign is Sign.NEGATIVE:
         raise CertificationError("square root of a certified-negative value")
     if sign is Sign.ZERO:
-        return Literal(_ZERO)
+        return _ZERO_LIT
     if isinstance(x, Literal):
         root = is_perfect_square(x.value)
         if root is not None:
@@ -216,84 +283,41 @@ def sqrt_(x: ExprLike) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# exact normalization into a + b*sqrt(5)
-
-
-def gn_normalize(x: Expr) -> GoldenNumber:
-    """Exact value of ``x`` in the a+b*sqrt(5) field.
-
-    Succeeds when, bottom-up, every square root is taken of a
-    nonnegative *rational* equal to r**2 or 5*r**2 for rational r.
-    Raises :class:`NotInField` as soon as a subterm provably escapes
-    that syntactic criterion (e.g. ``sqrt(10 - 2*sqrt(5))``).
-    """
-    memo: dict[int, GoldenNumber] = {}
-
-    def walk(node: Expr) -> GoldenNumber:
-        found = memo.get(id(node))
-        if found is not None:
-            return found
-        if isinstance(node, Literal):
-            result = GoldenNumber.from_rational(node.value)
-        elif isinstance(node, Add):
-            result = walk(node.lhs) + walk(node.rhs)
-        elif isinstance(node, Sub):
-            result = walk(node.lhs) - walk(node.rhs)
-        elif isinstance(node, Mul):
-            result = walk(node.lhs) * walk(node.rhs)
-        elif isinstance(node, Div):
-            den = walk(node.den)
-            if den.is_zero:
-                raise DivisionByZero("normalized divisor is zero")
-            result = walk(node.num) / den
-        elif isinstance(node, Neg):
-            result = -walk(node.operand)
-        elif isinstance(node, Sqrt):
-            operand = walk(node.operand)
-            if not operand.is_rational:
-                raise NotInField(f"sqrt of irrational {operand}")
-            q = operand.a
-            if q < 0:
-                raise CertificationError("sqrt of negative rational")
-            root = gn_sqrt(operand)
-            if root is None:
-                raise NotInField(f"sqrt({q}) is not in the field")
-            result = root
-        else:  # pragma: no cover - node set is closed
-            raise TypeError(f"unknown node {node!r}")
-        memo[id(node)] = result
-        return result
-
-    return walk(x)
-
-
-# ---------------------------------------------------------------------------
-# quadratic-tower normalization (internal)
+# exact normalization into one quadratic tower
 #
 # Values of the form u + v*sqrt(r) with u, v in the a+b*sqrt(5) field
 # and one shared radicand r (positive, not a perfect square in the
-# field).  This is the exact engine behind sign certification and
-# identity proofs for single-nesting radicals: all the pentagon
-# quantities live in one such extension, because
+# field).  This is the exact engine behind field normalization, sign
+# certification and identity proofs for single-nesting radicals: all the
+# pentagon quantities live in one such extension, because
 # sqrt(10-2*sqrt(5)) * sqrt(10+2*sqrt(5)) = 4*sqrt(5).
-
-
-class _TowerFail(Exception):
-    pass
 
 
 @dataclass
 class _TowerValue:
     u: GoldenNumber
-    v: GoldenNumber
+    v: GoldenNumber = GN_ZERO
 
 
 class _Tower:
+    """The algebra of one normalization: it fixes the radicand at the
+    first square root that needs one, and raises :class:`NotInField`
+    for a value outside the tower."""
+
     def __init__(self) -> None:
         self.radicand: GoldenNumber | None = None
+        self.ops = {
+            Add: self.add,
+            Sub: self.sub,
+            Mul: self.mul,
+            Div: self.div,
+            Neg: self.neg,
+            Sqrt: self.sqrt,
+        }
 
-    def value(self, u: GoldenNumber, v: GoldenNumber | None = None) -> _TowerValue:
-        return _TowerValue(u, v if v is not None else GN_ZERO)
+    @staticmethod
+    def leaf(node: Literal) -> _TowerValue:
+        return _TowerValue(GoldenNumber.from_rational(node.value))
 
     def add(self, x: _TowerValue, y: _TowerValue) -> _TowerValue:
         return _TowerValue(x.u + y.u, x.v + y.v)
@@ -328,26 +352,26 @@ class _Tower:
 
     def sqrt(self, x: _TowerValue) -> _TowerValue:
         if not x.v.is_zero:
-            raise _TowerFail  # nested deeper than one radical level
+            raise NotInField("square root nested deeper than one radical level")
         g = x.u
         sign = g.sign()
         if sign is Sign.NEGATIVE:
-            raise _TowerFail
+            raise NotInField("square root of a negative value")
         if sign is Sign.ZERO:
-            return self.value(GN_ZERO)
+            return _TowerValue(GN_ZERO)
         root = gn_sqrt(g)
         if root is not None:
-            return self.value(root)
+            return _TowerValue(root)
         if self.radicand is None:
             self.radicand = g
-            return self.value(GN_ZERO, GoldenNumber.from_rational(1))
+            return _TowerValue(GN_ZERO, GN_ONE)
         if g == self.radicand:
-            return self.value(GN_ZERO, GoldenNumber.from_rational(1))
+            return _TowerValue(GN_ZERO, GN_ONE)
         # sqrt(g) = s/r * sqrt(r)  when  g*r = s^2 in the field.
         s = gn_sqrt(g * self.radicand)
         if s is None:
-            raise _TowerFail
-        return self.value(GN_ZERO, s / self.radicand)
+            raise NotInField("square roots of two independent radicands")
+        return _TowerValue(GN_ZERO, s / self.radicand)
 
     def sign(self, x: _TowerValue) -> Sign:
         if x.v.is_zero:
@@ -363,34 +387,21 @@ class _Tower:
 
 
 def _tower_normalize(x: Expr) -> tuple[_Tower, _TowerValue]:
-    """Exact normal form in one quadratic extension, or _TowerFail."""
+    """Exact normal form in one quadratic extension, or NotInField."""
     tower = _Tower()
-    memo: dict[int, _TowerValue] = {}
+    return tower, fold(x, tower.leaf, tower.ops)
 
-    def walk(node: Expr) -> _TowerValue:
-        found = memo.get(id(node))
-        if found is not None:
-            return found
-        if isinstance(node, Literal):
-            result = tower.value(GoldenNumber.from_rational(node.value))
-        elif isinstance(node, Add):
-            result = tower.add(walk(node.lhs), walk(node.rhs))
-        elif isinstance(node, Sub):
-            result = tower.sub(walk(node.lhs), walk(node.rhs))
-        elif isinstance(node, Mul):
-            result = tower.mul(walk(node.lhs), walk(node.rhs))
-        elif isinstance(node, Div):
-            result = tower.div(walk(node.num), walk(node.den))
-        elif isinstance(node, Neg):
-            result = tower.neg(walk(node.operand))
-        elif isinstance(node, Sqrt):
-            result = tower.sqrt(walk(node.operand))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
-        memo[id(node)] = result
-        return result
 
-    return tower, walk(x)
+def gn_normalize(x: Expr) -> GoldenNumber:
+    """Exact value of ``x`` in the a+b*sqrt(5) field.
+
+    Raises :class:`NotInField` when the exact normal form of ``x`` keeps
+    a radical part (e.g. ``sqrt(10 - 2*sqrt(5))``) or cannot be formed.
+    """
+    _, value = _tower_normalize(x)
+    if not value.v.is_zero:
+        raise NotInField("the value has a radical part outside the field")
+    return value.u
 
 
 def exact_sign(x: Expr) -> Sign | None:
@@ -398,7 +409,7 @@ def exact_sign(x: Expr) -> Sign | None:
     supported tower; None when it does not."""
     try:
         tower, value = _tower_normalize(x)
-    except _TowerFail:
+    except NotInField:
         return None
     return tower.sign(value)
 
@@ -406,8 +417,8 @@ def exact_sign(x: Expr) -> Sign | None:
 def exact_rational(x: Expr) -> Fraction | None:
     """Exact rational value when normalization proves one, else None."""
     try:
-        tower, value = _tower_normalize(x)
-    except (_TowerFail, DivisionByZero):
+        _, value = _tower_normalize(x)
+    except (NotInField, DivisionByZero):
         return None
     if value.v.is_zero and value.u.is_rational:
         return value.u.a
@@ -424,32 +435,24 @@ def eval_interval(x: Expr, working_bits: int) -> iv.IntPair:
     Raises :class:`interval.StraddlesZero` when a divisor interval
     contains zero at this precision; callers refine and retry.
     """
-    memo: dict[int, iv.IntPair] = {}
+    return fold(x, *_interval_algebra(working_bits))
 
-    def walk(node: Expr) -> iv.IntPair:
-        found = memo.get(id(node))
-        if found is not None:
-            return found
-        if isinstance(node, Literal):
-            result = iv.from_fraction(node.value, working_bits)
-        elif isinstance(node, Add):
-            result = iv.add(walk(node.lhs), walk(node.rhs))
-        elif isinstance(node, Sub):
-            result = iv.sub(walk(node.lhs), walk(node.rhs))
-        elif isinstance(node, Mul):
-            result = iv.mul(walk(node.lhs), walk(node.rhs), working_bits)
-        elif isinstance(node, Div):
-            result = iv.div(walk(node.num), walk(node.den), working_bits)
-        elif isinstance(node, Neg):
-            result = iv.neg(walk(node.operand))
-        elif isinstance(node, Sqrt):
-            result = iv.sqrt(walk(node.operand), working_bits)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {node!r}")
-        memo[id(node)] = result
-        return result
 
-    return walk(x)
+@lru_cache(maxsize=64)
+def _interval_algebra(w: int) -> tuple[Callable, dict[type, Callable]]:
+    """fold's leaf and ops for enclosures at scale 2**-w."""
+
+    def leaf(node: Literal) -> iv.IntPair:
+        return iv.from_fraction(node.value, w)
+
+    return leaf, {
+        Add: iv.add,
+        Sub: iv.sub,
+        Neg: iv.neg,
+        Mul: partial(iv.mul, w=w),
+        Div: partial(iv.div, w=w),
+        Sqrt: partial(iv.sqrt, w=w),
+    }
 
 
 @dataclass(frozen=True)

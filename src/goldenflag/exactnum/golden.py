@@ -100,9 +100,6 @@ class GoldenNumber:
             raise DivisionByZero("division by zero in quadratic field")
         return GoldenNumber(self.a / norm, -self.b / norm)
 
-    def conjugate(self) -> "GoldenNumber":
-        return GoldenNumber(self.a, -self.b)
-
     # -- predicates --------------------------------------------------------
 
     @property
@@ -112,11 +109,6 @@ class GoldenNumber:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def to_rational(self) -> Rational:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def sign(self) -> Sign:
         """Exact sign of a + b*sqrt(5), by integer case analysis.

@@ -2,15 +2,15 @@
 
 The pipeline decides cheaply first and exactly second:
 
-0. a filter: identical nodes are ProvedEqual, and disjoint 64-bit
-   interval enclosures of the two sides are ProvedUnequal,
-1. structural equality of the DAGs,
-2. monomial canonicalization (exact rational coefficient times a
-   multiset of structural factors),
-3. exact normalization of the difference in a quadratic tower,
-4. repeated squaring (sound once both sides share a sign), retrying the
+0. a filter: identical nodes are ProvedEqual (nodes are hash-consed, so
+   this is structural equality), and disjoint 64-bit interval enclosures
+   of the two sides are ProvedUnequal,
+1. monomial canonicalization (exact rational coefficient times a
+   multiset of factor nodes),
+2. exact normalization of the difference in a quadratic tower,
+3. repeated squaring (sound once both sides share a sign), retrying the
    exact layers on the squared pair,
-5. interval separation with the deterministic refinement schedule,
+4. interval separation with the deterministic refinement schedule,
    from 128 bits on.
 
 Exact layers can only answer ProvedEqual/ProvedUnequal; intervals can
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from ..errors import DivisionByZero, PrecisionExhausted, SignMismatch
+from ..errors import DivisionByZero, NotInField, PrecisionExhausted, SignMismatch
 from . import interval as iv
 from .expr import (
     SIGN_REFINE_CAP,
@@ -37,11 +37,11 @@ from .expr import (
     Sqrt,
     Sub,
     _tower_normalize,
-    _TowerFail,
     add,
     certified_sign,
     div,
     eval_interval,
+    fold,
     lit,
     mul,
     sub,
@@ -63,78 +63,68 @@ class Verdict(enum.Enum):
 def square_of(x: Expr) -> Expr:
     """Expression for x**2 with one radical level peeled.
 
-    ``sqrt(u)`` squares to ``u``, products and quotients square
-    componentwise, and sums expand through the binomial identity; this
-    is what lets a nested-radical identity drop into the exact field
-    after squaring.
+    ``sqrt(u)`` squares to ``u`` without descending into ``u``, products
+    and quotients square componentwise, and sums expand through the
+    binomial identity; this is what lets a nested-radical identity drop
+    into the exact field after squaring.
     """
-    if isinstance(x, Literal):
-        return Literal(x.value * x.value)
-    if isinstance(x, Neg):
-        return square_of(x.operand)
+    return fold(x, _square_leaf, _SQUARE_OPS)[1]
+
+
+# square_of's algebra.  Each node's value is the pair (node, node**2) so
+# that a sum can form its cross term from its operands; rebuilding a
+# node from its operands returns the interned original.
+
+
+def _square_leaf(x: Expr) -> tuple[Expr, Expr]:
     if isinstance(x, Sqrt):
-        return x.operand
-    if isinstance(x, Mul):
-        return mul(square_of(x.lhs), square_of(x.rhs))
-    if isinstance(x, Div):
-        return div(square_of(x.num), square_of(x.den))
-    if isinstance(x, Add):
-        return add(
-            add(square_of(x.lhs), square_of(x.rhs)),
-            mul(lit(2), mul(x.lhs, x.rhs)),
-        )
-    if isinstance(x, Sub):
-        return sub(
-            add(square_of(x.lhs), square_of(x.rhs)),
-            mul(lit(2), mul(x.lhs, x.rhs)),
-        )
-    raise TypeError(f"unknown node {x!r}")  # pragma: no cover
+        return x, x.operand
+    return x, Literal(x.value * x.value)
 
 
-def _monomial(x: Expr) -> tuple[Fraction, tuple[tuple[str, int], ...]]:
-    """Split a product tree into an exact rational coefficient and a
-    canonically ordered multiset of non-rational factors.
+_SQUARE_OPS = {
+    Neg: lambda a: (Neg(a[0]), a[1]),
+    Mul: lambda a, b: (Mul(a[0], b[0]), mul(a[1], b[1])),
+    Div: lambda a, b: (Div(a[0], b[0]), div(a[1], b[1])),
+    Add: lambda a, b: (Add(a[0], b[0]), add(add(a[1], b[1]), mul(lit(2), mul(a[0], b[0])))),
+    Sub: lambda a, b: (Sub(a[0], b[0]), sub(add(a[1], b[1]), mul(lit(2), mul(a[0], b[0])))),
+}
+
+
+def _monomial(x: Expr) -> tuple[Fraction, dict[Expr, int]]:
+    """Split a product tree into an exact rational coefficient and the
+    multiset of its non-rational factors, as factor node -> exponent.
 
     Sound for equality: equal coefficient and equal factor multisets
-    imply equal values.  (Factors are keyed structurally, so shared and
-    merely-equal subterms cancel alike.)
+    imply equal values.  (Nodes are interned, so equal factors are one
+    key and cancel.)
     """
     coeff = Fraction(1)
-    factors: dict[str, int] = {}
-
-    def walk(node: Expr, exponent: int) -> None:
-        nonlocal coeff
+    factors: dict[Expr, int] = {}
+    stack = [(x, 1)]
+    while stack:
+        node, exponent = stack.pop()
         if isinstance(node, Literal):
             coeff *= node.value if exponent == 1 else Fraction(1) / node.value
         elif isinstance(node, Neg):
             coeff = -coeff
-            walk(node.operand, exponent)
+            stack.append((node.operand, exponent))
         elif isinstance(node, Mul):
-            walk(node.lhs, exponent)
-            walk(node.rhs, exponent)
+            stack += ((node.lhs, exponent), (node.rhs, exponent))
         elif isinstance(node, Div):
-            walk(node.num, exponent)
-            walk(node.den, -exponent)
+            stack += ((node.num, exponent), (node.den, -exponent))
         else:
-            key = repr(node)
-            factors[key] = factors.get(key, 0) + exponent
-
-    walk(x, 1)
-    canonical = tuple(
-        sorted((k, e) for k, e in factors.items() if e != 0)
-    )
-    return coeff, canonical
+            factors[node] = factors.get(node, 0) + exponent
+    return coeff, {node: e for node, e in factors.items() if e != 0}
 
 
 def _exact_compare(lhs: Expr, rhs: Expr) -> Verdict | None:
     """Exact layers only; None when they cannot decide."""
-    if lhs == rhs:
-        return Verdict.PROVED_EQUAL
     if _monomial(lhs) == _monomial(rhs):
         return Verdict.PROVED_EQUAL
     try:
         tower, diff = _tower_normalize(Sub(lhs, rhs))
-    except (_TowerFail, DivisionByZero):
+    except (NotInField, DivisionByZero):
         return None
     if tower.sign(diff) is Sign.ZERO:
         return Verdict.PROVED_EQUAL

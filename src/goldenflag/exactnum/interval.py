@@ -93,7 +93,3 @@ def sqrt(x: IntPair, w: int) -> IntPair:
 def to_fractions(x: IntPair, w: int) -> tuple[Fraction, Fraction]:
     scale = Fraction(1, 1 << w)
     return x[0] * scale, x[1] * scale
-
-
-def contains_zero(x: IntPair) -> bool:
-    return x[0] <= 0 <= x[1]

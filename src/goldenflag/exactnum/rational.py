@@ -14,7 +14,6 @@ from fractions import Fraction
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

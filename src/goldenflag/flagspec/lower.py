@@ -50,22 +50,37 @@ def lower_expr(ast: ExprAst, env: dict[str, Expr], where: str = "expression") ->
 
 
 def _lower_expr(ast: ExprAst, env: dict[str, Expr]) -> Expr:
-    if isinstance(ast, NumberLit):
-        return lit(ast.value)
-    if isinstance(ast, PhiConst):
-        return PHI_EXPR
-    if isinstance(ast, NameRef):
-        try:
-            return env[ast.name]
-        except KeyError:
-            raise SemanticError(ast.line, ast.col, f"unbound name {ast.name!r}") from None
-    if isinstance(ast, BinOp):
-        return _BINOPS[ast.op](_lower_expr(ast.lhs, env), _lower_expr(ast.rhs, env))
-    if isinstance(ast, Negate):
-        return neg(_lower_expr(ast.operand, env))
-    if isinstance(ast, SqrtCall):
-        return sqrt_(_lower_expr(ast.operand, env))
-    raise TypeError(f"unknown AST node {ast!r}")  # pragma: no cover
+    """Post-order lowering with an explicit stack, so operator chains of
+    any length lower (the parser bounds only parenthesised nesting)."""
+    values: list[Expr] = []
+    # AST nodes still to lower, and (constructor, arity) to apply once
+    # the operands' values are on top of ``values``
+    todo: list = [ast]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            build, arity = item
+            operands = values[-arity:]
+            del values[-arity:]
+            values.append(build(*operands))
+        elif isinstance(item, NumberLit):
+            values.append(lit(item.value))
+        elif isinstance(item, PhiConst):
+            values.append(PHI_EXPR)
+        elif isinstance(item, NameRef):
+            try:
+                values.append(env[item.name])
+            except KeyError:
+                raise SemanticError(item.line, item.col, f"unbound name {item.name!r}") from None
+        elif isinstance(item, BinOp):
+            todo += ((_BINOPS[item.op], 2), item.rhs, item.lhs)
+        elif isinstance(item, Negate):
+            todo += ((neg, 1), item.operand)
+        elif isinstance(item, SqrtCall):
+            todo += ((sqrt_, 1), item.operand)
+        else:  # pragma: no cover
+            raise TypeError(f"unknown AST node {item!r}")
+    return values[0]
 
 
 def lower(ast: SpecAst) -> FlagLayout:

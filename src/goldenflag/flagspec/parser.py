@@ -298,8 +298,15 @@ class _Parser:
     def parse_primary(self, depth: int) -> ExprAst:
         token = self.current
         if token.kind is TokenKind.NUMBER:
+            try:
+                value = Fraction(token.lexeme)
+            except ValueError:  # past the interpreter's int-from-string digit limit
+                digits = sum(ch.isdigit() for ch in token.lexeme)
+                raise ParseError(
+                    token.line, token.col, "a shorter number", f"a {digits}-digit number"
+                ) from None
             self.advance()
-            return NumberLit(Fraction(token.lexeme))
+            return NumberLit(value)
         if token.kind is TokenKind.KEYWORD and token.lexeme == "phi":
             self.advance()
             return PhiConst()

@@ -8,7 +8,6 @@ lengths, which keeps everything inside constructible arithmetic.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import (
@@ -104,15 +103,10 @@ class Segment:
         raise DegenerateSegment("endpoints not certified distinct")
 
 
-class Orientation(enum.Enum):
-    POINT_UP = "PointUp"
-
-
 @dataclass(frozen=True)
 class Pentagram:
     center: Point
     circumradius: Expr
-    orientation: Orientation = Orientation.POINT_UP
 
     def __post_init__(self) -> None:
         try:

@@ -18,6 +18,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def let_chain_spec(depth: int) -> str:
+    """Two regions split at a width bound through ``depth`` lets; the
+    second region's right edge is then a DAG ``depth`` levels deep."""
+    lets = "".join(f"let w{i} = w{i - 1} + phi - phi;\n" for i in range(1, depth + 1))
+    return (
+        f'flag "chain" {{ canvas 3 x 2; let w0 = 1;\n{lets}'
+        f"region a blue rect 0 0 w{depth} 2; region b red rect w{depth} 0 3 - w{depth} 2; }}"
+    )
+
+
+BIG_NUMBER = "1" * 5000  # past the interpreter's 4300-digit int conversion limit
+
+
 class TestList:
     def test_builtin_names(self, capsys):
         code, out, _ = run(capsys, "list")
@@ -40,6 +53,11 @@ class TestRatio:
         code, out, _ = run(capsys, "ratio", "chile-current")
         assert code == 0
         assert out.strip() == "1.5"
+
+    def test_zero_digits_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "ratio", "chile-1818", "--digits", "0")
+        assert (code, out) == (2, "")
+        assert "--digits: must be at least 1" in err
 
     def test_nepal_ratio(self, capsys):
         code, out, _ = run(capsys, "ratio", "nepal-ratio", "--digits", "6")
@@ -85,6 +103,34 @@ class TestEval:
         assert code == 1
         assert "negative" in err
 
+    def test_zero_digits_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "eval", "sqrt(2)", "--digits", "0")
+        assert code == 2
+        assert err.startswith("usage:")
+        assert "--digits: must be at least 1" in err
+
+    def test_oversized_literal_is_a_positioned_parse_error(self, capsys):
+        code, out, err = run(capsys, "eval", f"2 + {BIG_NUMBER}")
+        assert (code, out) == (1, "")
+        assert err == "goldenflag: error: 1:5: expected a shorter number, found a 5000-digit number\n"
+
+    @pytest.mark.parametrize("expr", ["phi", "2"])
+    def test_digits_past_the_limit_end_in_one_error_line(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr, "--digits", "4400")
+        assert (code, out) == (1, "")
+        assert err == "goldenflag: error: ValueError: digits must be at most 4300, got 4400\n"
+
+    def test_digits_at_the_limit(self, capsys):
+        code, out, _ = run(capsys, "eval", "phi", "--digits", "4300")
+        assert code == 0
+        assert out.startswith("1.6180339887498948482")
+        assert len(out.strip()) == 4301
+
+    def test_exact_value_with_thousands_of_digits(self, capsys):
+        code, out, _ = run(capsys, "eval", f"{'9' * 3000} * {'9' * 3000}", "--digits", "3")
+        assert code == 0
+        assert out.strip() == "1" + "0" * 6000
+
 
 class TestVerify:
     def test_current_flag_three_passing_checks(self, capsys):
@@ -128,6 +174,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 1
         assert "1:30" in err
+
+    def test_oversized_literal_in_a_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "big.flag"
+        path.write_text(f'flag "big" {{\n  canvas {BIG_NUMBER} x 2;\n}}\n')
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert err == "goldenflag: error: 2:10: expected a shorter number, found a 5000-digit number\n"
+
+    def test_deep_let_chain(self, capsys, tmp_path):
+        path = tmp_path / "chain.flag"
+        path.write_text(let_chain_spec(1500))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert "chain: 3 checks passed" in out
 
 
 class TestBuild:
@@ -194,6 +254,23 @@ class TestBuild:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("digits", ["0", "2", "many"])
+    def test_digits_below_three_is_a_usage_error(self, capsys, tmp_path, digits):
+        out_path = tmp_path / "t.svg"
+        code, _, err = run(capsys, "build", "chile-1818", "--out", str(out_path), "--digits", digits)
+        assert code == 2
+        assert err.startswith("usage:")
+        assert not out_path.exists()
+
+    def test_deep_let_chain(self, capsys, tmp_path):
+        src = tmp_path / "chain.flag"
+        src.write_text(let_chain_spec(1500))
+        out_path = tmp_path / "chain.json"
+        code, _, err = run(capsys, "build", str(src), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        vertices = json.loads(out_path.read_text())["regions"][1]["vertices"]
+        assert vertices[0] == ["1", "2"] and vertices[2] == ["3", "0"]
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -207,3 +284,12 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_unexpected_exception_is_one_error_line(self, capsys, monkeypatch):
+        def broken(name):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("goldenflag.cli.build_flag", broken)
+        code, out, err = run(capsys, "ratio", "togo")
+        assert (code, out) == (1, "")
+        assert err == "goldenflag: error: RuntimeError: boom\n"

@@ -182,3 +182,8 @@ class TestNormalize:
     def test_division_folds_through_conjugation(self):
         expr = div(lit(1), add(lit(2), SQRT5_EXPR))
         assert gn_normalize(expr) == GoldenNumber(-2, 1)
+
+    def test_square_roots_of_field_squares(self):
+        # sqrt(6 + 2 sqrt5) = 1 + sqrt5, and sqrt(2)**2 = 2
+        assert gn_normalize(sqrt_(add(lit(6), mul(lit(2), SQRT5_EXPR)))) == GoldenNumber(1, 1)
+        assert gn_normalize(mul(sqrt_(lit(2)), sqrt_(lit(2)))) == GoldenNumber(2, 0)

@@ -13,7 +13,7 @@ from goldenflag.errors import (
     ParseError,
     SemanticError,
 )
-from goldenflag.exactnum import PHI_EXPR, Literal, Verdict, compare_values, div, lit
+from goldenflag.exactnum import PHI_EXPR, Literal, Verdict, compare_values, div, lit, mul
 from goldenflag.flagspec import (
     NumberLit,
     TokenKind,
@@ -162,6 +162,18 @@ class TestLowerExpressions:
         with pytest.raises(SemanticError) as excinfo:
             lower_expr(parse_expression("2 * mystery"), {})
         assert excinfo.value.col == 5
+
+    def test_long_operator_chains_lower(self):
+        # left-associative chains as deep as the term count; only
+        # parenthesised nesting is bounded by the parser
+        assert lower_expr(parse_expression("+".join(["1"] * 5000)), {}) == lit(5000)
+        chain = lower_expr(parse_expression("-".join(["phi"] * 5000)), {})
+        assert compare_values(chain, mul(lit(-4998), PHI_EXPR)) is Verdict.PROVED_EQUAL
+
+    def test_operands_lower_left_to_right(self):
+        with pytest.raises(SemanticError) as excinfo:
+            lower_expr(parse_expression("first / second"), {})
+        assert excinfo.value.col == 1
 
 
 class TestLowerLayouts:

@@ -13,7 +13,13 @@ from goldenflag.errors import SignMismatch
 from goldenflag.exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
+    Add,
+    Div,
     GoldenNumber,
+    Mul,
+    Neg,
+    Sqrt,
+    Sub,
     Verdict,
     add,
     certified_sign,
@@ -29,7 +35,8 @@ from goldenflag.exactnum import (
     sub,
     verify_identity,
 )
-from goldenflag.exactnum.expr import exact_sign
+from goldenflag.exactnum import identity as identity_module
+from goldenflag.exactnum.expr import exact_sign, fold
 from goldenflag.exactnum.identity import _exact_compare
 from goldenflag.geometry import TAN36
 
@@ -46,6 +53,37 @@ RADICANDS = (
     sub(lit(10), mul(lit(2), SQRT5_EXPR)),
     add(lit(3), SQRT5_EXPR),
 )
+
+
+def doubling(levels: int):
+    """phi doubled ``levels`` times as x + x: ``levels`` nodes over the
+    6 of phi, and 2**levels paths from the root down to phi."""
+    x = PHI_EXPR
+    for _ in range(levels):
+        x = add(x, x)
+    return x
+
+
+# recipes: a leaf name or rational, or (constructor name, recipe, recipe)
+LEAVES = {"phi": PHI_EXPR, "sqrt5": SQRT5_EXPR, "sqrt2": sqrt_(lit(2))}
+recipes = st.recursive(
+    st.sampled_from(sorted(LEAVES)) | small,
+    lambda inner: st.tuples(st.sampled_from(("add", "sub", "mul", "neg", "sqrt")), inner, inner),
+    max_leaves=8,
+)
+
+
+def build(recipe):
+    if isinstance(recipe, str):
+        return LEAVES[recipe]
+    if isinstance(recipe, Fraction):
+        return lit(recipe)
+    name, x, y = recipe
+    if name == "neg":
+        return neg(build(x))
+    if name == "sqrt":  # of a square, so the radicand is never negative
+        return sqrt_(mul(build(x), build(x)))
+    return {"add": add, "sub": sub, "mul": mul}[name](build(x), build(y))
 
 
 @st.composite
@@ -167,3 +205,49 @@ class TestIntervalFilterAgreesWithExactLayers:
         rewritten = sub(add(x, lit(shift)), lit(shift))
         assert compare_values(x, rewritten) is Verdict.PROVED_EQUAL
         assert compare_values(add(x, lit(Fraction(1, 2**80))), x) is Verdict.PROVED_UNEQUAL
+
+
+class TestHashConsing:
+    def test_the_doubling_dag_is_built_once_and_proved_fast(self):
+        dag = doubling(20)
+        assert doubling(20) is dag
+        assert verify_identity(dag, mul(lit(2**20), PHI_EXPR)) is Verdict.PROVED_EQUAL
+
+    @given(recipes)
+    @settings(max_examples=100, deadline=None)
+    def test_an_expression_built_twice_is_the_same_node(self, recipe):
+        assert build(recipe) is build(recipe)
+
+
+class TestOneWalk:
+    def test_fold_steps_once_per_distinct_node(self):
+        calls = []
+
+        def step(*values):
+            calls.append(values)
+            return len(calls)
+
+        fold(doubling(30), step, {kind: step for kind in (Add, Sub, Mul, Div, Neg, Sqrt)})
+        assert len(calls) == 30 + 6
+
+    def test_square_of_does_work_linear_in_the_node_count(self, monkeypatch):
+        steps = {}
+
+        def counting_fold(root, leaf, ops):
+            def counted(op):
+                def step(*values):
+                    steps[root] = steps.get(root, 0) + 1
+                    return op(*values)
+
+                return step
+
+            return fold(root, counted(leaf), {kind: counted(op) for kind, op in ops.items()})
+
+        monkeypatch.setattr(identity_module, "fold", counting_fold)
+        for levels in (10, 20, 40):
+            dag = doubling(levels)
+            squared = square_of(dag)
+            # every node once, and nothing below sqrt(5), which squares to 5
+            assert steps[dag] == levels + 5
+            expected = mul(lit(4**levels), square_of(PHI_EXPR))
+            assert compare_values(squared, expected) is Verdict.PROVED_EQUAL
