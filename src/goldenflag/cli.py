@@ -26,6 +26,7 @@ from .constructions import (
 )
 from .errors import GoldenFlagError, PrecisionExhausted
 from .exactnum import as_rational, decimal_str
+from .exactnum.decimalfmt import MAX_DIGITS
 from .flagspec import lower_expr, lower_source, parse_expression
 from .render import RenderOptions, json_emit, svg_emit
 
@@ -45,7 +46,7 @@ def _positive_rational(text: str):
     return value
 
 
-def _digits_at_least(minimum: int):
+def _int_in_range(minimum: int, maximum: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -53,9 +54,15 @@ def _digits_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text!r}")
         return value
 
     return parse
+
+
+# the starting precision that decimal_str already uses for MAX_DIGITS digits
+MAX_PRECISION_BITS = 4 * MAX_DIGITS + 32
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(overrides --scale; e.g. 2.4 for a physical width)",
     )
     build.add_argument(
-        "--digits", type=_digits_at_least(3), default=12, help="significant digits"
+        "--digits", type=_int_in_range(3), default=12, help="significant digits"
     )
     build.add_argument(
         "--format",
@@ -108,21 +115,21 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("expr", help="expression, e.g. 'sqrt(10-2*sqrt(5))/(1+sqrt(5))'")
     evaluate.add_argument(
         "--digits",
-        type=_digits_at_least(1),
+        type=_int_in_range(1),
         default=12,
         help="significant digits, printed round-half-even (never truncated)",
     )
     evaluate.add_argument(
         "--precision-bits",
-        type=int,
+        type=_int_in_range(1, MAX_PRECISION_BITS),
         default=128,
-        help="starting working precision; refinement beyond is automatic "
-        "when rounding certification needs it",
+        help=f"starting working precision in bits, 1 to {MAX_PRECISION_BITS}; "
+        "refinement beyond is automatic when rounding certification needs it",
     )
 
     ratio = commands.add_parser("ratio", help="print a flag's width-height ratio")
     ratio.add_argument("name", help="builtin name or path to a .flag file")
-    ratio.add_argument("--digits", type=_digits_at_least(1), default=6)
+    ratio.add_argument("--digits", type=_int_in_range(1), default=6)
 
     commands.add_parser("list", help="print builtin flag names")
     return parser

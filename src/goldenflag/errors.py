@@ -29,8 +29,8 @@ class PrecisionExhausted(ExactNumberError):
 
 
 class SignMismatch(ExactNumberError):
-    """Identity verification requires both sides nonnegative or both
-    nonpositive; the certified signs disagree."""
+    """A stated identity relates two sides of one sign, but one side is
+    certified positive and the other negative."""
 
 
 class CertificationError(ExactNumberError):

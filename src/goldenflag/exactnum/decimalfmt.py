@@ -7,7 +7,9 @@ Two policies are provided:
   rounds to the same digits, so the exact value is within half an ulp
   of the output.  Exact rationals short-circuit through integer
   arithmetic (which also resolves ties exactly); provably irrational
-  values can never tie, so interval refinement terminates.
+  values can never tie, so interval refinement terminates.  A value
+  outside the exact tower whose enclosure contains zero is decided once
+  by :func:`certified_sign`; an exact zero prints as ``0``.
 * :func:`truncated_str` emits a certified *truncation* to a fixed
   number of decimal places (the style used for quoting leading digits).
 
@@ -18,10 +20,12 @@ across platforms and runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from ..errors import PrecisionExhausted
 from . import interval as iv
-from .expr import Expr, eval_interval, exact_rational
+from .expr import Expr, certified_sign, eval_interval, exact_rational
+from .golden import Sign
 
 _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
 
@@ -108,6 +112,30 @@ def _refinement_schedule(digits: int, min_bits: int):
         w *= 2
 
 
+def _enclosures(x: Expr, digits: int, min_bits: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """Enclosures of ``x`` on the refinement schedule.  The first one
+    that contains zero asks :func:`certified_sign` once; a proved zero
+    then yields the exact enclosure ``[0, 0]`` and ends the schedule, so
+    values whose enclosures exclude zero pay nothing for it."""
+    asked = False
+    for w in _refinement_schedule(digits, min_bits):
+        try:
+            lo_hi = eval_interval(x, w)
+        except iv.StraddlesZero:
+            continue
+        lo, hi = iv.to_fractions(lo_hi, w)
+        if lo <= 0 <= hi and not asked:
+            asked = True
+            try:
+                zero = certified_sign(x) is Sign.ZERO
+            except PrecisionExhausted:  # the schedule may still separate it
+                zero = False
+            if zero:
+                yield Fraction(0), Fraction(0)
+                return
+        yield lo, hi
+
+
 def decimal_str(x: Expr, digits: int, min_bits: int = 0) -> str:
     """Certified round-half-even rendering with significant digits.
 
@@ -121,12 +149,7 @@ def decimal_str(x: Expr, digits: int, min_bits: int = 0) -> str:
     exact = exact_rational(x)
     if exact is not None:
         return round_fraction_str(exact, digits)
-    for w in _refinement_schedule(digits, min_bits):
-        try:
-            lo_hi = eval_interval(x, w)
-        except iv.StraddlesZero:
-            continue
-        lo, hi = iv.to_fractions(lo_hi, w)
+    for lo, hi in _enclosures(x, digits, min_bits):
         r_lo = round_significant(lo, digits)
         r_hi = round_significant(hi, digits)
         if r_lo == r_hi:
@@ -145,13 +168,8 @@ def truncated_str(x: Expr, places: int) -> str:
             raise ValueError("truncation is defined for nonnegative values")
         scaled = (exact.numerator * 10**places) // exact.denominator
         return _format_truncated(scaled, places)
-    for w in _refinement_schedule(places, 0):
-        try:
-            lo_hi = eval_interval(x, w)
-        except iv.StraddlesZero:
-            continue
-        lo, hi = iv.to_fractions(lo_hi, w)
-        if lo < 0:
+    for lo, hi in _enclosures(x, places, 0):
+        if hi < 0:
             raise ValueError("truncation is defined for nonnegative values")
         t_lo = (lo.numerator * 10**places) // lo.denominator
         t_hi = (hi.numerator * 10**places) // hi.denominator

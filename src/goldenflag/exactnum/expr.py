@@ -13,11 +13,13 @@ The two side conditions are certified when a node is constructed:
 * every ``Sqrt`` operand has certified sign >= 0,
 * every ``Div`` divisor has certified sign != 0.
 
-Certification first tries one 64-bit interval enclosure, which settles
-every sign it separates from zero.  It then takes an exact route
+Both are decided by :func:`certified_sign`, the one sign procedure of
+the package.  It first tries one 64-bit interval enclosure, which
+settles every sign it separates from zero, then an exact route
 (normalization into a single quadratic extension of the a+b*sqrt(5)
-field) and falls back to interval refinement with a deterministic
-doubling schedule, from 128 bits up to a cap of 4096 bits.
+field), and then interval refinement with a deterministic doubling
+schedule from 128 bits up to a cap of 4096 bits, stopped by a
+separation bound: an enclosure narrower than the bound proves zero.
 
 Evaluation returns a :class:`Ball` (center +/- radius, both dyadic
 rationals) that rigorously contains the exact value.
@@ -29,6 +31,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import isqrt
 from typing import Callable, Mapping, TypeVar, Union
 
 from ..errors import (
@@ -540,25 +543,114 @@ def _interval_sign(x: Expr, working_bits: int) -> Sign | None:
     return None
 
 
-def certified_sign(x: Expr, cap_bits: int = SIGN_REFINE_CAP) -> Sign:
-    """Rigorous sign of an expression.
+def certified_sign(x: Expr) -> Sign:
+    """Rigorous sign of an expression: the one sign procedure.
 
-    Layer 0 is one interval enclosure at 64 bits: when it excludes zero
-    it is a proof, and most nonzero values are settled there.  Otherwise
-    the exact normal form runs (which also decides exact zero), then
-    interval refinement from 128 bits doubling up to the cap.  Raises
-    :class:`PrecisionExhausted` when no route certifies.
+    Layer 0 is one interval enclosure at 64 bits, which settles most
+    nonzero values.  Layer 1 is the exact normal form, which decides
+    every value in the tower.  Layer 2 refines the enclosure from 128
+    bits, doubling up to the cap: an enclosure that excludes zero gives
+    the sign, and one inside ``(-2**-b, 2**-b)`` for the separation bound
+    ``b`` of :func:`separation_bits` proves zero.  Raises
+    :class:`PrecisionExhausted` when the cap comes first.
     """
     sign = _interval_sign(x, SIGN_REFINE_START)
     if sign is None:
         sign = exact_sign(x)
-    w = 2 * SIGN_REFINE_START
-    while sign is None and w <= cap_bits:
-        sign = _interval_sign(x, w)
+    if sign is not None:
+        return sign
+    bits = separation_bits(x)
+    w = SIGN_REFINE_START
+    while w < SIGN_REFINE_CAP:
         w *= 2
-    if sign is None:
-        raise PrecisionExhausted(f"sign not certified within {cap_bits} bits")
-    return sign
+        try:
+            lo, hi = eval_interval(x, w)
+        except iv.StraddlesZero:
+            continue
+        if lo > 0:
+            return Sign.POSITIVE
+        if hi < 0:
+            return Sign.NEGATIVE
+        reach = max(-lo, hi)  # |x| <= reach * 2**-w
+        if reach == 0 or reach.bit_length() + bits <= w:
+            return Sign.ZERO
+    raise PrecisionExhausted(f"sign not certified within {SIGN_REFINE_CAP} bits")
+
+
+# separation_bits' arithmetic: a pair (m, e) stands for m * 2**e, with m
+# at most _BOUND_BITS bits wide, and every operation rounds up.
+_BOUND_BITS = 32
+
+
+def _up(m: int, e: int) -> tuple[int, int]:
+    excess = max(m.bit_length() - _BOUND_BITS, 0)
+    return -(-m >> excess), e + excess
+
+
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return _up(x[0] * y[0], x[1] + y[1])
+
+
+def _plus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    e = max(x[1], y[1]) - _BOUND_BITS  # each term rounded up to a multiple of 2**e
+    return _up(sum(-(-(m << max(f - e, 0)) >> max(e - f, 0)) for m, f in (x, y)), e)
+
+
+def _root(x: tuple[int, int]) -> tuple[int, int]:
+    m = x[0] << (2 * _BOUND_BITS + x[1] % 2)
+    return _up(isqrt(m - 1) + 1, x[1] // 2 - _BOUND_BITS)
+
+
+def _log2_up(x: tuple[int, int]) -> int:
+    return x[1] + x[0].bit_length()
+
+
+def separation_bits(x: Expr) -> int:
+    """Bits ``b`` such that ``x == 0`` or ``|x| >= 2**-b``.
+
+    The improved BFMSS bound (Burnikel, Funke, Mehlhorn, Schirra and
+    Schmitt, "A separation bound for real algebraic expressions",
+    Algorithmica 55, 2009).  Every node's value is ``U / L`` for
+    algebraic integers ``U`` and ``L`` whose conjugates are at most ``u``
+    and ``l`` in absolute value (``u, l >= 1``): a literal ``p/q`` has
+    ``(max(|p|, 1), q)``, ``x +- y`` has ``(u_x l_y + u_y l_x, l_x l_y)``,
+    ``x * y`` has ``(u_x u_y, l_x l_y)``, ``x / y`` has ``(u_x l_y, l_x u_y)``
+    and ``-x`` has ``x``'s.  ``sqrt(x)`` has ``((u_x l_x)**(1/2), l_x)``,
+    from ``sqrt(U/L) = sqrt(U L) / L``, when ``u_x >= l_x`` by bit length,
+    else ``(u_x, (u_x l_x)**(1/2))``, from ``sqrt(U/L) = U / sqrt(U L)``;
+    both are sound, and either way the root adds one algebraic integer
+    ``sqrt(U L)``.  So ``U`` lies in a field of degree at most ``D = 2**k``,
+    ``k`` the number of distinct ``Sqrt`` nodes (interned, so distinct
+    objects; the fold meets each once).  Theorem: ``x != 0`` implies
+    ``|x| >= 1 / (u**(D-1) l)``, since the norm of ``U`` is a nonzero
+    integer, so ``|U| >= u**-(D-1)``, and ``|L| <= l``.  Every quantity
+    is rounded up.
+    """
+    radicals = 0
+
+    def root(a: tuple) -> tuple:
+        nonlocal radicals
+        radicals += 1
+        mean = _root(_times(*a))
+        return (mean, a[1]) if _log2_up(a[0]) >= _log2_up(a[1]) else (a[0], mean)
+
+    def total(a: tuple, b: tuple) -> tuple:
+        return _plus(_times(a[0], b[1]), _times(b[0], a[1])), _times(a[1], b[1])
+
+    def leaf(node: Literal) -> tuple:
+        return _up(max(abs(node.value.numerator), 1), 0), _up(node.value.denominator, 0)
+
+    u, power = fold(x, leaf, {
+        Add: total,
+        Sub: total,
+        Neg: lambda a: a,
+        Mul: lambda a, b: (_times(a[0], b[0]), _times(a[1], b[1])),
+        Div: lambda a, b: (_times(a[0], b[1]), _times(a[1], b[0])),
+        Sqrt: root,
+    })
+    for _ in range(radicals):  # u**(D-1) l = u**(1 + 2 + ... + 2**(k-1)) l
+        power, u = _times(power, u), _times(u, u)
+    return _log2_up(power)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ class Sign(enum.Enum):
     def is_nonnegative(self) -> bool:
         return self is not Sign.NEGATIVE
 
-    @property
-    def is_nonpositive(self) -> bool:
-        return self is not Sign.POSITIVE
-
 
 @dataclass(frozen=True)
 class GoldenNumber:

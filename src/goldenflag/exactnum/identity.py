@@ -1,32 +1,19 @@
 """Identity verification for constructible expressions.
 
-The pipeline decides cheaply first and exactly second:
-
-0. a filter: identical nodes are ProvedEqual (nodes are hash-consed, so
-   this is structural equality), and disjoint 64-bit interval enclosures
-   of the two sides are ProvedUnequal,
-1. monomial canonicalization (exact rational coefficient times a
-   multiset of factor nodes),
-2. exact normalization of the difference in a quadratic tower,
-3. repeated squaring (sound once both sides share a sign), retrying the
-   exact layers on the squared pair,
-4. interval separation with the deterministic refinement schedule,
-   from 128 bits on.
-
-Exact layers can only answer ProvedEqual/ProvedUnequal; intervals can
-only answer ProvedUnequal.  Whatever remains is Undecided.
+Two expressions are equal exactly when their difference is zero, so a
+verdict is the :func:`certified_sign` of ``lhs - rhs`` (filter, exact
+tower, then refinement stopped by a separation bound), after a
+short-circuit for identical nodes (nodes are hash-consed, so that is
+structural equality).  Undecided means only that the bound asks for
+more bits than the refinement cap.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
-from ..errors import DivisionByZero, NotInField, PrecisionExhausted, SignMismatch
-from . import interval as iv
+from ..errors import PrecisionExhausted, SignMismatch
 from .expr import (
-    SIGN_REFINE_CAP,
-    SIGN_REFINE_START,
     Add,
     Div,
     Expr,
@@ -36,18 +23,15 @@ from .expr import (
     Sign,
     Sqrt,
     Sub,
-    _tower_normalize,
     add,
     certified_sign,
     div,
-    eval_interval,
+    eval_interval,  # noqa: F401  (bound here by the layer tracer in bench/)
     fold,
     lit,
     mul,
     sub,
 )
-
-_MAX_SQUARINGS = 3
 
 
 class Verdict(enum.Enum):
@@ -91,130 +75,32 @@ _SQUARE_OPS = {
 }
 
 
-def _monomial(x: Expr) -> tuple[Fraction, dict[Expr, int]]:
-    """Split a product tree into an exact rational coefficient and the
-    multiset of its non-rational factors, as factor node -> exponent.
-
-    Sound for equality: equal coefficient and equal factor multisets
-    imply equal values.  (Nodes are interned, so equal factors are one
-    key and cancel.)
-    """
-    coeff = Fraction(1)
-    factors: dict[Expr, int] = {}
-    stack = [(x, 1)]
-    while stack:
-        node, exponent = stack.pop()
-        if isinstance(node, Literal):
-            coeff *= node.value if exponent == 1 else Fraction(1) / node.value
-        elif isinstance(node, Neg):
-            coeff = -coeff
-            stack.append((node.operand, exponent))
-        elif isinstance(node, Mul):
-            stack += ((node.lhs, exponent), (node.rhs, exponent))
-        elif isinstance(node, Div):
-            stack += ((node.num, exponent), (node.den, -exponent))
-        else:
-            factors[node] = factors.get(node, 0) + exponent
-    return coeff, {node: e for node, e in factors.items() if e != 0}
-
-
-def _exact_compare(lhs: Expr, rhs: Expr) -> Verdict | None:
-    """Exact layers only; None when they cannot decide."""
-    if _monomial(lhs) == _monomial(rhs):
-        return Verdict.PROVED_EQUAL
-    try:
-        tower, diff = _tower_normalize(Sub(lhs, rhs))
-    except (NotInField, DivisionByZero):
-        return None
-    if tower.sign(diff) is Sign.ZERO:
-        return Verdict.PROVED_EQUAL
-    return Verdict.PROVED_UNEQUAL
-
-
-def _enclosures_disjoint(lhs: Expr, rhs: Expr, working_bits: int) -> bool:
-    try:
-        a_lo, a_hi = eval_interval(lhs, working_bits)
-        b_lo, b_hi = eval_interval(rhs, working_bits)
-    except iv.StraddlesZero:
-        return False
-    return a_hi < b_lo or b_hi < a_lo
-
-
-def _interval_separate(lhs: Expr, rhs: Expr) -> Verdict:
-    # 64 bits was already tried by the filter in compare_values
-    w = 2 * SIGN_REFINE_START
-    while w <= SIGN_REFINE_CAP:
-        if _enclosures_disjoint(lhs, rhs, w):
-            return Verdict.PROVED_UNEQUAL
-        w *= 2
-    return Verdict.UNDECIDED
-
-
-def compare_values(
-    lhs: Expr,
-    rhs: Expr,
-    signs: tuple[Sign, Sign] | None = None,
-) -> Verdict:
-    """Lenient equality decision (no sign precondition enforced).
-
-    ``signs``, when provided, are trusted certified signs of the two
-    sides and unlock the squaring layer.
-    """
+def compare_values(lhs: Expr, rhs: Expr) -> Verdict:
+    """Decide whether two expressions denote the same real, whatever
+    their signs: the certified sign of their difference."""
     if lhs is rhs:
         return Verdict.PROVED_EQUAL
-    if _enclosures_disjoint(lhs, rhs, SIGN_REFINE_START):
-        return Verdict.PROVED_UNEQUAL
-    current_l, current_r = lhs, rhs
-    may_square = None if signs is None else (
-        (signs[0].is_nonnegative and signs[1].is_nonnegative)
-        or (signs[0].is_nonpositive and signs[1].is_nonpositive)
-    )
-    for round_no in range(_MAX_SQUARINGS + 1):
-        verdict = _exact_compare(current_l, current_r)
-        if verdict is not None:
-            return verdict
-        if round_no == _MAX_SQUARINGS:
-            break
-        if round_no == 0:
-            if may_square is None:
-                try:
-                    s1 = certified_sign(lhs)
-                    s2 = certified_sign(rhs)
-                except PrecisionExhausted:
-                    break
-                may_square = (
-                    (s1.is_nonnegative and s2.is_nonnegative)
-                    or (s1.is_nonpositive and s2.is_nonpositive)
-                )
-            if not may_square:
-                break
-        try:
-            current_l = square_of(current_l)
-            current_r = square_of(current_r)
-        except (PrecisionExhausted, DivisionByZero):
-            break
-    return _interval_separate(lhs, rhs)
+    try:
+        sign = certified_sign(Sub(lhs, rhs))
+    except PrecisionExhausted:
+        return Verdict.UNDECIDED
+    return Verdict.PROVED_EQUAL if sign is Sign.ZERO else Verdict.PROVED_UNEQUAL
 
 
 def verify_identity(lhs: Expr, rhs: Expr) -> Verdict:
     """Decide whether two certified expressions denote the same real.
 
-    Precondition: both sides certified nonnegative, or both certified
-    nonpositive (squaring is only an equivalence for matching signs);
-    :class:`SignMismatch` is raised when certified signs strictly
-    disagree.  When a sign cannot be certified at the refinement cap
-    the exact layers still run, but squaring is skipped.
+    Contract: a stated identity relates two sides of one sign, so
+    :class:`SignMismatch` is raised when the certified signs strictly
+    disagree (one side positive, the other negative).  When a sign
+    cannot be certified the check is skipped; the verdict itself never
+    depends on it.
     """
-    signs: tuple[Sign, Sign] | None
     try:
-        signs = (certified_sign(lhs), certified_sign(rhs))
+        signs = certified_sign(lhs), certified_sign(rhs)
     except PrecisionExhausted:
-        signs = None
-    if signs is not None:
-        nonneg = signs[0].is_nonnegative and signs[1].is_nonnegative
-        nonpos = signs[0].is_nonpositive and signs[1].is_nonpositive
-        if not (nonneg or nonpos):
-            raise SignMismatch(
-                f"certified signs disagree: {signs[0].name} vs {signs[1].name}"
-            )
-    return compare_values(lhs, rhs, signs)
+        pass
+    else:
+        if set(signs) == {Sign.POSITIVE, Sign.NEGATIVE}:
+            raise SignMismatch(f"certified signs disagree: {signs[0].name} vs {signs[1].name}")
+    return compare_values(lhs, rhs)

@@ -28,6 +28,9 @@ def let_chain_spec(depth: int) -> str:
     )
 
 
+# sqrt(2) + sqrt(3) == sqrt(5 + 2*sqrt(6)), with three independent radicands
+ZERO_BEYOND_THE_TOWER = "sqrt(2)+sqrt(3)-sqrt(5+2*sqrt(6))"
+
 BIG_NUMBER = "1" * 5000  # past the interpreter's 4300-digit int conversion limit
 
 
@@ -130,6 +133,27 @@ class TestEval:
         code, out, _ = run(capsys, "eval", f"{'9' * 3000} * {'9' * 3000}", "--digits", "3")
         assert code == 0
         assert out.strip() == "1" + "0" * 6000
+
+    @pytest.mark.parametrize("bits", ["0", "-5", "17233"])
+    def test_precision_bits_out_of_range_is_a_usage_error(self, capsys, bits):
+        code, out, err = run(capsys, "eval", "phi", f"--precision-bits={bits}")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:")
+        assert err.count("error:") == 1
+        assert "--precision-bits: must be at" in err
+
+    def test_precision_bits_at_the_limit(self, capsys):
+        code, out, _ = run(capsys, "eval", "phi", "--precision-bits", "17232")
+        assert (code, out) == (0, "1.61803398875\n")
+
+    def test_an_exact_zero_beyond_the_tower_prints_zero(self, capsys):
+        code, out, err = run(capsys, "eval", ZERO_BEYOND_THE_TOWER)
+        assert (code, out, err) == (0, "0\n", "")
+
+    def test_dividing_by_an_exact_zero_beyond_the_tower(self, capsys):
+        code, out, err = run(capsys, "eval", f"1/({ZERO_BEYOND_THE_TOWER})")
+        assert (code, out) == (1, "")
+        assert err == "goldenflag: error: in eval expression: divisor is certified zero\n"
 
 
 class TestVerify:

@@ -168,6 +168,34 @@ class TestDecimalPolicy:
             truncated_str(lit(-1), 3)
 
 
+class TestZeroBeyondTheTower:
+    # sqrt(2) + sqrt(3) - sqrt(5 + 2*sqrt(6)): zero, with three
+    # independent radicands, so no exact normal form decides it
+    ZERO = sub(
+        add(sqrt_(lit(2)), sqrt_(lit(3))),
+        sqrt_(add(lit(5), mul(lit(2), sqrt_(lit(6))))),
+    )
+    TINY = Fraction(1, 10**30)
+
+    def test_it_is_certified_zero(self):
+        assert certified_sign(self.ZERO) is Sign.ZERO
+
+    def test_it_renders_as_zero(self):
+        assert decimal_str(self.ZERO, 12) == "0"
+        assert truncated_str(self.ZERO, 3) == "0.000"
+
+    def test_tiny_values_beside_it_keep_their_sign(self):
+        assert decimal_str(add(self.ZERO, lit(self.TINY)), 3) == decimal_str(lit(self.TINY), 3)
+        assert decimal_str(sub(self.ZERO, lit(self.TINY)), 3) == decimal_str(lit(-self.TINY), 3)
+        assert truncated_str(add(self.ZERO, lit(self.TINY)), 3) == "0.000"
+        with pytest.raises(ValueError):
+            truncated_str(sub(self.ZERO, lit(self.TINY)), 3)
+
+    def test_it_is_not_a_divisor(self):
+        with pytest.raises(DivisionByZero):
+            div(lit(1), self.ZERO)
+
+
 class TestNormalize:
     def test_phi_expression(self):
         assert gn_normalize(PHI_EXPR) == GoldenNumber(Fraction(1, 2), Fraction(1, 2))

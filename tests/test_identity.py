@@ -1,7 +1,9 @@
-"""The identity verifier: exact proofs, squaring reduction, separation."""
+"""The identity verifier: the sign of a difference, decided by the filter,
+the exact tower and the separation bound."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from goldenflag.errors import SignMismatch
 from goldenflag.exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
+    Sign,
     Add,
     Div,
     GoldenNumber,
@@ -36,8 +39,17 @@ from goldenflag.exactnum import (
     verify_identity,
 )
 from goldenflag.exactnum import identity as identity_module
-from goldenflag.exactnum.expr import exact_sign, fold
-from goldenflag.exactnum.identity import _exact_compare
+from goldenflag.exactnum.expr import (
+    _log2_up,
+    _plus,
+    _root,
+    _times,
+    _up,
+    eval_interval,
+    exact_sign,
+    fold,
+    separation_bits,
+)
 from goldenflag.geometry import TAN36
 
 TAN36_SECOND_FORM = div(sqrt_(sqrt_(lit(5))), sqrt_(add(lit(2), SQRT5_EXPR)))
@@ -159,7 +171,7 @@ class TestSignPrecondition:
 class TestMonomialCanonicalization:
     def test_scalar_multiples_of_an_opaque_radical(self):
         # the nested sqrt(2) radicals are beyond the exact tower, so this
-        # equality is only reachable through the monomial layer
+        # equality is proved by the separation bound
         nepal = nepal_ratio_expr()
         lhs = mul(nepal, lit(Fraction(3, 2)))
         rhs = mul(lit(Fraction(3, 4)), mul(lit(2), nepal))
@@ -195,9 +207,10 @@ class TestIntervalFilterAgreesWithExactLayers:
     @given(tower_exprs(), tower_exprs())
     @settings(max_examples=100, deadline=None)
     def test_compare_values_matches_the_exact_layers(self, lhs, rhs):
-        exact = _exact_compare(lhs, rhs)
+        exact = exact_sign(sub(lhs, rhs))
         if exact is not None:
-            assert compare_values(lhs, rhs) is exact
+            expected = Verdict.PROVED_EQUAL if exact is Sign.ZERO else Verdict.PROVED_UNEQUAL
+            assert compare_values(lhs, rhs) is expected
 
     @given(golden_exprs, small)
     @settings(max_examples=100, deadline=None)
@@ -251,3 +264,83 @@ class TestOneWalk:
             assert steps[dag] == levels + 5
             expected = mul(lit(4**levels), square_of(PHI_EXPR))
             assert compare_values(squared, expected) is Verdict.PROVED_EQUAL
+
+
+SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23)
+
+
+@st.composite
+def radical_identities(draw):
+    """Two sides equal by construction and outside one quadratic tower:
+    a sum of roots against its nested form, or a denested radical."""
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(SQUAREFREE), min_size=2, max_size=2, unique=True))
+        lhs = add(sqrt_(lit(a)), sqrt_(lit(b)))
+        rhs = sqrt_(add(lit(a + b), mul(lit(2), sqrt_(lit(a * b)))))
+        return lhs, rhs
+    r = draw(st.sampled_from(SQUAREFREE))
+    s, t = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    # times sqrt(2), so that the denested side also leaves the tower
+    outside = sqrt_(lit(2 if r != 2 else 3))
+    lhs = mul(outside, sqrt_(add(lit(s * s + t * t * r), mul(lit(2 * s * t), sqrt_(lit(r))))))
+    return lhs, mul(outside, add(lit(s), mul(lit(t), sqrt_(lit(r)))))
+
+
+class TestSeparationBound:
+    def test_a_sum_of_roots_against_its_nested_form(self):
+        lhs = add(sqrt_(lit(2)), sqrt_(lit(3)))
+        rhs = sqrt_(add(lit(5), mul(lit(2), sqrt_(lit(6)))))
+        assert exact_sign(sub(lhs, rhs)) is None  # beyond the exact tower
+        assert verify_identity(lhs, rhs) is Verdict.PROVED_EQUAL
+
+    @given(radical_identities())
+    @settings(max_examples=60, deadline=None)
+    def test_identities_beyond_the_tower_are_proved(self, pair):
+        lhs, rhs = pair
+        assert verify_identity(lhs, rhs) is Verdict.PROVED_EQUAL
+        assert compare_values(rhs, lhs) is Verdict.PROVED_EQUAL
+
+    @given(radical_identities(), st.integers(70, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_a_tiny_shift_is_never_proved_equal(self, pair, k):
+        lhs, rhs = pair
+        shifted = add(rhs, lit(Fraction(1, 2**k)))
+        # |shifted - lhs| = 2**-k, so the bound must reach that far
+        assert separation_bits(sub(shifted, lhs)) >= k
+        assert compare_values(lhs, shifted) is not Verdict.PROVED_EQUAL
+        assert certified_sign(sub(shifted, lhs)) is not Sign.ZERO
+
+    @given(st.integers(1, 2**80), st.integers(-60, 200), st.integers(1, 2**80), st.integers(-60, 200))
+    @settings(max_examples=200)
+    def test_the_bound_arithmetic_rounds_up(self, m, e, n, f):
+        def value(bound):
+            return Fraction(bound[0]) * Fraction(2) ** bound[1]
+
+        x, y = _up(m, e), _up(n, f)
+        assert value(x) >= m * Fraction(2) ** e
+        assert value(_times(x, y)) >= value(x) * value(y)
+        assert value(_plus(x, y)) >= value(x) + value(y)
+        assert value(_root(x)) ** 2 >= value(x)
+        assert Fraction(2) ** _log2_up(x) > value(x)
+
+    @pytest.mark.parametrize("a, b", [(2, 1), (3, 2)])
+    def test_the_bound_holds_for_powers_of_a_unit(self, a, b):
+        # sqrt(a) - sqrt(b) has norm 1, so its powers are as small as the
+        # bound allows: (sqrt(2) - 1)**128 is within a bit of it
+        x = sub(sqrt_(lit(a)), sqrt_(lit(b)))
+        for _ in range(7):
+            x = mul(x, x)
+            bits = separation_bits(x)
+            lo, _ = eval_interval(x, bits + 64)
+            assert lo >= 1 << 64  # |x| >= 2**-bits
+
+    def test_repeated_squaring_of_a_shared_product_is_fast(self):
+        # x*x twenty times over sqrt(2)*sqrt(2)/2: a million paths
+        # through the products, twenty-odd distinct nodes
+        root2 = sqrt_(lit(2))
+        x = div(mul(root2, root2), lit(2))
+        for _ in range(20):
+            x = mul(x, x)
+        start = time.perf_counter()
+        assert compare_values(x, lit(1)) is Verdict.PROVED_EQUAL
+        assert time.perf_counter() - start < 1.0
