@@ -226,11 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionExhausted as exc:
         print(f"goldenflag: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except GoldenFlagError as exc:
+    except (GoldenFlagError, OSError) as exc:
         print(f"goldenflag: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"goldenflag: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # no input may end in a traceback
         print(f"goldenflag: error: {type(exc).__name__}: {exc}", file=sys.stderr)

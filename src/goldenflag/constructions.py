@@ -1,6 +1,7 @@
-"""Flag construction procedures and their identity verifications.
+"""Flag layouts, their invariants, and their identity verifications.
 
-Four builtin constructions are provided:
+The four builtin designs are the ``.flag`` specs shipped in ``specs/``;
+``build_flag`` lowers them:
 
 * ``chile-1818``: the golden-ratio Independence design: three equal-height
   bands, blue rectangle in height/width proportion tan(36), white band
@@ -17,18 +18,20 @@ Four builtin constructions are provided:
 All layouts are validated on construction: axis-aligned regions must
 lie inside the canvas and tile it exactly (grid coverage over the
 certified cut lines) and every star center must lie inside a region.
+The identity suites dispatch on a layout's provenance, the spec's
+``flag "<name>"``.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib.resources
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cache, cmp_to_key
 
 from .errors import (
-    InvalidDimension,
     LayoutError,
     PrecisionExhausted,
     UnknownFlag,
@@ -40,7 +43,6 @@ from .exactnum import (
     Expr,
     Verdict,
     add,
-    as_rational,
     certified_sign,
     compare_values,
     decimal_str,
@@ -256,159 +258,21 @@ def _check_star_inside(layout: FlagLayout, star: Star) -> None:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builtins
 
 
-def _positive_param(value: int | str | Fraction, what: str) -> Fraction:
-    q = as_rational(value)
-    if q <= 0:
-        raise InvalidDimension(f"{what} must be positive, got {q}")
-    return q
+@cache
+def build_flag(name: str) -> FlagLayout:
+    """The builtin flag lowered from its shipped spec ``specs/<name>.flag``.
 
+    Layouts are immutable and their expressions interned, so each name is
+    lowered once and the layout shared."""
+    if name not in BUILTIN_NAMES:
+        raise UnknownFlag(f"unknown builtin flag {name!r}")
+    from .flagspec import lower_source  # flagspec lowers into this module's types
 
-def build_independence_flag(region_height: int | str | Fraction = 1) -> FlagLayout:
-    """The 1818 golden-ratio construction.
-
-    With band height h: the blue rectangle has height/width tan(36), the
-    white band is phi times wider, the red band spans the full width
-    below, and the white star sits on the blue diagonals' crossing with
-    circumcircle diameter h/phi.
-    """
-    h = _positive_param(region_height, "region height")
-    hx = lit(h)
-    blue_width = div(hx, TAN36)
-    white_width = mul(PHI_EXPR, blue_width)
-    canvas_width = add(blue_width, white_width)
-    canvas = Rect(Point(lit(0), lit(0)), canvas_width, lit(2 * h))
-    blue_rect = Rect(Point(lit(0), hx), blue_width, hx)
-    white_rect = Rect(Point(blue_width, hx), white_width, hx)
-    red_rect = Rect(Point(lit(0), lit(0)), canvas_width, hx)
-    star_center = rect_diagonal_intersection(blue_rect)
-    diameter = div(hx, PHI_EXPR)
-    star = Star(ColorRole.WHITE, Pentagram(star_center, div(diameter, lit(2))))
-    regions = (
-        Region.from_rect("blue_field", ColorRole.BLUE, blue_rect),
-        Region.from_rect("white_field", ColorRole.WHITE, white_rect),
-        Region.from_rect("red_band", ColorRole.RED, red_rect),
-    )
-    return FlagLayout.create(canvas, regions, (star,), "chile-1818")
-
-
-def build_current_flag(square_side: int | str | Fraction = 1) -> FlagLayout:
-    """The 3:2 six-square design: blue square in the upper hoist, white
-    2x1 beside it, red 3x1 below, star diameter half the square side."""
-    s = _positive_param(square_side, "square side")
-    canvas = Rect(Point(lit(0), lit(0)), lit(3 * s), lit(2 * s))
-    blue_rect = Rect(Point(lit(0), lit(s)), lit(s), lit(s))
-    white_rect = Rect(Point(lit(s), lit(s)), lit(2 * s), lit(s))
-    red_rect = Rect(Point(lit(0), lit(0)), lit(3 * s), lit(s))
-    star_center = rect_diagonal_intersection(blue_rect)
-    star = Star(ColorRole.WHITE, Pentagram(star_center, lit(s / 4)))
-    regions = (
-        Region.from_rect("blue_canton", ColorRole.BLUE, blue_rect),
-        Region.from_rect("white_field", ColorRole.WHITE, white_rect),
-        Region.from_rect("red_band", ColorRole.RED, red_rect),
-    )
-    return FlagLayout.create(canvas, regions, (star,), "chile-current")
-
-
-def build_togo(height: int | str | Fraction = 1) -> FlagLayout:
-    """Golden-mean aspect ratio: width = phi * height, five equal
-    stripes (green outermost), red canton square of three stripe
-    heights, white star inscribed on the canton center with diameter
-    4/5 of the canton side."""
-    h = _positive_param(height, "height")
-    width = mul(PHI_EXPR, lit(h))
-    stripe = h / 5
-    canton_side = 3 * stripe
-    canvas = Rect(Point(lit(0), lit(0)), width, lit(h))
-    canton_rect = Rect(Point(lit(0), lit(2 * stripe)), lit(canton_side), lit(canton_side))
-    regions = [Region.from_rect("canton", ColorRole.RED, canton_rect)]
-    stripe_colors = (
-        ColorRole.GREEN,
-        ColorRole.YELLOW,
-        ColorRole.GREEN,
-        ColorRole.YELLOW,
-        ColorRole.GREEN,
-    )
-    # stripes count from the top (high y); the top three sit beside the canton
-    for index, color in enumerate(stripe_colors):
-        y = lit(h - (index + 1) * stripe)
-        if index < 3:
-            rect = Rect(Point(lit(canton_side), y), sub(width, lit(canton_side)), lit(stripe))
-        else:
-            rect = Rect(Point(lit(0), y), width, lit(stripe))
-        regions.append(Region.from_rect(f"stripe{index + 1}", color, rect))
-    star_center = Point(lit(canton_side / 2), lit(2 * stripe + canton_side / 2))
-    star = Star(
-        ColorRole.WHITE,
-        Pentagram(star_center, lit(Fraction(4, 5) * canton_side / 2)),
-    )
-    return FlagLayout.create(canvas, tuple(regions), (star,), "togo")
-
-
-@lru_cache(maxsize=1)
-def nepal_ratio_expr() -> Expr:
-    """The nested-radical width-height ratio, as a DAG with shared
-    subterms; every radicand and divisor is certified on construction."""
-    root2 = sqrt_(lit(2))
-    common = div(sub(lit(297), mul(lit(180), root2)), sub(lit(92), mul(lit(36), root2)))
-    eight_less = sub(lit(8), mul(lit(3), root2))
-    numerator = add(
-        lit(24),
-        mul(
-            common,
-            add(lit(1), div(eight_less, sub(sqrt_(sub(lit(118), mul(lit(48), root2))), lit(6)))),
-        ),
-    )
-    denominator = add(
-        lit(32),
-        mul(
-            common,
-            add(
-                lit(1),
-                div(
-                    lit(6),
-                    mul(
-                        eight_less,
-                        sub(
-                            sqrt_(add(lit(1), div(lit(18), sub(lit(41), mul(lit(24), root2))))),
-                            lit(1),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-    return div(numerator, denominator)
-
-
-def build_nepal_ratio(height: int | str | Fraction = 1) -> FlagLayout:
-    """Ratio-only pseudo-flag: one red field whose width-height
-    proportion is the nested-radical ratio."""
-    h = _positive_param(height, "height")
-    width = mul(nepal_ratio_expr(), lit(h))
-    canvas = Rect(Point(lit(0), lit(0)), width, lit(h))
-    field = Region.from_rect("field", ColorRole.RED, Rect(Point(lit(0), lit(0)), width, lit(h)))
-    return FlagLayout.create(canvas, (field,), (), "nepal-ratio")
-
-
-_BUILDERS = {
-    "chile-1818": build_independence_flag,
-    "chile-current": build_current_flag,
-    "togo": build_togo,
-    "nepal-ratio": build_nepal_ratio,
-}
-
-
-def build_flag(name: str, size: int | str | Fraction = 1) -> FlagLayout:
-    """Build a builtin flag at the given size parameter (band height,
-    square side, or flag height, depending on the construction)."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise UnknownFlag(f"unknown builtin flag {name!r}") from None
-    return builder(size)
+    spec = importlib.resources.files(__package__) / "specs" / f"{name}.flag"
+    return lower_source(spec.read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +560,5 @@ def verify_layout_identities(layout: FlagLayout) -> VerificationReport:
 
 
 def verify_flag_identities(name: str) -> VerificationReport:
-    """Every identity stated for the named builtin flag, run against a
-    freshly built layout."""
-    if name not in BUILTIN_NAMES:
-        raise UnknownFlag(f"unknown builtin flag {name!r}")
+    """Every identity stated for the named builtin flag."""
     return verify_layout_identities(build_flag(name))

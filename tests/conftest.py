@@ -6,13 +6,38 @@ from fractions import Fraction
 
 import pytest
 
-from goldenflag.constructions import BUILTIN_NAMES, build_flag
+from goldenflag.constructions import BUILTIN_NAMES, FlagLayout, build_flag
+from goldenflag.flagspec import lower_source
+
+# the shipped chile-1818 spec with its band height 1 written as {h}
+CHILE_1818_AT_BAND_HEIGHT = """
+flag "chile-1818" {{
+  canvas ({h})*(1 + phi)/(sqrt(10 - 2*sqrt(5))/(1 + sqrt(5))) x 2*({h});
+  let h = {h};
+  let tan36 = sqrt(10 - 2*sqrt(5))/(1 + sqrt(5));
+  let wb = h/tan36;
+  region blue_field  blue  rect 0 0 wb h;
+  region white_field white rect wb 0 phi*wb h;
+  region red_band    red   rect 0 h (1 + phi)*wb h;
+  star white at diagonal_intersection of blue_field diameter h/phi;
+}}
+"""
 
 
 @pytest.fixture(scope="session")
 def layouts():
-    """One default-size layout per builtin, built once."""
+    """One layout per builtin, built once."""
     return {name: build_flag(name) for name in BUILTIN_NAMES}
+
+
+@pytest.fixture(scope="session")
+def chile_1818_at():
+    """The chile-1818 layout at a given band height (the shipped spec's is 1)."""
+
+    def lower_at(band_height: Fraction) -> FlagLayout:
+        return lower_source(CHILE_1818_AT_BAND_HEIGHT.format(h=band_height))
+
+    return lower_at
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,6 @@ from goldenflag.constructions import (
     BUILTIN_NAMES,
     ColorRole,
     build_flag,
-    build_independence_flag,
-    nepal_ratio_expr,
     verify_angle_configuration,
 )
 from goldenflag.exactnum import (
@@ -30,7 +28,6 @@ from goldenflag.exactnum import (
     GoldenNumber,
     Verdict,
     add,
-    compare_values,
     div,
     exact_rational,
     expr_eval,
@@ -113,7 +110,7 @@ def test_04_golden_ratios_in_the_layout(layouts):
 
 def test_05_nepal_ratio_with_independent_oracle():
     with criterion(5, "nepal ratio begins 0.820 and matches a 200-digit oracle to 50 digits"):
-        ratio = nepal_ratio_expr()
+        ratio = build_flag("nepal-ratio").width_height_ratio()
         assert truncated_str(ratio, 3) == "0.820"
         # separately coded oracle: 200-digit decimal floating point,
         # evaluated straight from the printed formula
@@ -135,7 +132,9 @@ def test_05_nepal_ratio_with_independent_oracle():
 
 def test_06_current_flag_exact_proportions():
     with criterion(6, "current flag: ratio 3/2, star diameter s/2, six-square areas"):
-        layout = build_flag("chile-current", 2)
+        from test_constructions import CHILE_CURRENT_AT_SIDE_TWO
+
+        layout = lower_source(CHILE_CURRENT_AT_SIDE_TWO)
         assert exact_rational(layout.width_height_ratio()) == Fraction(3, 2)
         side = Fraction(2)
         radius = layout.stars[0].pentagram.circumradius
@@ -149,10 +148,10 @@ def test_06_current_flag_exact_proportions():
         assert sum(areas) == canvas_area == 6 * side**2
 
 
-def test_07_angle_configuration_at_two_scales():
+def test_07_angle_configuration_at_two_scales(layouts, chile_1818_at):
     with criterion(7, "angle configuration fully proved at two scales"):
-        for scale in (1, Fraction(7, 3)):
-            report = verify_angle_configuration(build_independence_flag(scale))
+        for layout in (layouts["chile-1818"], chile_1818_at(Fraction(7, 3))):
+            report = verify_angle_configuration(layout)
             assert report.checks
             assert report.all_ok
             assert not report.any_undecided
@@ -214,28 +213,15 @@ def test_09_field_axioms_and_sign_agreement_at_scale():
         assert elapsed < 10.0
 
 
-def test_10_parser_roundtrip_and_fuzz(layouts, spec_sources):
-    with criterion(10, "shipped specs match builtins; 1,000 fuzzed inputs are total"):
+def test_10_parser_roundtrip_and_fuzz(layouts, spec_sources, tmp_path):
+    with criterion(10, "builtins are the shipped specs; rendered bytes match the seed pins; "
+                   "1,000 fuzzed inputs are total"):
+        from test_builtins import VARIANTS, payload_sha256, pinned_payload
+
         for name in BUILTIN_NAMES:
-            lowered = lower_source(spec_sources[name])
-            builtin = layouts[name]
-            pairs = [
-                (lowered.canvas.width, builtin.canvas.width),
-                (lowered.canvas.height, builtin.canvas.height),
-            ]
-            for r1, r2 in zip(lowered.regions, builtin.regions):
-                for p1, p2 in zip(r1.polygon, r2.polygon):
-                    pairs.extend([(p1.x, p2.x), (p1.y, p2.y)])
-            for s1, s2 in zip(lowered.stars, builtin.stars):
-                pairs.extend(
-                    [
-                        (s1.pentagram.center.x, s2.pentagram.center.x),
-                        (s1.pentagram.center.y, s2.pentagram.center.y),
-                        (s1.pentagram.circumradius, s2.pentagram.circumradius),
-                    ]
-                )
-            for left, right in pairs:
-                assert compare_values(left, right) is Verdict.PROVED_EQUAL
+            assert lower_source(spec_sources[name]) == layouts[name]
+            for variant in VARIANTS:
+                assert payload_sha256(name, variant, tmp_path) == pinned_payload(name, variant)
 
         from test_roundtrip_fuzz import _assert_total, _mutate
 
@@ -250,12 +236,13 @@ def test_10_parser_roundtrip_and_fuzz(layouts, spec_sources):
         assert slowest < 5.0
 
 
-def test_11_render_determinism_and_physical_scale(layouts):
+def test_11_render_determinism_and_physical_scale(layouts, spec_sources):
     with criterion(11, "byte-identical renders; viewBox 900x600; 2.4 m height within one ulp"):
         for name in BUILTIN_NAMES:
             opts = RenderOptions()
-            assert svg_emit(layouts[name], opts) == svg_emit(build_flag(name), opts)
-            assert json_emit(layouts[name], opts) == json_emit(build_flag(name), opts)
+            fresh = lower_source(spec_sources[name])
+            assert svg_emit(layouts[name], opts) == svg_emit(fresh, opts)
+            assert json_emit(layouts[name], opts) == json_emit(fresh, opts)
         svg = svg_emit(layouts["chile-current"], RenderOptions(scale=300)).decode()
         assert 'viewBox="0 0 900 600"' in svg
 

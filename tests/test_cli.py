@@ -72,6 +72,12 @@ class TestRatio:
         assert code == 1
         assert "atlantis" in err
 
+    def test_missing_spec_file_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "ratio", "missing.flag")
+        assert (code, out) == (1, "")
+        assert err == "goldenflag: error: [Errno 2] No such file or directory: 'missing.flag'\n"
+
 
 class TestEval:
     def test_rounded_three_digits_of_the_tangent(self, capsys):
@@ -267,6 +273,11 @@ class TestBuild:
         assert out == ""
         assert err == "goldenflag: error: region extends outside the canvas\n"
         assert not out_path.exists()
+
+    def test_out_path_that_is_a_directory_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "build", "chile-1818", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"goldenflag: error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
     def test_missing_out_flag_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "build", "togo")

@@ -1,4 +1,4 @@
-"""Builders, layout invariants, and the per-flag identity suites."""
+"""Builtin layouts, layout invariants, and the per-flag identity suites."""
 
 from __future__ import annotations
 
@@ -15,16 +15,11 @@ from goldenflag.constructions import (
     FlagLayout,
     Region,
     _certified_distinct_sorted,
-    build_current_flag,
     build_flag,
-    build_independence_flag,
-    build_nepal_ratio,
-    build_togo,
-    nepal_ratio_expr,
     verify_angle_configuration,
     verify_flag_identities,
 )
-from goldenflag.errors import InvalidDimension, LayoutError, UnknownFlag, WrongLayout
+from goldenflag.errors import LayoutError, UnknownFlag, WrongLayout
 from goldenflag.exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
@@ -51,6 +46,29 @@ from goldenflag.geometry import Point, Rect
 
 TINY = Fraction(1, 2**80)
 
+CHILE_CURRENT_AT_SIDE_TWO = """
+flag "chile-current" {
+  canvas 6 x 4;
+  region blue_canton blue  rect 0 0 2 2;
+  region white_field white rect 2 0 4 2;
+  region red_band    red   rect 0 2 6 2;
+  star white at diagonal_intersection of blue_canton diameter 1;
+}
+"""
+
+TOGO_AT_HEIGHT_FIVE = """
+flag "togo" {
+  canvas 5*phi x 5;
+  region canton  red    rect 0 0 3 3;
+  region stripe1 green  rect 3 0 5*phi - 3 1;
+  region stripe2 yellow rect 3 1 5*phi - 3 1;
+  region stripe3 green  rect 3 2 5*phi - 3 1;
+  region stripe4 yellow rect 0 3 5*phi 1;
+  region stripe5 green  rect 0 4 5*phi 1;
+  star white at 3/2 3/2 diameter 12/5;
+}
+"""
+
 
 def region_size(region: Region):
     x0, x1, y0, y1 = region.bounds
@@ -62,12 +80,6 @@ def by_color(layout: FlagLayout, color: ColorRole) -> Region:
 
 
 class TestIndependenceFlag:
-    def test_rejects_nonpositive_height(self):
-        with pytest.raises(InvalidDimension):
-            build_independence_flag(0)
-        with pytest.raises(InvalidDimension):
-            build_independence_flag(Fraction(-1, 3))
-
     def test_canvas_ratio_closed_form_and_leading_digits(self, layouts):
         layout = layouts["chile-1818"]
         ratio = layout.width_height_ratio()
@@ -122,7 +134,7 @@ class TestCurrentFlag:
         assert exact_rational(radius) == Fraction(1, 4)
 
     def test_area_decomposition_at_side_two(self):
-        layout = build_current_flag(2)
+        layout = lower_source(CHILE_CURRENT_AT_SIDE_TWO)
         areas = []
         for region in layout.regions:
             w, h = region_size(region)
@@ -133,10 +145,6 @@ class TestCurrentFlag:
         )
         assert sum(areas) == canvas_area == Fraction(24)
 
-    def test_rejects_nonpositive_side(self):
-        with pytest.raises(InvalidDimension):
-            build_current_flag("-3/2")
-
 
 class TestTogo:
     def test_width_is_phi_at_unit_height(self, layouts):
@@ -145,7 +153,7 @@ class TestTogo:
         assert decimal_str(layout.canvas.width, 5) == "1.618"
 
     def test_five_equal_stripes_at_height_five(self):
-        layout = build_togo(5)
+        layout = lower_source(TOGO_AT_HEIGHT_FIVE)
         stripes = [r for r in layout.regions if r.name.startswith("stripe")]
         assert len(stripes) == 5
         for stripe in stripes:
@@ -158,22 +166,33 @@ class TestTogo:
         assert exact_rational(w) == Fraction(3, 5)
         assert exact_rational(h) == Fraction(3, 5)
 
-    def test_rejects_nonpositive_height(self):
-        with pytest.raises(InvalidDimension):
-            build_togo(0)
+
+def nepal_formula() -> Expr:
+    """The printed nested-radical ratio, built with the kernel's
+    constructors rather than lowered from the spec."""
+    root2 = sqrt_(lit(2))
+    common = div(sub(lit(297), mul(lit(180), root2)), sub(lit(92), mul(lit(36), root2)))
+    eight_less = sub(lit(8), mul(lit(3), root2))
+    first = div(eight_less, sub(sqrt_(sub(lit(118), mul(lit(48), root2))), lit(6)))
+    inner = sub(sqrt_(add(lit(1), div(lit(18), sub(lit(41), mul(lit(24), root2))))), lit(1))
+    second = div(lit(6), mul(eight_less, inner))
+    numerator = add(lit(24), mul(common, add(lit(1), first)))
+    denominator = add(lit(32), mul(common, add(lit(1), second)))
+    return div(numerator, denominator)
 
 
 class TestNepalRatio:
-    def test_leading_digits(self):
-        assert truncated_str(nepal_ratio_expr(), 3) == "0.820"
+    def test_leading_digits(self, layouts):
+        assert truncated_str(layouts["nepal-ratio"].width_height_ratio(), 3) == "0.820"
 
-    def test_ball_at_128_bits_rounds_to_the_quoted_digits(self):
+    def test_ball_at_128_bits_rounds_to_the_quoted_digits(self, layouts):
         from goldenflag.exactnum import expr_eval, round_fraction_str
 
-        ball = expr_eval(nepal_ratio_expr(), 128)
+        ratio = layouts["nepal-ratio"].width_height_ratio()
+        ball = expr_eval(ratio, 128)
         assert ball.radius <= Fraction(1, 2**128) * max(1, abs(ball.center))
         assert round_fraction_str(ball.center, 3) == "0.82"
-        assert decimal_str(nepal_ratio_expr(), 6) == "0.820338"
+        assert decimal_str(ratio, 6) == "0.820338"
 
     def test_radicands_and_divisors_are_certified_positive(self):
         root2 = sqrt_(lit(2))
@@ -186,7 +205,7 @@ class TestNepalRatio:
     def test_pseudo_layout_ratio_matches_the_expression(self, layouts):
         layout = layouts["nepal-ratio"]
         assert compare_values(
-            layout.width_height_ratio(), nepal_ratio_expr()
+            layout.width_height_ratio(), nepal_formula()
         ) is Verdict.PROVED_EQUAL
 
 
@@ -222,9 +241,12 @@ class TestDispatchAndReports:
 
 
 class TestAngleConfiguration:
-    @pytest.mark.parametrize("scale", [1, Fraction(7, 3)], ids=["unit", "seven-thirds"])
-    def test_all_checks_pass_at_either_scale(self, scale):
-        report = verify_angle_configuration(build_independence_flag(scale))
+    def test_unit_band_height_is_the_builtin(self, layouts, chile_1818_at):
+        assert chile_1818_at(1) == layouts["chile-1818"]
+
+    @pytest.mark.parametrize("band_height", [1, Fraction(7, 3)], ids=["unit", "seven-thirds"])
+    def test_all_checks_pass_at_either_scale(self, band_height, chile_1818_at):
+        report = verify_angle_configuration(chile_1818_at(band_height))
         assert report.checks
         assert report.all_ok
 
@@ -235,29 +257,6 @@ class TestAngleConfiguration:
     def test_layout_without_blue_region_is_rejected(self, layouts):
         with pytest.raises(WrongLayout):
             verify_angle_configuration(layouts["nepal-ratio"])
-
-
-class TestScaleEquivariance:
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_coordinates_scale_linearly(self, name, layouts):
-        k = Fraction(3, 2)
-        base = layouts[name]
-        scaled = build_flag(name, k)
-        factor = lit(k)
-
-        def assert_scaled(small, big):
-            assert compare_values(mul(factor, small), big) is Verdict.PROVED_EQUAL
-
-        assert_scaled(base.canvas.width, scaled.canvas.width)
-        assert_scaled(base.canvas.height, scaled.canvas.height)
-        for r1, r2 in zip(base.regions, scaled.regions):
-            for p1, p2 in zip(r1.polygon, r2.polygon):
-                assert_scaled(p1.x, p2.x)
-                assert_scaled(p1.y, p2.y)
-        for s1, s2 in zip(base.stars, scaled.stars):
-            assert_scaled(s1.pentagram.center.x, s2.pentagram.center.x)
-            assert_scaled(s1.pentagram.center.y, s2.pentagram.center.y)
-            assert_scaled(s1.pentagram.circumradius, s2.pentagram.circumradius)
 
 
 class TestLayoutInvariants:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldenflag.constructions import nepal_ratio_expr
+from goldenflag.constructions import build_flag
 from goldenflag.errors import SignMismatch
 from goldenflag.exactnum import (
     PHI_EXPR,
@@ -153,7 +153,7 @@ class TestReflexivity:
         assert verify_identity(expr, expr) is Verdict.PROVED_EQUAL
 
     def test_reflexivity_beyond_the_exact_tower(self):
-        nepal = nepal_ratio_expr()
+        nepal = build_flag("nepal-ratio").width_height_ratio()
         assert verify_identity(nepal, nepal) is Verdict.PROVED_EQUAL
 
 
@@ -172,13 +172,13 @@ class TestMonomialCanonicalization:
     def test_scalar_multiples_of_an_opaque_radical(self):
         # the nested sqrt(2) radicals are beyond the exact tower, so this
         # equality is proved by the separation bound
-        nepal = nepal_ratio_expr()
+        nepal = build_flag("nepal-ratio").width_height_ratio()
         lhs = mul(nepal, lit(Fraction(3, 2)))
         rhs = mul(lit(Fraction(3, 4)), mul(lit(2), nepal))
         assert compare_values(lhs, rhs) is Verdict.PROVED_EQUAL
 
     def test_division_cancels_structurally_equal_factors(self):
-        nepal = nepal_ratio_expr()
+        nepal = build_flag("nepal-ratio").width_height_ratio()
         lhs = div(mul(lit(6), nepal), mul(lit(3), nepal))
         assert compare_values(lhs, lit(2)) is Verdict.PROVED_EQUAL
 

@@ -7,24 +7,25 @@ from fractions import Fraction
 
 import pytest
 
-from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout, build_flag
+from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout
 from goldenflag.exactnum import decimal_str, lit
+from goldenflag.flagspec import lower_source
 from goldenflag.geometry import Point, Rect
 from goldenflag.render import DEFAULT_PALETTE, RenderOptions, _Frame, json_emit, svg_emit
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_svg_bytes_identical_across_runs(self, name, layouts):
+    def test_svg_bytes_identical_across_runs(self, name, layouts, spec_sources):
         opts = RenderOptions(scale=Fraction(100))
         first = svg_emit(layouts[name], opts)
-        second = svg_emit(build_flag(name), RenderOptions(scale=Fraction(100)))
+        second = svg_emit(lower_source(spec_sources[name]), RenderOptions(scale=Fraction(100)))
         assert first == second
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_json_bytes_identical_across_runs(self, name, layouts):
+    def test_json_bytes_identical_across_runs(self, name, layouts, spec_sources):
         first = json_emit(layouts[name], RenderOptions())
-        second = json_emit(build_flag(name), RenderOptions())
+        second = json_emit(lower_source(spec_sources[name]), RenderOptions())
         assert first == second
 
 
