@@ -1,7 +1,9 @@
-"""The builtins are the shipped specs, and they render the pinned bytes.
+"""The builtins are the shipped specs, and they print and render the
+pinned bytes.
 
-``bench/pins.json`` holds the SHA-256 of every builtin build output of
-the benchmark (``bench/gen.py``); these tests read it and never edit it.
+``bench/pins.json`` holds the SHA-256 of every builtin output of the
+benchmark (``bench/gen.py``): the payload of each build, and the stdout
+of ``verify`` and ``ratio``.  These tests read it and never edit it.
 """
 
 from __future__ import annotations
@@ -33,14 +35,22 @@ def payload_sha256(name: str, variant: str, directory: Path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def pinned_payload(name: str, variant: str) -> str:
-    return json.loads(PINS.read_text(encoding="utf-8"))[f"{name}/build-{variant}"]["payload"]
+def pin(request_id: str) -> dict:
+    return json.loads(PINS.read_text(encoding="utf-8"))[request_id]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_build_bytes_match_the_pins(name, variant, tmp_path, capsys):
-    assert payload_sha256(name, variant, tmp_path) == pinned_payload(name, variant)
+    assert payload_sha256(name, variant, tmp_path) == pin(f"{name}/build-{variant}")["payload"]
+
+
+@pytest.mark.parametrize("command", ["verify", "ratio"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_stdout_matches_the_pins(name, command, capsys):
+    assert cli_main([command, name]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == pin(f"{name}/{command}")["stdout"]
 
 
 def test_shipped_specs_are_the_builtin_names():
