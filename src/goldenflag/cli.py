@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .constructions import (
     BUILTIN_NAMES,
-    CheckStatus,
     FlagLayout,
     VerificationReport,
     build_flag,
-    verify_angle_configuration,
+    verify_angle_configuration,  # noqa: F401  (bound here by the layer tracer in bench/)
     verify_layout_identities,
 )
 from .errors import GoldenFlagError, PrecisionExhausted
@@ -65,6 +65,7 @@ def _int_in_range(minimum: int, maximum: int | None = None):
 MAX_PRECISION_BITS = 4 * MAX_DIGITS + 32
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goldenflag",
@@ -169,21 +170,13 @@ def _cmd_verify(args, out) -> int:
     layout = _load_layout(args.flag)
     report = verify_layout_identities(layout)
     _print_report(report, out)
-    angle_report = None
-    if layout.provenance == "chile-1818":
-        angle_report = verify_angle_configuration(layout)
-        _print_report(angle_report, out)
-    reports = [report] + ([angle_report] if angle_report else [])
-    checks = [check for rep in reports for check in rep.checks]
-    failed = sum(1 for check in checks if not check.status.ok)
-    undecided = any(check.status is CheckStatus.UNDECIDED for check in checks)
-    if failed == 0:
-        print(f"{layout.provenance}: {len(checks)} checks passed", file=out)
+    total = len(report.checks)
+    if report.all_ok:
+        print(f"{layout.provenance}: {total} checks passed", file=out)
         return EXIT_OK
-    print(f"{layout.provenance}: {failed} of {len(checks)} checks failed", file=out)
-    if undecided and all(
-        check.status.ok or check.status is CheckStatus.UNDECIDED for check in checks
-    ):
+    failed = sum(not check.status.ok for check in report.checks)
+    print(f"{layout.provenance}: {failed} of {total} checks failed", file=out)
+    if report.any_undecided and not report.any_disproved:
         return EXIT_UNDECIDED
     return EXIT_ERROR
 

@@ -1,4 +1,4 @@
-"""Flag layouts, their invariants, and their identity verifications.
+"""Flag layouts, their invariants, and the proofs of their claims.
 
 The four builtin designs are the ``.flag`` specs shipped in ``specs/``;
 ``build_flag`` lowers them:
@@ -18,8 +18,10 @@ The four builtin designs are the ``.flag`` specs shipped in ``specs/``;
 All layouts are validated on construction: axis-aligned regions must
 lie inside the canvas and tile it exactly (grid coverage over the
 certified cut lines) and every star center must lie inside a region.
-The identity suites dispatch on a layout's provenance, the spec's
-``flag "<name>"``.
+A layout carries the claims its spec states in ``check`` statements,
+lowered but unproved; :func:`verify_layout_identities` proves them in
+source order.  The provenance, the spec's ``flag "<name>"``, only names
+the layout in output.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import enum
 import importlib.resources
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cmp_to_key
 
 from .errors import (
@@ -38,9 +39,8 @@ from .errors import (
     WrongLayout,
 )
 from .exactnum import (
-    PHI_EXPR,
-    SQRT5_EXPR,
     Expr,
+    Sign,
     Verdict,
     add,
     certified_sign,
@@ -49,10 +49,8 @@ from .exactnum import (
     div,
     lit,
     mul,
-    sqrt_,
     square_of,
     sub,
-    truncated_str,
     verify_identity,
 )
 from .exactnum.expr import SIGN_REFINE_START, eval_interval
@@ -113,6 +111,7 @@ class FlagLayout:
     regions: tuple[Region, ...]
     stars: tuple[Star, ...]
     provenance: str
+    claims: tuple[Claim | Diagonals, ...] = ()  # proved only by verify
 
     @staticmethod
     def create(
@@ -120,8 +119,9 @@ class FlagLayout:
         regions: tuple[Region, ...],
         stars: tuple[Star, ...],
         provenance: str,
+        claims: tuple[Claim | Diagonals, ...] = (),
     ) -> "FlagLayout":
-        layout = FlagLayout(canvas, regions, stars, provenance)
+        layout = FlagLayout(canvas, regions, stars, provenance, claims)
         if regions:
             _check_tiling(layout)
         for star in stars:
@@ -319,218 +319,149 @@ class VerificationReport:
     def any_undecided(self) -> bool:
         return any(check.status is CheckStatus.UNDECIDED for check in self.checks)
 
-
-def _identity_check(name: str, lhs: Expr, rhs: Expr, detail: str = "") -> Check:
-    verdict = verify_identity(lhs, rhs)
-    return Check(name, CheckStatus.from_verdict(verdict), detail)
-
-
-def _region_by_color(layout: FlagLayout, color: ColorRole) -> Region:
-    for region in layout.regions:
-        if region.color is color:
-            return region
-    raise WrongLayout(f"layout has no {color.value} region")
+    @property
+    def any_disproved(self) -> bool:
+        disproved = (CheckStatus.PROVED_UNEQUAL, CheckStatus.FAIL)
+        return any(check.status in disproved for check in self.checks)
 
 
-def _region_size(region: Region) -> tuple[Expr, Expr]:
-    x0, x1, y0, y1 = region.bounds
-    return sub(x1, x0), sub(y1, y0)
+# the signs of ``rhs - lhs`` under which ``lhs <relation> rhs`` holds
+_HOLDS_FOR = {"==": {Sign.ZERO}, "<": {Sign.POSITIVE}, "<=": {Sign.ZERO, Sign.POSITIVE}}
+
+
+def _holds(lhs: Expr, relation: str, rhs: Expr) -> bool | None:
+    """Whether ``lhs <relation> rhs`` holds, or None when the sign of
+    the difference cannot be certified."""
+    if lhs is rhs:
+        return relation != "<"
+    try:
+        return certified_sign(sub(rhs, lhs)) in _HOLDS_FOR[relation]
+    except PrecisionExhausted:
+        return None
+
+
+# a claim's status by whether it holds (None: undecided), for a single
+# ``==`` and for any other chain
+_EQUALITY_STATUS = {True: CheckStatus.PROVED_EQUAL, False: CheckStatus.PROVED_UNEQUAL}
+_CHAIN_STATUS = {True: CheckStatus.PASS, False: CheckStatus.FAIL}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A ``check`` statement: ``terms[i] relations[i] terms[i + 1]`` for
+    every i.  A single ``==`` reports its verdict; any other chain
+    reports Pass, Fail, or Undecided when a link cannot be decided.  The
+    detail is printed verbatim, or as ``name = <6 digits>`` of the
+    ``shown`` binding."""
+
+    name: str
+    terms: tuple[Expr, ...]
+    relations: tuple[str, ...]
+    detail: str = ""
+    shown: tuple[str, Expr] | None = None
+
+    def checks(self, layout: FlagLayout) -> tuple[Check, ...]:
+        holds: bool | None = True
+        for lhs, relation, rhs in zip(self.terms, self.relations, self.terms[1:]):
+            link = _holds(lhs, relation, rhs)
+            if link is not True:
+                holds = link
+                if link is False:  # a failed link decides the claim
+                    break
+        statuses = _EQUALITY_STATUS if self.relations == ("==",) else _CHAIN_STATUS
+        status = CheckStatus.UNDECIDED if holds is None else statuses[holds]
+        detail = self.detail
+        if self.shown is not None:
+            name, value = self.shown
+            detail = f"{name} = {decimal_str(value, 6)}"
+        return (Check(self.name, status, detail),)
+
+
+@dataclass(frozen=True)
+class Diagonals:
+    """A ``check diagonals of <region>`` statement: the region's angle
+    configuration, :func:`verify_angle_configuration`."""
+
+    region: str
+
+    def checks(self, layout: FlagLayout) -> tuple[Check, ...]:
+        return verify_angle_configuration(layout, self.region).checks
+
+
+def _point_check(name: str, proved: bool) -> Check:
+    return Check(name, CheckStatus.PROVED_EQUAL if proved else CheckStatus.FAIL)
+
+
+def _same_point(a: Point, b: Point) -> bool:
+    return (
+        compare_values(a.x, b.x) is Verdict.PROVED_EQUAL
+        and compare_values(a.y, b.y) is Verdict.PROVED_EQUAL
+    )
 
 
 def _squared_distance(a: Point, b: Point) -> Expr:
     return add(square_of(sub(a.x, b.x)), square_of(sub(a.y, b.y)))
 
 
-def verify_angle_configuration(layout: FlagLayout) -> VerificationReport:
+def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationReport:
     """Certify the angle configuration of the Independence blue
-    rectangle: diagonal slopes of tan(36), a crossing angle of tan(72)
-    (checked against both the closed form and the exact double-angle
-    form), the vertical complement, and the isosceles half-diagonal
-    triangle.  Raises :class:`WrongLayout` for any layout whose blue
-    region is not in that proportion."""
-    try:
-        blue = _region_by_color(layout, ColorRole.BLUE)
-    except WrongLayout:
-        raise WrongLayout("layout has no blue rectangle with diagonals") from None
-    width, height = _region_size(blue)
-    proportion = verify_identity(div(height, width), TAN36)
-    if proportion is not Verdict.PROVED_EQUAL:
-        raise WrongLayout(
-            "blue rectangle is not in the tan(36) height/width proportion"
-        )
-    x0, x1, y0, y1 = blue.bounds
+    rectangle, here the named region: diagonal slopes of tan(36), a
+    crossing angle of tan(72) (checked against both the closed form and
+    the exact double-angle form), the vertical complement, the isosceles
+    half-diagonal triangle, and a star on the crossing when the layout
+    has stars.  Raises :class:`WrongLayout` when the layout has no such
+    region or the region is not in that proportion."""
+    bounds = next((r.bounds for r in layout.regions if r.name == region), None)
+    if bounds is None:
+        raise WrongLayout(f"layout has no region {region!r}")
+    x0, x1, y0, y1 = bounds
+    width, height = sub(x1, x0), sub(y1, y0)
+    if verify_identity(div(height, width), TAN36) is not Verdict.PROVED_EQUAL:
+        raise WrongLayout(f"region {region!r} is not in the tan(36) height/width proportion")
     corner00, corner10 = Point(x0, y0), Point(x1, y0)
     corner11, corner01 = Point(x1, y1), Point(x0, y1)
     diag1 = Segment(corner00, corner11)
     diag2 = Segment(corner01, corner10)
     tangent1 = angle_tangent_with_horizontal(diag1)
-    tangent2 = angle_tangent_with_horizontal(diag2)
-    checks = [
-        _identity_check("rising diagonal tangent equals tan(36)", tangent1, TAN36),
-        _identity_check("falling diagonal tangent equals tan(36)", tangent2, TAN36),
-    ]
     # crossing angle between the two diagonals: |(m1 - m2)/(1 + m1 m2)|
     slope1 = div(sub(corner11.y, corner00.y), sub(corner11.x, corner00.x))
     slope2 = div(sub(corner10.y, corner01.y), sub(corner10.x, corner01.x))
     crossing = div(sub(slope1, slope2), add(lit(1), mul(slope1, slope2)))
-    checks.append(
-        _identity_check(
-            "diagonal crossing tangent equals tan(72) closed form", crossing, TAN72
-        )
-    )
     double_angle = div(mul(lit(2), TAN36), sub(lit(1), mul(TAN36, TAN36)))
-    checks.append(
-        _identity_check(
-            "crossing tangent equals double-angle form 2t/(1-t^2)",
-            crossing,
-            double_angle,
-        )
-    )
     # complement: the diagonal meets the vertical at the complementary
     # angle, whose tangent is the reciprocal of tan(36)
     complement = div(sub(corner11.x, corner00.x), sub(corner11.y, corner00.y))
-    checks.append(
-        _identity_check(
+    center = segment_intersection(diag1, diag2)
+    identities = (
+        ("rising diagonal tangent equals tan(36)", tangent1, TAN36),
+        ("falling diagonal tangent equals tan(36)", angle_tangent_with_horizontal(diag2), TAN36),
+        ("diagonal crossing tangent equals tan(72) closed form", crossing, TAN72),
+        ("crossing tangent equals double-angle form 2t/(1-t^2)", crossing, double_angle),
+        (
             "diagonal-vertical complement satisfies tan(36)*tan(54) = 1",
             mul(tangent1, complement),
             lit(1),
-        )
-    )
-    center = segment_intersection(diag1, diag2)
-    half1 = _squared_distance(center, corner01)
-    half2 = _squared_distance(center, corner11)
-    checks.append(
-        _identity_check(
+        ),
+        (
             "half-diagonals to the top side are equal (isosceles 36-72-72)",
-            half1,
-            half2,
-        )
+            _squared_distance(center, corner01),
+            _squared_distance(center, corner11),
+        ),
     )
-    reference = rect_diagonal_intersection(
-        Rect(Point(x0, y0), width, height)
-    )
-    agree_x = compare_values(center.x, reference.x)
-    agree_y = compare_values(center.y, reference.y)
-    both = (
-        CheckStatus.PROVED_EQUAL
-        if agree_x is Verdict.PROVED_EQUAL and agree_y is Verdict.PROVED_EQUAL
-        else CheckStatus.FAIL
-    )
-    checks.append(Check("diagonal intersection matches midpoint formula", both))
+    checks = [
+        Check(name, CheckStatus.from_verdict(verify_identity(lhs, rhs)))
+        for name, lhs, rhs in identities
+    ]
+    reference = rect_diagonal_intersection(Rect(Point(x0, y0), width, height))
+    midpoint = _same_point(center, reference)
+    checks.append(_point_check("diagonal intersection matches midpoint formula", midpoint))
     if layout.stars:
-        star_center = layout.stars[0].pentagram.center
-        star_x = compare_values(star_center.x, center.x)
-        star_y = compare_values(star_center.y, center.y)
-        status = (
-            CheckStatus.PROVED_EQUAL
-            if star_x is Verdict.PROVED_EQUAL and star_y is Verdict.PROVED_EQUAL
-            else CheckStatus.FAIL
-        )
-        checks.append(Check("star centered on the diagonal crossing", status))
+        on_crossing = any(_same_point(star.pentagram.center, center) for star in layout.stars)
+        checks.append(_point_check("star centered on the diagonal crossing", on_crossing))
     return VerificationReport(layout.provenance, tuple(checks))
 
 
-def _verify_independence(layout: FlagLayout) -> VerificationReport:
-    blue = _region_by_color(layout, ColorRole.BLUE)
-    white = _region_by_color(layout, ColorRole.WHITE)
-    blue_width, blue_height = _region_size(blue)
-    white_width, _ = _region_size(white)
-    ratio = layout.width_height_ratio()
-    ratio_closed_form = div(
-        add(lit(2), SQRT5_EXPR), sqrt_(sub(lit(10), mul(lit(2), SQRT5_EXPR)))
-    )
-    diameter = mul(lit(2), layout.stars[0].pentagram.circumradius)
-    checks = (
-        _identity_check(
-            "white/blue width ratio equals the golden mean",
-            div(white_width, blue_width),
-            PHI_EXPR,
-        ),
-        _identity_check(
-            "blue height/width proportion equals tan(36)",
-            div(blue_height, blue_width),
-            TAN36,
-        ),
-        _identity_check(
-            "canvas width/height ratio equals (2+sqrt5)/sqrt(10-2*sqrt5)",
-            ratio,
-            ratio_closed_form,
-            detail=f"ratio = {decimal_str(ratio, 6)}",
-        ),
-        _identity_check(
-            "band height over star circumcircle diameter equals the golden mean",
-            div(blue_height, diameter),
-            PHI_EXPR,
-        ),
-        _identity_check(
-            "top width over white width equals the golden mean",
-            div(add(blue_width, white_width), white_width),
-            PHI_EXPR,
-        ),
-    )
-    return VerificationReport(layout.provenance, checks)
-
-
-def _verify_current(layout: FlagLayout) -> VerificationReport:
-    blue = _region_by_color(layout, ColorRole.BLUE)
-    side, _ = _region_size(blue)
-    ratio = layout.width_height_ratio()
-    diameter = mul(lit(2), layout.stars[0].pentagram.circumradius)
-    area_checks = []
-    for region, squares in zip(layout.regions, (1, 2, 3)):
-        w, h = _region_size(region)
-        area_checks.append(
-            verify_identity(mul(w, h), mul(lit(squares), mul(side, side)))
-        )
-    canvas_area = mul(layout.canvas.width, layout.canvas.height)
-    area_checks.append(verify_identity(canvas_area, mul(lit(6), mul(side, side))))
-    decomposition_ok = all(v is Verdict.PROVED_EQUAL for v in area_checks)
-    checks = (
-        _identity_check(
-            "canvas width/height proportion is exactly 3:2", ratio, lit(Fraction(3, 2))
-        ),
-        _identity_check(
-            "star circumcircle diameter is half the square side",
-            diameter,
-            div(side, lit(2)),
-        ),
-        Check(
-            "six-square decomposition: areas 1+2+3 squares tile the canvas",
-            CheckStatus.PASS if decomposition_ok else CheckStatus.FAIL,
-            "blue=1, white=2, red=3 square areas; sum equals canvas area",
-        ),
-    )
-    return VerificationReport(layout.provenance, checks)
-
-
-def _verify_togo(layout: FlagLayout) -> VerificationReport:
-    ratio = layout.width_height_ratio()
-    checks = (
-        _identity_check(
-            "canvas width/height ratio equals the golden mean",
-            ratio,
-            PHI_EXPR,
-            detail=f"ratio = {decimal_str(ratio, 6)}",
-        ),
-    )
-    return VerificationReport(layout.provenance, checks)
-
-
-def _verify_nepal(layout: FlagLayout) -> VerificationReport:
-    ratio = layout.width_height_ratio()
-    leading = truncated_str(ratio, 3)
-    status = CheckStatus.PASS if leading == "0.820" else CheckStatus.FAIL
-    checks = (
-        Check(
-            "width-height ratio decimal expansion begins 0.820",
-            status,
-            f"ratio = {decimal_str(ratio, 6)}",
-        ),
-    )
-    return VerificationReport(layout.provenance, checks)
-
-
-def _verify_generic(layout: FlagLayout) -> VerificationReport:
+def _structural_report(layout: FlagLayout) -> VerificationReport:
     # construction already validated tiling and star containment
     checks = (
         Check("regions tile the canvas exactly", CheckStatus.PASS),
@@ -544,21 +475,10 @@ def _verify_generic(layout: FlagLayout) -> VerificationReport:
     return VerificationReport(layout.provenance, checks)
 
 
-_LAYOUT_SUITES = {
-    "chile-1818": _verify_independence,
-    "chile-current": _verify_current,
-    "togo": _verify_togo,
-    "nepal-ratio": _verify_nepal,
-}
-
-
 def verify_layout_identities(layout: FlagLayout) -> VerificationReport:
-    """Run the identity suite matching the layout's provenance; layouts
-    from unrecognized sources get the generic structural report."""
-    suite = _LAYOUT_SUITES.get(layout.provenance, _verify_generic)
-    return suite(layout)
-
-
-def verify_flag_identities(name: str) -> VerificationReport:
-    """Every identity stated for the named builtin flag."""
-    return verify_layout_identities(build_flag(name))
+    """Prove every claim the layout's spec states, in source order; a
+    layout that states none gets the generic structural report."""
+    if not layout.claims:
+        return _structural_report(layout)
+    checks = tuple(check for claim in layout.claims for check in claim.checks(layout))
+    return VerificationReport(layout.provenance, checks)

@@ -1,19 +1,17 @@
 """Certified decimal rendering of exact values.
 
-Two policies are provided:
+:func:`decimal_str` rounds half-even to a number of significant digits.
+The printed string is certified: the whole enclosing ball rounds to the
+same digits, so the exact value is within half an ulp of the output.
+Exact rationals short-circuit through integer arithmetic (which also
+resolves ties exactly); provably irrational values can never tie, so
+interval refinement terminates.  A value outside the exact tower whose
+enclosure contains zero is decided once by :func:`certified_sign`; an
+exact zero prints as ``0``.  Quoting the leading digits of an expansion
+is a different operation, a pair of certified comparisons (a spec's
+``check ... 0.820 <= ratio < 0.821``).
 
-* :func:`decimal_str` rounds half-even to a number of significant
-  digits.  The printed string is certified: the whole enclosing ball
-  rounds to the same digits, so the exact value is within half an ulp
-  of the output.  Exact rationals short-circuit through integer
-  arithmetic (which also resolves ties exactly); provably irrational
-  values can never tie, so interval refinement terminates.  A value
-  outside the exact tower whose enclosure contains zero is decided once
-  by :func:`certified_sign`; an exact zero prints as ``0``.
-* :func:`truncated_str` emits a certified *truncation* to a fixed
-  number of decimal places (the style used for quoting leading digits).
-
-Both are pure integer/rational computations: output bytes are identical
+This is a pure integer/rational computation: output bytes are identical
 across platforms and runs.
 """
 
@@ -155,29 +153,3 @@ def decimal_str(x: Expr, digits: int, min_bits: int = 0) -> str:
         if r_lo == r_hi:
             return format_rounded(r_lo, digits)
     raise PrecisionExhausted("interval never certified a rounding")
-
-
-def truncated_str(x: Expr, places: int) -> str:
-    """Certified truncation of a nonnegative value to ``places`` decimal
-    places: the first digits of the decimal expansion, never rounded."""
-    if places < 1:
-        raise ValueError("places must be >= 1")
-    exact = exact_rational(x)
-    if exact is not None:
-        if exact < 0:
-            raise ValueError("truncation is defined for nonnegative values")
-        scaled = (exact.numerator * 10**places) // exact.denominator
-        return _format_truncated(scaled, places)
-    for lo, hi in _enclosures(x, places, 0):
-        if hi < 0:
-            raise ValueError("truncation is defined for nonnegative values")
-        t_lo = (lo.numerator * 10**places) // lo.denominator
-        t_hi = (hi.numerator * 10**places) // hi.denominator
-        if t_lo == t_hi:
-            return _format_truncated(t_lo, places)
-    raise PrecisionExhausted("interval never pinned the truncated digits")
-
-
-def _format_truncated(scaled: int, places: int) -> str:
-    int_part, frac = divmod(scaled, 10**places)
-    return f"{int_part}.{str(frac).rjust(places, '0')}"

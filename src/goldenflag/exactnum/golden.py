@@ -139,24 +139,6 @@ GN_ZERO = GoldenNumber(Fraction(0), Fraction(0))
 GN_ONE = GoldenNumber(Fraction(1), Fraction(0))
 
 
-def gn_arith(op: str, x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
-    """Field arithmetic with a named operation, one of
-    ``add | sub | mul | div``."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def gn_sign(x: GoldenNumber) -> Sign:
-    return x.sign()
-
-
 def gn_sqrt(x: GoldenNumber) -> GoldenNumber | None:
     """Exact square root within the field, if one exists.
 

@@ -4,7 +4,7 @@
 finite decimals (converted exactly to rationals later); a number
 immediately followed by a letter, underscore, or second dot is
 malformed.  Strings are double-quoted with no escapes and may not span
-lines.
+lines.  ``==`` and ``<=`` are single symbols.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ KEYWORDS = frozenset(
         "let",
         "region",
         "star",
+        "check",
+        "show",
+        "diagonals",
         "at",
         "of",
         "diameter",
@@ -47,7 +50,8 @@ KEYWORDS = frozenset(
 
 COLOR_KEYWORDS = frozenset({"red", "white", "blue", "green", "yellow"})
 
-_SYMBOLS = frozenset("{}();=+-*/")
+_SYMBOLS = frozenset("{}();=+-*/.<")
+_TWO_CHAR_SYMBOLS = frozenset({"==", "<="})
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,10 @@ def tokenize(source: str) -> list[Token]:
             lexeme = source[i + 1 : j]
             advance(j - i + 1)
             tokens.append(Token(TokenKind.STRING, lexeme, start_line, start_col))
+            continue
+        if source[i : i + 2] in _TWO_CHAR_SYMBOLS:
+            tokens.append(Token(TokenKind.SYMBOL, source[i : i + 2], start_line, start_col))
+            advance(2)
             continue
         if ch in _SYMBOLS:
             advance()

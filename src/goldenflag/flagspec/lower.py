@@ -2,14 +2,18 @@
 
 Expressions become certified constructible-number expressions (``phi``
 lowers to (1+sqrt5)/2 exactly); declarations resolve in source order,
-so every identifier must be bound earlier in the file.  Spec files use
-screen orientation (y downward from the top-left corner); lowering
-converts to the internal y-up frame.
+so every identifier, and every region whose ``width`` or ``height`` an
+expression reads, must be declared earlier in the file.  ``canvas.width``
+and ``canvas.height`` are the canvas dimensions, and a region's are the
+differences of its bounds.  ``check`` statements lower to the layout's
+claims, which only ``verify`` proves.  Spec files use screen orientation
+(y downward from the top-left corner); lowering converts to the internal
+y-up frame.
 """
 
 from __future__ import annotations
 
-from ..constructions import ColorRole, FlagLayout, Region, Star
+from ..constructions import Claim, ColorRole, Diagonals, FlagLayout, Region, Star
 from ..errors import (
     CertificationError,
     DivisionByZero,
@@ -20,9 +24,12 @@ from ..errors import (
 from ..exactnum import PHI_EXPR, Expr, add, div, lit, mul, neg, sqrt_, sub
 from ..geometry import Pentagram, Point, Rect, rect_diagonal_intersection
 from .parser import (
+    Attribute,
     BinOp,
+    CheckDecl,
     CoordCenter,
     DiagonalCenter,
+    DiagonalsCheck,
     ExprAst,
     LetDecl,
     NameRef,
@@ -37,19 +44,41 @@ from .parser import (
 
 _BINOPS = {"+": add, "-": sub, "*": mul, "/": div}
 
+# x0, x1, y0, y1 of the canvas and of each region declared so far
+Boxes = dict[str, tuple[Expr, Expr, Expr, Expr]]
 
-def lower_expr(ast: ExprAst, env: dict[str, Expr], where: str = "expression") -> Expr:
+
+def lower_expr(
+    ast: ExprAst, env: dict[str, Expr], where: str = "expression", boxes: Boxes | None = None
+) -> Expr:
     """Certified expression for an AST node; user-level side-condition
     failures surface as CertificationError."""
     try:
-        return _lower_expr(ast, env)
+        return _lower_expr(ast, env, boxes or {})
     except (DivisionByZero, PrecisionExhausted) as exc:
         raise CertificationError(f"in {where}: {exc}") from exc
     except CertificationError as exc:
         raise CertificationError(f"in {where}: {exc}") from exc
 
 
-def _lower_expr(ast: ExprAst, env: dict[str, Expr]) -> Expr:
+def _attribute(ast: Attribute, boxes: Boxes) -> Expr:
+    bounds = boxes.get(ast.owner)
+    if bounds is None:
+        if ast.owner == "canvas":
+            message = "the canvas has no size inside its own declaration"
+        else:
+            message = f"{ast.owner!r} is not a previously declared region"
+        raise SemanticError(ast.line, ast.col, message)
+    x0, x1, y0, y1 = bounds
+    if ast.name == "width":
+        return sub(x1, x0)
+    if ast.name == "height":
+        return sub(y1, y0)
+    message = f"unknown attribute {ast.name!r} (expected 'width' or 'height')"
+    raise SemanticError(ast.name_line, ast.name_col, message)
+
+
+def _lower_expr(ast: ExprAst, env: dict[str, Expr], boxes: Boxes) -> Expr:
     """Post-order lowering with an explicit stack, so operator chains of
     any length lower (the parser bounds only parenthesised nesting)."""
     values: list[Expr] = []
@@ -72,6 +101,8 @@ def _lower_expr(ast: ExprAst, env: dict[str, Expr]) -> Expr:
                 values.append(env[item.name])
             except KeyError:
                 raise SemanticError(item.line, item.col, f"unbound name {item.name!r}") from None
+        elif isinstance(item, Attribute):
+            values.append(_attribute(item, boxes))
         elif isinstance(item, BinOp):
             todo += ((_BINOPS[item.op], 2), item.rhs, item.lhs)
         elif isinstance(item, Negate):
@@ -83,13 +114,22 @@ def _lower_expr(ast: ExprAst, env: dict[str, Expr]) -> Expr:
     return values[0]
 
 
+def _declared_rect(rects: dict[str, Rect], name: str, line: int, col: int) -> Rect:
+    rect = rects.get(name)
+    if rect is None:
+        raise SemanticError(line, col, f"{name!r} is not a previously declared region")
+    return rect
+
+
 def lower(ast: SpecAst) -> FlagLayout:
     """Resolve bindings, certify every dimension, and assemble the
     exact layout (which re-validates tiling and star containment)."""
     env: dict[str, Expr] = {}
     rects: dict[str, Rect] = {}
+    boxes: Boxes = {}
     regions: list[Region] = []
     stars: list[Star] = []
+    claims: list[Claim | Diagonals] = []
 
     canvas_width = lower_expr(ast.canvas_width, env, "canvas width")
     canvas_height = lower_expr(ast.canvas_height, env, "canvas height")
@@ -97,24 +137,19 @@ def lower(ast: SpecAst) -> FlagLayout:
         canvas = Rect(Point(lit(0), lit(0)), canvas_width, canvas_height)
     except InvalidDimension as exc:
         raise CertificationError(f"canvas: {exc}") from exc
+    boxes["canvas"] = (lit(0), canvas_width, lit(0), canvas_height)
 
     for decl in ast.items:
+        if isinstance(decl, (LetDecl, RegionDecl)) and (decl.name in env or decl.name in rects):
+            raise SemanticError(decl.line, decl.col, f"duplicate binding {decl.name!r}")
         if isinstance(decl, LetDecl):
-            if decl.name in env or decl.name in rects:
-                raise SemanticError(
-                    decl.line, decl.col, f"duplicate binding {decl.name!r}"
-                )
-            env[decl.name] = lower_expr(decl.expr, env, f"let {decl.name!r}")
+            env[decl.name] = lower_expr(decl.expr, env, f"let {decl.name!r}", boxes)
         elif isinstance(decl, RegionDecl):
-            if decl.name in env or decl.name in rects:
-                raise SemanticError(
-                    decl.line, decl.col, f"duplicate binding {decl.name!r}"
-                )
             where = f"region {decl.name!r}"
-            x = lower_expr(decl.x, env, where)
-            y = lower_expr(decl.y, env, where)
-            width = lower_expr(decl.width, env, where)
-            height = lower_expr(decl.height, env, where)
+            x = lower_expr(decl.x, env, where, boxes)
+            y = lower_expr(decl.y, env, where, boxes)
+            width = lower_expr(decl.width, env, where, boxes)
+            height = lower_expr(decl.height, env, where, boxes)
             # screen y measures down from the top: flip to the y-up frame
             origin_y = sub(canvas_height, add(y, height))
             try:
@@ -122,32 +157,38 @@ def lower(ast: SpecAst) -> FlagLayout:
             except InvalidDimension as exc:
                 raise CertificationError(f"{where}: {exc}") from exc
             rects[decl.name] = rect
-            regions.append(Region.from_rect(decl.name, ColorRole(decl.color), rect))
+            region = Region.from_rect(decl.name, ColorRole(decl.color), rect)
+            boxes[decl.name] = region.bounds
+            regions.append(region)
         elif isinstance(decl, StarDecl):
             where = f"star {decl.color}"
             if isinstance(decl.center, DiagonalCenter):
-                rect = rects.get(decl.center.region)
-                if rect is None:
-                    raise SemanticError(
-                        decl.center.line,
-                        decl.center.col,
-                        f"{decl.center.region!r} is not a previously declared region",
-                    )
-                center = rect_diagonal_intersection(rect)
+                c = decl.center
+                center = rect_diagonal_intersection(_declared_rect(rects, c.region, c.line, c.col))
             else:
-                cx = lower_expr(decl.center.x, env, where)
-                cy_screen = lower_expr(decl.center.y, env, where)
+                cx = lower_expr(decl.center.x, env, where, boxes)
+                cy_screen = lower_expr(decl.center.y, env, where, boxes)
                 center = Point(cx, sub(canvas_height, cy_screen))
-            diameter = lower_expr(decl.diameter, env, where)
+            diameter = lower_expr(decl.diameter, env, where, boxes)
             try:
                 pentagram = Pentagram(center, div(diameter, lit(2)))
             except InvalidDimension as exc:
                 raise CertificationError(f"{where}: {exc}") from exc
             stars.append(Star(ColorRole(decl.color), pentagram))
+        elif isinstance(decl, CheckDecl):
+            where = f"check {decl.name!r}"
+            terms = tuple(lower_expr(term, env, where, boxes) for term in decl.terms)
+            shown = None
+            if decl.shown is not None:
+                shown = (decl.shown.name, lower_expr(decl.shown, env, where))
+            claims.append(Claim(decl.name, terms, decl.relations, decl.detail, shown))
+        elif isinstance(decl, DiagonalsCheck):
+            _declared_rect(rects, decl.region, decl.line, decl.col)
+            claims.append(Diagonals(decl.region))
         else:  # pragma: no cover
             raise TypeError(f"unknown declaration {decl!r}")
 
-    return FlagLayout.create(canvas, tuple(regions), tuple(stars), ast.name)
+    return FlagLayout.create(canvas, tuple(regions), tuple(stars), ast.name, tuple(claims))
 
 
 def lower_source(source: str) -> FlagLayout:

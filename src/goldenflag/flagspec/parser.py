@@ -2,22 +2,28 @@
 
 ::
 
-    spec      := "flag" STRING "{" canvas { let | region | star } "}"
+    spec      := "flag" STRING "{" canvas { let | region | star | check } "}"
     canvas    := "canvas" expr "x" expr ";"
     let       := "let" IDENT "=" expr ";"
     region    := "region" IDENT COLOR "rect" expr expr expr expr ";"
     star      := "star" COLOR ( "at" expr expr
                               | "at" "diagonal_intersection" "of" IDENT )
                  "diameter" expr ";"
+    check     := "check" ( STRING expr REL expr { REL expr } [ detail ]
+                         | "diagonals" "of" IDENT ) ";"
+    REL       := "==" | "<" | "<="
+    detail    := STRING | "show" IDENT
     COLOR     := "red" | "white" | "blue" | "green" | "yellow"
     expr      := term  { ("+" | "-") term }
     term      := unary { ("*" | "/") unary }
     unary     := "-" unary | primary
-    primary   := NUMBER | "phi" | "sqrt" "(" expr ")" | IDENT | "(" expr ")"
+    primary   := NUMBER | "phi" | "sqrt" "(" expr ")" | IDENT
+               | ( IDENT | "canvas" ) "." IDENT | "(" expr ")"
 
 Region and star coordinates are written in screen orientation (y grows
 downward from the flag's top-left corner); lowering flips them into the
-internal mathematical frame.
+internal mathematical frame.  A ``check`` states a claim that ``verify``
+proves: every link of its chain of relations must hold.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from ..errors import ParseError
 from .lexer import COLOR_KEYWORDS, Token, TokenKind, tokenize
 
 _MAX_EXPR_DEPTH = 200
+
+_RELATIONS = ("==", "<", "<=")
 
 
 # --- expression AST -------------------------------------------------------
@@ -69,7 +77,19 @@ class SqrtCall:
     operand: "ExprAst"
 
 
-ExprAst = Union[NumberLit, PhiConst, NameRef, BinOp, Negate, SqrtCall]
+@dataclass(frozen=True)
+class Attribute:
+    """``owner.name``: a size of a region or of the canvas."""
+
+    owner: str  # a region name, or "canvas"
+    name: str
+    line: int
+    col: int
+    name_line: int
+    name_col: int
+
+
+ExprAst = Union[NumberLit, PhiConst, NameRef, Attribute, BinOp, Negate, SqrtCall]
 
 
 # --- declaration AST -------------------------------------------------------
@@ -118,11 +138,38 @@ class StarDecl:
 
 
 @dataclass(frozen=True)
+class CheckDecl:
+    """A claim that ``terms[i] relations[i] terms[i + 1]`` holds for
+    every i, printed with a verbatim ``detail`` or the value of the
+    ``shown`` binding."""
+
+    name: str
+    terms: tuple[ExprAst, ...]
+    relations: tuple[str, ...]
+    detail: str
+    shown: NameRef | None
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class DiagonalsCheck:
+    """The angle configuration of a region's diagonals."""
+
+    region: str
+    line: int
+    col: int
+
+
+Decl = Union[LetDecl, RegionDecl, StarDecl, CheckDecl, DiagonalsCheck]
+
+
+@dataclass(frozen=True)
 class SpecAst:
     name: str
     canvas_width: ExprAst
     canvas_height: ExprAst
-    items: tuple[LetDecl | RegionDecl | StarDecl, ...]
+    items: tuple[Decl, ...]
 
     @property
     def lets(self) -> tuple[LetDecl, ...]:
@@ -165,14 +212,15 @@ class _Parser:
         raise self.error(f"keyword {word!r}")
 
     def expect_symbol(self, symbol: str) -> Token:
-        token = self.current
-        if token.kind is TokenKind.SYMBOL and token.lexeme == symbol:
+        if self.at_symbol(symbol):
             return self.advance()
         raise self.error(f"{symbol!r}")
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        token = self.current
-        if token.kind is TokenKind.IDENT:
+        return self.expect_kind(TokenKind.IDENT, what)
+
+    def expect_kind(self, kind: TokenKind, what: str) -> Token:
+        if self.current.kind is kind:
             return self.advance()
         raise self.error(what)
 
@@ -186,14 +234,15 @@ class _Parser:
         token = self.current
         return token.kind is TokenKind.KEYWORD and token.lexeme == word
 
+    def at_symbol(self, *symbols: str) -> bool:
+        token = self.current
+        return token.kind is TokenKind.SYMBOL and token.lexeme in symbols
+
     # -- grammar ------------------------------------------------------------
 
     def parse_spec(self) -> SpecAst:
         self.expect_keyword("flag")
-        name_token = self.current
-        if name_token.kind is not TokenKind.STRING:
-            raise self.error("flag name string")
-        self.advance()
+        name_token = self.expect_kind(TokenKind.STRING, "flag name string")
         self.expect_symbol("{")
         self.expect_keyword("canvas")
         canvas_width = self.parse_expr()
@@ -203,16 +252,18 @@ class _Parser:
         self.advance()
         canvas_height = self.parse_expr()
         self.expect_symbol(";")
-        items: list[LetDecl | RegionDecl | StarDecl] = []
-        while not (self.current.kind is TokenKind.SYMBOL and self.current.lexeme == "}"):
-            if self.at_keyword("let"):
-                items.append(self.parse_let())
-            elif self.at_keyword("region"):
-                items.append(self.parse_region())
-            elif self.at_keyword("star"):
-                items.append(self.parse_star())
-            else:
-                raise self.error("'let', 'region', 'star', or '}'")
+        statements = {
+            "let": self.parse_let,
+            "region": self.parse_region,
+            "star": self.parse_star,
+            "check": self.parse_check,
+        }
+        items: list[Decl] = []
+        while not self.at_symbol("}"):
+            token = self.current
+            if token.kind is not TokenKind.KEYWORD or token.lexeme not in statements:
+                raise self.error("'let', 'region', 'star', 'check', or '}'")
+            items.append(statements[token.lexeme]())
         self.expect_symbol("}")
         if self.current.kind is not TokenKind.EOF:
             raise self.error("end of input after '}'")
@@ -262,13 +313,41 @@ class _Parser:
         self.expect_symbol(";")
         return StarDecl(color.lexeme, center, diameter, start.line, start.col)
 
+    def parse_check(self) -> CheckDecl | DiagonalsCheck:
+        start = self.expect_keyword("check")
+        if self.at_keyword("diagonals"):
+            self.advance()
+            self.expect_keyword("of")
+            region = self.expect_ident("region name")
+            self.expect_symbol(";")
+            return DiagonalsCheck(region.lexeme, region.line, region.col)
+        name = self.expect_kind(TokenKind.STRING, "check name string or 'diagonals'")
+        terms = [self.parse_expr()]
+        if not self.at_symbol(*_RELATIONS):
+            raise self.error("'==', '<', or '<='")
+        relations = []
+        while self.at_symbol(*_RELATIONS):
+            relations.append(self.advance().lexeme)
+            terms.append(self.parse_expr())
+        detail, shown = "", None
+        if self.current.kind is TokenKind.STRING:
+            detail = self.advance().lexeme
+        elif self.at_keyword("show"):
+            self.advance()
+            token = self.expect_ident("name to show")
+            shown = NameRef(token.lexeme, token.line, token.col)
+        self.expect_symbol(";")
+        return CheckDecl(
+            name.lexeme, tuple(terms), tuple(relations), detail, shown, start.line, start.col
+        )
+
     def parse_expr(self, depth: int = 0) -> ExprAst:
         if depth > _MAX_EXPR_DEPTH:
             raise ParseError(
                 self.current.line, self.current.col, "a shallower expression", "nesting too deep"
             )
         node = self.parse_term(depth + 1)
-        while self.current.kind is TokenKind.SYMBOL and self.current.lexeme in "+-":
+        while self.at_symbol("+", "-"):
             op = self.advance().lexeme
             node = BinOp(op, node, self.parse_term(depth + 1))
         return node
@@ -279,7 +358,7 @@ class _Parser:
                 self.current.line, self.current.col, "a shallower expression", "nesting too deep"
             )
         node = self.parse_unary(depth + 1)
-        while self.current.kind is TokenKind.SYMBOL and self.current.lexeme in "*/":
+        while self.at_symbol("*", "/"):
             op = self.advance().lexeme
             node = BinOp(op, node, self.parse_unary(depth + 1))
         return node
@@ -316,8 +395,18 @@ class _Parser:
             operand = self.parse_expr(depth + 1)
             self.expect_symbol(")")
             return SqrtCall(operand)
-        if token.kind is TokenKind.IDENT:
+        if token.kind is TokenKind.IDENT or (
+            token.kind is TokenKind.KEYWORD and token.lexeme == "canvas"
+        ):
             self.advance()
+            if self.at_symbol("."):
+                self.advance()
+                name = self.expect_ident("attribute name")
+                return Attribute(
+                    token.lexeme, name.lexeme, token.line, token.col, name.line, name.col
+                )
+            if token.kind is TokenKind.KEYWORD:
+                raise self.error("'.' after 'canvas'")
             return NameRef(token.lexeme, token.line, token.col)
         if token.kind is TokenKind.SYMBOL and token.lexeme == "(":
             self.advance()

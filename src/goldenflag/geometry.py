@@ -77,18 +77,6 @@ class Rect:
             if sign is not Sign.POSITIVE:
                 raise InvalidDimension(f"{name} is not certified positive")
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """Counterclockwise corners starting at the origin corner."""
-        x0, y0 = self.origin.x, self.origin.y
-        x1 = add(x0, self.width)
-        y1 = add(y0, self.height)
-        return (
-            Point(x0, y0),
-            Point(x1, y0),
-            Point(x1, y1),
-            Point(x0, y1),
-        )
-
 
 @dataclass(frozen=True)
 class Segment:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from goldenflag.constructions import BUILTIN_NAMES, FlagLayout, build_flag
+from goldenflag.exactnum import Expr, Sign, certified_sign, lit, sub
 from goldenflag.flagspec import lower_source
 
 # the shipped chile-1818 spec with its band height 1 written as {h}
@@ -16,10 +17,23 @@ flag "chile-1818" {{
   let h = {h};
   let tan36 = sqrt(10 - 2*sqrt(5))/(1 + sqrt(5));
   let wb = h/tan36;
+  let star_diameter = h/phi;
+  let ratio = canvas.width/canvas.height;
   region blue_field  blue  rect 0 0 wb h;
   region white_field white rect wb 0 phi*wb h;
   region red_band    red   rect 0 h (1 + phi)*wb h;
-  star white at diagonal_intersection of blue_field diameter h/phi;
+  star white at diagonal_intersection of blue_field diameter star_diameter;
+  check "white/blue width ratio equals the golden mean"
+    white_field.width/blue_field.width == phi;
+  check "blue height/width proportion equals tan(36)"
+    blue_field.height/blue_field.width == tan36;
+  check "canvas width/height ratio equals (2+sqrt5)/sqrt(10-2*sqrt5)"
+    ratio == (2 + sqrt(5))/sqrt(10 - 2*sqrt(5)) show ratio;
+  check "band height over star circumcircle diameter equals the golden mean"
+    blue_field.height/star_diameter == phi;
+  check "top width over white width equals the golden mean"
+    (blue_field.width + white_field.width)/white_field.width == phi;
+  check diagonals of blue_field;
 }}
 """
 
@@ -68,3 +82,14 @@ def decimal_oracle_ratio(digits: int = 50) -> Fraction:
         root5 = Decimal(5).sqrt()
         value = (2 + root5) / (10 - 2 * root5).sqrt()
         return Fraction(value)
+
+
+def expansion_begins(value: Expr, prefix: str) -> bool:
+    """Whether the decimal expansion of a nonnegative value begins with
+    ``prefix``: two certified comparisons, prefix <= value < prefix + ulp."""
+    low = Fraction(prefix)
+    ulp = Fraction(1, 10 ** len(prefix.partition(".")[2]))
+    return (
+        certified_sign(sub(value, lit(low))).is_nonnegative
+        and certified_sign(sub(lit(low + ulp), value)) is Sign.POSITIVE
+    )

@@ -39,10 +39,14 @@ def pin(request_id: str) -> dict:
     return json.loads(PINS.read_text(encoding="utf-8"))[request_id]
 
 
+def pinned_payload(name: str, variant: str) -> str:
+    return pin(f"{name}/build-{variant}")["payload"]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_build_bytes_match_the_pins(name, variant, tmp_path, capsys):
-    assert payload_sha256(name, variant, tmp_path) == pin(f"{name}/build-{variant}")["payload"]
+    assert payload_sha256(name, variant, tmp_path) == pinned_payload(name, variant)
 
 
 @pytest.mark.parametrize("command", ["verify", "ratio"])

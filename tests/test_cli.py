@@ -28,6 +28,20 @@ def let_chain_spec(depth: int) -> str:
     )
 
 
+def claims_spec(name: str, body: str = "") -> str:
+    """One full-canvas blue region, no star, and the given statements."""
+    return f'flag "{name}" {{ canvas 2 x 1; region all blue rect 0 0 2 1; {body} }}'
+
+
+# a sum of three depth-3 radicals: the separation bound for a - a/3*3
+# asks for more bits than the refinement cap
+UNDECIDABLE = (
+    "let a = sqrt(7 + 2*sqrt(11 + 3*sqrt(5 + sqrt(2))))"
+    " + sqrt(3 + sqrt(13 + 2*sqrt(6 + 4*sqrt(3))))"
+    " + sqrt(9 + 5*sqrt(2 + sqrt(17 + sqrt(7))));"
+)
+
+
 # sqrt(2) + sqrt(3) == sqrt(5 + 2*sqrt(6)), with three independent radicands
 ZERO_BEYOND_THE_TOWER = "sqrt(2)+sqrt(3)-sqrt(5+2*sqrt(6))"
 
@@ -180,6 +194,106 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "golden mean" in out
+
+    @pytest.mark.parametrize("name", ["chile-current", "togo", "chile-1818"])
+    def test_a_builtin_name_selects_no_claims(self, name, capsys, tmp_path):
+        # the spec states no check, so it gets the structural report
+        # whatever it is called
+        path = tmp_path / "impostor.flag"
+        path.write_text(claims_spec(name))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert out == (
+            "Pass  regions tile the canvas exactly\n"
+            "Pass  star centers lie inside regions\n"
+            "Pass  canvas ratio evaluates  [ratio = 2]\n"
+            f"{name}: 3 checks passed\n"
+        )
+
+    def verify_claims(self, capsys, tmp_path, body: str):
+        path = tmp_path / "claims.flag"
+        path.write_text(claims_spec("claims", body))
+        return run(capsys, "verify", str(path))
+
+    def test_claims_print_in_source_order(self, capsys, tmp_path):
+        code, out, err = self.verify_claims(capsys, tmp_path, (
+            "let ratio = canvas.width/canvas.height;"
+            'check "ratio is two" ratio == 2 show ratio;'
+            'check "ratio is between" 1 < ratio <= all.width == 2 "a chain";'
+        ))
+        assert (code, err) == (0, "")
+        assert out == (
+            "ProvedEqual  ratio is two  [ratio = 2]\n"
+            "Pass         ratio is between  [a chain]\n"
+            "claims: 2 checks passed\n"
+        )
+
+    def test_false_equality_is_proved_unequal(self, capsys, tmp_path):
+        code, out, err = self.verify_claims(
+            capsys, tmp_path, 'check "square" canvas.width == canvas.height;'
+        )
+        assert (code, err) == (1, "")
+        assert out == "ProvedUnequal  square\nclaims: 1 of 1 checks failed\n"
+
+    def test_false_inequality_fails(self, capsys, tmp_path):
+        code, out, err = self.verify_claims(
+            capsys, tmp_path, 'check "portrait" 0 < canvas.width < canvas.height;'
+        )
+        assert (code, err) == (1, "")
+        assert out == "Fail  portrait\nclaims: 1 of 1 checks failed\n"
+
+    def test_strict_and_weak_inequalities_at_equality(self, capsys, tmp_path):
+        # phi*phi - phi is 1 exactly, written differently
+        code, out, _ = self.verify_claims(capsys, tmp_path, (
+            'check "weak" phi*phi - phi <= 1; check "strict" phi*phi - phi < 1;'
+            'check "equal" 1 <= phi*phi - phi <= 1;'
+        ))
+        assert code == 1
+        assert out == (
+            "Pass  weak\n"
+            "Fail  strict\n"
+            "Pass  equal\n"
+            "claims: 1 of 3 checks failed\n"
+        )
+
+    def test_a_claim_past_the_refinement_cap_is_undecided(self, capsys, tmp_path):
+        code, out, _ = self.verify_claims(capsys, tmp_path, (
+            f'{UNDECIDABLE} check "a" a == a/3*3; check "in order" 0 < a/3*3 <= a;'
+        ))
+        assert code == 3
+        assert out == (
+            "Undecided  a\n"
+            "Undecided  in order\n"
+            "claims: 2 of 2 checks failed\n"
+        )
+
+    def test_a_disproved_claim_outranks_an_undecided_one(self, capsys, tmp_path):
+        code, out, _ = self.verify_claims(capsys, tmp_path, (
+            f'{UNDECIDABLE} check "a" a == a/3*3; check "b" 1 == 2;'
+            'check "fails, then undecided" 2 < 1 < a/3*3 <= a;'
+            'check "undecided, then fails" a/3*3 <= a < 0;'
+        ))
+        assert code == 1
+        assert out == (
+            "Undecided      a\n"
+            "ProvedUnequal  b\n"
+            "Fail           fails, then undecided\n"
+            "Fail           undecided, then fails\n"
+            "claims: 4 of 4 checks failed\n"
+        )
+
+    def test_build_and_ratio_prove_no_claims(self, capsys, tmp_path):
+        path = tmp_path / "false.flag"
+        path.write_text(claims_spec("false", 'check "false" 1 == 2;'))
+        assert run(capsys, "build", str(path), "--out", str(tmp_path / "f.svg"))[0] == 0
+        assert run(capsys, "ratio", str(path)) == (0, "2\n", "")
+
+    def test_diagonals_of_a_square_region_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = self.verify_claims(capsys, tmp_path, "check diagonals of all;")
+        assert (code, out) == (1, "")
+        assert err == (
+            "goldenflag: error: region 'all' is not in the tan(36) height/width proportion\n"
+        )
 
     def test_spec_file_with_custom_provenance(self, capsys, tmp_path):
         path = tmp_path / "plain.flag"

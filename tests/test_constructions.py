@@ -1,4 +1,4 @@
-"""Builtin layouts, layout invariants, and the per-flag identity suites."""
+"""Builtin layouts, layout invariants, and the claims their specs state."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from goldenflag.constructions import (
     _certified_distinct_sorted,
     build_flag,
     verify_angle_configuration,
-    verify_flag_identities,
+    verify_layout_identities,
 )
 from goldenflag.errors import LayoutError, UnknownFlag, WrongLayout
 from goldenflag.exactnum import (
@@ -36,13 +36,14 @@ from goldenflag.exactnum import (
     mul,
     sqrt_,
     sub,
-    truncated_str,
     verify_identity,
 )
 from goldenflag.exactnum.expr import eval_interval
 from goldenflag.exactnum.interval import StraddlesZero
 from goldenflag.flagspec import lower_source
 from goldenflag.geometry import Point, Rect
+
+from conftest import expansion_begins
 
 TINY = Fraction(1, 2**80)
 
@@ -70,6 +71,19 @@ flag "togo" {
 """
 
 
+# the chile-1818 regions, with the stars given
+TWO_STAR_INDEPENDENCE = """
+flag "stars" {{
+  canvas (1 + phi)/(sqrt(10 - 2*sqrt(5))/(1 + sqrt(5))) x 2;
+  let wb = 1/(sqrt(10 - 2*sqrt(5))/(1 + sqrt(5)));
+  region blue_field  blue  rect 0 0 wb 1;
+  region white_field white rect wb 0 phi*wb 1;
+  region red_band    red   rect 0 1 (1 + phi)*wb 1;
+  {stars}
+}}
+"""
+
+
 def region_size(region: Region):
     x0, x1, y0, y1 = region.bounds
     return sub(x1, x0), sub(y1, y0)
@@ -85,7 +99,7 @@ class TestIndependenceFlag:
         ratio = layout.width_height_ratio()
         closed = div(add(lit(2), SQRT5_EXPR), sqrt_(sub(lit(10), mul(lit(2), SQRT5_EXPR))))
         assert verify_identity(ratio, closed) is Verdict.PROVED_EQUAL
-        assert truncated_str(ratio, 3) == "1.801"
+        assert expansion_begins(ratio, "1.801")
 
     def test_white_band_is_phi_times_the_blue_one(self, layouts):
         layout = layouts["chile-1818"]
@@ -183,7 +197,7 @@ def nepal_formula() -> Expr:
 
 class TestNepalRatio:
     def test_leading_digits(self, layouts):
-        assert truncated_str(layouts["nepal-ratio"].width_height_ratio(), 3) == "0.820"
+        assert expansion_begins(layouts["nepal-ratio"].width_height_ratio(), "0.820")
 
     def test_ball_at_128_bits_rounds_to_the_quoted_digits(self, layouts):
         from goldenflag.exactnum import expr_eval, round_fraction_str
@@ -214,28 +228,31 @@ class TestDispatchAndReports:
         with pytest.raises(UnknownFlag):
             build_flag("chile-1819")
         with pytest.raises(UnknownFlag):
-            verify_flag_identities("nope")
+            build_flag("nope")
 
     def test_builtin_names_all_build(self, layouts):
         assert set(layouts) == set(BUILTIN_NAMES)
 
-    def test_independence_report_has_five_proved_identities(self):
-        report = verify_flag_identities("chile-1818")
-        assert len(report.checks) == 5
+    def test_independence_report_has_five_proved_identities(self, layouts):
+        # the five proportion identities, then the angle configuration
+        report = verify_layout_identities(layouts["chile-1818"])
+        angles = verify_angle_configuration(layouts["chile-1818"], "blue_field")
+        assert len(report.checks) == 5 + len(angles.checks)
+        assert report.checks[5:] == angles.checks
         assert all(c.status is CheckStatus.PROVED_EQUAL for c in report.checks)
 
-    def test_current_report(self):
-        report = verify_flag_identities("chile-current")
+    def test_current_report(self, layouts):
+        report = verify_layout_identities(layouts["chile-current"])
         assert len(report.checks) == 3
         assert report.all_ok
 
-    def test_togo_report(self):
-        report = verify_flag_identities("togo")
+    def test_togo_report(self, layouts):
+        report = verify_layout_identities(layouts["togo"])
         assert len(report.checks) == 1
         assert report.checks[0].status is CheckStatus.PROVED_EQUAL
 
-    def test_nepal_report(self):
-        report = verify_flag_identities("nepal-ratio")
+    def test_nepal_report(self, layouts):
+        report = verify_layout_identities(layouts["nepal-ratio"])
         assert len(report.checks) == 1
         assert report.checks[0].status is CheckStatus.PASS
 
@@ -246,17 +263,28 @@ class TestAngleConfiguration:
 
     @pytest.mark.parametrize("band_height", [1, Fraction(7, 3)], ids=["unit", "seven-thirds"])
     def test_all_checks_pass_at_either_scale(self, band_height, chile_1818_at):
-        report = verify_angle_configuration(chile_1818_at(band_height))
-        assert report.checks
+        report = verify_angle_configuration(chile_1818_at(band_height), "blue_field")
+        assert len(report.checks) == 8
         assert report.all_ok
 
+    @pytest.mark.parametrize("on_crossing", [True, False], ids=["one-on-crossing", "none-on-crossing"])
+    def test_star_line_asks_for_some_star_on_the_crossing(self, on_crossing):
+        stars = "star white at 1/2 3/2 diameter 1/5;"
+        if on_crossing:
+            stars += " star white at diagonal_intersection of blue_field diameter 1/phi;"
+        layout = lower_source(TWO_STAR_INDEPENDENCE.format(stars=stars))
+        star_line = verify_angle_configuration(layout, "blue_field").checks[-1]
+        assert star_line.name == "star centered on the diagonal crossing"
+        assert star_line.status is (CheckStatus.PROVED_EQUAL if on_crossing else CheckStatus.FAIL)
+
     def test_current_flag_is_the_wrong_layout(self, layouts):
-        with pytest.raises(WrongLayout):
-            verify_angle_configuration(layouts["chile-current"])
+        # a square canton: its diagonals cross at a right angle
+        with pytest.raises(WrongLayout, match="not in the tan\\(36\\) height/width proportion"):
+            verify_angle_configuration(layouts["chile-current"], "blue_canton")
 
     def test_layout_without_blue_region_is_rejected(self, layouts):
-        with pytest.raises(WrongLayout):
-            verify_angle_configuration(layouts["nepal-ratio"])
+        with pytest.raises(WrongLayout, match="layout has no region 'blue_field'"):
+            verify_angle_configuration(layouts["nepal-ratio"], "blue_field")
 
 
 class TestLayoutInvariants:

@@ -22,18 +22,16 @@ from goldenflag.exactnum import (
     div,
     expr_eval,
     gn_normalize,
-    gn_sign,
     gn_to_expr,
     lit,
     mul,
     neg,
     sqrt_,
     sub,
-    truncated_str,
 )
 from goldenflag.geometry import TAN36
 
-from conftest import decimal_oracle_tan36
+from conftest import decimal_oracle_tan36, expansion_begins
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -112,8 +110,8 @@ class TestExprEval:
         ball = expr_eval(expr, 64)
         # exact containment: value - lower >= 0 and upper - value >= 0,
         # decided inside the field with no floating point
-        assert gn_sign(GoldenNumber(a - ball.lower(), b)).is_nonnegative
-        assert gn_sign(GoldenNumber(ball.upper() - a, -b)).is_nonnegative
+        assert GoldenNumber(a - ball.lower(), b).sign().is_nonnegative
+        assert GoldenNumber(ball.upper() - a, -b).sign().is_nonnegative
 
     @given(rationals, rationals)
     @settings(max_examples=150)
@@ -121,7 +119,7 @@ class TestExprEval:
         g = GoldenNumber(a, b)
         ball_sign = expr_eval(gn_to_expr(g), 64).sign()
         if ball_sign is not None:
-            assert ball_sign is gn_sign(g)
+            assert ball_sign is g.sign()
 
 
 class TestCertifiedSign:
@@ -155,17 +153,14 @@ class TestDecimalPolicy:
 
     def test_rounding_versus_truncation_differ_for_tan36(self):
         # the expansion starts 0.72654...: rounded 3 significant digits
-        # carry up, truncation keeps the printed prefix
+        # carry up, while the expansion begins with the prefix 0.726
         assert decimal_str(TAN36, 3) == "0.727"
-        assert truncated_str(TAN36, 3) == "0.726"
+        assert expansion_begins(TAN36, "0.726")
+        assert not expansion_begins(TAN36, "0.727")
 
     def test_certified_output_stable_under_extra_precision(self):
         baseline = decimal_str(TAN36, 12)
         assert decimal_str(TAN36, 12, min_bits=2048) == baseline
-
-    def test_truncation_requires_nonnegative(self):
-        with pytest.raises(ValueError):
-            truncated_str(lit(-1), 3)
 
 
 class TestZeroBeyondTheTower:
@@ -182,14 +177,13 @@ class TestZeroBeyondTheTower:
 
     def test_it_renders_as_zero(self):
         assert decimal_str(self.ZERO, 12) == "0"
-        assert truncated_str(self.ZERO, 3) == "0.000"
+        assert expansion_begins(self.ZERO, "0.000")
 
     def test_tiny_values_beside_it_keep_their_sign(self):
         assert decimal_str(add(self.ZERO, lit(self.TINY)), 3) == decimal_str(lit(self.TINY), 3)
         assert decimal_str(sub(self.ZERO, lit(self.TINY)), 3) == decimal_str(lit(-self.TINY), 3)
-        assert truncated_str(add(self.ZERO, lit(self.TINY)), 3) == "0.000"
-        with pytest.raises(ValueError):
-            truncated_str(sub(self.ZERO, lit(self.TINY)), 3)
+        assert expansion_begins(add(self.ZERO, lit(self.TINY)), "0.000")
+        assert not expansion_begins(sub(self.ZERO, lit(self.TINY)), "0.000")
 
     def test_it_is_not_a_divisor(self):
         with pytest.raises(DivisionByZero):

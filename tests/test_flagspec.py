@@ -6,15 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from goldenflag.constructions import ColorRole
+from goldenflag.constructions import Claim, ColorRole, Diagonals, build_flag
 from goldenflag.errors import (
     CertificationError,
     LexError,
     ParseError,
     SemanticError,
 )
-from goldenflag.exactnum import PHI_EXPR, Literal, Verdict, compare_values, div, lit, mul
+from goldenflag.exactnum import PHI_EXPR, Literal, Verdict, compare_values, div, lit, mul, sub
 from goldenflag.flagspec import (
+    Attribute,
+    CheckDecl,
+    DiagonalsCheck,
     NumberLit,
     TokenKind,
     lower,
@@ -84,6 +87,13 @@ class TestTokenize:
         assert tokens[0].kind is TokenKind.NUMBER
         assert Fraction(tokens[0].lexeme) == Fraction(12, 5)
 
+    def test_relations_and_attribute_dots(self):
+        tokens = tokenize("0.5<=a.width<b==c=1")
+        assert [t.lexeme for t in tokens[:-1]] == [
+            "0.5", "<=", "a", ".", "width", "<", "b", "==", "c", "=", "1"
+        ]
+        assert [t.col for t in tokens[:-1]] == [1, 4, 6, 7, 8, 13, 14, 15, 17, 18, 19]
+
 
 class TestParse:
     def test_minimal_spec(self):
@@ -96,7 +106,8 @@ class TestParse:
         ast = parse_source(spec_sources["chile-1818"])
         assert len(ast.regions) == 3
         assert len(ast.stars) == 1
-        assert len(ast.lets) == 2
+        assert len(ast.lets) == 4
+        assert sum(isinstance(d, (CheckDecl, DiagonalsCheck)) for d in ast.items) == 6
 
     def test_missing_region_height_is_a_positioned_error(self):
         source = 'flag "x" { canvas 1 x 1; region a red rect 0 0 1 ; }'
@@ -114,6 +125,40 @@ class TestParse:
         with pytest.raises(ParseError) as excinfo:
             parse_source('flag "x" { canvas 1 x 1; circle red; }')
         assert "'let', 'region', 'star'" in excinfo.value.expected
+
+    def test_check_chain_with_a_shown_binding(self):
+        source = (
+            'flag "x" { canvas 2 x 1; let r = canvas.width/canvas.height; '
+            'region f red rect 0 0 2 1; check "between" 1 < r <= f.width == 2 show r; }'
+        )
+        check = parse_source(source).items[-1]
+        assert isinstance(check, CheckDecl)
+        assert check.name == "between"
+        assert check.relations == ("<", "<=", "==")
+        col = source.index("f.width") + 1
+        assert check.terms[2] == Attribute("f", "width", 1, col, 1, col + 2)
+        assert (check.detail, check.shown.name) == ("", "r")
+
+    def test_check_with_a_verbatim_detail_and_diagonals(self):
+        source = (
+            'flag "x" { canvas 2 x 1; region f red rect 0 0 2 1; '
+            'check "wide" 1 < 2 "two wins"; check diagonals of f; }'
+        )
+        wide, diagonals = parse_source(source).items[-2:]
+        assert wide.detail == "two wins" and wide.shown is None
+        assert diagonals == DiagonalsCheck("f", 1, source.index("of f") + 4)
+
+    def test_check_needs_a_relation(self):
+        source = 'flag "x" { canvas 1 x 1; check "lonely" 1; }'
+        with pytest.raises(ParseError) as excinfo:
+            parse_source(source)
+        assert "'=='" in excinfo.value.expected
+        assert (excinfo.value.line, excinfo.value.col) == (1, source.index("1; }") + 2)
+
+    def test_canvas_is_only_an_attribute_owner(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_expression("canvas + 1")
+        assert excinfo.value.col == 8
 
     def test_deep_nesting_yields_an_error_not_a_crash(self):
         depth = 5000
@@ -249,6 +294,76 @@ class TestLowerLayouts:
             lower_source(source)
 
 
+CLAIMS_PREFIX = 'flag "claims" { canvas 2 x 1; region all red rect 0 0 2 1; '
+
+
+def lowered_claims(body: str):
+    return lower_source(f"{CLAIMS_PREFIX}{body} }}").claims
+
+
+def semantic_error(body: str, at: str) -> SemanticError:
+    """The error lowering ``body`` raises, checked to point at the first
+    occurrence of ``at`` in it."""
+    with pytest.raises(SemanticError) as excinfo:
+        lowered_claims(body)
+    error = excinfo.value
+    assert (error.line, error.col) == (1, len(CLAIMS_PREFIX) + body.index(at) + 1)
+    return error
+
+
+class TestLowerChecks:
+    def test_attributes_are_the_verifier_nodes(self):
+        layout = lower_source(
+            'flag "sizes" { canvas 3 x 2*phi; region a red rect 0 0 1 2*phi; '
+            "region b blue rect 1 0 2 2*phi; check \"c\" a.height/b.width == canvas.width/canvas.height; }"
+        )
+        x0, x1, y0, y1 = layout.regions[0].bounds
+        (claim,) = layout.claims
+        lhs, rhs = claim.terms
+        assert lhs is div(sub(y1, y0), sub(layout.regions[1].bounds[1], layout.regions[1].bounds[0]))
+        assert rhs is layout.width_height_ratio()
+
+    def test_claims_keep_source_order(self):
+        claims = lowered_claims('check "b" 1 == 1; check diagonals of all; check "a" 1 < 2 "d";')
+        assert [type(c) for c in claims] == [Claim, Diagonals, Claim]
+        assert claims[2] == Claim("a", (lit(1), lit(2)), ("<",), "d")
+
+    def test_shown_binding_is_its_let_value(self):
+        (claim,) = lowered_claims('let r = all.width; check "r" r == 2 show r;')
+        assert claim.shown == ("r", lit(2))
+
+    def test_unbound_region_in_a_check_is_positioned(self):
+        error = semantic_error('check "c" nowhere.width == 1;', at="nowhere")
+        assert "'nowhere' is not a previously declared region" in error.message
+
+    def test_unknown_attribute_is_positioned(self):
+        error = semantic_error('check "c" all.depth == 1;', at="depth")
+        assert "unknown attribute 'depth'" in error.message
+
+    def test_check_before_its_region_is_positioned(self):
+        source = """flag "early" {
+  canvas 2 x 1;
+  check "too soon" late.height == 1;
+  region late red rect 0 0 2 1;
+}"""
+        with pytest.raises(SemanticError) as excinfo:
+            lower_source(source)
+        assert (excinfo.value.line, excinfo.value.col) == (3, 20)
+
+    def test_diagonals_of_an_unknown_region_is_positioned(self):
+        error = semantic_error("check diagonals of ghost;", at="ghost")
+        assert "'ghost' is not a previously declared region" in error.message
+
+    def test_shown_name_must_be_bound(self):
+        error = semantic_error('check "c" 1 == 1 show nothing;', at="nothing")
+        assert "unbound name 'nothing'" in error.message
+
+    def test_canvas_size_is_unknown_inside_its_declaration(self):
+        with pytest.raises(SemanticError) as excinfo:
+            lower_source('flag "x" { canvas 2 x canvas.width; region r red rect 0 0 2 2; }')
+        assert excinfo.value.col == 23
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["chile-1818", "chile-current", "togo", "nepal-ratio"])
     def test_shipped_files_match_builtins_coordinatewise(self, name, layouts, spec_sources):
@@ -261,5 +376,6 @@ class TestRoundTrip:
 
         lowered = lower_source(spec_sources["chile-1818"])
         report = verify_layout_identities(lowered)
-        assert len(report.checks) == 5
+        assert report == verify_layout_identities(build_flag("chile-1818"))
+        assert len(report.checks) == 13
         assert report.all_ok
