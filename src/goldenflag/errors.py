@@ -19,8 +19,10 @@ class DivisionByZero(ExactNumberError):
 
 
 class NotInField(ExactNumberError):
-    """Expression provably leaves the a+b*sqrt(5) field under the
-    syntactic normalization criterion."""
+    """An expression's value has no exact normal form in the algebra
+    asked for: it keeps a radical part outside the a+b*sqrt(5) field, or
+    needs a square root that neither exists in the one-radicand tower
+    nor can be its radicand."""
 
 
 class PrecisionExhausted(ExactNumberError):

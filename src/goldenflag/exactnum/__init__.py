@@ -1,6 +1,7 @@
-"""Exact scalar arithmetic: rationals, the a+b*sqrt(5) field, certified
-constructible-number expressions, rigorous ball evaluation, and an
-identity verifier."""
+"""Exact scalar arithmetic: rationals, one quadratic-extension algebra
+(:class:`Quadratic`) that is both the a+b*sqrt(5) field :data:`GOLDEN`
+and the one-radicand tower over it, certified constructible-number
+expressions, rigorous ball evaluation, and an identity verifier."""
 
 from .decimalfmt import decimal_str, round_fraction_str
 from .expr import (
@@ -28,14 +29,7 @@ from .expr import (
     sqrt_,
     sub,
 )
-from .golden import (
-    GN_ONE,
-    GN_ZERO,
-    PHI,
-    GoldenNumber,
-    Sign,
-    gn_sqrt,
-)
+from .golden import GOLDEN, PHI, Quadratic, Sign
 from .identity import Verdict, compare_values, square_of, verify_identity
 from .rational import Rational, as_rational, is_perfect_square
 
@@ -44,14 +38,13 @@ __all__ = [
     "Ball",
     "Div",
     "Expr",
-    "GN_ONE",
-    "GN_ZERO",
-    "GoldenNumber",
+    "GOLDEN",
     "Literal",
     "Mul",
     "Neg",
     "PHI",
     "PHI_EXPR",
+    "Quadratic",
     "Rational",
     "SQRT5_EXPR",
     "Sign",
@@ -67,7 +60,6 @@ __all__ = [
     "exact_rational",
     "expr_eval",
     "gn_normalize",
-    "gn_sqrt",
     "gn_to_expr",
     "is_perfect_square",
     "lit",

@@ -5,11 +5,13 @@ The printed string is certified: the whole enclosing ball rounds to the
 same digits, so the exact value is within half an ulp of the output.
 Exact rationals short-circuit through integer arithmetic (which also
 resolves ties exactly); provably irrational values can never tie, so
-interval refinement terminates.  A value outside the exact tower whose
-enclosure contains zero is decided once by :func:`certified_sign`; an
-exact zero prints as ``0``.  Quoting the leading digits of an expansion
-is a different operation, a pair of certified comparisons (a spec's
-``check ... 0.820 <= ratio < 0.821``).
+interval refinement terminates.  For a value outside the exact tower,
+:func:`certified_sign` decides once whether it is zero, when an
+enclosure contains zero, and once whether it is the tie between two
+adjacent outputs, when an enclosure's ends round to them; an exact zero
+prints as ``0`` and an exact tie rounds half-even.  Quoting the leading
+digits of an expansion is a different operation, a pair of certified
+comparisons (a spec's ``check ... 0.820 <= ratio < 0.821``).
 
 This is a pure integer/rational computation: output bytes are identical
 across platforms and runs.
@@ -22,7 +24,7 @@ from typing import Iterator
 
 from ..errors import PrecisionExhausted
 from . import interval as iv
-from .expr import Expr, certified_sign, eval_interval, exact_rational
+from .expr import Expr, certified_sign, eval_interval, exact_rational, lit, sub
 from .golden import Sign
 
 _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
@@ -110,28 +112,61 @@ def _refinement_schedule(digits: int, min_bits: int):
         w *= 2
 
 
-def _enclosures(x: Expr, digits: int, min_bits: int) -> Iterator[tuple[Fraction, Fraction]]:
-    """Enclosures of ``x`` on the refinement schedule.  The first one
-    that contains zero asks :func:`certified_sign` once; a proved zero
-    then yields the exact enclosure ``[0, 0]`` and ends the schedule, so
-    values whose enclosures exclude zero pay nothing for it."""
-    asked = False
+def _tie(ends: tuple[_Rounded, _Rounded], digits: int) -> Fraction | None:
+    """The one rounding tie in an enclosure that excludes zero, when the
+    roundings ``ends`` of its ends are adjacent outputs; else None.
+    Rounding is to the nearest output, so the tie is the midpoint of
+    the two."""
+    negative = ends[0][0]
+    near, far = ends[::-1] if negative else ends  # nearer to zero first
+    _, q, d = near
+    ulp = Fraction(10) ** (d - digits)
+    if round_significant((q + 1) * ulp, digits)[1:] != far[1:]:
+        return None
+    tie = (q + Fraction(1, 2)) * ulp
+    return -tie if negative else tie
+
+
+def _equals(x: Expr, point: Fraction) -> bool:
+    """Whether ``x == point`` is proved."""
+    try:
+        return certified_sign(sub(x, lit(point))) is Sign.ZERO
+    except PrecisionExhausted:  # the schedule may still separate them
+        return False
+
+
+def _roundings(x: Expr, digits: int, min_bits: int) -> Iterator[tuple[_Rounded, _Rounded]]:
+    """The roundings of both ends of each enclosure of ``x`` on the
+    refinement schedule.
+
+    Two points are asked about once each, by :func:`certified_sign`: zero,
+    at the first enclosure that contains it, and the tie between two
+    adjacent outputs, at the first enclosure whose ends round to them.
+    A proved equality yields the exact rounding of that point and ends
+    the schedule, so values whose enclosures settle the rounding pay
+    nothing for it.
+    """
+    asked_zero = asked_tie = False
     for w in _refinement_schedule(digits, min_bits):
         try:
             lo_hi = eval_interval(x, w)
         except iv.StraddlesZero:
             continue
         lo, hi = iv.to_fractions(lo_hi, w)
-        if lo <= 0 <= hi and not asked:
-            asked = True
-            try:
-                zero = certified_sign(x) is Sign.ZERO
-            except PrecisionExhausted:  # the schedule may still separate it
-                zero = False
-            if zero:
-                yield Fraction(0), Fraction(0)
-                return
-        yield lo, hi
+        ends = round_significant(lo, digits), round_significant(hi, digits)
+        point = None
+        if lo <= 0 <= hi:
+            if not asked_zero:
+                asked_zero = True
+                point = Fraction(0)
+        elif ends[0] != ends[1] and not asked_tie:
+            point = _tie(ends, digits)
+            asked_tie = point is not None
+        if point is not None and _equals(x, point):
+            exact = round_significant(point, digits)
+            yield exact, exact
+            return
+        yield ends
 
 
 def decimal_str(x: Expr, digits: int, min_bits: int = 0) -> str:
@@ -147,9 +182,7 @@ def decimal_str(x: Expr, digits: int, min_bits: int = 0) -> str:
     exact = exact_rational(x)
     if exact is not None:
         return round_fraction_str(exact, digits)
-    for lo, hi in _enclosures(x, digits, min_bits):
-        r_lo = round_significant(lo, digits)
-        r_hi = round_significant(hi, digits)
+    for r_lo, r_hi in _roundings(x, digits, min_bits):
         if r_lo == r_hi:
             return format_rounded(r_lo, digits)
     raise PrecisionExhausted("interval never certified a rounding")

@@ -41,7 +41,7 @@ from ..errors import (
     PrecisionExhausted,
 )
 from . import interval as iv
-from .golden import GN_ONE, GN_ZERO, GoldenNumber, Sign, gn_sqrt
+from .golden import GOLDEN, Quadratic, Sign
 from .rational import Rational, as_rational, is_perfect_square
 
 SIGN_REFINE_START = 64
@@ -196,9 +196,10 @@ def _coerce(value: ExprLike) -> Expr:
     return Literal(as_rational(value))
 
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 # interned, so any literal 0 or 1 is one of these objects
-_ZERO_LIT = Literal(Fraction(0))
+_ZERO_LIT = Literal(_ZERO)
 _ONE_LIT = Literal(_ONE)
 
 
@@ -288,123 +289,70 @@ def sqrt_(x: ExprLike) -> Expr:
 # ---------------------------------------------------------------------------
 # exact normalization into one quadratic tower
 #
-# Values of the form u + v*sqrt(r) with u, v in the a+b*sqrt(5) field
-# and one shared radicand r (positive, not a perfect square in the
-# field).  This is the exact engine behind field normalization, sign
-# certification and identity proofs for single-nesting radicals: all the
-# pentagon quantities live in one such extension, because
+# Values u + v*sqrt(r) with u, v in GOLDEN and one shared radicand r
+# (positive, not a square in GOLDEN).  This is the exact engine behind
+# field normalization, sign certification and identity proofs for
+# single-nesting radicals, and for nested ones that denest into them:
+# all the pentagon quantities live in one such extension, because
 # sqrt(10-2*sqrt(5)) * sqrt(10+2*sqrt(5)) = 4*sqrt(5).
 
 
-@dataclass
-class _TowerValue:
-    u: GoldenNumber
-    v: GoldenNumber = GN_ZERO
-
-
-class _Tower:
-    """The algebra of one normalization: it fixes the radicand at the
-    first square root that needs one, and raises :class:`NotInField`
-    for a value outside the tower."""
+class _Tower(Quadratic):
+    """The algebra of one normalization: a :class:`Quadratic` over
+    GOLDEN whose radicand is fixed at the first square root that needs
+    one.  A value outside it raises :class:`NotInField`."""
 
     def __init__(self) -> None:
-        self.radicand: GoldenNumber | None = None
+        super().__init__(GOLDEN, None)
         self.ops = {
             Add: self.add,
             Sub: self.sub,
             Mul: self.mul,
             Div: self.div,
             Neg: self.neg,
-            Sqrt: self.sqrt,
+            Sqrt: self.root,
         }
 
     @staticmethod
-    def leaf(node: Literal) -> _TowerValue:
-        return _TowerValue(GoldenNumber.from_rational(node.value))
+    def leaf(node: Literal) -> tuple:
+        return (node.value, _ZERO), GOLDEN.zero
 
-    def add(self, x: _TowerValue, y: _TowerValue) -> _TowerValue:
-        return _TowerValue(x.u + y.u, x.v + y.v)
-
-    def sub(self, x: _TowerValue, y: _TowerValue) -> _TowerValue:
-        return _TowerValue(x.u - y.u, x.v - y.v)
-
-    def neg(self, x: _TowerValue) -> _TowerValue:
-        return _TowerValue(-x.u, -x.v)
-
-    def mul(self, x: _TowerValue, y: _TowerValue) -> _TowerValue:
-        uv = x.u * y.u
-        if not (x.v.is_zero or y.v.is_zero):
-            assert self.radicand is not None
-            uv = uv + x.v * y.v * self.radicand
-        return _TowerValue(uv, x.u * y.v + x.v * y.u)
-
-    def div(self, x: _TowerValue, y: _TowerValue) -> _TowerValue:
-        if y.v.is_zero:
-            if y.u.is_zero:
-                raise DivisionByZero("tower division by zero")
-            inv = y.u.inverse()
-            return _TowerValue(x.u * inv, x.v * inv)
-        assert self.radicand is not None
-        norm = y.u * y.u - y.v * y.v * self.radicand
-        if norm.is_zero:
-            # u^2 = v^2 r would make r a field square; impossible here.
-            raise DivisionByZero("tower division by zero")
-        inv = norm.inverse()
-        conj = _TowerValue(y.u * inv, -(y.v * inv))
-        return self.mul(x, conj)
-
-    def sqrt(self, x: _TowerValue) -> _TowerValue:
-        if not x.v.is_zero:
-            raise NotInField("square root nested deeper than one radical level")
-        g = x.u
-        sign = g.sign()
-        if sign is Sign.NEGATIVE:
-            raise NotInField("square root of a negative value")
-        if sign is Sign.ZERO:
-            return _TowerValue(GN_ZERO)
-        root = gn_sqrt(g)
+    def root(self, x: tuple) -> tuple:
+        """The square root of ``x`` in the tower (see
+        :meth:`Quadratic.sqrt`: a root of the base, ``sqrt(g/r)*sqrt(r)``
+        when ``g*r`` is a square, or a denested root), or, while there
+        is no radicand yet, ``sqrt(g)`` with ``g`` adjoined as it."""
+        if self.radicand is not None:
+            root = self.sqrt(x)
+            if root is not None:
+                return root
+            raise NotInField("square root outside the tower")
+        g = x[0]  # every value lies in GOLDEN until a radicand is adjoined
+        root = GOLDEN.sqrt(g)
         if root is not None:
-            return _TowerValue(root)
-        if self.radicand is None:
-            self.radicand = g
-            return _TowerValue(GN_ZERO, GN_ONE)
-        if g == self.radicand:
-            return _TowerValue(GN_ZERO, GN_ONE)
-        # sqrt(g) = s/r * sqrt(r)  when  g*r = s^2 in the field.
-        s = gn_sqrt(g * self.radicand)
-        if s is None:
-            raise NotInField("square roots of two independent radicands")
-        return _TowerValue(GN_ZERO, s / self.radicand)
-
-    def sign(self, x: _TowerValue) -> Sign:
-        if x.v.is_zero:
-            return x.u.sign()
-        if x.u.is_zero:
-            return x.v.sign()
-        su, sv = x.u.sign(), x.v.sign()
-        if su is sv:
-            return su
-        assert self.radicand is not None
-        gap = x.u * x.u - x.v * x.v * self.radicand
-        return su if gap.sign() is Sign.POSITIVE else sv
+            return root, GOLDEN.zero
+        if GOLDEN.sign(g) is not Sign.POSITIVE:
+            raise NotInField("square root of a negative value")
+        self.radicand = g
+        return GOLDEN.zero, GOLDEN.one
 
 
-def _tower_normalize(x: Expr) -> tuple[_Tower, _TowerValue]:
+def _tower_normalize(x: Expr) -> tuple[_Tower, tuple]:
     """Exact normal form in one quadratic extension, or NotInField."""
     tower = _Tower()
     return tower, fold(x, tower.leaf, tower.ops)
 
 
-def gn_normalize(x: Expr) -> GoldenNumber:
-    """Exact value of ``x`` in the a+b*sqrt(5) field.
+def gn_normalize(x: Expr) -> tuple[Fraction, Fraction]:
+    """Exact value ``(a, b)``, meaning ``a + b*sqrt(5)``, of ``x`` in GOLDEN.
 
     Raises :class:`NotInField` when the exact normal form of ``x`` keeps
     a radical part (e.g. ``sqrt(10 - 2*sqrt(5))``) or cannot be formed.
     """
-    _, value = _tower_normalize(x)
-    if not value.v.is_zero:
+    _, (u, v) = _tower_normalize(x)
+    if not GOLDEN.is_zero(v):
         raise NotInField("the value has a radical part outside the field")
-    return value.u
+    return u
 
 
 def exact_sign(x: Expr) -> Sign | None:
@@ -420,11 +368,11 @@ def exact_sign(x: Expr) -> Sign | None:
 def exact_rational(x: Expr) -> Fraction | None:
     """Exact rational value when normalization proves one, else None."""
     try:
-        _, value = _tower_normalize(x)
+        _, ((a, b), v) = _tower_normalize(x)
     except (NotInField, DivisionByZero):
         return None
-    if value.v.is_zero and value.u.is_rational:
-        return value.u.a
+    if not b and GOLDEN.is_zero(v):
+        return a
     return None
 
 
@@ -660,6 +608,7 @@ SQRT5_EXPR = Sqrt(Literal(Fraction(5)))
 PHI_EXPR = Div(Add(Literal(Fraction(1)), SQRT5_EXPR), Literal(Fraction(2)))
 
 
-def gn_to_expr(g: GoldenNumber) -> Expr:
-    """Expression form of an exact field element."""
-    return add(lit(g.a), mul(lit(g.b), SQRT5_EXPR))
+def gn_to_expr(g: tuple[Rational, Rational]) -> Expr:
+    """Expression form of an exact GOLDEN element ``(a, b)``."""
+    a, b = g
+    return add(lit(a), mul(lit(b), SQRT5_EXPR))

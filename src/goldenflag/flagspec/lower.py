@@ -124,6 +124,8 @@ def _declared_rect(rects: dict[str, Rect], name: str, line: int, col: int) -> Re
 def lower(ast: SpecAst) -> FlagLayout:
     """Resolve bindings, certify every dimension, and assemble the
     exact layout (which re-validates tiling and star containment)."""
+    if not ast.regions:
+        raise SemanticError(ast.line, ast.col, f"flag {ast.name!r} declares no region")
     env: dict[str, Expr] = {}
     rects: dict[str, Rect] = {}
     boxes: Boxes = {}

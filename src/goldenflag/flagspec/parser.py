@@ -170,6 +170,8 @@ class SpecAst:
     canvas_width: ExprAst
     canvas_height: ExprAst
     items: tuple[Decl, ...]
+    line: int
+    col: int
 
     @property
     def lets(self) -> tuple[LetDecl, ...]:
@@ -241,7 +243,7 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse_spec(self) -> SpecAst:
-        self.expect_keyword("flag")
+        start = self.expect_keyword("flag")
         name_token = self.expect_kind(TokenKind.STRING, "flag name string")
         self.expect_symbol("{")
         self.expect_keyword("canvas")
@@ -267,7 +269,7 @@ class _Parser:
         self.expect_symbol("}")
         if self.current.kind is not TokenKind.EOF:
             raise self.error("end of input after '}'")
-        return SpecAst(name_token.lexeme, canvas_width, canvas_height, tuple(items))
+        return SpecAst(name_token.lexeme, canvas_width, canvas_height, tuple(items), start.line, start.col)
 
     def parse_let(self) -> LetDecl:
         start = self.expect_keyword("let")

@@ -175,6 +175,12 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err == "goldenflag: error: in eval expression: divisor is certified zero\n"
 
+    @pytest.mark.parametrize("tie,digits,expected", [("1/8", "2", "0.12"), ("5/2", "1", "2")])
+    def test_an_exact_tie_beyond_the_tower_rounds_half_even(self, capsys, tie, digits, expected):
+        expr = f"sqrt(2)*sqrt(3) - sqrt(6) + {tie}"
+        code, out, err = run(capsys, "eval", expr, "--digits", digits)
+        assert (code, out, err) == (0, expected + "\n", "")
+
 
 class TestVerify:
     def test_current_flag_three_passing_checks(self, capsys):
@@ -194,6 +200,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "golden mean" in out
+
+    @pytest.mark.parametrize("command", [["verify"], ["build", "--out", "empty.svg"]])
+    def test_a_spec_without_regions_is_one_error_line(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.flag").write_text('flag "empty" { canvas 2 x 1; }\n')
+        code, out, err = run(capsys, command[0], "empty.flag", *command[1:])
+        assert (code, out) == (1, "")
+        assert err == "goldenflag: error: 1:1: flag 'empty' declares no region\n"
+        assert not (tmp_path / "empty.svg").exists()
 
     @pytest.mark.parametrize("name", ["chile-current", "togo", "chile-1818"])
     def test_a_builtin_name_selects_no_claims(self, name, capsys, tmp_path):

@@ -12,7 +12,7 @@ from goldenflag.errors import CertificationError, DivisionByZero, NotInField
 from goldenflag.exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
-    GoldenNumber,
+    GOLDEN,
     Literal,
     Sign,
     Sqrt,
@@ -26,9 +26,11 @@ from goldenflag.exactnum import (
     lit,
     mul,
     neg,
+    round_fraction_str,
     sqrt_,
     sub,
 )
+from goldenflag.exactnum.expr import exact_sign
 from goldenflag.geometry import TAN36
 
 from conftest import decimal_oracle_tan36, expansion_begins
@@ -104,22 +106,22 @@ class TestExprEval:
     @given(rationals, rationals)
     @settings(max_examples=150)
     def test_ball_contains_the_exact_field_value(self, a, b):
-        g = GoldenNumber(a, b)
+        g = (a, b)
         expr = gn_to_expr(g)
         assert gn_normalize(expr) == g
         ball = expr_eval(expr, 64)
         # exact containment: value - lower >= 0 and upper - value >= 0,
         # decided inside the field with no floating point
-        assert GoldenNumber(a - ball.lower(), b).sign().is_nonnegative
-        assert GoldenNumber(ball.upper() - a, -b).sign().is_nonnegative
+        assert GOLDEN.sign((a - ball.lower(), b)).is_nonnegative
+        assert GOLDEN.sign((ball.upper() - a, -b)).is_nonnegative
 
     @given(rationals, rationals)
     @settings(max_examples=150)
     def test_interval_sign_agrees_with_exact_sign(self, a, b):
-        g = GoldenNumber(a, b)
+        g = (a, b)
         ball_sign = expr_eval(gn_to_expr(g), 64).sign()
         if ball_sign is not None:
-            assert ball_sign is g.sign()
+            assert ball_sign is GOLDEN.sign(g)
 
 
 class TestCertifiedSign:
@@ -185,6 +187,16 @@ class TestZeroBeyondTheTower:
         assert expansion_begins(add(self.ZERO, lit(self.TINY)), "0.000")
         assert not expansion_begins(sub(self.ZERO, lit(self.TINY)), "0.000")
 
+    @pytest.mark.parametrize(
+        "tie,digits,expected",
+        [(Fraction(1, 8), 2, "0.12"), (Fraction(-5, 2), 1, "-2"), (Fraction(35, 2), 2, "18"), (Fraction(995, 1000), 2, "1")],
+    )
+    def test_exact_ties_beside_it_round_half_even(self, tie, digits, expected):
+        assert decimal_str(add(self.ZERO, lit(tie)), digits) == expected
+        # a value beside the tie is rounded by its enclosures
+        beside = round_fraction_str(tie + self.TINY, digits)
+        assert decimal_str(add(self.ZERO, lit(tie + self.TINY)), digits) == beside
+
     def test_it_is_not_a_divisor(self):
         with pytest.raises(DivisionByZero):
             div(lit(1), self.ZERO)
@@ -192,10 +204,10 @@ class TestZeroBeyondTheTower:
 
 class TestNormalize:
     def test_phi_expression(self):
-        assert gn_normalize(PHI_EXPR) == GoldenNumber(Fraction(1, 2), Fraction(1, 2))
+        assert gn_normalize(PHI_EXPR) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_sqrt_twenty_is_two_root_five(self):
-        assert gn_normalize(Sqrt(Literal(Fraction(20)))) == GoldenNumber(0, 2)
+        assert gn_normalize(Sqrt(Literal(Fraction(20)))) == (0, 2)
 
     def test_nested_radical_is_out_of_field(self):
         with pytest.raises(NotInField):
@@ -203,9 +215,16 @@ class TestNormalize:
 
     def test_division_folds_through_conjugation(self):
         expr = div(lit(1), add(lit(2), SQRT5_EXPR))
-        assert gn_normalize(expr) == GoldenNumber(-2, 1)
+        assert gn_normalize(expr) == (-2, 1)
 
     def test_square_roots_of_field_squares(self):
         # sqrt(6 + 2 sqrt5) = 1 + sqrt5, and sqrt(2)**2 = 2
-        assert gn_normalize(sqrt_(add(lit(6), mul(lit(2), SQRT5_EXPR)))) == GoldenNumber(1, 1)
-        assert gn_normalize(mul(sqrt_(lit(2)), sqrt_(lit(2)))) == GoldenNumber(2, 0)
+        assert gn_normalize(sqrt_(add(lit(6), mul(lit(2), SQRT5_EXPR)))) == (1, 1)
+        assert gn_normalize(mul(sqrt_(lit(2)), sqrt_(lit(2)))) == (2, 0)
+
+    def test_a_nested_radical_denests_in_the_tower(self):
+        # sqrt(11 - 2*sqrt5 + 2*sqrt(10 - 2*sqrt5)) = 1 + sqrt(10 - 2*sqrt5)
+        root = sqrt_(sub(lit(10), mul(lit(2), SQRT5_EXPR)))
+        nested = sqrt_(add(sub(lit(11), mul(lit(2), SQRT5_EXPR)), mul(lit(2), root)))
+        assert exact_sign(sub(nested, add(lit(1), root))) is Sign.ZERO
+        assert gn_normalize(sub(nested, root)) == (1, 0)

@@ -293,6 +293,13 @@ class TestLowerLayouts:
         with pytest.raises(LayoutError, match="region extends outside the canvas"):
             lower_source(source)
 
+    def test_a_spec_without_regions_is_positioned(self):
+        with pytest.raises(SemanticError) as excinfo:
+            lower_source('\n  flag "empty" { canvas 2 x 1; let w = 1; }')
+        error = excinfo.value
+        assert (error.line, error.col) == (2, 3)
+        assert error.message == "flag 'empty' declares no region"
+
 
 CLAIMS_PREFIX = 'flag "claims" { canvas 2 x 1; region all red rect 0 0 2 1; '
 
