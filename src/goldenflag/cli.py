@@ -26,7 +26,7 @@ from .constructions import (
 )
 from .errors import GoldenFlagError, PrecisionExhausted
 from .exactnum import as_rational, decimal_str
-from .exactnum.decimalfmt import MAX_DIGITS
+from .exactnum.decimalfmt import MAX_PRECISION_BITS
 from .flagspec import lower_expr, lower_source, parse_expression
 from .render import RenderOptions, json_emit, svg_emit
 
@@ -59,10 +59,6 @@ def _int_in_range(minimum: int, maximum: int | None = None):
         return value
 
     return parse
-
-
-# the starting precision that decimal_str already uses for MAX_DIGITS digits
-MAX_PRECISION_BITS = 4 * MAX_DIGITS + 32
 
 
 @cache

@@ -1,12 +1,12 @@
 """Exact scalar arithmetic: rationals, one quadratic-extension algebra
 (:class:`Quadratic`) that is both the a+b*sqrt(5) field :data:`GOLDEN`
 and the one-radicand tower over it, certified constructible-number
-expressions, rigorous ball evaluation, and an identity verifier."""
+expressions with fixed-point interval enclosures, and an identity
+verifier."""
 
 from .decimalfmt import decimal_str, round_fraction_str
 from .expr import (
     Add,
-    Ball,
     Div,
     Expr,
     Literal,
@@ -20,7 +20,6 @@ from .expr import (
     certified_sign,
     div,
     exact_rational,
-    expr_eval,
     gn_normalize,
     gn_to_expr,
     lit,
@@ -35,7 +34,6 @@ from .rational import Rational, as_rational, is_perfect_square
 
 __all__ = [
     "Add",
-    "Ball",
     "Div",
     "Expr",
     "GOLDEN",
@@ -58,7 +56,6 @@ __all__ = [
     "decimal_str",
     "div",
     "exact_rational",
-    "expr_eval",
     "gn_normalize",
     "gn_to_expr",
     "is_perfect_square",

@@ -1,11 +1,11 @@
 """Certified decimal rendering of exact values.
 
 :func:`decimal_str` rounds half-even to a number of significant digits.
-The printed string is certified: the whole enclosing ball rounds to the
-same digits, so the exact value is within half an ulp of the output.
-Exact rationals short-circuit through integer arithmetic (which also
-resolves ties exactly); provably irrational values can never tie, so
-interval refinement terminates.  For a value outside the exact tower,
+The printed string is certified: both ends of an interval enclosure
+round to the same digits, so the exact value is within half an ulp of
+the output.  Exact rationals short-circuit through integer arithmetic
+(which also resolves ties exactly); provably irrational values can
+never tie, so interval refinement terminates.  For a value outside the exact tower,
 :func:`certified_sign` decides once whether it is zero, when an
 enclosure contains zero, and once whether it is the tie between two
 adjacent outputs, when an enclosure's ends round to them; an exact zero
@@ -24,7 +24,8 @@ from typing import Iterator
 
 from ..errors import PrecisionExhausted
 from . import interval as iv
-from .expr import Expr, certified_sign, eval_interval, exact_rational, lit, sub
+from .expr import Expr, certified_sign, enclosures, exact_rational, lit, sub
+from .expr import eval_interval  # noqa: F401  (bound here by the layer tracer in bench/)
 from .golden import Sign
 
 _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
@@ -33,6 +34,14 @@ _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
 # (sys.int_info.default_max_str_digits), fixed here so that every
 # interpreter accepts and rejects the same requests.
 MAX_DIGITS = 4300
+
+
+def _start_bits(digits: int) -> int:
+    """The working precision a rounding to ``digits`` digits starts at."""
+    return 4 * digits + 32
+
+
+MAX_PRECISION_BITS = _start_bits(MAX_DIGITS)  # the largest start of a rounding
 
 
 def _decimal_magnitude(value: Fraction) -> int:
@@ -104,14 +113,6 @@ def round_fraction_str(value: Fraction, digits: int) -> str:
     return format_rounded(round_significant(value, digits), digits)
 
 
-def _refinement_schedule(digits: int, min_bits: int):
-    w = max(64, min_bits, 4 * digits + 32)
-    cap = max(4096, 64 * (4 * digits + 32), 4 * min_bits if min_bits else 0)
-    while w <= cap:
-        yield w
-        w *= 2
-
-
 def _tie(ends: tuple[_Rounded, _Rounded], digits: int) -> Fraction | None:
     """The one rounding tie in an enclosure that excludes zero, when the
     roundings ``ends`` of its ends are adjacent outputs; else None.
@@ -136,8 +137,8 @@ def _equals(x: Expr, point: Fraction) -> bool:
 
 
 def _roundings(x: Expr, digits: int, min_bits: int) -> Iterator[tuple[_Rounded, _Rounded]]:
-    """The roundings of both ends of each enclosure of ``x`` on the
-    refinement schedule.
+    """The roundings of both ends of each enclosure of ``x``, refined
+    from the largest of 64 bits, ``min_bits`` and :func:`_start_bits`.
 
     Two points are asked about once each, by :func:`certified_sign`: zero,
     at the first enclosure that contains it, and the tie between two
@@ -147,12 +148,10 @@ def _roundings(x: Expr, digits: int, min_bits: int) -> Iterator[tuple[_Rounded, 
     nothing for it.
     """
     asked_zero = asked_tie = False
-    for w in _refinement_schedule(digits, min_bits):
-        try:
-            lo_hi = eval_interval(x, w)
-        except iv.StraddlesZero:
-            continue
-        lo, hi = iv.to_fractions(lo_hi, w)
+    start = _start_bits(digits)
+    cap = max(4096, 64 * start, 4 * min_bits)
+    for w, lo, hi in enclosures(x, max(64, min_bits, start), cap):
+        lo, hi = iv.to_fractions((lo, hi), w)
         ends = round_significant(lo, digits), round_significant(hi, digits)
         point = None
         if lo <= 0 <= hi:

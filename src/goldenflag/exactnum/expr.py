@@ -21,8 +21,10 @@ field), and then interval refinement with a deterministic doubling
 schedule from 128 bits up to a cap of 4096 bits, stopped by a
 separation bound: an enclosure narrower than the bound proves zero.
 
-Evaluation returns a :class:`Ball` (center +/- radius, both dyadic
-rationals) that rigorously contains the exact value.
+Evaluation is deterministic integer fixed-point interval arithmetic:
+:func:`eval_interval` encloses the exact value at one working precision,
+and :func:`enclosures` is the one refinement loop, which both the sign
+procedure and decimal rendering iterate.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt
-from typing import Callable, Mapping, TypeVar, Union
+from typing import Callable, Iterator, Mapping, TypeVar, Union
 
 from ..errors import (
     CertificationError,
@@ -377,7 +379,7 @@ def exact_rational(x: Expr) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# interval evaluation and balls
+# interval evaluation and refinement
 
 
 def eval_interval(x: Expr, working_bits: int) -> iv.IntPair:
@@ -406,89 +408,22 @@ def _interval_algebra(w: int) -> tuple[Callable, dict[type, Callable]]:
     }
 
 
-@dataclass(frozen=True)
-class Ball:
-    """A rigorous enclosure ``[center - radius, center + radius]``.
+def enclosures(x: Expr, start: int, cap: int) -> Iterator[tuple[int, int, int]]:
+    """The refinement of ``x``: ``(w, lo, hi)`` with ``lo * 2**-w <= x <=
+    hi * 2**-w`` for ``w = start, 2*start, ...`` up to ``cap`` (``start > 0``).
 
-    Both fields are dyadic rationals (arbitrary-precision binary
-    floats); the exact value of the evaluated expression is guaranteed
-    to lie inside.
+    A precision at which a divisor interval straddles zero is skipped.
+    The schedule is deterministic, and so are the enclosures.
     """
-
-    center: Fraction
-    radius: Fraction
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("negative radius")
-
-    def lower(self) -> Fraction:
-        return self.center - self.radius
-
-    def upper(self) -> Fraction:
-        return self.center + self.radius
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lower() <= value <= self.upper()
-
-    def sign(self) -> Sign | None:
-        """Sign when the ball excludes zero, else None."""
-        if self.lower() > 0:
-            return Sign.POSITIVE
-        if self.upper() < 0:
-            return Sign.NEGATIVE
-        if self.radius == 0 and self.center == 0:
-            return Sign.ZERO
-        return None
-
-
-def _ball_from_pair(pair: iv.IntPair, working_bits: int) -> Ball:
-    lo, hi = iv.to_fractions(pair, working_bits)
-    return Ball((lo + hi) / 2, (hi - lo) / 2)
-
-
-def expr_eval(x: Expr, precision_bits: int) -> Ball:
-    """Evaluate with a certified relative error bound.
-
-    The returned ball satisfies
-    ``radius <= 2**-precision_bits * max(1, |center|)``.  Working
-    precision starts just above the request and doubles as needed (the
-    growth is what pays for cancellation in deep DAGs); a generous
-    deterministic cap turns pathological inputs into
-    :class:`PrecisionExhausted` instead of an endless loop.
-    """
-    if precision_bits <= 0:
-        raise ValueError("precision_bits must be positive")
-    w = max(SIGN_REFINE_START, precision_bits + 32)
-    cap = max(SIGN_REFINE_CAP, 64 * (precision_bits + 32))
-    tolerance_scale = Fraction(1, 1 << precision_bits)
+    w = start
     while w <= cap:
         try:
-            pair = eval_interval(x, w)
+            lo, hi = eval_interval(x, w)
         except iv.StraddlesZero:
-            w *= 2
-            continue
-        ball = _ball_from_pair(pair, w)
-        bound = tolerance_scale * max(_ONE, abs(ball.center))
-        if ball.radius <= bound:
-            return ball
+            pass
+        else:
+            yield w, lo, hi
         w *= 2
-    raise PrecisionExhausted(
-        f"could not reach 2**-{precision_bits} relative radius within {cap} bits"
-    )
-
-
-def _interval_sign(x: Expr, working_bits: int) -> Sign | None:
-    """Sign when the enclosure at this precision excludes zero, else None."""
-    try:
-        lo, hi = eval_interval(x, working_bits)
-    except iv.StraddlesZero:
-        return None
-    if lo > 0:
-        return Sign.POSITIVE
-    if hi < 0:
-        return Sign.NEGATIVE
-    return None
 
 
 def certified_sign(x: Expr) -> Sign:
@@ -502,23 +437,16 @@ def certified_sign(x: Expr) -> Sign:
     ``b`` of :func:`separation_bits` proves zero.  Raises
     :class:`PrecisionExhausted` when the cap comes first.
     """
-    sign = _interval_sign(x, SIGN_REFINE_START)
-    if sign is None:
-        sign = exact_sign(x)
+    for _, lo, hi in enclosures(x, SIGN_REFINE_START, SIGN_REFINE_START):
+        if lo > 0 or hi < 0:
+            return Sign.POSITIVE if lo > 0 else Sign.NEGATIVE
+    sign = exact_sign(x)
     if sign is not None:
         return sign
     bits = separation_bits(x)
-    w = SIGN_REFINE_START
-    while w < SIGN_REFINE_CAP:
-        w *= 2
-        try:
-            lo, hi = eval_interval(x, w)
-        except iv.StraddlesZero:
-            continue
-        if lo > 0:
-            return Sign.POSITIVE
-        if hi < 0:
-            return Sign.NEGATIVE
+    for w, lo, hi in enclosures(x, 2 * SIGN_REFINE_START, SIGN_REFINE_CAP):
+        if lo > 0 or hi < 0:
+            return Sign.POSITIVE if lo > 0 else Sign.NEGATIVE
         reach = max(-lo, hi)  # |x| <= reach * 2**-w
         if reach == 0 or reach.bit_length() + bits <= w:
             return Sign.ZERO

@@ -343,11 +343,14 @@ class _Parser:
             name.lexeme, tuple(terms), tuple(relations), detail, shown, start.line, start.col
         )
 
-    def parse_expr(self, depth: int = 0) -> ExprAst:
+    def check_depth(self, depth: int) -> None:
         if depth > _MAX_EXPR_DEPTH:
             raise ParseError(
                 self.current.line, self.current.col, "a shallower expression", "nesting too deep"
             )
+
+    def parse_expr(self, depth: int = 0) -> ExprAst:
+        self.check_depth(depth)
         node = self.parse_term(depth + 1)
         while self.at_symbol("+", "-"):
             op = self.advance().lexeme
@@ -355,10 +358,7 @@ class _Parser:
         return node
 
     def parse_term(self, depth: int) -> ExprAst:
-        if depth > _MAX_EXPR_DEPTH:
-            raise ParseError(
-                self.current.line, self.current.col, "a shallower expression", "nesting too deep"
-            )
+        self.check_depth(depth)
         node = self.parse_unary(depth + 1)
         while self.at_symbol("*", "/"):
             op = self.advance().lexeme
@@ -366,10 +366,7 @@ class _Parser:
         return node
 
     def parse_unary(self, depth: int) -> ExprAst:
-        if depth > _MAX_EXPR_DEPTH:
-            raise ParseError(
-                self.current.line, self.current.col, "a shallower expression", "nesting too deep"
-            )
+        self.check_depth(depth)
         token = self.current
         if token.kind is TokenKind.SYMBOL and token.lexeme == "-":
             self.advance()

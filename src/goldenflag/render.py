@@ -1,8 +1,8 @@
 """Deterministic serialization of flag layouts to SVG and JSON.
 
 Every emitted coordinate string is the certified round-half-even
-rendering of an exact value: the enclosing ball is refined until the
-whole ball rounds to the same digits, so the exact value lies within
+rendering of an exact value: its interval enclosure is refined until
+both ends round to the same digits, so the exact value lies within
 half an ulp of the printed decimal.  Output bytes are identical across
 runs and platforms for identical inputs.
 
@@ -18,7 +18,7 @@ from typing import Mapping
 from xml.sax.saxutils import escape
 import json
 
-from .constructions import ColorRole, FlagLayout, Star
+from .constructions import ColorRole, FlagLayout
 from .exactnum import Expr, as_rational, decimal_str, div, lit, mul, sub
 from .geometry import Point, pentagram_vertices
 
@@ -94,10 +94,6 @@ class _Frame:
         return self.dec(mul(value, self.scale))
 
 
-def _star_points(star: Star) -> list[Point]:
-    return pentagram_vertices(star.pentagram)
-
-
 def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     """Standalone SVG 1.1 document as UTF-8 bytes.
 
@@ -125,7 +121,7 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
         points = " ".join(",".join(frame.point(p)) for p in region.polygon)
         lines.append(f'<polygon points="{points}" fill="{opts.color(region.color)}"/>')
     for star in layout.stars:
-        points = " ".join(",".join(frame.point(p)) for p in _star_points(star))
+        points = " ".join(",".join(frame.point(p)) for p in pentagram_vertices(star.pentagram))
         lines.append(f'<polygon points="{points}" fill="{opts.color(star.color)}"/>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -162,7 +158,7 @@ def json_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
                 "color": star.color.value,
                 "center": list(frame.point(star.pentagram.center)),
                 "circumradius": frame.length(star.pentagram.circumradius),
-                "vertices": [list(frame.point(p)) for p in _star_points(star)],
+                "vertices": [list(frame.point(p)) for p in pentagram_vertices(star.pentagram)],
             }
             for star in layout.stars
         ],

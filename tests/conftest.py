@@ -8,6 +8,8 @@ import pytest
 
 from goldenflag.constructions import BUILTIN_NAMES, FlagLayout, build_flag
 from goldenflag.exactnum import Expr, Sign, certified_sign, lit, sub
+from goldenflag.exactnum import interval as iv
+from goldenflag.exactnum.expr import eval_interval
 from goldenflag.flagspec import lower_source
 
 # the shipped chile-1818 spec with its band height 1 written as {h}
@@ -93,3 +95,22 @@ def expansion_begins(value: Expr, prefix: str) -> bool:
         certified_sign(sub(value, lit(low))).is_nonnegative
         and certified_sign(sub(lit(low + ulp), value)) is Sign.POSITIVE
     )
+
+
+def enclosure(x: Expr, w: int) -> tuple[Fraction, Fraction]:
+    """The ends of the interval enclosure of ``x`` at scale ``2**-w``."""
+    return iv.to_fractions(eval_interval(x, w), w)
+
+
+def relative_radius(lo: Fraction, hi: Fraction) -> Fraction:
+    """Half the width of ``[lo, hi]`` over ``max(1, |midpoint|)``."""
+    return (hi - lo) / 2 / max(1, abs(lo + hi) / 2)
+
+
+def enclosure_sign(lo: Fraction, hi: Fraction) -> Sign | None:
+    """The sign of every point of ``[lo, hi]`` when they share one."""
+    if lo > 0:
+        return Sign.POSITIVE
+    if hi < 0:
+        return Sign.NEGATIVE
+    return Sign.ZERO if lo == hi == 0 else None

@@ -30,7 +30,6 @@ from goldenflag.exactnum import (
     add,
     div,
     exact_rational,
-    expr_eval,
     gn_normalize,
     gn_to_expr,
     lit,
@@ -46,7 +45,7 @@ from goldenflag.render import RenderOptions, _Frame, json_emit, svg_emit
 
 from goldenflag.exactnum import Sign, certified_sign
 
-from conftest import expansion_begins
+from conftest import enclosure, enclosure_sign, expansion_begins
 
 
 @contextmanager
@@ -125,9 +124,9 @@ def test_05_nepal_ratio_with_independent_oracle():
                 1 + 6 / ((8 - 3 * root2) * ((1 + 18 / (41 - 24 * root2)).sqrt() - 1))
             )
             oracle = Fraction(numerator / denominator)
-        ball = expr_eval(ratio, 700)
-        assert ball.radius < Fraction(1, 10**60)
-        assert abs(ball.center - oracle) < Fraction(1, 10**50)
+        lo, hi = enclosure(ratio, 700 + 32)
+        assert (hi - lo) / 2 < Fraction(1, 10**60)
+        assert abs((lo + hi) / 2 - oracle) < Fraction(1, 10**50)
 
 
 def test_06_current_flag_exact_proportions():
@@ -206,9 +205,9 @@ def test_09_field_axioms_and_sign_agreement_at_scale():
             g = random_golden()
             if is_zero(g):
                 continue
-            ball_sign = expr_eval(gn_to_expr(g), 64).sign()
-            if ball_sign is not None:
-                assert ball_sign is GOLDEN.sign(g)
+            sign = enclosure_sign(*enclosure(gn_to_expr(g), 96))
+            if sign is not None:
+                assert sign is GOLDEN.sign(g)
         elapsed = time.monotonic() - started
         assert elapsed < 10.0
 

@@ -154,6 +154,13 @@ class TestEval:
         assert code == 0
         assert out.strip() == "1" + "0" * 6000
 
+    # Z is 10**700: both values are 5 * 10**-1400, far below every enclosure
+    # width on the refinement schedule, so only the exact path rounds them
+    @pytest.mark.parametrize("expr", ["5/Z/Z", "sqrt(5)*sqrt(5)/Z/Z"])
+    def test_a_tiny_exact_rational_is_rounded_exactly(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr.replace("Z", "1" + "0" * 700), "--digits", "3")
+        assert (code, out, err) == (0, "0." + "0" * 1399 + "5\n", "")
+
     @pytest.mark.parametrize("bits", ["0", "-5", "17233"])
     def test_precision_bits_out_of_range_is_a_usage_error(self, capsys, bits):
         code, out, err = run(capsys, "eval", "phi", f"--precision-bits={bits}")

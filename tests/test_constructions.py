@@ -43,7 +43,7 @@ from goldenflag.exactnum.interval import StraddlesZero
 from goldenflag.flagspec import lower_source
 from goldenflag.geometry import Point, Rect
 
-from conftest import expansion_begins
+from conftest import enclosure, expansion_begins, relative_radius
 
 TINY = Fraction(1, 2**80)
 
@@ -200,12 +200,12 @@ class TestNepalRatio:
         assert expansion_begins(layouts["nepal-ratio"].width_height_ratio(), "0.820")
 
     def test_ball_at_128_bits_rounds_to_the_quoted_digits(self, layouts):
-        from goldenflag.exactnum import expr_eval, round_fraction_str
+        from goldenflag.exactnum import round_fraction_str
 
         ratio = layouts["nepal-ratio"].width_height_ratio()
-        ball = expr_eval(ratio, 128)
-        assert ball.radius <= Fraction(1, 2**128) * max(1, abs(ball.center))
-        assert round_fraction_str(ball.center, 3) == "0.82"
+        lo, hi = enclosure(ratio, 128 + 32)
+        assert relative_radius(lo, hi) <= Fraction(1, 2**128)
+        assert round_fraction_str((lo + hi) / 2, 3) == "0.82"
         assert decimal_str(ratio, 6) == "0.820338"
 
     def test_radicands_and_divisors_are_certified_positive(self):

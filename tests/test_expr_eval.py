@@ -20,7 +20,6 @@ from goldenflag.exactnum import (
     certified_sign,
     decimal_str,
     div,
-    expr_eval,
     gn_normalize,
     gn_to_expr,
     lit,
@@ -30,10 +29,16 @@ from goldenflag.exactnum import (
     sqrt_,
     sub,
 )
-from goldenflag.exactnum.expr import exact_sign
+from goldenflag.exactnum.expr import enclosures, exact_sign
 from goldenflag.geometry import TAN36
 
-from conftest import decimal_oracle_tan36, expansion_begins
+from conftest import (
+    decimal_oracle_tan36,
+    enclosure,
+    enclosure_sign,
+    expansion_begins,
+    relative_radius,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -77,31 +82,28 @@ class TestSmartConstructors:
 
 
 class TestExprEval:
+    """Interval enclosures; one at ``bits + 32`` has a relative radius of
+    at most ``2**-bits``."""
+
     def test_exact_literal_has_zero_radius(self):
-        ball = expr_eval(lit(Fraction(3, 2)), 64)
-        assert ball.center == Fraction(3, 2)
-        assert ball.radius == 0
+        assert enclosure(lit(Fraction(3, 2)), 96) == (Fraction(3, 2), Fraction(3, 2))
 
     def test_tan36_ball_contains_independent_value(self):
         oracle = decimal_oracle_tan36()
-        ball = expr_eval(TAN36, 64)
-        assert ball.contains(oracle)
-        assert ball.radius <= Fraction(1, 2**64) * max(1, abs(ball.center))
+        lo, hi = enclosure(TAN36, 96)
+        assert lo <= oracle <= hi
+        assert relative_radius(lo, hi) <= Fraction(1, 2**64)
 
     def test_relative_radius_contract(self):
         for bits in (16, 64, 128, 300):
-            ball = expr_eval(TAN36, bits)
-            assert ball.radius <= Fraction(1, 2**bits) * max(1, abs(ball.center))
+            assert relative_radius(*enclosure(TAN36, bits + 32)) <= Fraction(1, 2**bits)
 
     def test_radius_shrinks_with_precision(self):
         expressions = [TAN36, PHI_EXPR, div(lit(1), TAN36)]
         for expr in expressions:
-            radii = [expr_eval(expr, bits).radius for bits in (48, 64, 96, 128, 256)]
+            radii = [Fraction(hi - lo, 2**w) for w, lo, hi in enclosures(expr, 64, 4096)]
+            assert len(radii) == 7
             assert all(r2 <= r1 for r1, r2 in zip(radii, radii[1:]))
-
-    def test_rejects_nonpositive_precision(self):
-        with pytest.raises(ValueError):
-            expr_eval(lit(1), 0)
 
     @given(rationals, rationals)
     @settings(max_examples=150)
@@ -109,19 +111,19 @@ class TestExprEval:
         g = (a, b)
         expr = gn_to_expr(g)
         assert gn_normalize(expr) == g
-        ball = expr_eval(expr, 64)
-        # exact containment: value - lower >= 0 and upper - value >= 0,
+        lo, hi = enclosure(expr, 96)
+        # exact containment: value - lo >= 0 and hi - value >= 0,
         # decided inside the field with no floating point
-        assert GOLDEN.sign((a - ball.lower(), b)).is_nonnegative
-        assert GOLDEN.sign((ball.upper() - a, -b)).is_nonnegative
+        assert GOLDEN.sign((a - lo, b)).is_nonnegative
+        assert GOLDEN.sign((hi - a, -b)).is_nonnegative
 
     @given(rationals, rationals)
     @settings(max_examples=150)
     def test_interval_sign_agrees_with_exact_sign(self, a, b):
         g = (a, b)
-        ball_sign = expr_eval(gn_to_expr(g), 64).sign()
-        if ball_sign is not None:
-            assert ball_sign is GOLDEN.sign(g)
+        sign = enclosure_sign(*enclosure(gn_to_expr(g), 96))
+        if sign is not None:
+            assert sign is GOLDEN.sign(g)
 
 
 class TestCertifiedSign:
