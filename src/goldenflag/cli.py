@@ -26,7 +26,6 @@ from .constructions import (
 )
 from .errors import GoldenFlagError, PrecisionExhausted
 from .exactnum import as_rational, decimal_str
-from .exactnum.decimalfmt import MAX_PRECISION_BITS
 from .flagspec import lower_expr, lower_source, parse_expression
 from .render import RenderOptions, json_emit, svg_emit
 
@@ -46,7 +45,7 @@ def _positive_rational(text: str):
     return value
 
 
-def _int_in_range(minimum: int, maximum: int | None = None):
+def _int_in_range(minimum: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -54,8 +53,6 @@ def _int_in_range(minimum: int, maximum: int | None = None):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text!r}")
         return value
 
     return parse
@@ -116,13 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=12,
         help="significant digits, printed round-half-even (never truncated)",
     )
-    evaluate.add_argument(
-        "--precision-bits",
-        type=_int_in_range(1, MAX_PRECISION_BITS),
-        default=128,
-        help=f"starting working precision in bits, 1 to {MAX_PRECISION_BITS}; "
-        "refinement beyond is automatic when rounding certification needs it",
-    )
 
     ratio = commands.add_parser("ratio", help="print a flag's width-height ratio")
     ratio.add_argument("name", help="builtin name or path to a .flag file")
@@ -179,7 +169,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_eval(args, out) -> int:
     expr = lower_expr(parse_expression(args.expr), {}, "eval expression")
-    print(decimal_str(expr, args.digits, min_bits=args.precision_bits), file=out)
+    print(decimal_str(expr, args.digits), file=out)
     return EXIT_OK
 
 

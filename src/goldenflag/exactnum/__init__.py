@@ -4,7 +4,7 @@ and the one-radicand tower over it, certified constructible-number
 expressions with fixed-point interval enclosures, and an identity
 verifier."""
 
-from .decimalfmt import decimal_str, round_fraction_str
+from .decimalfmt import decimal_str
 from .expr import (
     Add,
     Div,
@@ -62,7 +62,6 @@ __all__ = [
     "lit",
     "mul",
     "neg",
-    "round_fraction_str",
     "sqrt_",
     "square_of",
     "sub",

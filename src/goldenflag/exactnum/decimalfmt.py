@@ -3,15 +3,13 @@
 :func:`decimal_str` rounds half-even to a number of significant digits.
 The printed string is certified: both ends of an interval enclosure
 round to the same digits, so the exact value is within half an ulp of
-the output.  Exact rationals short-circuit through integer arithmetic
-(which also resolves ties exactly); provably irrational values can
-never tie, so interval refinement terminates.  For a value outside the exact tower,
-:func:`certified_sign` decides once whether it is zero, when an
-enclosure contains zero, and once whether it is the tie between two
-adjacent outputs, when an enclosure's ends round to them; an exact zero
-prints as ``0`` and an exact tie rounds half-even.  Quoting the leading
-digits of an expansion is a different operation, a pair of certified
-comparisons (a spec's ``check ... 0.820 <= ratio < 0.821``).
+the output.  There is one rounding path, the refinement of
+:func:`expr.enclosures` at a working precision relative to the value's
+magnitude, so tiny values print like large ones.  An exact zero prints
+as ``0`` and an exact tie rounds half-even; :func:`certified_sign`
+decides both.  Quoting the leading digits of an expansion is a
+different operation, a pair of certified comparisons (a spec's
+``check ... 0.820 <= ratio < 0.821``).
 
 This is a pure integer/rational computation: output bytes are identical
 across platforms and runs.
@@ -20,12 +18,11 @@ across platforms and runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from ..errors import PrecisionExhausted
 from . import interval as iv
-from .expr import Expr, certified_sign, enclosures, exact_rational, lit, sub
-from .expr import eval_interval  # noqa: F401  (bound here by the layer tracer in bench/)
+from .expr import Expr, certified_sign, enclosures, lit, separation_bits, sub
+from .expr import eval_interval, exact_rational  # noqa: F401  (bound here by the layer tracer in bench/)
 from .golden import Sign
 
 _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
@@ -36,12 +33,9 @@ _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
 MAX_DIGITS = 4300
 
 
-def _start_bits(digits: int) -> int:
-    """The working precision a rounding to ``digits`` digits starts at."""
-    return 4 * digits + 32
-
-
-MAX_PRECISION_BITS = _start_bits(MAX_DIGITS)  # the largest start of a rounding
+# The largest separation bound, in bits, that a rendering refines past
+# its cap for: it keeps every rendering finite.
+SEPARATION_CEILING = 1 << 16
 
 
 def _decimal_magnitude(value: Fraction) -> int:
@@ -109,10 +103,6 @@ def format_rounded(rounded: _Rounded, digits: int) -> str:
     return "-" + text if negative else text
 
 
-def round_fraction_str(value: Fraction, digits: int) -> str:
-    return format_rounded(round_significant(value, digits), digits)
-
-
 def _tie(ends: tuple[_Rounded, _Rounded], digits: int) -> Fraction | None:
     """The one rounding tie in an enclosure that excludes zero, when the
     roundings ``ends`` of its ends are adjacent outputs; else None.
@@ -128,60 +118,66 @@ def _tie(ends: tuple[_Rounded, _Rounded], digits: int) -> Fraction | None:
     return -tie if negative else tie
 
 
-def _equals(x: Expr, point: Fraction) -> bool:
-    """Whether ``x == point`` is proved."""
-    try:
-        return certified_sign(sub(x, lit(point))) is Sign.ZERO
-    except PrecisionExhausted:  # the schedule may still separate them
-        return False
+def decimal_str(x: Expr, digits: int) -> str:
+    """Certified round-half-even rendering of ``x`` with ``digits``
+    significant digits, at most :data:`MAX_DIGITS`.
 
-
-def _roundings(x: Expr, digits: int, min_bits: int) -> Iterator[tuple[_Rounded, _Rounded]]:
-    """The roundings of both ends of each enclosure of ``x``, refined
-    from the largest of 64 bits, ``min_bits`` and :func:`_start_bits`.
+    The working precision is relative to ``x``: the schedule from the
+    larger of 64 and ``4 * digits + 32`` bits, ``first``, up to a cap is
+    shifted by the value's magnitude.  Once an enclosure excludes zero,
+    so that ``|x| < 2**-m``, it goes on at ``first + m`` bits at the
+    least, and the cap moves up by ``m``.
 
     Two points are asked about once each, by :func:`certified_sign`: zero,
     at the first enclosure that contains it, and the tie between two
     adjacent outputs, at the first enclosure whose ends round to them.
-    A proved equality yields the exact rounding of that point and ends
-    the schedule, so values whose enclosures settle the rounding pay
-    nothing for it.
-    """
-    asked_zero = asked_tie = False
-    start = _start_bits(digits)
-    cap = max(4096, 64 * start, 4 * min_bits)
-    for w, lo, hi in enclosures(x, max(64, min_bits, start), cap):
-        lo, hi = iv.to_fractions((lo, hi), w)
-        ends = round_significant(lo, digits), round_significant(hi, digits)
-        point = None
-        if lo <= 0 <= hi:
-            if not asked_zero:
-                asked_zero = True
-                point = Fraction(0)
-        elif ends[0] != ends[1] and not asked_tie:
-            point = _tie(ends, digits)
-            asked_tie = point is not None
-        if point is not None and _equals(x, point):
-            exact = round_significant(point, digits)
-            yield exact, exact
-            return
-        yield ends
-
-
-def decimal_str(x: Expr, digits: int, min_bits: int = 0) -> str:
-    """Certified round-half-even rendering with significant digits.
-
-    ``digits`` is at most :data:`MAX_DIGITS`.  ``min_bits`` forces the
-    starting working precision upward (used by re-evaluation tests); it
-    never changes the output of a certified rounding, only how soon
-    certification happens.
+    A proved equality is rounded exactly, so values whose enclosures
+    settle the rounding pay nothing for it.  A value proved unequal to
+    the point asked about last, whose enclosures reach the cap, is
+    refined once more on a schedule shifted by the separation bound
+    ``b`` of their difference (``|x - point| >= 2**-b``), for ``b`` up
+    to :data:`SEPARATION_CEILING`.
     """
     if digits > MAX_DIGITS:
         raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
-    exact = exact_rational(x)
-    if exact is not None:
-        return round_fraction_str(exact, digits)
-    for r_lo, r_hi in _roundings(x, digits, min_bits):
-        if r_lo == r_hi:
-            return format_rounded(r_lo, digits)
+    start = 4 * digits + 32
+    first, cap = max(64, start), max(4096, 64 * start)
+    precision, shift, bound = first, 0, 0
+    asked_zero = asked_tie = False
+    unequal = None  # the point x was last proved unequal to
+    while True:
+        for w, lo, hi in enclosures(x, precision, cap, shift):
+            straddles = lo <= 0 <= hi
+            located = 0 if straddles or shift else w - max(-lo, hi).bit_length()
+            lo, hi = iv.to_fractions((lo, hi), w)
+            ends = round_significant(lo, digits), round_significant(hi, digits)
+            if ends[0] == ends[1]:
+                return format_rounded(ends[0], digits)
+            point = None
+            if straddles:
+                if not asked_zero:
+                    asked_zero = True
+                    point = Fraction(0)
+            elif not asked_tie:
+                point = _tie(ends, digits)
+                asked_tie = point is not None
+            if point is not None:
+                try:
+                    sign = certified_sign(sub(x, lit(point)))
+                except PrecisionExhausted:  # the schedule may still separate them
+                    sign = None
+                if sign is Sign.ZERO:
+                    return format_rounded(round_significant(point, digits), digits)
+                if sign is not None:
+                    unequal = point
+            if located > 0:  # |x| < 2**-located: go on relative to it
+                precision, shift = max(first, 2 * (w - located)), located
+                break
+        else:
+            if unequal is None or bound:
+                break
+            bound = separation_bits(sub(x, lit(unequal)))
+            if bound > SEPARATION_CEILING:
+                break
+            precision, shift = first, max(shift, bound)
     raise PrecisionExhausted("interval never certified a rounding")

@@ -408,22 +408,23 @@ def _interval_algebra(w: int) -> tuple[Callable, dict[type, Callable]]:
     }
 
 
-def enclosures(x: Expr, start: int, cap: int) -> Iterator[tuple[int, int, int]]:
+def enclosures(x: Expr, start: int, cap: int, shift: int = 0) -> Iterator[tuple[int, int, int]]:
     """The refinement of ``x``: ``(w, lo, hi)`` with ``lo * 2**-w <= x <=
-    hi * 2**-w`` for ``w = start, 2*start, ...`` up to ``cap`` (``start > 0``).
+    hi * 2**-w`` for ``w = shift + p`` and ``p = start, 2*start, ...`` up
+    to ``cap`` (``start > 0``); a shift of ``m`` suits ``|x|`` near ``2**-m``.
 
     A precision at which a divisor interval straddles zero is skipped.
     The schedule is deterministic, and so are the enclosures.
     """
-    w = start
-    while w <= cap:
+    p = start
+    while p <= cap:
         try:
-            lo, hi = eval_interval(x, w)
+            lo, hi = eval_interval(x, shift + p)
         except iv.StraddlesZero:
             pass
         else:
-            yield w, lo, hi
-        w *= 2
+            yield shift + p, lo, hi
+        p *= 2
 
 
 def certified_sign(x: Expr) -> Sign:

@@ -1,10 +1,12 @@
 """Deterministic serialization of flag layouts to SVG and JSON.
 
 Every emitted coordinate string is the certified round-half-even
-rendering of an exact value: its interval enclosure is refined until
-both ends round to the same digits, so the exact value lies within
-half an ulp of the printed decimal.  Output bytes are identical across
-runs and platforms for identical inputs.
+rendering of an exact value (:func:`exactnum.decimal_str`): its interval
+enclosure is refined, at a precision relative to its magnitude, until
+both ends round to the same digits, unless it is proved an exact zero
+or tie, so the exact value lies within half an ulp of the printed
+decimal.  Output bytes are identical across runs and platforms for
+identical inputs.
 
 The internal y-up frame is flipped to screen orientation here; both
 emitters share the flip and the decimal policy.

@@ -102,6 +102,19 @@ def enclosure(x: Expr, w: int) -> tuple[Fraction, Fraction]:
     return iv.to_fractions(eval_interval(x, w), w)
 
 
+def within_half_ulp(x: Expr, text: str, digits: int) -> bool:
+    """Whether the enclosure of ``x`` at four times the precision that a
+    rounding to ``digits`` digits starts at (``4 * digits + 32`` bits)
+    lies within half an ulp of the printed ``text``; a printed ``0``
+    needs an enclosure that contains zero."""
+    lo, hi = enclosure(x, 4 * (4 * digits + 32))
+    printed = Fraction(text)
+    if printed == 0:
+        return lo <= 0 <= hi
+    half_ulp = Fraction(10) ** (Decimal(text).adjusted() + 1 - digits) / 2
+    return printed - half_ulp <= lo and hi <= printed + half_ulp
+
+
 def relative_radius(lo: Fraction, hi: Fraction) -> Fraction:
     """Half the width of ``[lo, hi]`` over ``max(1, |midpoint|)``."""
     return (hi - lo) / 2 / max(1, abs(lo + hi) / 2)

@@ -45,6 +45,15 @@ UNDECIDABLE = (
 # sqrt(2) + sqrt(3) == sqrt(5 + 2*sqrt(6)), with three independent radicands
 ZERO_BEYOND_THE_TOWER = "sqrt(2)+sqrt(3)-sqrt(5+2*sqrt(6))"
 
+TEN_TO_700 = "1" + "0" * 700
+
+# a star whose diameter is about 1.4 * 10**-1400: its circumradius and the
+# shown value are tiny irrational numbers
+TINY_STAR = claims_spec("tiny", (
+    "let e = sqrt(2)/Z/Z; star white at diagonal_intersection of all diameter e;"
+    'check "tiny" 0 < e < 1 show e;'
+).replace("Z", TEN_TO_700))
+
 BIG_NUMBER = "1" * 5000  # past the interpreter's 4300-digit int conversion limit
 
 
@@ -155,23 +164,42 @@ class TestEval:
         assert out.strip() == "1" + "0" * 6000
 
     # Z is 10**700: both values are 5 * 10**-1400, far below every enclosure
-    # width on the refinement schedule, so only the exact path rounds them
+    # width up to the usual cap, so only a schedule that goes on past it,
+    # once certified_sign proves them nonzero, rounds them
     @pytest.mark.parametrize("expr", ["5/Z/Z", "sqrt(5)*sqrt(5)/Z/Z"])
     def test_a_tiny_exact_rational_is_rounded_exactly(self, capsys, expr):
-        code, out, err = run(capsys, "eval", expr.replace("Z", "1" + "0" * 700), "--digits", "3")
+        code, out, err = run(capsys, "eval", expr.replace("Z", TEN_TO_700), "--digits", "3")
         assert (code, out, err) == (0, "0." + "0" * 1399 + "5\n", "")
 
-    @pytest.mark.parametrize("bits", ["0", "-5", "17233"])
-    def test_precision_bits_out_of_range_is_a_usage_error(self, capsys, bits):
-        code, out, err = run(capsys, "eval", "phi", f"--precision-bits={bits}")
-        assert (code, out) == (2, "")
-        assert err.startswith("usage:")
-        assert err.count("error:") == 1
-        assert "--precision-bits: must be at" in err
+    # the working precision follows the value's magnitude, so irrational
+    # values this small print too; an expression that starts with "-"
+    # goes after "--"
+    @pytest.mark.parametrize(
+        "expr,digits,point,zeros,tail",
+        [
+            ("sqrt(2)/Z/Z", "3", "0.", 1399, "141"),
+            ("sqrt(2)/Z/Z", "12", "0.", 1399, "141421356237"),
+            ("-phi/Z/Z", "3", "-0.", 1399, "162"),
+            ("sqrt(2)/Z/Z/Z", "3", "0.", 2099, "141"),
+            # not proved nonzero, since the separation bound is past the sign
+            # cap, but located by the enclosures of a 12-digit rendering: at
+            # 5120 bits, and for 10**-1535 with too few bits, which the
+            # schedule shifted by its magnitude adds
+            (ZERO_BEYOND_THE_TOWER + " + 1/Z/Z", "12", "0.", 1399, "1"),
+            (ZERO_BEYOND_THE_TOWER + " + 1/Z/Z/1" + "0" * 135, "12", "0.", 1534, "1"),
+        ],
+        ids=["sqrt2-3", "sqrt2-12", "minus-phi-3", "sqrt2-Z3-3", "zero-plus-1e-1400-12", "zero-plus-1e-1535-12"],
+    )
+    def test_a_tiny_value_prints_its_digits(self, capsys, expr, digits, point, zeros, tail):
+        code, out, err = run(capsys, "eval", "--digits", digits, "--", expr.replace("Z", TEN_TO_700))
+        assert (code, out, err) == (0, point + "0" * zeros + tail + "\n", "")
 
-    def test_precision_bits_at_the_limit(self, capsys):
-        code, out, _ = run(capsys, "eval", "phi", "--precision-bits", "17232")
-        assert (code, out) == (0, "1.61803398875\n")
+    @pytest.mark.parametrize("sign,expected", [("+", "0.124"), ("-", "0.123")])
+    def test_a_value_beside_a_tie_rounds_to_its_side(self, capsys, sign, expected):
+        # 0.1235 +- 10**-1400: only refinement past the usual cap separates
+        # the value from the tie
+        code, out, err = run(capsys, "eval", f"1235/10000 {sign} 1/Z/Z".replace("Z", TEN_TO_700), "--digits", "3")
+        assert (code, out, err) == (0, expected + "\n", "")
 
     def test_an_exact_zero_beyond_the_tower_prints_zero(self, capsys):
         code, out, err = run(capsys, "eval", ZERO_BEYOND_THE_TOWER)
@@ -249,6 +277,13 @@ class TestVerify:
             "Pass         ratio is between  [a chain]\n"
             "claims: 2 checks passed\n"
         )
+
+    def test_a_tiny_shown_value_prints_its_digits(self, capsys, tmp_path):
+        path = tmp_path / "tiny.flag"
+        path.write_text(TINY_STAR)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert out == "Pass  tiny  [e = 0." + "0" * 1399 + "141421]\ntiny: 1 checks passed\n"
 
     def test_false_equality_is_proved_unequal(self, capsys, tmp_path):
         code, out, err = self.verify_claims(
@@ -391,6 +426,16 @@ class TestBuild:
         )
         assert code == 0
         assert 'width="2.4"' in out_path.read_text()
+
+    def test_a_tiny_star_renders(self, capsys, tmp_path):
+        src = tmp_path / "tiny.flag"
+        src.write_text(TINY_STAR)
+        out_path = tmp_path / "tiny.json"
+        code, _, err = run(capsys, "build", str(src), "--out", str(out_path), "--digits", "3")
+        assert (code, err) == (0, "")
+        star = json.loads(out_path.read_text())["stars"][0]
+        assert star["circumradius"] == "0." + "0" * 1400 + "707"
+        assert star["center"] == ["1", "0.5"]
 
     def test_building_a_spec_file(self, capsys, tmp_path, spec_sources):
         src = tmp_path / "nepal.flag"

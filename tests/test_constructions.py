@@ -200,12 +200,10 @@ class TestNepalRatio:
         assert expansion_begins(layouts["nepal-ratio"].width_height_ratio(), "0.820")
 
     def test_ball_at_128_bits_rounds_to_the_quoted_digits(self, layouts):
-        from goldenflag.exactnum import round_fraction_str
-
         ratio = layouts["nepal-ratio"].width_height_ratio()
         lo, hi = enclosure(ratio, 128 + 32)
         assert relative_radius(lo, hi) <= Fraction(1, 2**128)
-        assert round_fraction_str((lo + hi) / 2, 3) == "0.82"
+        assert decimal_str(lit((lo + hi) / 2), 3) == "0.82"
         assert decimal_str(ratio, 6) == "0.820338"
 
     def test_radicands_and_divisors_are_certified_positive(self):

@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout
-from goldenflag.exactnum import decimal_str, lit
+from goldenflag.exactnum import decimal_str, lit, mul, sub
 from goldenflag.flagspec import lower_source
 from goldenflag.geometry import Point, Rect
 from goldenflag.render import DEFAULT_PALETTE, RenderOptions, _Frame, json_emit, svg_emit
+
+from conftest import within_half_ulp
 
 
 class TestDeterminism:
@@ -106,17 +108,16 @@ class TestPrecisionSoundness:
         layout = layouts[name]
         doc = json.loads(json_emit(layout, opts))
         frame = _Frame(layout, opts)
-        boost = 4 * (4 * opts.digits + 32)
 
         def recheck(text: str, expr) -> None:
-            assert decimal_str(expr, opts.digits, min_bits=boost) == text
+            assert within_half_ulp(expr, text, opts.digits)
 
         recheck(doc["canvas"]["width"], frame.width)
         recheck(doc["canvas"]["height"], frame.height)
         for region, emitted in zip(layout.regions, doc["regions"]):
             for point, (x_text, y_text) in zip(region.polygon, emitted["vertices"]):
-                sx, sy = frame.point(point)
-                assert (sx, sy) == (x_text, y_text)
+                recheck(x_text, mul(sub(point.x, frame.origin_x), frame.scale))
+                recheck(y_text, mul(sub(frame.top_y, point.y), frame.scale))
 
     def test_monotone_refinement_of_digits(self, layouts):
         ratio = layouts["chile-1818"].width_height_ratio()
