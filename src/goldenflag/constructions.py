@@ -94,9 +94,9 @@ class Region:
 
     @property
     def polygon(self) -> tuple[Point, Point, Point, Point]:
-        """Corners, counterclockwise in the y-up frame from (x0, y0)."""
+        """Corners, counterclockwise as drawn from the bottom-left one."""
         x0, x1, y0, y1 = self.bounds
-        return Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)
+        return Point(x0, y1), Point(x1, y1), Point(x1, y0), Point(x0, y0)
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ class FlagLayout:
         claims: tuple[Claim | Diagonals, ...] = (),
     ) -> "FlagLayout":
         layout = FlagLayout(canvas, regions, stars, provenance, claims)
-        if regions:
-            _check_tiling(layout)
+        _check_tiling(layout)
         for star in stars:
             _check_star_inside(layout, star)
         return layout
@@ -418,23 +417,24 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
     width, height = sub(x1, x0), sub(y1, y0)
     if verify_identity(div(height, width), TAN36) is not Verdict.PROVED_EQUAL:
         raise WrongLayout(f"region {region!r} is not in the tan(36) height/width proportion")
-    corner00, corner10 = Point(x0, y0), Point(x1, y0)
-    corner11, corner01 = Point(x1, y1), Point(x0, y1)
-    diag1 = Segment(corner00, corner11)
-    diag2 = Segment(corner01, corner10)
-    tangent1 = angle_tangent_with_horizontal(diag1)
-    # crossing angle between the two diagonals: |(m1 - m2)/(1 + m1 m2)|
-    slope1 = div(sub(corner11.y, corner00.y), sub(corner11.x, corner00.x))
-    slope2 = div(sub(corner10.y, corner01.y), sub(corner10.x, corner01.x))
+    top_left, top_right = Point(x0, y0), Point(x1, y0)
+    bottom_left, bottom_right = Point(x0, y1), Point(x1, y1)
+    rising = Segment(bottom_left, top_right)
+    falling = Segment(top_left, bottom_right)
+    tangent1 = angle_tangent_with_horizontal(rising)
+    # crossing angle between the two diagonals: |(m1 - m2)/(1 + m1 m2)|,
+    # with slopes as drawn (rise up the flag over run to the right)
+    slope1 = div(sub(bottom_left.y, top_right.y), sub(top_right.x, bottom_left.x))
+    slope2 = div(sub(top_left.y, bottom_right.y), sub(bottom_right.x, top_left.x))
     crossing = div(sub(slope1, slope2), add(lit(1), mul(slope1, slope2)))
     double_angle = div(mul(lit(2), TAN36), sub(lit(1), mul(TAN36, TAN36)))
     # complement: the diagonal meets the vertical at the complementary
     # angle, whose tangent is the reciprocal of tan(36)
-    complement = div(sub(corner11.x, corner00.x), sub(corner11.y, corner00.y))
-    center = segment_intersection(diag1, diag2)
+    complement = div(sub(top_right.x, bottom_left.x), sub(bottom_left.y, top_right.y))
+    center = segment_intersection(rising, falling)
     identities = (
         ("rising diagonal tangent equals tan(36)", tangent1, TAN36),
-        ("falling diagonal tangent equals tan(36)", angle_tangent_with_horizontal(diag2), TAN36),
+        ("falling diagonal tangent equals tan(36)", angle_tangent_with_horizontal(falling), TAN36),
         ("diagonal crossing tangent equals tan(72) closed form", crossing, TAN72),
         ("crossing tangent equals double-angle form 2t/(1-t^2)", crossing, double_angle),
         (
@@ -444,8 +444,8 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
         ),
         (
             "half-diagonals to the top side are equal (isosceles 36-72-72)",
-            _squared_distance(center, corner01),
-            _squared_distance(center, corner11),
+            _squared_distance(center, top_left),
+            _squared_distance(center, top_right),
         ),
     )
     checks = [

@@ -3,13 +3,14 @@
 :func:`decimal_str` rounds half-even to a number of significant digits.
 The printed string is certified: both ends of an interval enclosure
 round to the same digits, so the exact value is within half an ulp of
-the output.  There is one rounding path, the refinement of
-:func:`expr.enclosures` at a working precision relative to the value's
-magnitude, so tiny values print like large ones.  An exact zero prints
-as ``0`` and an exact tie rounds half-even; :func:`certified_sign`
-decides both.  Quoting the leading digits of an expansion is a
-different operation, a pair of certified comparisons (a spec's
-``check ... 0.820 <= ratio < 0.821``).
+the output.  A literal, which every all-rational expression folds to,
+is rounded exactly.  Any other value has one rounding path, the
+refinement of :func:`expr.enclosures` at a working precision relative
+to the value's magnitude, so tiny values print like large ones.  An
+exact zero prints as ``0`` and an exact tie rounds half-even;
+:func:`certified_sign` decides both.  Quoting the leading digits of an
+expansion is a different operation, a pair of certified comparisons (a
+spec's ``check ... 0.820 <= ratio < 0.821``).
 
 This is a pure integer/rational computation: output bytes are identical
 across platforms and runs.
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from ..errors import PrecisionExhausted
 from . import interval as iv
-from .expr import Expr, certified_sign, enclosures, lit, separation_bits, sub
+from .expr import Expr, Literal, certified_sign, enclosures, lit, separation_bits, sub
 from .expr import eval_interval, exact_rational  # noqa: F401  (bound here by the layer tracer in bench/)
 from .golden import Sign
 
@@ -122,11 +123,12 @@ def decimal_str(x: Expr, digits: int) -> str:
     """Certified round-half-even rendering of ``x`` with ``digits``
     significant digits, at most :data:`MAX_DIGITS`.
 
-    The working precision is relative to ``x``: the schedule from the
-    larger of 64 and ``4 * digits + 32`` bits, ``first``, up to a cap is
-    shifted by the value's magnitude.  Once an enclosure excludes zero,
-    so that ``|x| < 2**-m``, it goes on at ``first + m`` bits at the
-    least, and the cap moves up by ``m``.
+    A literal is rounded exactly.  Otherwise the working precision is
+    relative to ``x``: the schedule from the larger of 64 and
+    ``4 * digits + 32`` bits, ``first``, up to a cap is shifted by the
+    value's magnitude.  Once an enclosure excludes zero, so that
+    ``|x| < 2**-m``, it goes on at ``first + m`` bits at the least, and
+    the cap moves up by ``m``.
 
     Two points are asked about once each, by :func:`certified_sign`: zero,
     at the first enclosure that contains it, and the tie between two
@@ -140,6 +142,8 @@ def decimal_str(x: Expr, digits: int) -> str:
     """
     if digits > MAX_DIGITS:
         raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
+    if isinstance(x, Literal):
+        return format_rounded(round_significant(x.value, digits), digits)
     start = 4 * digits + 32
     first, cap = max(64, start), max(4096, 64 * start)
     precision, shift, bound = first, 0, 0

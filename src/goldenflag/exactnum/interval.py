@@ -59,17 +59,19 @@ def mul(x: IntPair, y: IntPair, w: int) -> IntPair:
 
 
 def div(x: IntPair, y: IntPair, w: int) -> IntPair:
-    """Quotient interval; raises StraddlesZero when 0 in y."""
+    """Quotient interval; raises StraddlesZero when 0 in y.
+
+    With the divisor positive, the sign of each end of ``x`` picks the
+    end of ``y`` that bounds the quotient; a negative divisor is first
+    moved to the positive side by negating both operands."""
     if y[0] <= 0 <= y[1]:
         raise StraddlesZero
-    quotients_lo = []
-    quotients_hi = []
-    for n in x:
-        shifted = n << w
-        for d in y:
-            quotients_lo.append(shifted // d)
-            quotients_hi.append(-((-shifted) // d))
-    return min(quotients_lo), max(quotients_hi)
+    if y[0] < 0:
+        x, y = neg(x), neg(y)
+    (x0, x1), (y0, y1) = x, y
+    lo = (x0 << w) // (y1 if x0 >= 0 else y0)
+    hi = -((-x1 << w) // (y0 if x1 >= 0 else y1))
+    return lo, hi
 
 
 def sqrt(x: IntPair, w: int) -> IntPair:

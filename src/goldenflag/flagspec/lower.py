@@ -5,10 +5,9 @@ lowers to (1+sqrt5)/2 exactly); declarations resolve in source order,
 so every identifier, and every region whose ``width`` or ``height`` an
 expression reads, must be declared earlier in the file.  ``canvas.width``
 and ``canvas.height`` are the canvas dimensions, and a region's are the
-differences of its bounds.  ``check`` statements lower to the layout's
-claims, which only ``verify`` proves.  Spec files use screen orientation
-(y downward from the top-left corner); lowering converts to the internal
-y-up frame.
+sizes it declares.  ``check`` statements lower to the layout's claims,
+which only ``verify`` proves.  Coordinates keep the spec's frame: y
+grows downward from the canvas's top-left corner.
 """
 
 from __future__ import annotations
@@ -44,41 +43,40 @@ from .parser import (
 
 _BINOPS = {"+": add, "-": sub, "*": mul, "/": div}
 
-# x0, x1, y0, y1 of the canvas and of each region declared so far
-Boxes = dict[str, tuple[Expr, Expr, Expr, Expr]]
-
 
 def lower_expr(
-    ast: ExprAst, env: dict[str, Expr], where: str = "expression", boxes: Boxes | None = None
+    ast: ExprAst,
+    env: dict[str, Expr],
+    where: str = "expression",
+    rects: dict[str, Rect] | None = None,
 ) -> Expr:
     """Certified expression for an AST node; user-level side-condition
     failures surface as CertificationError."""
     try:
-        return _lower_expr(ast, env, boxes or {})
+        return _lower_expr(ast, env, rects or {})
     except (DivisionByZero, PrecisionExhausted) as exc:
         raise CertificationError(f"in {where}: {exc}") from exc
     except CertificationError as exc:
         raise CertificationError(f"in {where}: {exc}") from exc
 
 
-def _attribute(ast: Attribute, boxes: Boxes) -> Expr:
-    bounds = boxes.get(ast.owner)
-    if bounds is None:
+def _attribute(ast: Attribute, rects: dict[str, Rect]) -> Expr:
+    rect = rects.get(ast.owner)
+    if rect is None:
         if ast.owner == "canvas":
             message = "the canvas has no size inside its own declaration"
         else:
             message = f"{ast.owner!r} is not a previously declared region"
         raise SemanticError(ast.line, ast.col, message)
-    x0, x1, y0, y1 = bounds
     if ast.name == "width":
-        return sub(x1, x0)
+        return rect.width
     if ast.name == "height":
-        return sub(y1, y0)
+        return rect.height
     message = f"unknown attribute {ast.name!r} (expected 'width' or 'height')"
     raise SemanticError(ast.name_line, ast.name_col, message)
 
 
-def _lower_expr(ast: ExprAst, env: dict[str, Expr], boxes: Boxes) -> Expr:
+def _lower_expr(ast: ExprAst, env: dict[str, Expr], rects: dict[str, Rect]) -> Expr:
     """Post-order lowering with an explicit stack, so operator chains of
     any length lower (the parser bounds only parenthesised nesting)."""
     values: list[Expr] = []
@@ -102,7 +100,7 @@ def _lower_expr(ast: ExprAst, env: dict[str, Expr], boxes: Boxes) -> Expr:
             except KeyError:
                 raise SemanticError(item.line, item.col, f"unbound name {item.name!r}") from None
         elif isinstance(item, Attribute):
-            values.append(_attribute(item, boxes))
+            values.append(_attribute(item, rects))
         elif isinstance(item, BinOp):
             todo += ((_BINOPS[item.op], 2), item.rhs, item.lhs)
         elif isinstance(item, Negate):
@@ -127,8 +125,7 @@ def lower(ast: SpecAst) -> FlagLayout:
     if not ast.regions:
         raise SemanticError(ast.line, ast.col, f"flag {ast.name!r} declares no region")
     env: dict[str, Expr] = {}
-    rects: dict[str, Rect] = {}
-    boxes: Boxes = {}
+    rects: dict[str, Rect] = {}  # the canvas and each region declared so far
     regions: list[Region] = []
     stars: list[Star] = []
     claims: list[Claim | Diagonals] = []
@@ -139,39 +136,35 @@ def lower(ast: SpecAst) -> FlagLayout:
         canvas = Rect(Point(lit(0), lit(0)), canvas_width, canvas_height)
     except InvalidDimension as exc:
         raise CertificationError(f"canvas: {exc}") from exc
-    boxes["canvas"] = (lit(0), canvas_width, lit(0), canvas_height)
+    rects["canvas"] = canvas
 
     for decl in ast.items:
         if isinstance(decl, (LetDecl, RegionDecl)) and (decl.name in env or decl.name in rects):
             raise SemanticError(decl.line, decl.col, f"duplicate binding {decl.name!r}")
         if isinstance(decl, LetDecl):
-            env[decl.name] = lower_expr(decl.expr, env, f"let {decl.name!r}", boxes)
+            env[decl.name] = lower_expr(decl.expr, env, f"let {decl.name!r}", rects)
         elif isinstance(decl, RegionDecl):
             where = f"region {decl.name!r}"
-            x = lower_expr(decl.x, env, where, boxes)
-            y = lower_expr(decl.y, env, where, boxes)
-            width = lower_expr(decl.width, env, where, boxes)
-            height = lower_expr(decl.height, env, where, boxes)
-            # screen y measures down from the top: flip to the y-up frame
-            origin_y = sub(canvas_height, add(y, height))
+            x, y, width, height = (
+                lower_expr(e, env, where, rects) for e in (decl.x, decl.y, decl.width, decl.height)
+            )
             try:
-                rect = Rect(Point(x, origin_y), width, height)
+                rect = Rect(Point(x, y), width, height)
             except InvalidDimension as exc:
                 raise CertificationError(f"{where}: {exc}") from exc
             rects[decl.name] = rect
-            region = Region.from_rect(decl.name, ColorRole(decl.color), rect)
-            boxes[decl.name] = region.bounds
-            regions.append(region)
+            regions.append(Region.from_rect(decl.name, ColorRole(decl.color), rect))
         elif isinstance(decl, StarDecl):
             where = f"star {decl.color}"
             if isinstance(decl.center, DiagonalCenter):
                 c = decl.center
                 center = rect_diagonal_intersection(_declared_rect(rects, c.region, c.line, c.col))
             else:
-                cx = lower_expr(decl.center.x, env, where, boxes)
-                cy_screen = lower_expr(decl.center.y, env, where, boxes)
-                center = Point(cx, sub(canvas_height, cy_screen))
-            diameter = lower_expr(decl.diameter, env, where, boxes)
+                center = Point(
+                    lower_expr(decl.center.x, env, where, rects),
+                    lower_expr(decl.center.y, env, where, rects),
+                )
+            diameter = lower_expr(decl.diameter, env, where, rects)
             try:
                 pentagram = Pentagram(center, div(diameter, lit(2)))
             except InvalidDimension as exc:
@@ -179,7 +172,7 @@ def lower(ast: SpecAst) -> FlagLayout:
             stars.append(Star(ColorRole(decl.color), pentagram))
         elif isinstance(decl, CheckDecl):
             where = f"check {decl.name!r}"
-            terms = tuple(lower_expr(term, env, where, boxes) for term in decl.terms)
+            terms = tuple(lower_expr(term, env, where, rects) for term in decl.terms)
             shown = None
             if decl.shown is not None:
                 shown = (decl.shown.name, lower_expr(decl.shown, env, where))

@@ -21,9 +21,9 @@
                | ( IDENT | "canvas" ) "." IDENT | "(" expr ")"
 
 Region and star coordinates are written in screen orientation (y grows
-downward from the flag's top-left corner); lowering flips them into the
-internal mathematical frame.  A ``check`` states a claim that ``verify``
-proves: every link of its chain of relations must hold.
+downward from the flag's top-left corner), the one frame of every layout.
+A ``check`` states a claim that ``verify`` proves: every link of its
+chain of relations must hold.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exact planar primitives: points, rectangles, segments, pentagrams.
 
-Coordinates are constructible-number expressions in a y-up mathematical
-frame (the render layer flips to screen orientation).  Angular facts are
+Coordinates are constructible-number expressions in the frame a flag is
+drawn in: y grows downward from the top-left corner.  Angular facts are
 never stored in degrees: they are encoded as exact tangents and chord
 lengths, which keeps everything inside constructible arithmetic.
 """
@@ -58,9 +58,7 @@ class Point:
 class Rect:
     """Axis-aligned rectangle spanning ``[x, x+width] x [y, y+height]``.
 
-    ``origin`` is the corner with the smallest coordinates in the
-    internal y-up frame (it becomes the top-left corner once the render
-    flip is applied to the opposite edge).  Width and height must be
+    ``origin`` is the top-left corner.  Width and height must be
     certified positive.
     """
 
@@ -172,29 +170,30 @@ def angle_tangent_with_horizontal(s: Segment) -> Expr:
     return div(abs_dy, abs_dx)
 
 
-# Unit vectors for the ten boundary directions of a point-up {5/2} star,
-# counterclockwise from the topmost outer vertex (outer vertices on the
-# circumcircle, inner vertices at circumradius/phi^2).
+# Unit vectors for the ten boundary directions of a point-up {5/2} star
+# (negative y is up), counterclockwise as drawn from the topmost outer
+# vertex (outer vertices on the circumcircle, inner vertices at
+# circumradius/phi^2).
 _OUTER_UNIT = (
-    (lit(0), lit(1)),
-    (neg(SIN72), COS72),
-    (neg(SIN36), neg(COS36)),
-    (SIN36, neg(COS36)),
-    (SIN72, COS72),
+    (lit(0), lit(-1)),
+    (neg(SIN72), neg(COS72)),
+    (neg(SIN36), COS36),
+    (SIN36, COS36),
+    (SIN72, neg(COS72)),
 )
 _INNER_UNIT = (
-    (neg(SIN36), COS36),
-    (neg(SIN72), neg(COS72)),
-    (lit(0), lit(-1)),
-    (SIN72, neg(COS72)),
-    (SIN36, COS36),
+    (neg(SIN36), neg(COS36)),
+    (neg(SIN72), COS72),
+    (lit(0), lit(1)),
+    (SIN72, COS72),
+    (SIN36, neg(COS36)),
 )
 
 
 def pentagram_vertices(star: Pentagram) -> list[Point]:
     """The ten boundary vertices of the star as a simple concave
-    decagon, counterclockwise, alternating outer/inner and starting at
-    the topmost outer vertex."""
+    decagon, counterclockwise as drawn, alternating outer/inner and
+    starting at the topmost outer vertex."""
     inner_radius = div(star.circumradius, mul(PHI_EXPR, PHI_EXPR))
     cx, cy = star.center.x, star.center.y
     vertices: list[Point] = []

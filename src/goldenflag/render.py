@@ -8,13 +8,13 @@ or tie, so the exact value lies within half an ulp of the printed
 decimal.  Output bytes are identical across runs and platforms for
 identical inputs.
 
-The internal y-up frame is flipped to screen orientation here; both
-emitters share the flip and the decimal policy.
+Layouts are already in screen orientation; both emitters share the
+scaling and the decimal policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 from xml.sax.saxutils import escape
@@ -47,8 +47,6 @@ class RenderOptions:
 
     scale: Fraction = Fraction(1)
     digits: int = 12
-    palette: Mapping[ColorRole, str] = field(default_factory=lambda: DEFAULT_PALETTE)
-    background: str | None = None
     target_width: Fraction | None = None
 
     def __post_init__(self) -> None:
@@ -62,15 +60,9 @@ class RenderOptions:
             if self.target_width <= 0:
                 raise ValueError("target width must be positive")
 
-    def color(self, role: ColorRole) -> str:
-        try:
-            return self.palette[role]
-        except KeyError:
-            raise ValueError(f"palette does not cover color role {role.value!r}") from None
-
 
 class _Frame:
-    """Scaled, y-flipped coordinate emission for one layout."""
+    """Scaled coordinate emission for one layout."""
 
     def __init__(self, layout: FlagLayout, opts: RenderOptions) -> None:
         self.digits = opts.digits
@@ -79,8 +71,7 @@ class _Frame:
             self.scale: Expr = div(lit(opts.target_width), canvas.width)
         else:
             self.scale = lit(opts.scale)
-        self.origin_x = canvas.origin.x
-        self.top_y = canvas.origin.y + canvas.height
+        self.origin = canvas.origin
         self.width = mul(canvas.width, self.scale)
         self.height = mul(canvas.height, self.scale)
 
@@ -88,8 +79,8 @@ class _Frame:
         return decimal_str(value, self.digits)
 
     def point(self, p: Point) -> tuple[str, str]:
-        x = mul(sub(p.x, self.origin_x), self.scale)
-        y = mul(sub(self.top_y, p.y), self.scale)
+        x = mul(sub(p.x, self.origin.x), self.scale)
+        y = mul(sub(p.y, self.origin.y), self.scale)
         return self.dec(x), self.dec(y)
 
     def length(self, value: Expr) -> str:
@@ -114,17 +105,12 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
         ),
         f"<title>{escape(layout.provenance)}</title>",
     ]
-    if opts.background is not None:
-        lines.append(
-            f'<rect x="0" y="0" width="{width}" height="{height}" '
-            f'fill="{opts.background}"/>'
-        )
     for region in layout.regions:
         points = " ".join(",".join(frame.point(p)) for p in region.polygon)
-        lines.append(f'<polygon points="{points}" fill="{opts.color(region.color)}"/>')
+        lines.append(f'<polygon points="{points}" fill="{DEFAULT_PALETTE[region.color]}"/>')
     for star in layout.stars:
         points = " ".join(",".join(frame.point(p)) for p in pentagram_vertices(star.pentagram))
-        lines.append(f'<polygon points="{points}" fill="{opts.color(star.color)}"/>')
+        lines.append(f'<polygon points="{points}" fill="{DEFAULT_PALETTE[star.color]}"/>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -135,8 +121,7 @@ def json_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     Fixed key order: flag, canvas (width, height), ratio, regions
     (name, color, vertices), stars (color, center, circumradius,
     vertices).  All decimals are strings under the same certified
-    rounding policy as the SVG emitter; vertices are in screen
-    orientation and scaled units.
+    rounding policy as the SVG emitter; vertices are in scaled units.
     """
     opts = opts or RenderOptions()
     frame = _Frame(layout, opts)

@@ -171,6 +171,19 @@ class TestEval:
         code, out, err = run(capsys, "eval", expr.replace("Z", TEN_TO_700), "--digits", "3")
         assert (code, out, err) == (0, "0." + "0" * 1399 + "5\n", "")
 
+    # 10**-21000 is past every enclosure the separation ceiling allows, and
+    # an all-rational expression folds to a literal that is rounded exactly
+    @pytest.mark.parametrize(
+        "numerator,digits,point,tail",
+        [("1", "1", "0.", "1"), ("1", "3", "0.", "1"), ("1", "12", "0.", "1"), ("-7", "3", "-0.", "7")],
+    )
+    def test_a_rational_below_the_separation_ceiling_is_rounded_exactly(
+        self, capsys, numerator, digits, point, tail
+    ):
+        expr = numerator + "/Z" * 30
+        code, out, err = run(capsys, "eval", "--digits", digits, "--", expr.replace("Z", TEN_TO_700))
+        assert (code, out, err) == (0, point + "0" * 20999 + tail + "\n", "")
+
     # the working precision follows the value's magnitude, so irrational
     # values this small print too; an expression that starts with "-"
     # goes after "--"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from goldenflag.exactnum import (
     sqrt_,
     sub,
 )
+from goldenflag.exactnum import interval as iv
 from goldenflag.exactnum.expr import enclosures, exact_sign
 from goldenflag.geometry import TAN36
 
@@ -124,6 +126,28 @@ class TestExprEval:
         sign = enclosure_sign(*enclosure(gn_to_expr(g), 96))
         if sign is not None:
             assert sign is GOLDEN.sign(g)
+
+
+def four_corner_div(x, y, w):
+    """The quotient interval as the floor of the least and the ceiling of
+    the greatest of the four end-to-end quotients."""
+    quotients = [Fraction(n << w, d) for n in x for d in y]
+    return math.floor(min(quotients)), math.ceil(max(quotients))
+
+
+ends = st.integers(-(2**80), 2**80)
+
+
+class TestIntervalDiv:
+    @given(ends, ends, ends, ends, st.integers(0, 96))
+    @settings(max_examples=300)
+    def test_two_divisions_match_the_four_corners(self, x0, x1, y0, y1, w):
+        x, y = (min(x0, x1), max(x0, x1)), (min(y0, y1), max(y0, y1))
+        if y[0] <= 0 <= y[1]:
+            with pytest.raises(iv.StraddlesZero):
+                iv.div(x, y, w)
+        else:
+            assert iv.div(x, y, w) == four_corner_div(x, y, w)
 
 
 class TestCertifiedSign:

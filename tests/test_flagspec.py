@@ -27,6 +27,7 @@ from goldenflag.flagspec import (
     parse_source,
     tokenize,
 )
+from goldenflag.geometry import Point
 
 MINIMAL = """
 flag "minimal" {
@@ -228,20 +229,21 @@ class TestLowerLayouts:
         assert len(layout.regions) == 1
         assert layout.regions[0].color is ColorRole.RED
 
-    def test_screen_coordinates_flip_to_the_mathematical_frame(self):
+    def test_bounds_and_star_centres_are_the_spec_coordinates(self):
         source = """
         flag "two-bands" {
-          canvas 1 x 2;
-          region top    blue rect 0 0 1 1;
-          region bottom red  rect 0 1 1 1;
+          canvas 1 x 2*phi;
+          region top    blue rect 0 0 1 phi;
+          region bottom red  rect 0 phi 1 phi;
+          star white at 1/2 phi/2 diameter 1/2;
         }
         """
         layout = lower_source(source)
-        top = layout.regions[0]
-        # the band written at screen y=0 occupies the upper half of the
-        # internal y-up frame
-        assert top.bounds[2] == lit(1)
-        assert top.bounds[3] == lit(2)
+        top, bottom = layout.regions
+        # screen y grows downward from the top-left corner, as written
+        assert top.bounds[0::2] == (lit(0), lit(0))
+        assert bottom.bounds[2] is PHI_EXPR
+        assert layout.stars[0].pentagram.center == Point(lit(Fraction(1, 2)), div(PHI_EXPR, lit(2)))
 
     def test_zero_width_region_is_a_certification_error(self):
         source = """

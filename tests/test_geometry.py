@@ -171,8 +171,9 @@ class TestPentagram:
     def test_ten_vertices_starting_at_the_top(self, unit_star_vertices):
         assert len(unit_star_vertices) == 10
         top = unit_star_vertices[0]
+        # y grows downward, so the top vertex is at cy - r
         assert top.x == lit(0)
-        assert top.y == lit(1)
+        assert top.y == lit(-1)
 
     def test_outer_vertices_on_the_circumcircle(self, unit_star_vertices):
         for vertex in unit_star_vertices[0::2]:

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout
-from goldenflag.exactnum import decimal_str, lit, mul, sub
+from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout, Region
+from goldenflag.exactnum import certified_sign, decimal_str, decimalfmt, lit, mul, sub
 from goldenflag.flagspec import lower_source
 from goldenflag.geometry import Point, Rect
 from goldenflag.render import DEFAULT_PALETTE, RenderOptions, _Frame, json_emit, svg_emit
@@ -56,25 +56,33 @@ class TestSvg:
         expected = Fraction(12, 5) / Fraction("1.80171")
         assert abs(Fraction(height) - expected) <= Fraction(1, 10**5)
 
-    def test_empty_layout_renders_background_only(self):
-        canvas = Rect(Point(lit(0), lit(0)), lit(3), lit(2))
-        empty = FlagLayout.create(canvas, (), (), "empty")
-        svg = svg_emit(empty, RenderOptions(background="#DDDDDD")).decode()
-        assert "<polygon" not in svg
-        assert '<rect x="0" y="0" width="3" height="2" fill="#DDDDDD"/>' in svg
-        assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>')
-        assert svg.rstrip().endswith("</svg>")
-
     def test_title_is_escaped(self):
         canvas = Rect(Point(lit(0), lit(0)), lit(1), lit(1))
-        layout = FlagLayout.create(
-            canvas,
-            (),
-            (),
-            "<odd & name>",
-        )
+        region = Region.from_rect("all", ColorRole.RED, canvas)
+        layout = FlagLayout.create(canvas, (region,), (), "<odd & name>")
         svg = svg_emit(layout).decode()
         assert "<title>&lt;odd &amp; name&gt;</title>" in svg
+
+    def test_an_edge_at_the_top_asks_no_sign(self, monkeypatch):
+        # the band's top edge is written y = 0 under an irrational canvas
+        # height; it is rendered from that literal, with no zero proof
+        layout = lower_source("""
+        flag "bands" {
+          canvas 1 x phi;
+          region top    blue rect 0 0 1 1;
+          region bottom red  rect 0 1 1 phi - 1;
+        }
+        """)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return certified_sign(*args)
+
+        monkeypatch.setattr(decimalfmt, "certified_sign", counting)
+        doc = json.loads(json_emit(layout))
+        assert doc["regions"][0]["vertices"][2:] == [["1", "0"], ["0", "0"]]
+        assert calls == []
 
 
 class TestJson:
@@ -116,8 +124,8 @@ class TestPrecisionSoundness:
         recheck(doc["canvas"]["height"], frame.height)
         for region, emitted in zip(layout.regions, doc["regions"]):
             for point, (x_text, y_text) in zip(region.polygon, emitted["vertices"]):
-                recheck(x_text, mul(sub(point.x, frame.origin_x), frame.scale))
-                recheck(y_text, mul(sub(frame.top_y, point.y), frame.scale))
+                recheck(x_text, mul(sub(point.x, frame.origin.x), frame.scale))
+                recheck(y_text, mul(sub(point.y, frame.origin.y), frame.scale))
 
     def test_monotone_refinement_of_digits(self, layouts):
         ratio = layouts["chile-1818"].width_height_ratio()
@@ -136,8 +144,3 @@ class TestOptions:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             RenderOptions(scale=Fraction(-1))
-
-    def test_palette_must_cover_used_roles(self, layouts):
-        partial = {ColorRole.BLUE: "#000000"}
-        with pytest.raises(ValueError):
-            svg_emit(layouts["chile-current"], RenderOptions(palette=partial))
