@@ -144,14 +144,6 @@ def _enclosure(value: Expr) -> tuple[float | int, float | int]:
         return -math.inf, math.inf
 
 
-def _compare_certified(a: Expr, b: Expr) -> int:
-    try:
-        sign = certified_sign(sub(a, b))
-    except PrecisionExhausted as exc:
-        raise LayoutError("region cut lines not orderable") from exc
-    return sign.value
-
-
 def _ordered_classes(values: list[Expr], members: list[int]) -> list[list[int]]:
     """Group one cluster's input indices by proven equality, ordered by
     certified signs of differences; each group's first index is its
@@ -167,7 +159,7 @@ def _ordered_classes(values: list[Expr], members: list[int]) -> list[list[int]]:
                 raise LayoutError("region cut lines not certified distinct/equal")
         else:
             classes.append([index])
-    classes.sort(key=cmp_to_key(lambda p, q: _compare_certified(values[p[0]], values[q[0]])))
+    classes.sort(key=cmp_to_key(lambda p, q: certified_sign(sub(values[p[0]], values[q[0]])).value))
     return classes
 
 

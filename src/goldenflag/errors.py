@@ -26,8 +26,8 @@ class NotInField(ExactNumberError):
 
 
 class PrecisionExhausted(ExactNumberError):
-    """Interval refinement reached its cap without certifying a side
-    condition, a sign, or a rounding."""
+    """Interval refinement spent its work budget without certifying a
+    side condition, a sign, or a rounding."""
 
 
 class SignMismatch(ExactNumberError):

@@ -5,10 +5,12 @@ The printed string is certified: both ends of an interval enclosure
 round to the same digits, so the exact value is within half an ulp of
 the output.  A literal, which every all-rational expression folds to,
 is rounded exactly.  Any other value has one rounding path, the
-refinement of :func:`expr.enclosures` at a working precision relative
-to the value's magnitude, so tiny values print like large ones.  An
-exact zero prints as ``0`` and an exact tie rounds half-even;
-:func:`certified_sign` decides both.  Quoting the leading digits of an
+refinement of :func:`expr.enclosures`, which doubles its working
+precision until it reaches the value's magnitude, so tiny values print
+like large ones.  An exact zero prints as ``0`` and an exact tie rounds
+half-even; :func:`certified_sign` decides both.  Every refinement
+spends from :data:`expr.WORK_BUDGET`, so whether a value prints does
+not depend on the digits asked for.  Quoting the leading digits of an
 expansion is a different operation, a pair of certified comparisons (a
 spec's ``check ... 0.820 <= ratio < 0.821``).
 
@@ -20,9 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import PrecisionExhausted
 from . import interval as iv
-from .expr import Expr, Literal, certified_sign, enclosures, lit, separation_bits, sub
+from .expr import Expr, Literal, certified_sign, enclosures, lit, sub
 from .expr import eval_interval, exact_rational  # noqa: F401  (bound here by the layer tracer in bench/)
 from .golden import Sign
 
@@ -32,11 +33,6 @@ _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
 # (sys.int_info.default_max_str_digits), fixed here so that every
 # interpreter accepts and rejects the same requests.
 MAX_DIGITS = 4300
-
-
-# The largest separation bound, in bits, that a rendering refines past
-# its cap for: it keeps every rendering finite.
-SEPARATION_CEILING = 1 << 16
 
 
 def _decimal_magnitude(value: Fraction) -> int:
@@ -123,65 +119,33 @@ def decimal_str(x: Expr, digits: int) -> str:
     """Certified round-half-even rendering of ``x`` with ``digits``
     significant digits, at most :data:`MAX_DIGITS`.
 
-    A literal is rounded exactly.  Otherwise the working precision is
-    relative to ``x``: the schedule from the larger of 64 and
-    ``4 * digits + 32`` bits, ``first``, up to a cap is shifted by the
-    value's magnitude.  Once an enclosure excludes zero, so that
-    ``|x| < 2**-m``, it goes on at ``first + m`` bits at the least, and
-    the cap moves up by ``m``.
-
-    Two points are asked about once each, by :func:`certified_sign`: zero,
-    at the first enclosure that contains it, and the tie between two
-    adjacent outputs, at the first enclosure whose ends round to them.
-    A proved equality is rounded exactly, so values whose enclosures
-    settle the rounding pay nothing for it.  A value proved unequal to
-    the point asked about last, whose enclosures reach the cap, is
-    refined once more on a schedule shifted by the separation bound
-    ``b`` of their difference (``|x - point| >= 2**-b``), for ``b`` up
-    to :data:`SEPARATION_CEILING`.
+    A literal is rounded exactly.  Otherwise the enclosures of ``x``
+    start at the larger of 64 and ``4 * digits + 32`` bits and double
+    until both ends round alike.  Two points are asked about once each,
+    by :func:`certified_sign`: zero, at the first enclosure that
+    contains it, and the tie between two adjacent outputs, at the first
+    enclosure whose ends round to them.  A proved equality is rounded
+    exactly, so values whose enclosures settle the rounding pay nothing
+    for it.  Raises :class:`PrecisionExhausted` when a refinement runs
+    out of :data:`expr.WORK_BUDGET` first.
     """
     if digits > MAX_DIGITS:
         raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
     if isinstance(x, Literal):
         return format_rounded(round_significant(x.value, digits), digits)
-    start = 4 * digits + 32
-    first, cap = max(64, start), max(4096, 64 * start)
-    precision, shift, bound = first, 0, 0
     asked_zero = asked_tie = False
-    unequal = None  # the point x was last proved unequal to
-    while True:
-        for w, lo, hi in enclosures(x, precision, cap, shift):
-            straddles = lo <= 0 <= hi
-            located = 0 if straddles or shift else w - max(-lo, hi).bit_length()
-            lo, hi = iv.to_fractions((lo, hi), w)
-            ends = round_significant(lo, digits), round_significant(hi, digits)
-            if ends[0] == ends[1]:
-                return format_rounded(ends[0], digits)
-            point = None
-            if straddles:
-                if not asked_zero:
-                    asked_zero = True
-                    point = Fraction(0)
-            elif not asked_tie:
-                point = _tie(ends, digits)
-                asked_tie = point is not None
-            if point is not None:
-                try:
-                    sign = certified_sign(sub(x, lit(point)))
-                except PrecisionExhausted:  # the schedule may still separate them
-                    sign = None
-                if sign is Sign.ZERO:
-                    return format_rounded(round_significant(point, digits), digits)
-                if sign is not None:
-                    unequal = point
-            if located > 0:  # |x| < 2**-located: go on relative to it
-                precision, shift = max(first, 2 * (w - located)), located
-                break
-        else:
-            if unequal is None or bound:
-                break
-            bound = separation_bits(sub(x, lit(unequal)))
-            if bound > SEPARATION_CEILING:
-                break
-            precision, shift = first, max(shift, bound)
-    raise PrecisionExhausted("interval never certified a rounding")
+    for w, lo, hi in enclosures(x, max(64, 4 * digits + 32)):
+        straddles = lo <= 0 <= hi
+        lo, hi = iv.to_fractions((lo, hi), w)
+        ends = round_significant(lo, digits), round_significant(hi, digits)
+        if ends[0] == ends[1]:
+            return format_rounded(ends[0], digits)
+        point = None
+        if straddles:
+            if not asked_zero:
+                asked_zero, point = True, Fraction(0)
+        elif not asked_tie:
+            point = _tie(ends, digits)
+            asked_tie = point is not None
+        if point is not None and certified_sign(sub(x, lit(point))) is Sign.ZERO:
+            return format_rounded(round_significant(point, digits), digits)

@@ -18,13 +18,15 @@ the package.  It first tries one 64-bit interval enclosure, which
 settles every sign it separates from zero, then an exact route
 (normalization into a single quadratic extension of the a+b*sqrt(5)
 field), and then interval refinement with a deterministic doubling
-schedule from 128 bits up to a cap of 4096 bits, stopped by a
-separation bound: an enclosure narrower than the bound proves zero.
+schedule, stopped by a separation bound: an enclosure narrower than the
+bound proves zero.
 
 Evaluation is deterministic integer fixed-point interval arithmetic:
 :func:`eval_interval` encloses the exact value at one working precision,
 and :func:`enclosures` is the one refinement loop, which both the sign
-procedure and decimal rendering iterate.
+procedure and decimal rendering iterate.  Every refinement spends from
+one :data:`WORK_BUDGET`, so every question ends, and whether it is
+decided depends only on the value.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ from .golden import GOLDEN, Quadratic, Sign
 from .rational import Rational, as_rational, is_perfect_square
 
 SIGN_REFINE_START = 64
-SIGN_REFINE_CAP = 4096
+
+# The word operations one refinement may spend past its first enclosure:
+# an enclosure at w bits of a DAG of n distinct nodes is charged
+# n * (w // 64)**2, the cost of its multiplications and roots.
+WORK_BUDGET = 1 << 28
 
 ExprLike = Union["Expr", int, Fraction]
 T = TypeVar("T")
@@ -408,50 +414,68 @@ def _interval_algebra(w: int) -> tuple[Callable, dict[type, Callable]]:
     }
 
 
-def enclosures(x: Expr, start: int, cap: int, shift: int = 0) -> Iterator[tuple[int, int, int]]:
-    """The refinement of ``x``: ``(w, lo, hi)`` with ``lo * 2**-w <= x <=
-    hi * 2**-w`` for ``w = shift + p`` and ``p = start, 2*start, ...`` up
-    to ``cap`` (``start > 0``); a shift of ``m`` suits ``|x|`` near ``2**-m``.
+def _size(x: Expr) -> int:
+    """The number of distinct nodes of ``x``."""
+    nodes = 0
 
-    A precision at which a divisor interval straddles zero is skipped.
-    The schedule is deterministic, and so are the enclosures.
+    def count(*_) -> None:
+        nonlocal nodes
+        nodes += 1
+
+    fold(x, count, dict.fromkeys((Add, Sub, Mul, Div, Neg, Sqrt), count))
+    return nodes
+
+
+def enclosures(x: Expr, start: int) -> Iterator[tuple[int, int, int]]:
+    """The refinement of ``x``: ``(w, lo, hi)`` with ``lo * 2**-w <= x <=
+    hi * 2**-w`` for ``w = start, 2*start, ...`` (``start > 0``).
+
+    The first enclosure is free; each later one is charged against
+    :data:`WORK_BUDGET`, and :class:`PrecisionExhausted` is raised in
+    place of the first that would overspend it.  A precision at which a
+    divisor interval straddles zero is skipped.  The schedule is
+    deterministic, and so are the enclosures.
     """
-    p = start
-    while p <= cap:
+    w, spent, nodes = start, 0, 0
+    while True:
+        if w > start:
+            nodes = nodes or _size(x)
+            cost = nodes * (w // 64) ** 2
+            if spent + cost > WORK_BUDGET:
+                raise PrecisionExhausted(f"refinement spent {spent} of {WORK_BUDGET} word operations")
+            spent += cost
         try:
-            lo, hi = eval_interval(x, shift + p)
+            lo, hi = eval_interval(x, w)
         except iv.StraddlesZero:
             pass
         else:
-            yield shift + p, lo, hi
-        p *= 2
+            yield w, lo, hi
+        w *= 2
 
 
 def certified_sign(x: Expr) -> Sign:
     """Rigorous sign of an expression: the one sign procedure.
 
-    Layer 0 is one interval enclosure at 64 bits, which settles most
-    nonzero values.  Layer 1 is the exact normal form, which decides
-    every value in the tower.  Layer 2 refines the enclosure from 128
-    bits, doubling up to the cap: an enclosure that excludes zero gives
-    the sign, and one inside ``(-2**-b, 2**-b)`` for the separation bound
-    ``b`` of :func:`separation_bits` proves zero.  Raises
-    :class:`PrecisionExhausted` when the cap comes first.
+    Every enclosure that excludes zero gives the sign; the first one at
+    64 bits settles most nonzero values.  When it does not, the exact
+    normal form decides every value in the tower, and otherwise the
+    refinement goes on: an enclosure inside ``(-2**-b, 2**-b)`` for the
+    separation bound ``b`` of :func:`separation_bits` proves zero.
+    Raises :class:`PrecisionExhausted` when the refinement runs out of
+    :data:`WORK_BUDGET` first.
     """
-    for _, lo, hi in enclosures(x, SIGN_REFINE_START, SIGN_REFINE_START):
+    bits = None
+    for w, lo, hi in enclosures(x, SIGN_REFINE_START):
         if lo > 0 or hi < 0:
             return Sign.POSITIVE if lo > 0 else Sign.NEGATIVE
-    sign = exact_sign(x)
-    if sign is not None:
-        return sign
-    bits = separation_bits(x)
-    for w, lo, hi in enclosures(x, 2 * SIGN_REFINE_START, SIGN_REFINE_CAP):
-        if lo > 0 or hi < 0:
-            return Sign.POSITIVE if lo > 0 else Sign.NEGATIVE
+        if bits is None:
+            sign = exact_sign(x)
+            if sign is not None:
+                return sign
+            bits = separation_bits(x)
         reach = max(-lo, hi)  # |x| <= reach * 2**-w
         if reach == 0 or reach.bit_length() + bits <= w:
             return Sign.ZERO
-    raise PrecisionExhausted(f"sign not certified within {SIGN_REFINE_CAP} bits")
 
 
 # separation_bits' arithmetic: a pair (m, e) stands for m * 2**e, with m

@@ -4,8 +4,8 @@ Two expressions are equal exactly when their difference is zero, so a
 verdict is the :func:`certified_sign` of ``lhs - rhs`` (filter, exact
 tower, then refinement stopped by a separation bound), after a
 short-circuit for identical nodes (nodes are hash-consed, so that is
-structural equality).  Undecided means only that the bound asks for
-more bits than the refinement cap.
+structural equality).  Undecided means only that the refinement ran out
+of its work budget before an enclosure was narrower than the bound.
 """
 
 from __future__ import annotations

@@ -51,13 +51,15 @@ def lower_expr(
     rects: dict[str, Rect] | None = None,
 ) -> Expr:
     """Certified expression for an AST node; user-level side-condition
-    failures surface as CertificationError."""
+    failures surface as CertificationError, and a side condition whose
+    sign runs out of refinement as PrecisionExhausted, each naming
+    ``where``."""
     try:
         return _lower_expr(ast, env, rects or {})
-    except (DivisionByZero, PrecisionExhausted) as exc:
+    except (DivisionByZero, CertificationError) as exc:
         raise CertificationError(f"in {where}: {exc}") from exc
-    except CertificationError as exc:
-        raise CertificationError(f"in {where}: {exc}") from exc
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(f"in {where}: {exc}") from exc
 
 
 def _attribute(ast: Attribute, rects: dict[str, Rect]) -> Expr:

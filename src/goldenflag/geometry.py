@@ -68,11 +68,7 @@ class Rect:
 
     def __post_init__(self) -> None:
         for name, dim in (("width", self.width), ("height", self.height)):
-            try:
-                sign = certified_sign(dim)
-            except PrecisionExhausted as exc:
-                raise InvalidDimension(f"{name} sign not certified") from exc
-            if sign is not Sign.POSITIVE:
+            if certified_sign(dim) is not Sign.POSITIVE:
                 raise InvalidDimension(f"{name} is not certified positive")
 
 
@@ -95,11 +91,7 @@ class Pentagram:
     circumradius: Expr
 
     def __post_init__(self) -> None:
-        try:
-            sign = certified_sign(self.circumradius)
-        except PrecisionExhausted as exc:
-            raise InvalidDimension("circumradius sign not certified") from exc
-        if sign is not Sign.POSITIVE:
+        if certified_sign(self.circumradius) is not Sign.POSITIVE:
             raise InvalidDimension("circumradius is not certified positive")
 
 

@@ -2,11 +2,10 @@
 
 Every emitted coordinate string is the certified round-half-even
 rendering of an exact value (:func:`exactnum.decimal_str`): its interval
-enclosure is refined, at a precision relative to its magnitude, until
-both ends round to the same digits, unless it is proved an exact zero
-or tie, so the exact value lies within half an ulp of the printed
-decimal.  Output bytes are identical across runs and platforms for
-identical inputs.
+enclosure is refined, doubling its precision, until both ends round to
+the same digits, unless it is proved an exact zero or tie, so the exact
+value lies within half an ulp of the printed decimal.  Output bytes are
+identical across runs and platforms for identical inputs.
 
 Layouts are already in screen orientation; both emitters share the
 scaling and the decimal policy.

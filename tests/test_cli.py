@@ -33,13 +33,18 @@ def claims_spec(name: str, body: str = "") -> str:
     return f'flag "{name}" {{ canvas 2 x 1; region all blue rect 0 0 2 1; {body} }}'
 
 
-# a sum of three depth-3 radicals: the separation bound for a - a/3*3
-# asks for more bits than the refinement cap
-UNDECIDABLE = (
-    "let a = sqrt(7 + 2*sqrt(11 + 3*sqrt(5 + sqrt(2))))"
+# a sum of three depth-3 radicals: the separation bound for a - a/3*3 is
+# 24937 bits, which the work budget refines past
+THREE_RADICALS = (
+    "sqrt(7 + 2*sqrt(11 + 3*sqrt(5 + sqrt(2))))"
     " + sqrt(3 + sqrt(13 + 2*sqrt(6 + 4*sqrt(3))))"
-    " + sqrt(9 + 5*sqrt(2 + sqrt(17 + sqrt(7))));"
+    " + sqrt(9 + 5*sqrt(2 + sqrt(17 + sqrt(7))))"
 )
+
+# with a fourth the bound is 431921 bits, past what the work budget
+# refines to
+FOUR_RADICALS = THREE_RADICALS + " + sqrt(8 + 3*sqrt(19 + sqrt(6 + 2*sqrt(11))))"
+UNDECIDABLE = f"let a = {FOUR_RADICALS};"
 
 
 # sqrt(2) + sqrt(3) == sqrt(5 + 2*sqrt(6)), with three independent radicands
@@ -163,9 +168,10 @@ class TestEval:
         assert code == 0
         assert out.strip() == "1" + "0" * 6000
 
-    # Z is 10**700: both values are 5 * 10**-1400, far below every enclosure
-    # width up to the usual cap, so only a schedule that goes on past it,
-    # once certified_sign proves them nonzero, rounds them
+    # Z is 10**700: both values are 5 * 10**-1400.  The first is a literal,
+    # rounded exactly; the enclosures of the second contain zero until the
+    # doubling schedule reaches its magnitude, once certified_sign proves
+    # it nonzero
     @pytest.mark.parametrize("expr", ["5/Z/Z", "sqrt(5)*sqrt(5)/Z/Z"])
     def test_a_tiny_exact_rational_is_rounded_exactly(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr.replace("Z", TEN_TO_700), "--digits", "3")
@@ -194,10 +200,8 @@ class TestEval:
             ("sqrt(2)/Z/Z", "12", "0.", 1399, "141421356237"),
             ("-phi/Z/Z", "3", "-0.", 1399, "162"),
             ("sqrt(2)/Z/Z/Z", "3", "0.", 2099, "141"),
-            # not proved nonzero, since the separation bound is past the sign
-            # cap, but located by the enclosures of a 12-digit rendering: at
-            # 5120 bits, and for 10**-1535 with too few bits, which the
-            # schedule shifted by its magnitude adds
+            # proved nonzero by an enclosure that excludes zero, which the
+            # rendering then refines to the value's magnitude
             (ZERO_BEYOND_THE_TOWER + " + 1/Z/Z", "12", "0.", 1399, "1"),
             (ZERO_BEYOND_THE_TOWER + " + 1/Z/Z/1" + "0" * 135, "12", "0.", 1534, "1"),
         ],
@@ -209,8 +213,9 @@ class TestEval:
 
     @pytest.mark.parametrize("sign,expected", [("+", "0.124"), ("-", "0.123")])
     def test_a_value_beside_a_tie_rounds_to_its_side(self, capsys, sign, expected):
-        # 0.1235 +- 10**-1400: only refinement past the usual cap separates
-        # the value from the tie
+        # 0.1235 +- 10**-1400: only refinement far past the first enclosure
+        # would separate the value from the tie; it folds to a literal, which
+        # is rounded exactly
         code, out, err = run(capsys, "eval", f"1235/10000 {sign} 1/Z/Z".replace("Z", TEN_TO_700), "--digits", "3")
         assert (code, out, err) == (0, expected + "\n", "")
 
@@ -222,6 +227,16 @@ class TestEval:
         code, out, err = run(capsys, "eval", f"1/({ZERO_BEYOND_THE_TOWER})")
         assert (code, out) == (1, "")
         assert err == "goldenflag: error: in eval expression: divisor is certified zero\n"
+
+    # for a sum of four depth-3 radicals a, the sign of a - a/3*3 runs out
+    # of the work budget: a side condition that needs it is exhausted
+    # refinement, not an error
+    @pytest.mark.parametrize("template", ["1/(A - A/3*3)", "sqrt(A/3*3 - A)"])
+    def test_a_side_condition_past_the_work_budget_exits_three(self, capsys, template):
+        code, out, err = run(capsys, "eval", template.replace("A", f"({FOUR_RADICALS})"))
+        assert (code, out) == (3, "")
+        assert err.startswith("goldenflag: precision exhausted: in eval expression: refinement spent ")
+        assert err.endswith(" word operations\n")
 
     @pytest.mark.parametrize("tie,digits,expected", [("1/8", "2", "0.12"), ("5/2", "1", "2")])
     def test_an_exact_tie_beyond_the_tower_rounds_half_even(self, capsys, tie, digits, expected):
@@ -336,6 +351,19 @@ class TestVerify:
             "Undecided  in order\n"
             "claims: 2 of 2 checks failed\n"
         )
+
+    def test_a_claim_within_the_work_budget_is_proved(self, capsys, tmp_path):
+        code, out, err = self.verify_claims(capsys, tmp_path, f'let a = {THREE_RADICALS}; check "a" a == a/3*3;')
+        assert (code, err) == (0, "")
+        assert out == "ProvedEqual  a\nclaims: 1 checks passed\n"
+
+    def test_a_region_width_past_the_work_budget_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "width.flag"
+        path.write_text(f'flag "w" {{ canvas 2 x 1; {UNDECIDABLE} let w = a - a/3*3; region all blue rect 0 0 w 1; }}')
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("goldenflag: precision exhausted: refinement spent ")
+        assert err.endswith(" word operations\n")
 
     def test_a_disproved_claim_outranks_an_undecided_one(self, capsys, tmp_path):
         code, out, _ = self.verify_claims(capsys, tmp_path, (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -103,7 +104,7 @@ class TestExprEval:
     def test_radius_shrinks_with_precision(self):
         expressions = [TAN36, PHI_EXPR, div(lit(1), TAN36)]
         for expr in expressions:
-            radii = [Fraction(hi - lo, 2**w) for w, lo, hi in enclosures(expr, 64, 4096)]
+            radii = [Fraction(hi - lo, 2**w) for w, lo, hi in islice(enclosures(expr, 64), 7)]
             assert len(radii) == 7
             assert all(r2 <= r1 for r1, r2 in zip(radii, radii[1:]))
 
