@@ -135,59 +135,38 @@ class FlagLayout:
 # layout invariants
 
 
-def _enclosure(value: Expr) -> tuple[float | int, float | int]:
-    """64-bit enclosure of a cut line, unbounded when a divisor's
-    interval straddles zero at that precision."""
-    try:
-        return eval_interval(value, SIGN_REFINE_START)
-    except StraddlesZero:
-        return -math.inf, math.inf
-
-
-def _ordered_classes(values: list[Expr], members: list[int]) -> list[list[int]]:
-    """Group one cluster's input indices by proven equality, ordered by
-    certified signs of differences; each group's first index is its
-    representative."""
-    classes: list[list[int]] = []
-    for index in members:
-        for cls in classes:
-            verdict = compare_values(values[index], values[cls[0]])
-            if verdict is Verdict.PROVED_EQUAL:
-                cls.append(index)
-                break
-            if verdict is Verdict.UNDECIDED:
-                raise LayoutError("region cut lines not certified distinct/equal")
-        else:
-            classes.append([index])
-    classes.sort(key=cmp_to_key(lambda p, q: certified_sign(sub(values[p[0]], values[q[0]])).value))
-    return classes
-
-
 def _certified_distinct_sorted(values: list[Expr]) -> list[int]:
     """Rank of each value among the distinct values, in increasing order.
 
-    A sweep over the values sorted by 64-bit enclosure: values whose
-    enclosures are disjoint are ordered outright, and only clusters of
-    overlapping enclosures are compared exactly.  Any undecidable pair is
-    a layout defect."""
-    enclosures = [_enclosure(value) for value in values]
-    clusters: list[list[int]] = []
-    reach: float | int = -math.inf
-    for index in sorted(range(len(values)), key=enclosures.__getitem__):
-        lo, hi = enclosures[index]
-        if clusters and lo <= reach:
-            clusters[-1].append(index)
-            reach = max(reach, hi)
-        else:
-            clusters.append([index])
-            reach = hi
+    One stable sort with one comparator: values whose 64-bit enclosures
+    are disjoint are ordered by them, identical nodes are equal, and any
+    other pair by the certified sign of its difference, asked once per
+    pair.  A pair whose sign runs out of refinement raises
+    :class:`PrecisionExhausted`."""
+    boxes = []
+    for value in values:
+        try:
+            boxes.append(eval_interval(value, SIGN_REFINE_START))
+        except StraddlesZero:
+            boxes.append((-math.inf, math.inf))
+
+    @cache  # local to this call: each pair's sign is asked once
+    def difference_sign(p: int, q: int) -> int:
+        return certified_sign(sub(values[p], values[q])).value
+
+    def compare(p: int, q: int) -> int:
+        if boxes[p][1] < boxes[q][0]:
+            return -1
+        if boxes[q][1] < boxes[p][0]:
+            return 1
+        if values[p] is values[q]:
+            return 0
+        return difference_sign(p, q) if p < q else -difference_sign(q, p)
+
+    order = sorted(sorted(range(len(values)), key=boxes.__getitem__), key=cmp_to_key(compare))
     ranks = [0] * len(values)
-    rank = 0
-    for cluster in clusters:
-        for cls in _ordered_classes(values, cluster):
-            for index in cls:
-                ranks[index] = rank
-            rank += 1
+    for previous, index in zip(order, order[1:]):
+        ranks[index] = ranks[previous] + (compare(previous, index) != 0)
     return ranks
 
 
@@ -231,20 +210,24 @@ def _check_tiling(layout: FlagLayout) -> None:
 
 
 def _check_star_inside(layout: FlagLayout, star: Star) -> None:
+    # a region whose test runs out of refinement is skipped, and its
+    # exhaustion raised when no other region certainly holds the center
     center = star.pentagram.center
+    exhausted = None
     for region in layout.regions:
         x0, x1, y0, y1 = region.bounds
         try:
-            inside = (
+            if (
                 certified_sign(sub(center.x, x0)).is_nonnegative
                 and certified_sign(sub(x1, center.x)).is_nonnegative
                 and certified_sign(sub(center.y, y0)).is_nonnegative
                 and certified_sign(sub(y1, center.y)).is_nonnegative
-            )
-        except PrecisionExhausted:
-            continue
-        if inside:
-            return
+            ):
+                return
+        except PrecisionExhausted as exc:
+            exhausted = exc
+    if exhausted is not None:
+        raise exhausted
     raise LayoutError("star center lies in no region")
 
 

@@ -20,8 +20,6 @@ from .expr import (
     certified_sign,
     div,
     exact_rational,
-    gn_normalize,
-    gn_to_expr,
     lit,
     mul,
     neg,
@@ -56,8 +54,6 @@ __all__ = [
     "decimal_str",
     "div",
     "exact_rational",
-    "gn_normalize",
-    "gn_to_expr",
     "is_perfect_square",
     "lit",
     "mul",

@@ -94,33 +94,6 @@ class Expr:
             _interned[key] = weakref.ref(node, forget)
         return node
 
-    def __add__(self, other: ExprLike) -> "Expr":
-        return add(self, _coerce(other))
-
-    def __radd__(self, other: ExprLike) -> "Expr":
-        return add(_coerce(other), self)
-
-    def __sub__(self, other: ExprLike) -> "Expr":
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other: ExprLike) -> "Expr":
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other: ExprLike) -> "Expr":
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other: ExprLike) -> "Expr":
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other: ExprLike) -> "Expr":
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other: ExprLike) -> "Expr":
-        return div(_coerce(other), self)
-
-    def __neg__(self) -> "Expr":
-        return neg(self)
-
 
 # Fields are set once, by Expr.__new__; a second construction returns the
 # live node and never rewrites it.
@@ -351,18 +324,6 @@ def _tower_normalize(x: Expr) -> tuple[_Tower, tuple]:
     return tower, fold(x, tower.leaf, tower.ops)
 
 
-def gn_normalize(x: Expr) -> tuple[Fraction, Fraction]:
-    """Exact value ``(a, b)``, meaning ``a + b*sqrt(5)``, of ``x`` in GOLDEN.
-
-    Raises :class:`NotInField` when the exact normal form of ``x`` keeps
-    a radical part (e.g. ``sqrt(10 - 2*sqrt(5))``) or cannot be formed.
-    """
-    _, (u, v) = _tower_normalize(x)
-    if not GOLDEN.is_zero(v):
-        raise NotInField("the value has a radical part outside the field")
-    return u
-
-
 def exact_sign(x: Expr) -> Sign | None:
     """Sign via exact normalization when the value lies in the
     supported tower; None when it does not."""
@@ -560,8 +521,3 @@ def separation_bits(x: Expr) -> int:
 SQRT5_EXPR = Sqrt(Literal(Fraction(5)))
 PHI_EXPR = Div(Add(Literal(Fraction(1)), SQRT5_EXPR), Literal(Fraction(2)))
 
-
-def gn_to_expr(g: tuple[Rational, Rational]) -> Expr:
-    """Expression form of an exact GOLDEN element ``(a, b)``."""
-    a, b = g
-    return add(lit(a), mul(lit(b), SQRT5_EXPR))

@@ -174,16 +174,8 @@ class SpecAst:
     col: int
 
     @property
-    def lets(self) -> tuple[LetDecl, ...]:
-        return tuple(d for d in self.items if isinstance(d, LetDecl))
-
-    @property
     def regions(self) -> tuple[RegionDecl, ...]:
         return tuple(d for d in self.items if isinstance(d, RegionDecl))
-
-    @property
-    def stars(self) -> tuple[StarDecl, ...]:
-        return tuple(d for d in self.items if isinstance(d, StarDecl))
 
 
 class _Parser:
@@ -343,35 +335,35 @@ class _Parser:
             name.lexeme, tuple(terms), tuple(relations), detail, shown, start.line, start.col
         )
 
-    def check_depth(self, depth: int) -> None:
-        if depth > _MAX_EXPR_DEPTH:
+    def nested(self, depth: int) -> int:
+        """The depth inside one more ``(``, ``sqrt(`` or unary ``-``, at
+        the current token."""
+        if depth >= _MAX_EXPR_DEPTH:
             raise ParseError(
                 self.current.line, self.current.col, "a shallower expression", "nesting too deep"
             )
+        return depth + 1
 
     def parse_expr(self, depth: int = 0) -> ExprAst:
-        self.check_depth(depth)
-        node = self.parse_term(depth + 1)
+        node = self.parse_term(depth)
         while self.at_symbol("+", "-"):
             op = self.advance().lexeme
-            node = BinOp(op, node, self.parse_term(depth + 1))
+            node = BinOp(op, node, self.parse_term(depth))
         return node
 
     def parse_term(self, depth: int) -> ExprAst:
-        self.check_depth(depth)
-        node = self.parse_unary(depth + 1)
+        node = self.parse_unary(depth)
         while self.at_symbol("*", "/"):
             op = self.advance().lexeme
-            node = BinOp(op, node, self.parse_unary(depth + 1))
+            node = BinOp(op, node, self.parse_unary(depth))
         return node
 
     def parse_unary(self, depth: int) -> ExprAst:
-        self.check_depth(depth)
-        token = self.current
-        if token.kind is TokenKind.SYMBOL and token.lexeme == "-":
+        if self.at_symbol("-"):
+            depth = self.nested(depth)
             self.advance()
-            return Negate(self.parse_unary(depth + 1))
-        return self.parse_primary(depth + 1)
+            return Negate(self.parse_unary(depth))
+        return self.parse_primary(depth)
 
     def parse_primary(self, depth: int) -> ExprAst:
         token = self.current
@@ -389,9 +381,10 @@ class _Parser:
             self.advance()
             return PhiConst()
         if token.kind is TokenKind.KEYWORD and token.lexeme == "sqrt":
+            depth = self.nested(depth)
             self.advance()
             self.expect_symbol("(")
-            operand = self.parse_expr(depth + 1)
+            operand = self.parse_expr(depth)
             self.expect_symbol(")")
             return SqrtCall(operand)
         if token.kind is TokenKind.IDENT or (
@@ -408,8 +401,9 @@ class _Parser:
                 raise self.error("'.' after 'canvas'")
             return NameRef(token.lexeme, token.line, token.col)
         if token.kind is TokenKind.SYMBOL and token.lexeme == "(":
+            depth = self.nested(depth)
             self.advance()
-            node = self.parse_expr(depth + 1)
+            node = self.parse_expr(depth)
             self.expect_symbol(")")
             return node
         raise self.error("expression")

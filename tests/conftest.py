@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from goldenflag.constructions import BUILTIN_NAMES, FlagLayout, build_flag
-from goldenflag.exactnum import Expr, Sign, certified_sign, lit, sub
+from goldenflag.exactnum import SQRT5_EXPR, Expr, Sign, add, certified_sign, lit, mul, sub
 from goldenflag.exactnum import interval as iv
 from goldenflag.exactnum.expr import eval_interval
 from goldenflag.flagspec import lower_source
@@ -95,6 +95,11 @@ def expansion_begins(value: Expr, prefix: str) -> bool:
         certified_sign(sub(value, lit(low))).is_nonnegative
         and certified_sign(sub(lit(low + ulp), value)) is Sign.POSITIVE
     )
+
+
+def golden_expr(g: tuple[Fraction, Fraction]) -> Expr:
+    """Expression form of the GOLDEN element ``g[0] + g[1]*sqrt(5)``."""
+    return add(lit(g[0]), mul(lit(g[1]), SQRT5_EXPR))
 
 
 def enclosure(x: Expr, w: int) -> tuple[Fraction, Fraction]:

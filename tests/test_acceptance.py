@@ -30,8 +30,6 @@ from goldenflag.exactnum import (
     add,
     div,
     exact_rational,
-    gn_normalize,
-    gn_to_expr,
     lit,
     mul,
     sqrt_,
@@ -44,8 +42,9 @@ from goldenflag.geometry import TAN36, Pentagram, Point, pentagram_vertices
 from goldenflag.render import RenderOptions, _Frame, json_emit, svg_emit
 
 from goldenflag.exactnum import Sign, certified_sign
+from goldenflag.exactnum.expr import exact_sign
 
-from conftest import enclosure, enclosure_sign, expansion_begins
+from conftest import enclosure, enclosure_sign, expansion_begins, golden_expr
 
 
 @contextmanager
@@ -77,9 +76,9 @@ def test_02_tan36_identity_proved_exactly():
     with criterion(2, "both tan(36) closed forms proved equal in the exact field"):
         second_form = div(sqrt_(sqrt_(lit(5))), sqrt_(add(lit(2), SQRT5_EXPR)))
         assert verify_identity(TAN36, second_form) is Verdict.PROVED_EQUAL
-        expected_square = (5, -2)  # 5 - 2*sqrt5
-        assert gn_normalize(square_of(TAN36)) == expected_square
-        assert gn_normalize(square_of(second_form)) == expected_square
+        expected_square = golden_expr((5, -2))  # 5 - 2*sqrt5
+        assert exact_sign(sub(square_of(TAN36), expected_square)) is Sign.ZERO
+        assert exact_sign(sub(square_of(second_form), expected_square)) is Sign.ZERO
 
 
 def test_03_flag_ratio_value_and_identities(layouts):
@@ -205,7 +204,7 @@ def test_09_field_axioms_and_sign_agreement_at_scale():
             g = random_golden()
             if is_zero(g):
                 continue
-            sign = enclosure_sign(*enclosure(gn_to_expr(g), 96))
+            sign = enclosure_sign(*enclosure(golden_expr(g), 96))
             if sign is not None:
                 assert sign is GOLDEN.sign(g)
         elapsed = time.monotonic() - started

@@ -151,6 +151,19 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err == "goldenflag: error: 1:5: expected a shorter number, found a 5000-digit number\n"
 
+    @pytest.mark.parametrize(
+        "opening, closing", [("(", ")"), ("sqrt(", ")"), ("-", "")], ids=["paren", "sqrt", "minus"]
+    )
+    def test_nesting_is_limited_to_200_levels(self, capsys, opening, closing):
+        def nested(levels: int) -> str:
+            return opening * levels + "1" + closing * levels
+
+        assert run(capsys, "eval", "--", nested(200)) == (0, "1\n", "")
+        code, out, err = run(capsys, "eval", "--", nested(201))
+        assert (code, out) == (1, "")
+        column = 1 + 200 * len(opening)  # the 201st opening
+        assert err == f"goldenflag: error: 1:{column}: expected a shallower expression, found nesting too deep\n"
+
     @pytest.mark.parametrize("expr", ["phi", "2"])
     def test_digits_past_the_limit_end_in_one_error_line(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr, "--digits", "4400")
@@ -364,6 +377,32 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err.startswith("goldenflag: precision exhausted: refinement spent ")
         assert err.endswith(" word operations\n")
+
+    @pytest.mark.parametrize("body", [
+        # the cut lines w and 1 are equal, which the work budget cannot prove
+        "let w = 1 + a - a/3*3; region l blue rect 0 0 w 1; region r red rect w 0 2 - w 1;",
+        # the one region may contain the center, which the budget cannot decide
+        "let z = a - a/3*3; region all blue rect 0 0 2 1; star white at z 1/2 diameter 1/4;",
+    ], ids=["cut-line", "star"])
+    def test_a_layout_past_the_work_budget_exits_three(self, capsys, tmp_path, body):
+        path = tmp_path / "layout.flag"
+        path.write_text(f'flag "l" {{ canvas 2 x 1; {UNDECIDABLE} {body} }}')
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("goldenflag: precision exhausted: refinement spent ")
+
+    def test_a_star_beside_an_undecidable_region_is_placed(self, capsys, tmp_path):
+        # the center's x is 1 + (a - a/3*3): neither a1 nor a2 is decided,
+        # and b certainly contains it
+        path = tmp_path / "beside.flag"
+        path.write_text(
+            f'flag "beside" {{ canvas 2 x 1; {UNDECIDABLE} let z = a - a/3*3;'
+            " region a1 blue rect 0 0 1 1/2; region a2 red rect 1 0 1 1/2;"
+            " region b white rect 0 1/2 2 1/2; star green at 1 + z 3/4 diameter 1/10; }"
+        )
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert "beside: 3 checks passed" in out
 
     def test_a_disproved_claim_outranks_an_undecided_one(self, capsys, tmp_path):
         code, out, _ = self.verify_claims(capsys, tmp_path, (

@@ -18,7 +18,9 @@ from goldenflag.flagspec import (
     Attribute,
     CheckDecl,
     DiagonalsCheck,
+    LetDecl,
     NumberLit,
+    StarDecl,
     TokenKind,
     lower,
     lower_expr,
@@ -101,13 +103,13 @@ class TestParse:
         ast = parse_source(MINIMAL)
         assert ast.name == "minimal"
         assert len(ast.regions) == 1
-        assert not ast.stars
+        assert not any(isinstance(d, StarDecl) for d in ast.items)
 
     def test_shipped_independence_file(self, spec_sources):
         ast = parse_source(spec_sources["chile-1818"])
         assert len(ast.regions) == 3
-        assert len(ast.stars) == 1
-        assert len(ast.lets) == 4
+        assert sum(isinstance(d, StarDecl) for d in ast.items) == 1
+        assert sum(isinstance(d, LetDecl) for d in ast.items) == 4
         assert sum(isinstance(d, (CheckDecl, DiagonalsCheck)) for d in ast.items) == 6
 
     def test_missing_region_height_is_a_positioned_error(self):

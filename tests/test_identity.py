@@ -28,8 +28,6 @@ from goldenflag.exactnum import (
     certified_sign,
     compare_values,
     div,
-    gn_normalize,
-    gn_to_expr,
     lit,
     mul,
     neg,
@@ -52,6 +50,8 @@ from goldenflag.exactnum.expr import (
 )
 from goldenflag.geometry import TAN36
 
+from conftest import golden_expr
+
 TAN36_SECOND_FORM = div(sqrt_(sqrt_(lit(5))), sqrt_(add(lit(2), SQRT5_EXPR)))
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=25)
@@ -59,7 +59,7 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=25)
 # Small coefficients make equal pairs and exact zeros common, so the
 # exact layers behind the 64-bit filter are reached often.
 small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-golden_exprs = st.builds(lambda a, b: gn_to_expr((a, b)), small, small)
+golden_exprs = st.builds(lambda a, b: golden_expr((a, b)), small, small)
 RADICANDS = (
     lit(2),
     sub(lit(10), mul(lit(2), SQRT5_EXPR)),
@@ -119,12 +119,12 @@ class TestProvedEqual:
         assert verify_identity(TAN36, TAN36_SECOND_FORM) is Verdict.PROVED_EQUAL
 
     def test_both_squares_normalize_to_the_same_field_element(self):
-        expected = (5, -2)
-        assert gn_normalize(square_of(TAN36)) == expected
-        assert gn_normalize(square_of(TAN36_SECOND_FORM)) == expected
+        expected = golden_expr((5, -2))
+        assert exact_sign(sub(square_of(TAN36), expected)) is Sign.ZERO
+        assert exact_sign(sub(square_of(TAN36_SECOND_FORM), expected)) is Sign.ZERO
 
     def test_phi_against_its_closed_form(self):
-        assert verify_identity(gn_to_expr((Fraction(1, 2), Fraction(1, 2))), PHI_EXPR) is Verdict.PROVED_EQUAL
+        assert verify_identity(golden_expr((Fraction(1, 2), Fraction(1, 2))), PHI_EXPR) is Verdict.PROVED_EQUAL
 
     def test_single_radical_against_field_expansion(self):
         # sqrt(6 + 2 sqrt5) = 1 + sqrt5: needs one squaring round
@@ -189,8 +189,8 @@ class TestCompareValuesLenient:
     def test_field_elements_always_decide(self, a, b):
         x = (a, b)
         y = GOLDEN.add(x, GOLDEN.one)
-        assert compare_values(gn_to_expr(x), gn_to_expr(x)) is Verdict.PROVED_EQUAL
-        assert compare_values(gn_to_expr(x), gn_to_expr(y)) is Verdict.PROVED_UNEQUAL
+        assert compare_values(golden_expr(x), golden_expr(x)) is Verdict.PROVED_EQUAL
+        assert compare_values(golden_expr(x), golden_expr(y)) is Verdict.PROVED_UNEQUAL
 
     def test_opposite_signs_still_compare(self):
         assert compare_values(PHI_EXPR, neg(PHI_EXPR)) is Verdict.PROVED_UNEQUAL
