@@ -31,6 +31,7 @@ decided depends only on the value.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,6 +193,17 @@ _ONE_LIT = Literal(_ONE)
 # value.
 
 
+def _folded(op: Callable[[Fraction, Fraction], Fraction], a: Literal, b: Literal) -> Literal:
+    """``op(a, b)`` as one exact literal, unless its numerator or
+    denominator could reach ``bits`` with ``(bits // 64)**2`` past
+    :data:`WORK_BUDGET`, the charge of one operation at that width."""
+    (p, q), (r, s) = a.value.as_integer_ratio(), b.value.as_integer_ratio()
+    bits = max(abs(p), q).bit_length() + max(abs(r), s).bit_length() + 1
+    if (bits // 64) ** 2 > WORK_BUDGET:
+        raise PrecisionExhausted(f"an exact literal of up to {bits} bits is past the work budget")
+    return Literal(op(a.value, b.value))
+
+
 def lit(value: int | str | Fraction) -> Literal:
     return Literal(as_rational(value))
 
@@ -208,7 +220,7 @@ def neg(x: ExprLike) -> Expr:
 def add(a: ExprLike, b: ExprLike) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Literal) and isinstance(b, Literal):
-        return Literal(a.value + b.value)
+        return _folded(operator.add, a, b)
     if a is _ZERO_LIT:
         return b
     if b is _ZERO_LIT:
@@ -219,7 +231,7 @@ def add(a: ExprLike, b: ExprLike) -> Expr:
 def sub(a: ExprLike, b: ExprLike) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Literal) and isinstance(b, Literal):
-        return Literal(a.value - b.value)
+        return _folded(operator.sub, a, b)
     if b is _ZERO_LIT:
         return a
     if a is _ZERO_LIT:
@@ -230,7 +242,7 @@ def sub(a: ExprLike, b: ExprLike) -> Expr:
 def mul(a: ExprLike, b: ExprLike) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if isinstance(a, Literal) and isinstance(b, Literal):
-        return Literal(a.value * b.value)
+        return _folded(operator.mul, a, b)
     if a is _ZERO_LIT or b is _ZERO_LIT:
         return _ZERO_LIT
     if a is _ONE_LIT:
@@ -245,7 +257,7 @@ def div(a: ExprLike, b: ExprLike) -> Expr:
     if certified_sign(b) is Sign.ZERO:
         raise DivisionByZero("divisor is certified zero")
     if isinstance(a, Literal) and isinstance(b, Literal):
-        return Literal(a.value / b.value)
+        return _folded(operator.truediv, a, b)
     if b is _ONE_LIT:
         return a
     if a is _ZERO_LIT:

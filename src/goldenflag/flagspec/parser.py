@@ -20,6 +20,11 @@
     primary   := NUMBER | "phi" | "sqrt" "(" expr ")" | IDENT
                | ( IDENT | "canvas" ) "." IDENT | "(" expr ")"
 
+Numbers are ASCII digits with an optional fraction (``2``, ``2.4``).
+An identifier is a word character that is not a decimal digit, followed
+by word characters.  The reserved words are ``lexer.KEYWORDS``; ``x``
+and ``rect`` are not reserved.
+
 Region and star coordinates are written in screen orientation (y grows
 downward from the flag's top-left corner), the one frame of every layout.
 A ``check`` states a claim that ``verify`` proves: every link of its
@@ -33,7 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 from ..errors import ParseError
-from .lexer import COLOR_KEYWORDS, Token, TokenKind, tokenize
+from .lexer import COLOR_KEYWORDS, KEYWORDS, Token, TokenKind, tokenize
 
 _MAX_EXPR_DEPTH = 200
 
@@ -199,19 +204,17 @@ class _Parser:
         found = self.current
         return ParseError(found.line, found.col, expected, found.describe())
 
-    def expect_keyword(self, word: str) -> Token:
-        token = self.current
-        if token.kind is TokenKind.KEYWORD and token.lexeme == word:
-            return self.advance()
-        raise self.error(f"keyword {word!r}")
+    def at(self, *lexemes: str) -> bool:
+        """Whether the current token is one of ``lexemes``: keywords,
+        symbols and the grammar's own words differ by lexeme alone, so
+        only a string with the same text must be told apart."""
+        token = self.tokens[self.pos]
+        return token.lexeme in lexemes and token.kind is not TokenKind.STRING
 
-    def expect_symbol(self, symbol: str) -> Token:
-        if self.at_symbol(symbol):
+    def expect(self, lexeme: str, what: str | None = None) -> Token:
+        if self.at(lexeme):
             return self.advance()
-        raise self.error(f"{symbol!r}")
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        return self.expect_kind(TokenKind.IDENT, what)
+        raise self.error(what or (f"keyword {lexeme!r}" if lexeme in KEYWORDS else repr(lexeme)))
 
     def expect_kind(self, kind: TokenKind, what: str) -> Token:
         if self.current.kind is kind:
@@ -219,33 +222,21 @@ class _Parser:
         raise self.error(what)
 
     def expect_color(self) -> Token:
-        token = self.current
-        if token.kind is TokenKind.KEYWORD and token.lexeme in COLOR_KEYWORDS:
+        if self.at(*COLOR_KEYWORDS):
             return self.advance()
         raise self.error("color (red, white, blue, green, yellow)")
-
-    def at_keyword(self, word: str) -> bool:
-        token = self.current
-        return token.kind is TokenKind.KEYWORD and token.lexeme == word
-
-    def at_symbol(self, *symbols: str) -> bool:
-        token = self.current
-        return token.kind is TokenKind.SYMBOL and token.lexeme in symbols
 
     # -- grammar ------------------------------------------------------------
 
     def parse_spec(self) -> SpecAst:
-        start = self.expect_keyword("flag")
+        start = self.expect("flag")
         name_token = self.expect_kind(TokenKind.STRING, "flag name string")
-        self.expect_symbol("{")
-        self.expect_keyword("canvas")
+        self.expect("{")
+        self.expect("canvas")
         canvas_width = self.parse_expr()
-        separator = self.current
-        if not (separator.kind is TokenKind.IDENT and separator.lexeme == "x"):
-            raise self.error("'x' between canvas width and height")
-        self.advance()
+        self.expect("x", "'x' between canvas width and height")
         canvas_height = self.parse_expr()
-        self.expect_symbol(";")
+        self.expect(";")
         statements = {
             "let": self.parse_let,
             "region": self.parse_region,
@@ -253,84 +244,80 @@ class _Parser:
             "check": self.parse_check,
         }
         items: list[Decl] = []
-        while not self.at_symbol("}"):
-            token = self.current
-            if token.kind is not TokenKind.KEYWORD or token.lexeme not in statements:
+        while not self.at("}"):
+            if not self.at(*statements):
                 raise self.error("'let', 'region', 'star', 'check', or '}'")
-            items.append(statements[token.lexeme]())
-        self.expect_symbol("}")
+            items.append(statements[self.current.lexeme]())
+        self.expect("}")
         if self.current.kind is not TokenKind.EOF:
             raise self.error("end of input after '}'")
         return SpecAst(name_token.lexeme, canvas_width, canvas_height, tuple(items), start.line, start.col)
 
     def parse_let(self) -> LetDecl:
-        start = self.expect_keyword("let")
-        name = self.expect_ident("binding name")
-        self.expect_symbol("=")
+        start = self.expect("let")
+        name = self.expect_kind(TokenKind.IDENT, "binding name")
+        self.expect("=")
         value = self.parse_expr()
-        self.expect_symbol(";")
+        self.expect(";")
         return LetDecl(name.lexeme, value, start.line, start.col)
 
     def parse_region(self) -> RegionDecl:
-        start = self.expect_keyword("region")
-        name = self.expect_ident("region name")
+        start = self.expect("region")
+        name = self.expect_kind(TokenKind.IDENT, "region name")
         color = self.expect_color()
-        rect_token = self.current
-        if not (rect_token.kind is TokenKind.IDENT and rect_token.lexeme == "rect"):
-            raise self.error("'rect'")
-        self.advance()
+        self.expect("rect")
         x = self.parse_expr()
         y = self.parse_expr()
         width = self.parse_expr()
         height = self.parse_expr()
-        self.expect_symbol(";")
+        self.expect(";")
         return RegionDecl(
             name.lexeme, color.lexeme, x, y, width, height, start.line, start.col
         )
 
     def parse_star(self) -> StarDecl:
-        start = self.expect_keyword("star")
+        start = self.expect("star")
         color = self.expect_color()
-        self.expect_keyword("at")
+        self.expect("at")
         center: CoordCenter | DiagonalCenter
-        if self.at_keyword("diagonal_intersection"):
+        if self.at("diagonal_intersection"):
             self.advance()
-            self.expect_keyword("of")
-            region = self.expect_ident("region name")
+            self.expect("of")
+            region = self.expect_kind(TokenKind.IDENT, "region name")
             center = DiagonalCenter(region.lexeme, region.line, region.col)
         else:
             cx = self.parse_expr()
             cy = self.parse_expr()
             center = CoordCenter(cx, cy)
-        self.expect_keyword("diameter")
+        self.expect("diameter")
         diameter = self.parse_expr()
-        self.expect_symbol(";")
+        self.expect(";")
         return StarDecl(color.lexeme, center, diameter, start.line, start.col)
 
     def parse_check(self) -> CheckDecl | DiagonalsCheck:
-        start = self.expect_keyword("check")
-        if self.at_keyword("diagonals"):
+        start = self.expect("check")
+        if self.at("diagonals"):
             self.advance()
-            self.expect_keyword("of")
-            region = self.expect_ident("region name")
-            self.expect_symbol(";")
+            self.expect("of")
+            region = self.expect_kind(TokenKind.IDENT, "region name")
+            self.expect(";")
             return DiagonalsCheck(region.lexeme, region.line, region.col)
         name = self.expect_kind(TokenKind.STRING, "check name string or 'diagonals'")
         terms = [self.parse_expr()]
-        if not self.at_symbol(*_RELATIONS):
+        if not self.at(*_RELATIONS):
             raise self.error("'==', '<', or '<='")
         relations = []
-        while self.at_symbol(*_RELATIONS):
+        while self.at(*_RELATIONS):
             relations.append(self.advance().lexeme)
             terms.append(self.parse_expr())
         detail, shown = "", None
         if self.current.kind is TokenKind.STRING:
             detail = self.advance().lexeme
-        elif self.at_keyword("show"):
+        elif self.at("show"):
             self.advance()
-            token = self.expect_ident("name to show")
+            token = self.expect_kind(TokenKind.IDENT, "name to show")
             shown = NameRef(token.lexeme, token.line, token.col)
-        self.expect_symbol(";")
+        self.expect(";")
         return CheckDecl(
             name.lexeme, tuple(terms), tuple(relations), detail, shown, start.line, start.col
         )
@@ -346,20 +333,20 @@ class _Parser:
 
     def parse_expr(self, depth: int = 0) -> ExprAst:
         node = self.parse_term(depth)
-        while self.at_symbol("+", "-"):
+        while self.at("+", "-"):
             op = self.advance().lexeme
             node = BinOp(op, node, self.parse_term(depth))
         return node
 
     def parse_term(self, depth: int) -> ExprAst:
         node = self.parse_unary(depth)
-        while self.at_symbol("*", "/"):
+        while self.at("*", "/"):
             op = self.advance().lexeme
             node = BinOp(op, node, self.parse_unary(depth))
         return node
 
     def parse_unary(self, depth: int) -> ExprAst:
-        if self.at_symbol("-"):
+        if self.at("-"):
             depth = self.nested(depth)
             self.advance()
             return Negate(self.parse_unary(depth))
@@ -377,34 +364,32 @@ class _Parser:
                 ) from None
             self.advance()
             return NumberLit(value)
-        if token.kind is TokenKind.KEYWORD and token.lexeme == "phi":
+        if self.at("phi"):
             self.advance()
             return PhiConst()
-        if token.kind is TokenKind.KEYWORD and token.lexeme == "sqrt":
+        if self.at("sqrt"):
             depth = self.nested(depth)
             self.advance()
-            self.expect_symbol("(")
+            self.expect("(")
             operand = self.parse_expr(depth)
-            self.expect_symbol(")")
+            self.expect(")")
             return SqrtCall(operand)
-        if token.kind is TokenKind.IDENT or (
-            token.kind is TokenKind.KEYWORD and token.lexeme == "canvas"
-        ):
+        if token.kind is TokenKind.IDENT or self.at("canvas"):
             self.advance()
-            if self.at_symbol("."):
+            if self.at("."):
                 self.advance()
-                name = self.expect_ident("attribute name")
+                name = self.expect_kind(TokenKind.IDENT, "attribute name")
                 return Attribute(
                     token.lexeme, name.lexeme, token.line, token.col, name.line, name.col
                 )
             if token.kind is TokenKind.KEYWORD:
                 raise self.error("'.' after 'canvas'")
             return NameRef(token.lexeme, token.line, token.col)
-        if token.kind is TokenKind.SYMBOL and token.lexeme == "(":
+        if self.at("("):
             depth = self.nested(depth)
             self.advance()
             node = self.parse_expr(depth)
-            self.expect_symbol(")")
+            self.expect(")")
             return node
         raise self.error("expression")
 

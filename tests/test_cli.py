@@ -164,6 +164,18 @@ class TestEval:
         column = 1 + 200 * len(opening)  # the 201st opening
         assert err == f"goldenflag: error: 1:{column}: expected a shallower expression, found nesting too deep\n"
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("²", "1:1: unbound name '²'"),
+            ("١٢+1", "1:1: illegal character '١'"),
+            ("2²", "1:2: malformed number near '2²'"),
+        ],
+        ids=["superscript", "arabic-indic", "digit-then-superscript"],
+    )
+    def test_numbers_are_ascii_digits_only(self, capsys, expr, message):
+        assert run(capsys, "eval", "--", expr) == (1, "", f"goldenflag: error: {message}\n")
+
     @pytest.mark.parametrize("expr", ["phi", "2"])
     def test_digits_past_the_limit_end_in_one_error_line(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr, "--digits", "4400")

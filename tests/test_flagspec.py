@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldenflag.constructions import Claim, ColorRole, Diagonals, build_flag
 from goldenflag.errors import (
@@ -96,6 +100,29 @@ class TestTokenize:
             "0.5", "<=", "a", ".", "width", "<", "b", "==", "c", "=", "1"
         ]
         assert [t.col for t in tokens[:-1]] == [1, 4, 6, 7, 8, 13, 14, 15, 17, 18, 19]
+
+    # half the characters are drawn from the ones that end or start a token
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(string.ascii_letters + string.digits) | st.sampled_from('{}();=+-*/.<"# \t\n²١é')))
+    def test_a_token_or_an_error_at_a_character_of_the_source(self, source):
+        lines = source.split("\n")
+
+        def offset(line: int, col: int) -> int:
+            return sum(len(text) + 1 for text in lines[: line - 1]) + col - 1
+
+        try:
+            tokens = tokenize(source)
+        except LexError as exc:
+            assert 1 <= exc.line <= len(lines)
+            assert 1 <= exc.col <= len(lines[exc.line - 1])
+            return
+        positions = [(t.line, t.col) for t in tokens]
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+        for token in tokens:
+            text = f'"{token.lexeme}"' if token.kind is TokenKind.STRING else token.lexeme
+            start = offset(token.line, token.col)
+            assert source[start : start + len(text)] == text
+        assert offset(tokens[-1].line, tokens[-1].col) == len(source)
 
 
 class TestParse:

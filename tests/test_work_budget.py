@@ -54,6 +54,19 @@ def test_a_tiny_value_beyond_the_tower_prints_alike_at_any_digits():
         assert (code, out, err) == (0, "0." + "0" * 1399 + "1\n", "")
 
 
+def test_a_let_chain_of_exact_squares_exits_three_at_the_first_literal_past_the_budget():
+    # a{i} = 10**(2**i): a19 would have about 1.7 million bits
+    lets = "\n".join(f"  let a{i} = a{i - 1}*a{i - 1};" for i in range(1, 26))
+    spec = f'flag "squares" {{\n  canvas 1 x 1; region r red rect 0 0 1 1;\n  let a0 = 10;\n{lets}\n}}\n'
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "squares.flag"
+        path.write_text(spec)
+        code, out, err, seconds = run("verify", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("goldenflag: precision exhausted: in let 'a19': ")
+    assert seconds < 5
+
+
 # expressions: small literals, phi, radicals nested up to 40 deep, a tiny
 # literal; sums, differences, products, quotients and square roots of them
 LEAVES = st.sampled_from([
