@@ -19,6 +19,7 @@ from .expr import (
     add,
     certified_sign,
     div,
+    enclosure_memo,
     exact_rational,
     lit,
     mul,
@@ -53,6 +54,7 @@ __all__ = [
     "compare_values",
     "decimal_str",
     "div",
+    "enclosure_memo",
     "exact_rational",
     "is_perfect_square",
     "lit",

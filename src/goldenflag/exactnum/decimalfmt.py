@@ -7,12 +7,16 @@ the output.  A literal, which every all-rational expression folds to,
 is rounded exactly.  Any other value has one rounding path, the
 refinement of :func:`expr.enclosures`, which doubles its working
 precision until it reaches the value's magnitude, so tiny values print
-like large ones.  An exact zero prints as ``0`` and an exact tie rounds
-half-even; :func:`certified_sign` decides both.  Every refinement
-spends from :data:`expr.WORK_BUDGET`, so whether a value prints does
-not depend on the digits asked for.  Quoting the leading digits of an
-expansion is a different operation, a pair of certified comparisons (a
-spec's ``check ... 0.820 <= ratio < 0.821``).
+like large ones.  The integer ends of each enclosure are rounded
+directly (:func:`round_scaled`), never through a ``Fraction``; inside
+one render's :func:`expr.enclosure_memo` scope, each subterm shared
+between values is enclosed once per working precision.  An exact zero
+prints as ``0`` and an exact tie rounds half-even; :func:`certified_sign`
+decides both.  Every refinement spends from :data:`expr.WORK_BUDGET`,
+so whether a value prints does not depend on the digits asked for.
+Quoting the leading digits of an expansion is a different operation, a
+pair of certified comparisons (a spec's ``check ... 0.820 <= ratio <
+0.821``).
 
 This is a pure integer/rational computation: output bytes are identical
 across platforms and runs.
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import interval as iv
 from .expr import Expr, Literal, certified_sign, enclosures, lit, sub
 from .expr import eval_interval, exact_rational  # noqa: F401  (bound here by the layer tracer in bench/)
 from .golden import Sign
@@ -80,6 +83,41 @@ def round_significant(value: Fraction, digits: int) -> _Rounded:
     return negative, q, d
 
 
+def round_scaled(m: int, w: int, digits: int) -> _Rounded:
+    """:func:`round_significant` of ``m * 2**-w`` (``w >= 0``, ``digits >=
+    1``) in integer arithmetic, so an enclosure's ends are rounded without
+    building a ``Fraction``."""
+    if m == 0:
+        return False, 0, 0
+    negative, m = m < 0, abs(m)
+    low, high = 10 ** (digits - 1), 10**digits
+    # first guess at the d with 10**(d-1) <= m * 2**-w < 10**d, from
+    # log10(2) ~ 0.30103; the loop steps d until m * 10**(digits-d) * 2**-w
+    # rounds down to a q in [low, high), which holds for that d alone
+    d = (m.bit_length() - w) * 30103 // 100000 + 1
+    while True:
+        shift = digits - d
+        if shift >= 0:
+            num, den = m * 10**shift, 1 << w
+            q, rem = num >> w, num & (den - 1)
+        else:
+            den = 10**-shift << w
+            q, rem = divmod(m, den)
+        if q >= high:
+            d += 1
+        elif q < low:
+            d -= 1
+        else:
+            break
+    doubled = rem << 1
+    if doubled > den or (doubled == den and q & 1):
+        q += 1
+    if q == high:  # carried into the next decade
+        q = low
+        d += 1
+    return negative, q, d
+
+
 def format_rounded(rounded: _Rounded, digits: int) -> str:
     """Plain decimal string; trailing fractional zeros are trimmed."""
     negative, q, d = rounded
@@ -131,17 +169,17 @@ def decimal_str(x: Expr, digits: int) -> str:
     """
     if digits > MAX_DIGITS:
         raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     if isinstance(x, Literal):
         return format_rounded(round_significant(x.value, digits), digits)
     asked_zero = asked_tie = False
     for w, lo, hi in enclosures(x, max(64, 4 * digits + 32)):
-        straddles = lo <= 0 <= hi
-        lo, hi = iv.to_fractions((lo, hi), w)
-        ends = round_significant(lo, digits), round_significant(hi, digits)
+        ends = round_scaled(lo, w, digits), round_scaled(hi, w, digits)
         if ends[0] == ends[1]:
             return format_rounded(ends[0], digits)
         point = None
-        if straddles:
+        if lo <= 0 <= hi:
             if not asked_zero:
                 asked_zero, point = True, Fraction(0)
         elif not asked_tie:

@@ -26,13 +26,17 @@ Evaluation is deterministic integer fixed-point interval arithmetic:
 and :func:`enclosures` is the one refinement loop, which both the sign
 procedure and decimal rendering iterate.  Every refinement spends from
 one :data:`WORK_BUDGET`, so every question ends, and whether it is
-decided depends only on the value.
+decided depends only on the value.  Inside an :func:`enclosure_memo`
+scope, such as one render, each shared subterm is enclosed once per
+working precision; the memo dies with the scope.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -67,7 +71,12 @@ T = TypeVar("T")
 # children are keyed by identity, a Literal by its Fraction.  Two threads
 # that build the same new node at once may both keep one: that loses
 # sharing, never soundness, since identity is only used to prove equality.
-_interned: dict[tuple, weakref.ref] = {}
+_interned: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(dead: weakref.KeyedRef) -> None:
+    if _interned.get(dead.key) is dead:
+        del _interned[dead.key]
 
 
 class Expr:
@@ -87,12 +96,7 @@ class Expr:
             state.update(zip(cls.__match_args__, fields))  # the dataclass fields
             # every field is a child, except a Literal's value
             state["_children"] = () if cls is Literal else fields
-
-            def forget(dead: weakref.ref, key: tuple = key) -> None:
-                if _interned.get(key) is dead:
-                    del _interned[key]
-
-            _interned[key] = weakref.ref(node, forget)
+            _interned[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
 
@@ -140,15 +144,28 @@ class Sqrt(Expr):
     operand: Expr
 
 
-def fold(root: Expr, leaf: Callable[[Expr], T], ops: Mapping[type, Callable[..., T]]) -> T:
+def fold(
+    root: Expr,
+    leaf: Callable[[Expr], T],
+    ops: Mapping[type, Callable[..., T]],
+    values: dict[Expr, T] | None = None,
+) -> T:
     """Bottom-up value of ``root``, computing each distinct node once.
 
     A node whose class is in ``ops`` gets ``ops[class]`` applied to its
     children's values; any other node is a leaf and gets ``leaf(node)``
     without its children being visited.  The walk keeps an explicit
     stack, so depth is bounded by memory, not by the Python stack.
+
+    ``values``, when given, maps nodes to values already known: the walk
+    takes them from it and adds every value it computes, so folds that
+    share a ``values`` dict compute each shared subterm once (this is how
+    one render encloses each shared subterm once, see
+    :func:`enclosure_memo`).  A value is added only once it is computed,
+    so a fold that raises part-way leaves only finished values behind.
     """
-    values: dict[Expr, T] = {}
+    if values is None:
+        values = {}
     stack = [root]
     while stack:
         node = stack[-1]
@@ -361,13 +378,43 @@ def exact_rational(x: Expr) -> Fraction | None:
 # interval evaluation and refinement
 
 
+# The enclosures of the innermost enclosure_memo scope, one dict per
+# working precision; None outside every scope, so none outlives it.
+_memo: ContextVar[dict[int, dict[Expr, iv.IntPair]] | None] = ContextVar("enclosure_memo", default=None)
+
+
+@contextmanager
+def enclosure_memo() -> Iterator[None]:
+    """A scope in which :func:`eval_interval` keeps the enclosures of the
+    subterms it computes, so each shared subterm is enclosed once per
+    working precision.  The memo is dropped when the scope ends, by an
+    exception too; a nested scope starts its own and restores the outer
+    one."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
 def eval_interval(x: Expr, working_bits: int) -> iv.IntPair:
     """Enclosure of x at scale 2**-working_bits.
 
-    Raises :class:`interval.StraddlesZero` when a divisor interval
-    contains zero at this precision; callers refine and retry.
+    Inside an :func:`enclosure_memo` scope, subterms enclosed before at
+    this precision are not enclosed again.  Raises
+    :class:`interval.StraddlesZero` when a divisor interval contains
+    zero at this precision; callers refine and retry.
     """
-    return fold(x, *_interval_algebra(working_bits))
+    memo = _memo.get()
+    if memo is None:
+        return fold(x, *_interval_algebra(working_bits))
+    values = memo.setdefault(working_bits, {})
+    enclosure = fold(x, *_interval_algebra(working_bits), values)
+    # the memo keeps the subterms, not the value asked for: that is most
+    # often a fresh coordinate that nothing shares, and keeping it alive
+    # until the render ends would only raise the render's peak memory
+    del values[x]
+    return enclosure
 
 
 @lru_cache(maxsize=64)

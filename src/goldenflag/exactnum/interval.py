@@ -90,8 +90,3 @@ def sqrt(x: IntPair, w: int) -> IntPair:
     if root_hi * root_hi != hi << w:
         root_hi += 1
     return root_lo, root_hi
-
-
-def to_fractions(x: IntPair, w: int) -> tuple[Fraction, Fraction]:
-    scale = Fraction(1, 1 << w)
-    return x[0] * scale, x[1] * scale

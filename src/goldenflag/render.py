@@ -4,8 +4,12 @@ Every emitted coordinate string is the certified round-half-even
 rendering of an exact value (:func:`exactnum.decimal_str`): its interval
 enclosure is refined, doubling its precision, until both ends round to
 the same digits, unless it is proved an exact zero or tie, so the exact
-value lies within half an ulp of the printed decimal.  Output bytes are
-identical across runs and platforms for identical inputs.
+value lies within half an ulp of the printed decimal.  One render is one
+:func:`exactnum.enclosure_memo` scope, so the scale, ``phi`` and
+trigonometric subterms that every coordinate shares are enclosed once
+per working precision, and dropped when the render returns; the
+enclosures' integer ends are rounded in integer arithmetic.  Output
+bytes are identical across runs and platforms for identical inputs.
 
 Layouts are already in screen orientation; both emitters share the
 scaling and the decimal policy.
@@ -20,7 +24,7 @@ from xml.sax.saxutils import escape
 import json
 
 from .constructions import ColorRole, FlagLayout
-from .exactnum import Expr, as_rational, decimal_str, div, lit, mul, sub
+from .exactnum import Expr, as_rational, decimal_str, div, enclosure_memo, lit, mul, sub
 from .geometry import Point, pentagram_vertices
 
 DEFAULT_PALETTE: Mapping[ColorRole, str] = {
@@ -86,6 +90,7 @@ class _Frame:
         return self.dec(mul(value, self.scale))
 
 
+@enclosure_memo()
 def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     """Standalone SVG 1.1 document as UTF-8 bytes.
 
@@ -114,6 +119,7 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+@enclosure_memo()
 def json_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     """Machine-readable layout dump as UTF-8 JSON bytes.
 

@@ -8,7 +8,6 @@ import pytest
 
 from goldenflag.constructions import BUILTIN_NAMES, FlagLayout, build_flag
 from goldenflag.exactnum import SQRT5_EXPR, Expr, Sign, add, certified_sign, lit, mul, sub
-from goldenflag.exactnum import interval as iv
 from goldenflag.exactnum.expr import eval_interval
 from goldenflag.flagspec import lower_source
 
@@ -104,7 +103,8 @@ def golden_expr(g: tuple[Fraction, Fraction]) -> Expr:
 
 def enclosure(x: Expr, w: int) -> tuple[Fraction, Fraction]:
     """The ends of the interval enclosure of ``x`` at scale ``2**-w``."""
-    return iv.to_fractions(eval_interval(x, w), w)
+    lo, hi = eval_interval(x, w)
+    return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
 
 
 def within_half_ulp(x: Expr, text: str, digits: int) -> bool:

@@ -17,6 +17,7 @@ import pytest
 
 from goldenflag.cli import main as cli_main
 from goldenflag.constructions import BUILTIN_NAMES
+from goldenflag.exactnum import expr
 
 PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
 
@@ -61,3 +62,31 @@ def test_shipped_specs_are_the_builtin_names():
     specs = importlib.resources.files("goldenflag") / "specs"
     shipped = {entry.name.removesuffix(".flag") for entry in specs.iterdir() if entry.name.endswith(".flag")}
     assert shipped == set(BUILTIN_NAMES)
+
+
+# A star centred at 1 + 1/200000000000 + z, where z is a zero beyond the
+# exact tower: its x coordinate is a rounding tie at 12 digits that no
+# certified sign can settle, so the build passes every check and exits 3
+# while rendering.
+UNDECIDABLE_TIE = """
+flag "tie" {
+  canvas 2 x 1;
+  let a = sqrt(7 + 2*sqrt(11 + 3*sqrt(5 + sqrt(2)))) + sqrt(3 + sqrt(13 + 2*sqrt(6 + 4*sqrt(3))))
+        + sqrt(9 + 5*sqrt(2 + sqrt(17 + sqrt(7)))) + sqrt(8 + 3*sqrt(19 + sqrt(6 + 2*sqrt(11))));
+  let z = a - a/3*3;
+  region all blue rect 0 0 2 1;
+  star white at 1 + 1/200000000000 + z 1/2 diameter 1/4;
+}
+"""
+
+
+def test_a_render_that_exits_three_leaves_no_memo_behind(tmp_path, capsys):
+    spec = tmp_path / "tie.flag"
+    spec.write_text(UNDECIDABLE_TIE, encoding="utf-8")
+    assert cli_main(["verify", str(spec)]) == 0
+    assert cli_main(["build", str(spec), "--out", str(tmp_path / "tie.svg")]) == 3
+    assert "precision exhausted" in capsys.readouterr().err
+    assert expr._memo.get() is None
+    for name in BUILTIN_NAMES:
+        for variant in VARIANTS:
+            assert payload_sha256(name, variant, tmp_path) == pinned_payload(name, variant)

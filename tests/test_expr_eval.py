@@ -22,14 +22,17 @@ from goldenflag.exactnum import (
     certified_sign,
     decimal_str,
     div,
+    enclosure_memo,
     lit,
     mul,
     neg,
     sqrt_,
     sub,
 )
+from goldenflag.exactnum import expr as expr_module
 from goldenflag.exactnum import interval as iv
-from goldenflag.exactnum.expr import enclosures, exact_sign
+from goldenflag.exactnum.decimalfmt import MAX_DIGITS, round_scaled, round_significant
+from goldenflag.exactnum.expr import _interval_algebra, enclosures, eval_interval, exact_sign, fold
 from goldenflag.geometry import TAN36
 
 from conftest import (
@@ -146,6 +149,105 @@ class TestIntervalDiv:
             assert iv.div(x, y, w) == four_corner_div(x, y, w)
 
 
+class TestEnclosureMemo:
+    # sqrt(2) - 1414213562373095/10**15 is about 4.9e-16: its enclosure
+    # straddles zero below 64 bits, so dividing by it fails there
+    NEAR_ZERO = sub(sqrt_(lit(2)), lit(Fraction(1414213562373095, 10**15)))
+    W = 40
+
+    def test_a_fold_that_raises_keeps_only_enclosures_of_the_exact_values(self):
+        shared = mul(PHI_EXPR, SQRT5_EXPR)
+        failing = div(shared, self.NEAR_ZERO)
+        x = add(add(shared, TAN36), failing)
+        values: dict = {}
+        fold(shared, *_interval_algebra(self.W), values)  # seeded
+        seeded = dict(values)
+        with pytest.raises(iv.StraddlesZero):
+            fold(x, *_interval_algebra(self.W), values)
+        assert values.items() >= seeded.items()
+        assert failing not in values and x not in values
+        assert TAN36 in values and self.NEAR_ZERO in values
+        scale = 1 << self.W
+        for node, (lo, hi) in values.items():
+            # the enclosure at four times the precision contains the exact
+            # value, and lies inside the one the fold kept
+            fine_lo, fine_hi = enclosure(node, 4 * self.W)
+            assert Fraction(lo, scale) <= fine_lo <= fine_hi <= Fraction(hi, scale)
+
+    def test_enclosures_are_the_same_with_and_without_a_memo(self):
+        values = [TAN36, div(lit(1), TAN36), add(PHI_EXPR, TAN36), div(PHI_EXPR, self.NEAR_ZERO)]
+        for w in (64, 128, 256):
+            with enclosure_memo():
+                memoized = [eval_interval(x, w) for x in values]
+            assert memoized == [eval_interval(x, w) for x in values]
+
+    def test_nested_scopes_restore_the_outer_memo(self):
+        assert expr_module._memo.get() is None
+        with enclosure_memo():
+            outer = expr_module._memo.get()
+            eval_interval(PHI_EXPR, 64)
+            with enclosure_memo():
+                assert expr_module._memo.get() == {}
+                eval_interval(div(lit(1), TAN36), 64)
+                assert TAN36 in expr_module._memo.get()[64]
+            assert expr_module._memo.get() is outer
+            assert SQRT5_EXPR in outer[64] and TAN36 not in outer[64]
+            with pytest.raises(iv.StraddlesZero), enclosure_memo():
+                eval_interval(div(lit(1), self.NEAR_ZERO), 32)
+            assert expr_module._memo.get() is outer
+        assert expr_module._memo.get() is None
+
+
+# (m, w, digits) with m * 2**-w a rounding tie: (q + 1/2) * 10**-j with
+# 2q + 1 = u * 5**j, for odd u, and digits the digit count of q
+ties = st.builds(
+    lambda u, j, sign: (sign * u, j + 1, len(str((u * 5**j - 1) // 2))),
+    st.integers(0, 2**200).map(lambda k: 2 * k + 3),
+    st.integers(0, 80),
+    st.sampled_from([1, -1]),
+)
+
+
+class TestIntegerRounding:
+    """``round_scaled`` against its reference, ``round_significant`` of a
+    ``Fraction``."""
+
+    @given(
+        st.integers(-(2**4000), 2**4000),
+        st.integers(0, 8192),
+        st.one_of(st.integers(1, 40), st.integers(1, MAX_DIGITS)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_it_matches_the_fraction_rounding(self, m, w, digits):
+        assert round_scaled(m, w, digits) == round_significant(Fraction(m, 1 << w), digits)
+
+    @given(ties)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_ties_round_half_even(self, tie):
+        m, w, digits = tie
+        rounded = round_scaled(m, w, digits)
+        assert rounded == round_significant(Fraction(m, 1 << w), digits)
+        assert rounded[1] % 2 == 0 or rounded[1] == 10 ** (digits - 1)  # even, or carried
+
+    @pytest.mark.parametrize(
+        "m,w,digits,expected",
+        [
+            (0, 0, 1, (False, 0, 0)),
+            (0, 500, 12, (False, 0, 0)),
+            (1, 3, 2, (False, 12, 0)),  # 0.125, a tie, to even
+            (3, 3, 2, (False, 38, 0)),  # 0.375, a tie, to even
+            (-5, 1, 1, (True, 2, 1)),  # -2.5, a tie, to even
+            (19, 1, 1, (False, 1, 2)),  # 9.5, a tie, carried to 10
+            ((1 << 20) - 1, 20, 3, (False, 100, 1)),  # 0.99999..., carried to 1
+            (999 << 40, 40, 2, (False, 10, 4)),  # 999, carried to 1000
+            (1, 8192, 1, round_significant(Fraction(1, 1 << 8192), 1)),
+        ],
+    )
+    def test_zeros_ties_and_carries(self, m, w, digits, expected):
+        assert round_scaled(m, w, digits) == expected
+        assert round_significant(Fraction(m, 1 << w), digits) == expected
+
+
 class TestCertifiedSign:
     def test_exact_route(self):
         assert certified_sign(sub(mul(PHI_EXPR, PHI_EXPR), PHI_EXPR)) is Sign.POSITIVE
@@ -181,6 +283,11 @@ class TestDecimalPolicy:
         assert decimal_str(TAN36, 3) == "0.727"
         assert expansion_begins(TAN36, "0.726")
         assert not expansion_begins(TAN36, "0.727")
+
+    @pytest.mark.parametrize("value", [lit(Fraction(3, 2)), TAN36])
+    def test_fewer_than_one_digit_is_an_error(self, value):
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            decimal_str(value, 0)
 
     def test_certified_output_stable_under_extra_precision(self):
         for value in (TAN36, PHI_EXPR, SQRT5_EXPR):
