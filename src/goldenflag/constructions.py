@@ -29,8 +29,8 @@ from __future__ import annotations
 import enum
 import importlib.resources
 import math
-from dataclasses import dataclass
 from functools import cache, cmp_to_key
+from typing import NamedTuple
 
 from .errors import (
     LayoutError,
@@ -78,8 +78,7 @@ class ColorRole(enum.Enum):
     YELLOW = "yellow"
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A named, colored axis-aligned rectangular region."""
 
     name: str
@@ -99,14 +98,12 @@ class Region:
         return Point(x0, y1), Point(x1, y1), Point(x1, y0), Point(x0, y0)
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(NamedTuple):
     color: ColorRole
     pentagram: Pentagram
 
 
-@dataclass(frozen=True)
-class FlagLayout:
+class FlagLayout(NamedTuple):
     canvas: Rect
     regions: tuple[Region, ...]
     stars: tuple[Star, ...]
@@ -273,15 +270,13 @@ class CheckStatus(enum.Enum):
         return CheckStatus(verdict.label)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     status: CheckStatus
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     subject: str
     checks: tuple[Check, ...]
 
@@ -320,8 +315,7 @@ _EQUALITY_STATUS = {True: CheckStatus.PROVED_EQUAL, False: CheckStatus.PROVED_UN
 _CHAIN_STATUS = {True: CheckStatus.PASS, False: CheckStatus.FAIL}
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A ``check`` statement: ``terms[i] relations[i] terms[i + 1]`` for
     every i.  A single ``==`` reports its verdict; any other chain
     reports Pass, Fail, or Undecided when a link cannot be decided.  The
@@ -351,8 +345,7 @@ class Claim:
         return (Check(self.name, status, detail),)
 
 
-@dataclass(frozen=True)
-class Diagonals:
+class Diagonals(NamedTuple):
     """A ``check diagonals of <region>`` statement: the region's angle
     configuration, :func:`verify_angle_configuration`."""
 

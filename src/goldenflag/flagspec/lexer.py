@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import LexError
 
@@ -60,8 +60,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     line: int

@@ -83,11 +83,12 @@ def _lower_expr(ast: ExprAst, env: dict[str, Expr], rects: dict[str, Rect]) -> E
     any length lower (the parser bounds only parenthesised nesting)."""
     values: list[Expr] = []
     # AST nodes still to lower, and (constructor, arity) to apply once
-    # the operands' values are on top of ``values``
+    # the operands' values are on top of ``values``; AST nodes are
+    # NamedTuples, so only a plain tuple is a work item
     todo: list = [ast]
     while todo:
         item = todo.pop()
-        if isinstance(item, tuple):
+        if type(item) is tuple:
             build, arity = item
             operands = values[-arity:]
             del values[-arity:]

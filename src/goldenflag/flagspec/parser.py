@@ -29,13 +29,16 @@ Region and star coordinates are written in screen orientation (y grows
 downward from the flag's top-left corner), the one frame of every layout.
 A ``check`` states a claim that ``verify`` proves: every link of its
 chain of relations must hold.
+
+AST nodes are immutable ``NamedTuple`` records: they compare as tuples,
+so code that walks them tells node kinds apart with ``isinstance``,
+never by comparing nodes of different kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from ..errors import ParseError
 from .lexer import COLOR_KEYWORDS, KEYWORDS, Token, TokenKind, tokenize
@@ -48,42 +51,35 @@ _RELATIONS = ("==", "<", "<=")
 # --- expression AST -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumberLit:
+class NumberLit(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class PhiConst:
+class PhiConst(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class NameRef:
+class NameRef(NamedTuple):
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * /
     lhs: "ExprAst"
     rhs: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Negate:
+class Negate(NamedTuple):
     operand: "ExprAst"
 
 
-@dataclass(frozen=True)
-class SqrtCall:
+class SqrtCall(NamedTuple):
     operand: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(NamedTuple):
     """``owner.name``: a size of a region or of the canvas."""
 
     owner: str  # a region name, or "canvas"
@@ -100,16 +96,14 @@ ExprAst = Union[NumberLit, PhiConst, NameRef, Attribute, BinOp, Negate, SqrtCall
 # --- declaration AST -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LetDecl:
+class LetDecl(NamedTuple):
     name: str
     expr: ExprAst
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class RegionDecl:
+class RegionDecl(NamedTuple):
     name: str
     color: str
     x: ExprAst
@@ -120,21 +114,18 @@ class RegionDecl:
     col: int
 
 
-@dataclass(frozen=True)
-class CoordCenter:
+class CoordCenter(NamedTuple):
     x: ExprAst
     y: ExprAst
 
 
-@dataclass(frozen=True)
-class DiagonalCenter:
+class DiagonalCenter(NamedTuple):
     region: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class StarDecl:
+class StarDecl(NamedTuple):
     color: str
     center: CoordCenter | DiagonalCenter
     diameter: ExprAst
@@ -142,8 +133,7 @@ class StarDecl:
     col: int
 
 
-@dataclass(frozen=True)
-class CheckDecl:
+class CheckDecl(NamedTuple):
     """A claim that ``terms[i] relations[i] terms[i + 1]`` holds for
     every i, printed with a verbatim ``detail`` or the value of the
     ``shown`` binding."""
@@ -157,8 +147,7 @@ class CheckDecl:
     col: int
 
 
-@dataclass(frozen=True)
-class DiagonalsCheck:
+class DiagonalsCheck(NamedTuple):
     """The angle configuration of a region's diagonals."""
 
     region: str
@@ -169,8 +158,7 @@ class DiagonalsCheck:
 Decl = Union[LetDecl, RegionDecl, StarDecl, CheckDecl, DiagonalsCheck]
 
 
-@dataclass(frozen=True)
-class SpecAst:
+class SpecAst(NamedTuple):
     name: str
     canvas_width: ExprAst
     canvas_height: ExprAst

@@ -9,6 +9,7 @@ lengths, which keeps everything inside constructible arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegenerateSegment,
@@ -48,8 +49,7 @@ TAN36 = div(sqrt_(sub(lit(10), mul(lit(2), SQRT5_EXPR))), add(lit(1), SQRT5_EXPR
 TAN72 = div(sqrt_(add(lit(10), mul(lit(2), SQRT5_EXPR))), sub(SQRT5_EXPR, lit(1)))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: Expr
     y: Expr
 

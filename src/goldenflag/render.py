@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
-from xml.sax.saxutils import escape
 import json
 
 from .constructions import ColorRole, FlagLayout
@@ -62,6 +61,13 @@ class RenderOptions:
             object.__setattr__(self, "target_width", as_rational(self.target_width))
             if self.target_width <= 0:
                 raise ValueError("target width must be positive")
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, ``&`` first: the default
+    entities of ``xml.sax.saxutils.escape``, whose import would pull in
+    ``urllib.request`` and the network stack behind it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Frame:
@@ -107,7 +113,7 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
         ),
-        f"<title>{escape(layout.provenance)}</title>",
+        f"<title>{_escape(layout.provenance)}</title>",
     ]
     for region in layout.regions:
         points = " ".join(",".join(frame.point(p)) for p in region.polygon)

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import goldenflag
 from goldenflag.cli import main
 
 
@@ -601,3 +606,23 @@ class TestUsage:
         code, out, err = run(capsys, "ratio", "togo")
         assert (code, out) == (1, "")
         assert err == "goldenflag: error: RuntimeError: boom\n"
+
+
+class TestStartup:
+    def test_import_pulls_in_no_network_stack(self):
+        # xml.sax.saxutils would bring in urllib.request and with it
+        # http.client, email, ssl and socket; only the modules the import
+        # adds count, not those the interpreter's site already loaded
+        code = (
+            "import sys; before = set(sys.modules); import goldenflag.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        src = str(Path(goldenflag.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        added = done.stdout.split()
+        assert "goldenflag.render" in added
+        unwanted = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+        assert [m for m in added if any(m == u or m.startswith(u + ".") for u in unwanted)] == []

@@ -458,3 +458,32 @@ class TestTilingExactFallback:
     def test_overlap_of_two_to_the_minus_80_is_found(self):
         with pytest.raises(LayoutError, match="regions overlap"):
             FlagLayout.create(self.canvas(), self.split_canvas(lit(1 - TINY)), (), "close")
+
+
+def _records():
+    from goldenflag.flagspec.lexer import tokenize
+    from goldenflag.flagspec.parser import NameRef
+
+    return {
+        "token": (tokenize("flag")[0], "lexeme"),
+        "ast node": (NameRef("w", 1, 1), "name"),
+        "point": (Point(lit(0), lit(1)), "x"),
+        "region": (build_flag("togo").regions[0], "bounds"),
+        "check": (constructions.Check("c", CheckStatus.PASS), "status"),
+    }
+
+
+class TestRecords:
+    """Tokens, AST nodes, points and the layout records are immutable
+    NamedTuples whose defaults hold."""
+
+    @pytest.mark.parametrize("kind", ["token", "ast node", "point", "region", "check"])
+    def test_a_field_cannot_be_assigned(self, kind):
+        record, field = _records()[kind]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    def test_defaults_hold(self):
+        assert constructions.Check("c", CheckStatus.PASS).detail == ""
+        claim = constructions.Claim("c", (lit(1), lit(1)), ("==",))
+        assert (claim.detail, claim.shown) == ("", None)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout, Region
 from goldenflag.exactnum import certified_sign, decimal_str, decimalfmt, lit, mul, sub
@@ -14,6 +17,8 @@ from goldenflag.geometry import Point, Rect
 from goldenflag.render import DEFAULT_PALETTE, RenderOptions, _Frame, json_emit, svg_emit
 
 from conftest import within_half_ulp
+
+UNIT_SQUARE = lower_source('flag "unit" { canvas 1 x 1; region all red rect 0 0 1 1; }')
 
 
 class TestDeterminism:
@@ -62,6 +67,16 @@ class TestSvg:
         layout = FlagLayout.create(canvas, (region,), (), "<odd & name>")
         svg = svg_emit(layout).decode()
         assert "<title>&lt;odd &amp; name&gt;</title>" in svg
+        spec = 'flag "A & <B>" { canvas 1 x 1; region all red rect 0 0 1 1; }'
+        assert "\n<title>A &amp; &lt;B&gt;</title>\n" in svg_emit(lower_source(spec)).decode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.sampled_from("&<>;#amplt \n\"'") | st.characters()))
+    def test_title_escape_is_the_xml_sax_escape(self, name):
+        # xml.sax.saxutils.escape is the reference; the renderer does not
+        # import it (see test_cli.py::TestStartup)
+        svg = svg_emit(UNIT_SQUARE._replace(provenance=name)).decode()
+        assert svg.split("\n", 2)[2].startswith(f"<title>{escape(name)}</title>\n<polygon ")
 
     def test_an_edge_at_the_top_asks_no_sign(self, monkeypatch):
         # the band's top edge is written y = 0 under an irrational canvas
