@@ -25,7 +25,7 @@ from .constructions import (
     verify_layout_identities,
 )
 from .errors import GoldenFlagError, PrecisionExhausted
-from .exactnum import as_rational, decimal_str
+from .exactnum import as_rational, decimal_str, enclosure_memo
 from .flagspec import lower_expr, lower_source, parse_expression
 from .render import RenderOptions, json_emit, svg_emit
 
@@ -201,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        with enclosure_memo():  # one command is one request scope
+            return _COMMANDS[args.command](args, sys.stdout)
     except PrecisionExhausted as exc:
         print(f"goldenflag: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

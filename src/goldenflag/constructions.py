@@ -27,7 +27,6 @@ the layout in output.
 from __future__ import annotations
 
 import enum
-import importlib.resources
 import math
 from functools import cache, cmp_to_key
 from typing import NamedTuple
@@ -240,6 +239,8 @@ def build_flag(name: str) -> FlagLayout:
     lowered once and the layout shared."""
     if name not in BUILTIN_NAMES:
         raise UnknownFlag(f"unknown builtin flag {name!r}")
+    import importlib.resources  # here, so that importing the CLI does not pay for it
+
     from .flagspec import lower_source  # flagspec lowers into this module's types
 
     spec = importlib.resources.files(__package__) / "specs" / f"{name}.flag"

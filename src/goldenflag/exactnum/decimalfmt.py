@@ -2,21 +2,24 @@
 
 :func:`decimal_str` rounds half-even to a number of significant digits.
 The printed string is certified: both ends of an interval enclosure
-round to the same digits, so the exact value is within half an ulp of
-the output.  A literal, which every all-rational expression folds to,
-is rounded exactly.  Any other value has one rounding path, the
-refinement of :func:`expr.enclosures`, which doubles its working
-precision until it reaches the value's magnitude, so tiny values print
-like large ones.  The integer ends of each enclosure are rounded
-directly (:func:`round_scaled`), never through a ``Fraction``; inside
-one render's :func:`expr.enclosure_memo` scope, each subterm shared
-between values is enclosed once per working precision.  An exact zero
-prints as ``0`` and an exact tie rounds half-even; :func:`certified_sign`
-decides both.  Every refinement spends from :data:`expr.WORK_BUDGET`,
-so whether a value prints does not depend on the digits asked for.
-Quoting the leading digits of an expansion is a different operation, a
-pair of certified comparisons (a spec's ``check ... 0.820 <= ratio <
-0.821``).
+round to the same digits (:func:`settled`), so the exact value is
+within half an ulp of the output.  A literal, which every all-rational
+expression folds to, is rounded exactly.  Any other value has one
+rounding path, the refinement of :func:`expr.enclosures` from
+:func:`start_bits`, which doubles its working precision until it
+reaches the value's magnitude, so tiny values print like large ones.
+A caller that already holds an enclosure at :func:`start_bits`, as the
+renderer does for coordinates, prints it when :func:`settled` and
+calls :func:`decimal_str` only when not.  The integer ends of each
+enclosure are rounded directly (:func:`round_scaled`), never through a
+``Fraction``; inside one command's :func:`expr.enclosure_memo` scope,
+each subterm shared between values is enclosed once per working
+precision.  An exact zero prints as ``0`` and an exact tie rounds
+half-even; :func:`certified_sign` decides both.  Every refinement
+spends from :data:`expr.WORK_BUDGET`, so whether a value prints does
+not depend on the digits asked for.  Quoting the leading digits of an
+expansion is a different operation, a pair of certified comparisons (a
+spec's ``check ... 0.820 <= ratio < 0.821``).
 
 This is a pure integer/rational computation: output bytes are identical
 across platforms and runs.
@@ -153,14 +156,29 @@ def _tie(ends: tuple[_Rounded, _Rounded], digits: int) -> Fraction | None:
     return -tie if negative else tie
 
 
+def start_bits(digits: int) -> int:
+    """The working precision of the first enclosure a value is printed
+    from at ``digits`` significant digits."""
+    return max(64, 4 * digits + 32)
+
+
+def settled(lo: int, hi: int, w: int, digits: int) -> str | None:
+    """The printed rounding of every value in ``[lo * 2**-w, hi *
+    2**-w]`` when both ends round alike, else None.  Rounding is
+    monotone, so that rounding is certified for any value the interval
+    encloses."""
+    low = round_scaled(lo, w, digits)
+    return format_rounded(low, digits) if low == round_scaled(hi, w, digits) else None
+
+
 def decimal_str(x: Expr, digits: int) -> str:
     """Certified round-half-even rendering of ``x`` with ``digits``
     significant digits, at most :data:`MAX_DIGITS`.
 
     A literal is rounded exactly.  Otherwise the enclosures of ``x``
-    start at the larger of 64 and ``4 * digits + 32`` bits and double
-    until both ends round alike.  Two points are asked about once each,
-    by :func:`certified_sign`: zero, at the first enclosure that
+    start at :func:`start_bits` and double until one is
+    :func:`settled`.  Two points are asked about once each, by
+    :func:`certified_sign`: zero, at the first enclosure that
     contains it, and the tie between two adjacent outputs, at the first
     enclosure whose ends round to them.  A proved equality is rounded
     exactly, so values whose enclosures settle the rounding pay nothing
@@ -174,10 +192,11 @@ def decimal_str(x: Expr, digits: int) -> str:
     if isinstance(x, Literal):
         return format_rounded(round_significant(x.value, digits), digits)
     asked_zero = asked_tie = False
-    for w, lo, hi in enclosures(x, max(64, 4 * digits + 32)):
+    for w, lo, hi in enclosures(x, start_bits(digits)):
+        text = settled(lo, hi, w, digits)
+        if text is not None:
+            return text
         ends = round_scaled(lo, w, digits), round_scaled(hi, w, digits)
-        if ends[0] == ends[1]:
-            return format_rounded(ends[0], digits)
         point = None
         if lo <= 0 <= hi:
             if not asked_zero:

@@ -26,9 +26,13 @@ Evaluation is deterministic integer fixed-point interval arithmetic:
 and :func:`enclosures` is the one refinement loop, which both the sign
 procedure and decimal rendering iterate.  Every refinement spends from
 one :data:`WORK_BUDGET`, so every question ends, and whether it is
-decided depends only on the value.  Inside an :func:`enclosure_memo`
-scope, such as one render, each shared subterm is enclosed once per
-working precision; the memo dies with the scope.
+decided depends only on the value.  An interval product or quotient
+wider than one operation's charge can cover raises
+:class:`PrecisionExhausted` too, so the first enclosure is bounded as
+well.  One :func:`enclosure_memo` scope, such as one CLI command or one
+:func:`identity.verify_identity` call, is the request scope: inside it,
+each shared subterm is enclosed once per working precision, an inner
+scope joins the outer one, and the memo dies with the outermost scope.
 """
 
 from __future__ import annotations
@@ -213,14 +217,19 @@ _ONE_LIT = Literal(_ONE)
 # value.
 
 
+def _within_budget(bits: int, what: str) -> None:
+    """Raise :class:`PrecisionExhausted` for ``what``, an integer up to
+    ``bits`` wide, when ``(bits // 64)**2``, the charge of one operation
+    at that width, is past :data:`WORK_BUDGET`."""
+    if (bits // 64) ** 2 > WORK_BUDGET:
+        raise PrecisionExhausted(f"{what} of up to {bits} bits is past the work budget")
+
+
 def _folded(op: Callable[[Fraction, Fraction], Fraction], a: Literal, b: Literal) -> Literal:
     """``op(a, b)`` as one exact literal, unless its numerator or
-    denominator could reach ``bits`` with ``(bits // 64)**2`` past
-    :data:`WORK_BUDGET`, the charge of one operation at that width."""
+    denominator could be too wide for :func:`_within_budget`."""
     (p, q), (r, s) = a.value.as_integer_ratio(), b.value.as_integer_ratio()
-    bits = max(abs(p), q).bit_length() + max(abs(r), s).bit_length() + 1
-    if (bits // 64) ** 2 > WORK_BUDGET:
-        raise PrecisionExhausted(f"an exact literal of up to {bits} bits is past the work budget")
+    _within_budget(max(abs(p), q).bit_length() + max(abs(r), s).bit_length() + 1, "an exact literal")
     return Literal(op(a.value, b.value))
 
 
@@ -381,18 +390,23 @@ def exact_rational(x: Expr) -> Fraction | None:
 # interval evaluation and refinement
 
 
-# The enclosures of the innermost enclosure_memo scope, one dict per
-# working precision; None outside every scope, so none outlives it.
+# The enclosures of the open enclosure_memo scope, one dict per working
+# precision; None outside every scope, so none outlives it.
 _memo: ContextVar[dict[int, dict[Expr, iv.IntPair]] | None] = ContextVar("enclosure_memo", default=None)
 
 
 @contextmanager
 def enclosure_memo() -> Iterator[None]:
-    """A scope in which :func:`eval_interval` keeps the enclosures of the
-    subterms it computes, so each shared subterm is enclosed once per
-    working precision.  The memo is dropped when the scope ends, by an
-    exception too; a nested scope starts its own and restores the outer
-    one."""
+    """The request scope: inside it, :func:`eval_interval` keeps the
+    enclosures of the subterms it computes, so each shared subterm is
+    enclosed once per working precision.  A scope opened inside another
+    joins it; the memo is dropped when the outermost scope ends, by an
+    exception too.  Enclosures are deterministic and the work budget is
+    charged per question whatever the memo holds, so no verdict depends
+    on what was asked before it in the scope."""
+    if _memo.get() is not None:
+        yield
+        return
     token = _memo.set({})
     try:
         yield
@@ -406,23 +420,41 @@ def eval_interval(x: Expr, working_bits: int) -> iv.IntPair:
     Inside an :func:`enclosure_memo` scope, subterms enclosed before at
     this precision are not enclosed again.  Raises
     :class:`interval.StraddlesZero` when a divisor interval contains
-    zero at this precision; callers refine and retry.
+    zero at this precision; callers refine and retry.  Raises
+    :class:`PrecisionExhausted` when a product or quotient is too wide
+    for :func:`_within_budget`.
     """
     memo = _memo.get()
     if memo is None:
-        return fold(x, *_interval_algebra(working_bits))
+        return fold(x, *interval_algebra(working_bits))
     values = memo.setdefault(working_bits, {})
-    enclosure = fold(x, *_interval_algebra(working_bits), values)
-    # the memo keeps the subterms, not the value asked for: that is most
-    # often a fresh coordinate that nothing shares, and keeping it alive
-    # until the render ends would only raise the render's peak memory
-    del values[x]
+    enclosure = values.get(x)
+    if enclosure is None:
+        enclosure = fold(x, *interval_algebra(working_bits), values)
+        # the memo keeps the subterms, not the value asked for: that is
+        # most often a fresh coordinate or difference that nothing
+        # shares, and keeping it until the scope ends would only raise
+        # the request's peak memory; an entry found is kept
+        del values[x]
     return enclosure
 
 
+def _bounded(op: Callable[[iv.IntPair, iv.IntPair, int], iv.IntPair], w: int) -> Callable:
+    """``op`` at scale 2**-w, refusing a result too wide for
+    :func:`_within_budget`."""
+
+    def bounded(x: iv.IntPair, y: iv.IntPair) -> iv.IntPair:
+        lo, hi = op(x, y, w)
+        _within_budget(max(lo.bit_length(), hi.bit_length()), "an enclosure")
+        return lo, hi
+
+    return bounded
+
+
 @lru_cache(maxsize=64)
-def _interval_algebra(w: int) -> tuple[Callable, dict[type, Callable]]:
-    """fold's leaf and ops for enclosures at scale 2**-w."""
+def interval_algebra(w: int) -> tuple[Callable, dict[type, Callable]]:
+    """fold's leaf and ops for enclosures at scale 2**-w: the enclosure
+    of a node is its class's op applied to its children's enclosures."""
 
     def leaf(node: Literal) -> iv.IntPair:
         return iv.from_fraction(node.value, w)
@@ -431,8 +463,8 @@ def _interval_algebra(w: int) -> tuple[Callable, dict[type, Callable]]:
         Add: iv.add,
         Sub: iv.sub,
         Neg: iv.neg,
-        Mul: partial(iv.mul, w=w),
-        Div: partial(iv.div, w=w),
+        Mul: _bounded(iv.mul, w),
+        Div: _bounded(iv.div, w),
         Sqrt: partial(iv.sqrt, w=w),
     }
 
@@ -453,9 +485,12 @@ def enclosures(x: Expr, start: int) -> Iterator[tuple[int, int, int]]:
     """The refinement of ``x``: ``(w, lo, hi)`` with ``lo * 2**-w <= x <=
     hi * 2**-w`` for ``w = start, 2*start, ...`` (``start > 0``).
 
-    The first enclosure is free; each later one is charged against
-    :data:`WORK_BUDGET`, and :class:`PrecisionExhausted` is raised in
-    place of the first that would overspend it.  A precision at which a
+    The first enclosure is not charged, but is bounded: like every
+    enclosure, it raises :class:`PrecisionExhausted` at a product or
+    quotient too wide for one operation's charge (:func:`eval_interval`).
+    Each later one is charged against :data:`WORK_BUDGET`, and
+    :class:`PrecisionExhausted` is raised in place of the first that
+    would overspend it.  A precision at which a
     divisor interval straddles zero is skipped.  The schedule is
     deterministic, and so are the enclosures.
     """

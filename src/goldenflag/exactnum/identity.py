@@ -26,6 +26,7 @@ from .expr import (
     add,
     certified_sign,
     div,
+    enclosure_memo,
     eval_interval,  # noqa: F401  (bound here by the layer tracer in bench/)
     fold,
     lit,
@@ -94,13 +95,15 @@ def verify_identity(lhs: Expr, rhs: Expr) -> Verdict:
     :class:`SignMismatch` is raised when the certified signs strictly
     disagree (one side positive, the other negative).  When a sign
     cannot be certified the check is skipped; the verdict itself never
-    depends on it.
+    depends on it.  One call is one :func:`enclosure_memo` scope, so the
+    three signs share the enclosures of the two sides' subterms.
     """
-    try:
-        signs = certified_sign(lhs), certified_sign(rhs)
-    except PrecisionExhausted:
-        pass
-    else:
-        if set(signs) == {Sign.POSITIVE, Sign.NEGATIVE}:
-            raise SignMismatch(f"certified signs disagree: {signs[0].name} vs {signs[1].name}")
-    return compare_values(lhs, rhs)
+    with enclosure_memo():
+        try:
+            signs = certified_sign(lhs), certified_sign(rhs)
+        except PrecisionExhausted:
+            pass
+        else:
+            if set(signs) == {Sign.POSITIVE, Sign.NEGATIVE}:
+                raise SignMismatch(f"certified signs disagree: {signs[0].name} vs {signs[1].name}")
+        return compare_values(lhs, rhs)

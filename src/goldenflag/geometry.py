@@ -162,39 +162,37 @@ def angle_tangent_with_horizontal(s: Segment) -> Expr:
     return div(abs_dy, abs_dx)
 
 
-# Unit vectors for the ten boundary directions of a point-up {5/2} star
-# (negative y is up), counterclockwise as drawn from the topmost outer
-# vertex (outer vertices on the circumcircle, inner vertices at
-# circumradius/phi^2).
-_OUTER_UNIT = (
-    (lit(0), lit(-1)),
-    (neg(SIN72), neg(COS72)),
-    (neg(SIN36), COS36),
-    (SIN36, COS36),
-    (SIN72, neg(COS72)),
+# The ten spokes of a point-up {5/2} star: its boundary vertices as a
+# simple concave decagon, counterclockwise as drawn, alternating
+# outer/inner and starting at the topmost outer vertex.  Vertex k is
+# center + radius * unit for the spoke (r, unit), radius being
+# pentagram_radii(star)[r]: the circumradius for an outer vertex, and
+# circumradius/phi^2 for an inner one.  Negative y is up.
+PENTAGRAM_SPOKES = (
+    (0, (lit(0), lit(-1))),
+    (1, (neg(SIN36), neg(COS36))),
+    (0, (neg(SIN72), neg(COS72))),
+    (1, (neg(SIN72), COS72)),
+    (0, (neg(SIN36), COS36)),
+    (1, (lit(0), lit(1))),
+    (0, (SIN36, COS36)),
+    (1, (SIN72, COS72)),
+    (0, (SIN72, neg(COS72))),
+    (1, (SIN36, neg(COS36))),
 )
-_INNER_UNIT = (
-    (neg(SIN36), neg(COS36)),
-    (neg(SIN72), COS72),
-    (lit(0), lit(1)),
-    (SIN72, COS72),
-    (SIN36, neg(COS36)),
-)
+
+
+def pentagram_radii(star: Pentagram) -> tuple[Expr, Expr]:
+    """The outer and inner radius of the star's spokes."""
+    return star.circumradius, div(star.circumradius, mul(PHI_EXPR, PHI_EXPR))
 
 
 def pentagram_vertices(star: Pentagram) -> list[Point]:
-    """The ten boundary vertices of the star as a simple concave
-    decagon, counterclockwise as drawn, alternating outer/inner and
-    starting at the topmost outer vertex."""
-    inner_radius = div(star.circumradius, mul(PHI_EXPR, PHI_EXPR))
-    cx, cy = star.center.x, star.center.y
-    vertices: list[Point] = []
-    for k in range(5):
-        for radius, (ux, uy) in (
-            (star.circumradius, _OUTER_UNIT[k]),
-            (inner_radius, _INNER_UNIT[k]),
-        ):
-            vertices.append(
-                Point(add(cx, mul(radius, ux)), add(cy, mul(radius, uy)))
-            )
-    return vertices
+    """The ten boundary vertices of the star, as :data:`PENTAGRAM_SPOKES`
+    lists them."""
+    radii = pentagram_radii(star)
+    cx, cy = star.center
+    return [
+        Point(add(cx, mul(radii[r], ux)), add(cy, mul(radii[r], uy)))
+        for r, (ux, uy) in PENTAGRAM_SPOKES
+    ]

@@ -1,15 +1,23 @@
 """Deterministic serialization of flag layouts to SVG and JSON.
 
 Every emitted coordinate string is the certified round-half-even
-rendering of an exact value (:func:`exactnum.decimal_str`): its interval
-enclosure is refined, doubling its precision, until both ends round to
-the same digits, unless it is proved an exact zero or tie, so the exact
-value lies within half an ulp of the printed decimal.  One render is one
-:func:`exactnum.enclosure_memo` scope, so the scale, ``phi`` and
-trigonometric subterms that every coordinate shares are enclosed once
-per working precision, and dropped when the render returns; the
-enclosures' integer ends are rounded in integer arithmetic.  Output
-bytes are identical across runs and platforms for identical inputs.
+rendering of an exact value: the rounding of an interval enclosure
+whose ends round to the same digits, or of the value itself when
+:func:`exactnum.decimal_str` proves it an exact zero or tie, so the
+exact value lies within half an ulp of the printed decimal.  A
+coordinate is first printed from the enclosures of its parts at
+``decimal_str``'s start precision, combined as its expression would
+combine them: ``(value - origin) * scale``, and for a star vertex
+``(center + radius * unit - origin) * scale`` over
+:data:`geometry.PENTAGRAM_SPOKES`.  Only a coordinate whose ends do
+not round alike there, or whose divisor straddles zero, gets its
+expression built and printed by ``decimal_str``; a certified rounding
+is unique, so both print the same bytes.  One command is one
+:func:`exactnum.enclosure_memo` scope (each emitter opens one for
+library callers, which joins the command's), so the scale, ``phi``,
+star trigonometry and spec subterms that coordinates share are enclosed
+once per working precision.  Output bytes are identical across runs and
+platforms for identical inputs.
 
 Layouts are already in screen orientation; both emitters share the
 scaling and the decimal policy.
@@ -19,12 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 import json
 
 from .constructions import ColorRole, FlagLayout
-from .exactnum import Expr, as_rational, decimal_str, div, enclosure_memo, lit, mul, sub
-from .geometry import Point, pentagram_vertices
+from .exactnum import Add, Expr, Mul, Sub, add, as_rational, decimal_str, div, enclosure_memo, lit, mul, sub
+from .exactnum.decimalfmt import settled, start_bits
+from .exactnum.expr import eval_interval, interval_algebra
+from .exactnum.interval import IntPair, StraddlesZero
+from .geometry import PENTAGRAM_SPOKES, Pentagram, Point, pentagram_radii
+from .geometry import pentagram_vertices  # noqa: F401  (bound here by the layer tracer in bench/)
 
 DEFAULT_PALETTE: Mapping[ColorRole, str] = {
     ColorRole.BLUE: "#0039A6",
@@ -83,14 +96,63 @@ class _Frame:
         self.origin = canvas.origin
         self.width = mul(canvas.width, self.scale)
         self.height = mul(canvas.height, self.scale)
+        self.bits = start_bits(opts.digits)
+        ops = interval_algebra(self.bits)[1]
+        self._add, self._sub, self._mul = ops[Add], ops[Sub], ops[Mul]
+        # the enclosures every coordinate shares
+        self._origin = self._enclose(*self.origin)
+        self._scale = self._enclose(self.scale)[0]
+
+    @cached_property
+    def _units(self) -> list[list[IntPair | None]]:
+        """The enclosures of the spokes' unit vectors, which every star shares."""
+        return [self._enclose(*unit) for _, unit in PENTAGRAM_SPOKES]
 
     def dec(self, value: Expr) -> str:
         return decimal_str(value, self.digits)
 
+    def _enclose(self, *values: Expr) -> list[IntPair | None]:
+        """The enclosures of ``values`` at the start precision; None for
+        one whose divisor straddles zero there."""
+        enclosures = []
+        for value in values:
+            try:
+                enclosures.append(eval_interval(value, self.bits))
+            except StraddlesZero:
+                enclosures.append(None)
+        return enclosures
+
+    def _settled(self, axis: int, enclosure: IntPair | None) -> str | None:
+        """``(v - origin) * scale`` along ``axis`` as printed for every
+        ``v`` in ``enclosure``, when the ends of that round alike."""
+        origin, scale = self._origin[axis], self._scale
+        if enclosure is None or origin is None or scale is None:
+            return None
+        return settled(*self._mul(self._sub(enclosure, origin), scale), self.bits, self.digits)
+
+    def _printed(self, axis: int, value: Expr) -> str:
+        """``(value - origin) * scale`` along ``axis``, by :func:`decimal_str`."""
+        return self.dec(mul(sub(value, self.origin[axis]), self.scale))
+
     def point(self, p: Point) -> tuple[str, str]:
-        x = mul(sub(p.x, self.origin.x), self.scale)
-        y = mul(sub(p.y, self.origin.y), self.scale)
-        return self.dec(x), self.dec(y)
+        x, y = self._enclose(*p)
+        return self._settled(0, x) or self._printed(0, p.x), self._settled(1, y) or self._printed(1, p.y)
+
+    def vertices(self, star: Pentagram) -> list[tuple[str, str]]:
+        """The star's ten vertices, as :func:`geometry.pentagram_vertices`
+        gives them."""
+        radii = pentagram_radii(star)
+        center, enclosed_radii = self._enclose(*star.center), self._enclose(*radii)
+        vertices = []
+        for (r, unit), enclosed_unit in zip(PENTAGRAM_SPOKES, self._units):
+            vertex = []
+            for axis in (0, 1):
+                c, radius, u = center[axis], enclosed_radii[r], enclosed_unit[axis]
+                enclosure = None if None in (c, radius, u) else self._add(c, self._mul(radius, u))
+                text = self._settled(axis, enclosure)
+                vertex.append(text or self._printed(axis, add(star.center[axis], mul(radii[r], unit[axis]))))
+            vertices.append(tuple(vertex))
+        return vertices
 
     def length(self, value: Expr) -> str:
         return self.dec(mul(value, self.scale))
@@ -119,7 +181,7 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
         points = " ".join(",".join(frame.point(p)) for p in region.polygon)
         lines.append(f'<polygon points="{points}" fill="{DEFAULT_PALETTE[region.color]}"/>')
     for star in layout.stars:
-        points = " ".join(",".join(frame.point(p)) for p in pentagram_vertices(star.pentagram))
+        points = " ".join(",".join(xy) for xy in frame.vertices(star.pentagram))
         lines.append(f'<polygon points="{points}" fill="{DEFAULT_PALETTE[star.color]}"/>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -156,7 +218,7 @@ def json_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
                 "color": star.color.value,
                 "center": list(frame.point(star.pentagram.center)),
                 "circumradius": frame.length(star.pentagram.circumradius),
-                "vertices": [list(frame.point(p)) for p in pentagram_vertices(star.pentagram)],
+                "vertices": [list(xy) for xy in frame.vertices(star.pentagram)],
             }
             for star in layout.stars
         ],

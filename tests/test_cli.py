@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import goldenflag
 from goldenflag.cli import main
+from goldenflag.exactnum import interval as iv
+from goldenflag.exactnum.expr import interval_algebra
 
 
 OUT_OF_CANVAS = 'flag "oob" { canvas 3 x 2; region a blue rect 0 0 4 2; }'
@@ -382,6 +386,22 @@ class TestVerify:
             "claims: 2 of 2 checks failed\n"
         )
 
+    def test_undecidable_claims_on_one_value_share_its_enclosures(self, capsys, tmp_path):
+        # one command is one enclosure memo scope, so the claims enclose a
+        # once per working precision; each is still charged the whole work
+        # budget, so each verdict is the one it gets alone
+        claims = [f'check "k{k}" a/{k}*{k} == a;' for k in range(3, 23)]
+        start = time.perf_counter()
+        code, out, err = self.verify_claims(capsys, tmp_path, UNDECIDABLE + "".join(claims))
+        assert time.perf_counter() - start < 4
+        assert (code, err) == (3, "")
+        *lines, summary = out.splitlines()
+        assert summary == "claims: 20 of 20 checks failed"
+        assert lines == [f"Undecided  k{k}" for k in range(3, 23)]
+        for claim, line in zip(claims, lines):
+            code, out, _ = self.verify_claims(capsys, tmp_path, UNDECIDABLE + claim)
+            assert (code, out.splitlines()[0]) == (3, line)
+
     def test_a_claim_within_the_work_budget_is_proved(self, capsys, tmp_path):
         code, out, err = self.verify_claims(capsys, tmp_path, f'let a = {THREE_RADICALS}; check "a" a == a/3*3;')
         assert (code, err) == (0, "")
@@ -489,6 +509,34 @@ class TestVerify:
 
 
 class TestBuild:
+    def test_one_build_encloses_sqrt5_once_per_working_precision(self, capsys, tmp_path, monkeypatch):
+        # side conditions, star containment, cut lines and the render all
+        # share sqrt(5) through phi and the spec's lets
+        enclosed = Counter()
+        sqrt = iv.sqrt
+
+        def counting(x, w):
+            if x == (5 << w, 5 << w):
+                enclosed[w] += 1
+            return sqrt(x, w)
+
+        monkeypatch.setattr(iv, "sqrt", counting)
+        interval_algebra.cache_clear()  # the algebras bind iv.sqrt when built
+        spec = tmp_path / "field.flag"
+        spec.write_text(
+            'flag "field" { canvas 3 x 2; let g = phi/16; let r = sqrt(5)/22;'
+            " region left blue rect 0 0 1 + g 2; region right red rect 1 + g 0 2 - g 2;"
+            " star white at 1/2 + 3*g 1/2 + 2*r diameter phi/20;"
+            " star white at 2 + r 1 + g diameter sqrt(5)/30; }"
+        )
+        try:
+            code, _, err = run(capsys, "build", str(spec), "--out", str(tmp_path / "field.json"))
+        finally:
+            interval_algebra.cache_clear()
+        assert (code, err) == (0, "")
+        assert set(enclosed) >= {64, 80}  # certification, and the render at 12 digits
+        assert set(enclosed.values()) == {1}
+
     def test_svg_with_viewbox(self, capsys, tmp_path):
         out_path = tmp_path / "current.svg"
         code, out, _ = run(
@@ -608,21 +656,36 @@ class TestUsage:
         assert err == "goldenflag: error: RuntimeError: boom\n"
 
 
+def modules_added_by_import(*flags: str) -> list[str]:
+    """The modules that ``import goldenflag.cli`` adds in a fresh
+    interpreter started with ``flags``; only the modules the import adds
+    count, not those the interpreter's site already loaded."""
+    code = (
+        "import sys; before = set(sys.modules); import goldenflag.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(goldenflag.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    added = done.stdout.split()
+    assert "goldenflag.render" in added
+    return added
+
+
+def among(modules: list[str], *packages: str) -> list[str]:
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
 class TestStartup:
     def test_import_pulls_in_no_network_stack(self):
         # xml.sax.saxutils would bring in urllib.request and with it
-        # http.client, email, ssl and socket; only the modules the import
-        # adds count, not those the interpreter's site already loaded
-        code = (
-            "import sys; before = set(sys.modules); import goldenflag.cli; "
-            "print(*sorted(set(sys.modules) - before))"
-        )
-        src = str(Path(goldenflag.__file__).parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, check=True, timeout=60,
-        )
-        added = done.stdout.split()
-        assert "goldenflag.render" in added
+        # http.client, email, ssl and socket
         unwanted = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
-        assert [m for m in added if any(m == u or m.startswith(u + ".") for u in unwanted)] == []
+        assert among(modules_added_by_import(), *unwanted) == []
+
+    def test_import_without_site_loads_no_package_resources(self):
+        # importlib.resources, with tempfile behind it, is for build_flag
+        # alone; a site may preload it, so the interpreter runs without one
+        assert among(modules_added_by_import("-S"), "importlib.resources", "tempfile") == []

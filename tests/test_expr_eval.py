@@ -32,7 +32,7 @@ from goldenflag.exactnum import (
 from goldenflag.exactnum import expr as expr_module
 from goldenflag.exactnum import interval as iv
 from goldenflag.exactnum.decimalfmt import MAX_DIGITS, round_scaled, round_significant
-from goldenflag.exactnum.expr import _interval_algebra, enclosures, eval_interval, exact_sign, fold
+from goldenflag.exactnum.expr import interval_algebra, enclosures, eval_interval, exact_sign, fold
 from goldenflag.geometry import TAN36
 
 from conftest import (
@@ -160,10 +160,10 @@ class TestEnclosureMemo:
         failing = div(shared, self.NEAR_ZERO)
         x = add(add(shared, TAN36), failing)
         values: dict = {}
-        fold(shared, *_interval_algebra(self.W), values)  # seeded
+        fold(shared, *interval_algebra(self.W), values)  # seeded
         seeded = dict(values)
         with pytest.raises(iv.StraddlesZero):
-            fold(x, *_interval_algebra(self.W), values)
+            fold(x, *interval_algebra(self.W), values)
         assert values.items() >= seeded.items()
         assert failing not in values and x not in values
         assert TAN36 in values and self.NEAR_ZERO in values
@@ -181,21 +181,34 @@ class TestEnclosureMemo:
                 memoized = [eval_interval(x, w) for x in values]
             assert memoized == [eval_interval(x, w) for x in values]
 
-    def test_nested_scopes_restore_the_outer_memo(self):
+    def test_an_inner_scope_joins_the_outer_one_and_the_memo_dies_with_the_outermost(self):
         assert expr_module._memo.get() is None
         with enclosure_memo():
             outer = expr_module._memo.get()
             eval_interval(PHI_EXPR, 64)
             with enclosure_memo():
-                assert expr_module._memo.get() == {}
+                assert expr_module._memo.get() is outer
                 eval_interval(div(lit(1), TAN36), 64)
-                assert TAN36 in expr_module._memo.get()[64]
             assert expr_module._memo.get() is outer
-            assert SQRT5_EXPR in outer[64] and TAN36 not in outer[64]
+            assert SQRT5_EXPR in outer[64] and TAN36 in outer[64]
             with pytest.raises(iv.StraddlesZero), enclosure_memo():
                 eval_interval(div(lit(1), self.NEAR_ZERO), 32)
-            assert expr_module._memo.get() is outer
+            assert expr_module._memo.get() is outer and self.NEAR_ZERO in outer[32]
         assert expr_module._memo.get() is None
+        with pytest.raises(iv.StraddlesZero), enclosure_memo():
+            with enclosure_memo():
+                eval_interval(div(lit(1), self.NEAR_ZERO), 32)
+        assert expr_module._memo.get() is None
+
+    def test_eval_interval_keeps_an_entry_it_found_and_drops_one_it_added(self):
+        with enclosure_memo():
+            values = expr_module._memo.get().setdefault(64, {})
+            eval_interval(div(lit(1), TAN36), 64)
+            found = values[TAN36]
+            assert eval_interval(TAN36, 64) is found and values[TAN36] is found
+            fresh = add(TAN36, lit(Fraction(1, 7)))
+            eval_interval(fresh, 64)
+            assert fresh not in values
 
 
 # (m, w, digits) with m * 2**-w a rounding tie: (q + 1/2) * 10**-j with

@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isqrt
 from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goldenflag import render
 from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout, Region
-from goldenflag.exactnum import certified_sign, decimal_str, decimalfmt, lit, mul, sub
+from goldenflag.exactnum import (
+    PHI_EXPR, add, certified_sign, decimal_str, decimalfmt, div, lit, mul, sqrt_, sub,
+)
 from goldenflag.flagspec import lower_source
-from goldenflag.geometry import Point, Rect
+from goldenflag.geometry import Pentagram, Point, Rect, pentagram_vertices
 from goldenflag.render import DEFAULT_PALETTE, RenderOptions, _Frame, json_emit, svg_emit
 
 from conftest import within_half_ulp
@@ -159,3 +163,97 @@ class TestOptions:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             RenderOptions(scale=Fraction(-1))
+
+
+# a + b*phi, rational when b is 0
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+values = st.one_of(
+    rationals.map(lit),
+    st.builds(lambda a, b: add(lit(a), mul(lit(b), PHI_EXPR)), rationals, rationals),
+)
+points = st.builds(Point, values, values)
+positives = st.builds(
+    lambda a, b: add(lit(abs(a) + Fraction(1, 50)), mul(lit(abs(b)), PHI_EXPR)), rationals, rationals
+)
+sizes = st.fractions(min_value=Fraction(1, 50), max_value=400, max_denominator=50)
+# RenderOptions by scale or by target width, at 3 to 60 digits
+options = st.builds(
+    lambda size, by_width, digits: RenderOptions(
+        digits=digits, **{"target_width" if by_width else "scale": size}
+    ),
+    sizes, st.booleans(), st.integers(3, 60),
+)
+
+# sqrt(2) - (its first 30 decimals) lies in (0, 10**-30): at 3 digits'
+# 64 bits, its enclosure straddles zero
+NEAR_ZERO = sub(sqrt_(lit(2)), lit(Fraction(isqrt(2 * 10**60), 10**30)))
+
+
+def frame_of(origin: Point, width, height, opts: RenderOptions) -> _Frame:
+    return _Frame(FlagLayout(Rect(origin, width, height), (), (), "frame"), opts)
+
+
+def by_decimal_str(frame: _Frame, point: Point) -> tuple[str, str]:
+    """The reference: each coordinate's expression printed by decimal_str."""
+    return tuple(
+        decimal_str(mul(sub(value, origin), frame.scale), frame.digits)
+        for value, origin in zip(point, frame.origin)
+    )
+
+
+class TestSharedEnclosures:
+    """A coordinate printed from its parts' enclosures is the one
+    decimal_str prints from its expression."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(points, positives, positives, options, st.lists(points, min_size=1, max_size=4))
+    def test_points_print_as_decimal_str(self, origin, width, height, opts, targets):
+        frame = frame_of(origin, width, height, opts)
+        for point in targets:
+            assert frame.point(point) == by_decimal_str(frame, point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points, positives, options, points, positives)
+    def test_star_vertices_print_as_decimal_str(self, origin, width, opts, center, radius):
+        frame = frame_of(origin, width, width, opts)
+        star = Pentagram(center, radius)
+        assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
+
+    @pytest.fixture
+    def printed(self, monkeypatch):
+        """The values render printed through decimal_str."""
+        values = []
+
+        def recording(value, digits):
+            values.append(value)
+            return decimal_str(value, digits)
+
+        monkeypatch.setattr(render, "decimal_str", recording)
+        return values
+
+    UNIT = Point(lit(0), lit(0)), lit(1), lit(1)
+
+    def test_an_exact_tie_falls_back(self, printed):
+        # 2 * 247/4000 = 0.1235 through sqrt(2)*sqrt(2): half-even at 3 digits
+        tie = mul(mul(sqrt_(lit(2)), sqrt_(lit(2))), lit(Fraction(247, 4000)))
+        frame = frame_of(*self.UNIT, RenderOptions(digits=3))
+        assert frame.point(Point(tie, lit(Fraction(1, 3)))) == ("0.124", "0.333")
+        assert printed == [tie]
+
+    def test_an_exact_zero_through_a_non_literal_falls_back(self, printed):
+        zero = sub(PHI_EXPR, PHI_EXPR)
+        frame = frame_of(*self.UNIT, RenderOptions(digits=12))
+        assert frame.point(Point(zero, lit(1))) == ("0", "1")
+        assert printed == [zero]
+
+    def test_a_straddling_divisor_falls_back(self, printed):
+        x = div(lit(Fraction(1, 10**31)), NEAR_ZERO)
+        frame = frame_of(*self.UNIT, RenderOptions(digits=3))
+        assert frame.point(Point(x, lit(1))) == by_decimal_str(frame, Point(x, lit(1)))
+        assert printed == [x]
+        # a scale whose divisor straddles: every coordinate falls back
+        frame = frame_of(Point(lit(0), lit(0)), NEAR_ZERO, lit(1), RenderOptions(digits=3, target_width=2))
+        star = Pentagram(Point(lit(Fraction(1, 3)), lit(0)), lit(Fraction(1, 4)))
+        printed.clear()
+        assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
+        assert len(printed) == 20

@@ -8,12 +8,18 @@ import contextlib
 import io
 import tempfile
 import time
+from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldenflag.cli import main
+from goldenflag.errors import PrecisionExhausted
+from goldenflag.exactnum import Div, Literal, Mul, lit, mul
+from goldenflag.exactnum.expr import WORK_BUDGET, eval_interval
 
 TEN_TO_700 = "1" + "0" * 700
 
@@ -65,6 +71,36 @@ def test_a_let_chain_of_exact_squares_exits_three_at_the_first_literal_past_the_
     assert (code, out) == (3, "")
     assert err.startswith("goldenflag: precision exhausted: in let 'a19': ")
     assert seconds < 5
+
+
+def test_a_let_chain_squaring_a_radical_exits_three_at_its_first_enclosure():
+    # a{i} = 10**(2**(i-1)) is no literal, so nothing folds it: its first
+    # enclosure refuses the product past the width a literal may reach
+    lets = "\n".join(f"  let a{i} = a{i - 1}*a{i - 1};" for i in range(1, 24))
+    spec = (
+        f'flag "big" {{\n  canvas 1 x 1; region r red rect 0 0 1 1;\n  let a0 = sqrt(10);\n{lets}\n'
+        '  check "big" 0 < a23;\n}\n'
+    )
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "big.flag"
+        path.write_text(spec)
+        code, out, err, seconds = run("verify", str(path))
+    assert (code, out, err) == (3, "Undecided  big\nbig: 1 of 1 checks failed\n", "")
+    assert seconds < 2
+
+
+def test_an_enclosure_refuses_a_product_or_quotient_a_literal_could_not_be():
+    # the widest integer one operation's charge covers: (bits // 64)**2
+    # within the work budget
+    widest = 64 * isqrt(WORK_BUDGET) + 63
+    big = Literal(Fraction(1 << (widest - 70)))
+    small = Literal(Fraction(1, 1 << 10))
+    for x in (Mul(big, Literal(Fraction(1 << 10))), Div(big, small)):
+        with pytest.raises(PrecisionExhausted, match="^an enclosure of up to 10486"):
+            eval_interval(x, 64)
+    assert eval_interval(Mul(big, Literal(Fraction(1 << 3))), 64)[0] == 1 << (widest - 3)
+    with pytest.raises(PrecisionExhausted, match="^an exact literal of up to"):
+        mul(big, lit(1 << 70))
 
 
 # expressions: small literals, phi, radicals nested up to 40 deep, a tiny
