@@ -82,6 +82,11 @@ class LayoutError(GoldenFlagError):
     containment)."""
 
 
+class UnencodableText(GoldenFlagError):
+    """Text of a layout, such as its name, holds a code point that UTF-8
+    cannot encode: a lone surrogate."""
+
+
 # --- flag-spec language ---------------------------------------------------
 
 

@@ -1,8 +1,9 @@
-"""Exact scalar arithmetic: rationals, one quadratic-extension algebra
-(:class:`Quadratic`) that is both the a+b*sqrt(5) field :data:`GOLDEN`
-and the one-radicand tower over it, certified constructible-number
-expressions with fixed-point interval enclosures, and an identity
-verifier."""
+"""Exact scalar arithmetic: rationals, the field Q(sqrt5)
+(:data:`GOLDEN`, whose elements are canonical integer triples
+``(a, b, d)`` meaning ``(a + b*sqrt(5))/d``), the generic
+quadratic-extension algebra (:class:`Quadratic`) that is the
+one-radicand tower over it, certified constructible-number expressions
+with fixed-point interval enclosures, and an identity verifier."""
 
 from .decimalfmt import decimal_str
 from .expr import (

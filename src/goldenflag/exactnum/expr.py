@@ -312,7 +312,11 @@ def sqrt_(x: ExprLike) -> Expr:
 # exact normalization into one quadratic tower
 #
 # Values u + v*sqrt(r) with u, v in GOLDEN and one shared radicand r
-# (positive, not a square in GOLDEN).  This is the exact engine behind
+# (positive, not a square in GOLDEN): the generic Quadratic over GOLDEN,
+# whose elements are integer triples, so that all of the tower's
+# arithmetic is on ints.  Literals enter through GOLDEN.of and a
+# rational value leaves through GOLDEN.rational; nothing here reads a
+# GOLDEN element itself.  This is the exact engine behind
 # field normalization, sign certification and identity proofs for
 # single-nesting radicals, and for nested ones that denest into them:
 # all the pentagon quantities live in one such extension, because
@@ -337,7 +341,7 @@ class _Tower(Quadratic):
 
     @staticmethod
     def leaf(node: Literal) -> tuple:
-        return (node.value, _ZERO), GOLDEN.zero
+        return GOLDEN.of(node.value), GOLDEN.zero
 
     def root(self, x: tuple) -> tuple:
         """The square root of ``x`` in the tower (see
@@ -378,12 +382,10 @@ def exact_sign(x: Expr) -> Sign | None:
 def exact_rational(x: Expr) -> Fraction | None:
     """Exact rational value when normalization proves one, else None."""
     try:
-        _, ((a, b), v) = _tower_normalize(x)
+        _, (g, v) = _tower_normalize(x)
     except (NotInField, DivisionByZero):
         return None
-    if not b and GOLDEN.is_zero(v):
-        return a
-    return None
+    return GOLDEN.rational(g) if GOLDEN.is_zero(v) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,27 @@
 """Exact arithmetic in quadratic extensions of the rationals.
 
 Every golden-section quantity (phi, phi**2, 2+sqrt(5), ...) lives
-exactly in :data:`GOLDEN`, the field of ``a + b*sqrt(5)``; a nested
-radical such as ``sqrt(10 - 2*sqrt(5))`` lives one level up, in a
-:class:`Quadratic` over :data:`GOLDEN`.  An algebra is an object whose
-methods act on plain values: a :class:`~fractions.Fraction` in
-:data:`Rationals`, a pair ``(a, b)`` meaning ``a + b*sqrt(r)`` in a
-:class:`Quadratic`.  The pair of a value is unique, so equality is
-componentwise and sign is decided by exact comparisons, never floating
-point.
+exactly in :data:`GOLDEN`, the field Q(sqrt5); a nested radical such as
+``sqrt(10 - 2*sqrt(5))`` lives one level up, in a :class:`Quadratic`
+over :data:`GOLDEN`.  An algebra is an object whose methods act on
+plain values: a canonical integer triple ``(a, b, d)`` meaning
+``(a + b*sqrt(5))/d`` in :data:`GOLDEN`, a pair ``(a, b)`` of
+:data:`GOLDEN` elements meaning ``a + b*sqrt(r)`` in a
+:class:`Quadratic`.  The representation of a value is unique, so
+equality is tuple equality and sign is decided by exact integer
+comparisons, never floating point.  Only this module reads a
+:data:`GOLDEN` triple: other code makes one with ``GOLDEN.of`` and
+reads a rational one back with ``GOLDEN.rational``.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 from fractions import Fraction
+from math import gcd, isqrt
 
 from ..errors import DivisionByZero
-from .rational import is_perfect_square
+from .rational import Rational
 
 
 class Sign(enum.Enum):
@@ -28,46 +31,157 @@ class Sign(enum.Enum):
     ZERO = 0
     POSITIVE = 1
 
-    @staticmethod
-    def of_rational(q: Fraction) -> "Sign":
-        if q > 0:
-            return Sign.POSITIVE
-        if q < 0:
-            return Sign.NEGATIVE
-        return Sign.ZERO
-
     @property
     def is_nonnegative(self) -> bool:
         return self is not Sign.NEGATIVE
 
 
-_ONE = Fraction(1)
+# indexed by (n > 0) - (n < 0), so -1 is the last
+_SIGNS = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)
 
 
-class _Rationals:
-    """The field Q: its elements are Fractions (ints are accepted)."""
+def _canonical(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """The triple of ``(a + b*sqrt5)/d`` for ``d > 0``: lowest terms."""
+    g = gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
 
-    zero = Fraction(0)
-    one = _ONE
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-    is_zero = staticmethod(operator.not_)
-    sign = staticmethod(Sign.of_rational)
-    sqrt = staticmethod(is_perfect_square)
+
+def _root(n: int) -> int | None:
+    """The integer square root of ``n`` when ``n`` is a square, else None."""
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
+class _Golden:
+    """The field Q(sqrt5).
+
+    Its elements are canonical integer triples ``(a, b, d)`` meaning
+    ``(a + b*sqrt5)/d``, with ``d > 0`` and ``gcd(a, b, d) == 1``: the
+    integer coefficient vector over one common denominator that is the
+    standard representation of a number-field element (Cohen, "A Course
+    in Computational Algebraic Number Theory", GTM 138, 4.2).  Each
+    operation works on ints and reduces by one gcd (``div``, a product
+    by an inverse, by two); a product by a rational (``b == 0``) skips
+    the ``sqrt5`` cross terms, and the inverse of one needs no gcd.
+    """
+
+    zero = (0, 0, 1)
+    one = (1, 0, 1)
 
     @staticmethod
-    def inverse(a: Fraction) -> Fraction:
-        if not a:
-            raise DivisionByZero("division by zero")
-        return _ONE / a  # a Fraction even when a is an int
+    def of(a: Rational | int, b: Rational | int = 0) -> tuple[int, int, int]:
+        """The element ``a + b*sqrt5`` for rationals ``a`` and ``b``."""
+        p, q = a.as_integer_ratio()
+        if not b:
+            return p, 0, q
+        r, s = b.as_integer_ratio()
+        return _canonical(p * s, r * q, q * s)
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * self.inverse(b)
+    @staticmethod
+    def rational(x: tuple) -> Fraction | None:
+        """The value of ``x`` as a Fraction when it is rational, else None."""
+        a, b, d = x
+        return None if b else Fraction(a, d)
 
+    @staticmethod
+    def add(x: tuple, y: tuple) -> tuple:
+        a1, b1, d1 = x
+        a2, b2, d2 = y
+        if d1 == d2:
+            return _canonical(a1 + a2, b1 + b2, d1)
+        return _canonical(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
-Rationals = _Rationals()
+    @staticmethod
+    def sub(x: tuple, y: tuple) -> tuple:
+        a1, b1, d1 = x
+        a2, b2, d2 = y
+        if d1 == d2:
+            return _canonical(a1 - a2, b1 - b2, d1)
+        return _canonical(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+
+    @staticmethod
+    def neg(x: tuple) -> tuple:
+        a, b, d = x
+        return -a, -b, d
+
+    @staticmethod
+    def mul(x: tuple, y: tuple) -> tuple:
+        a1, b1, d1 = x
+        a2, b2, d2 = y
+        if not b2:
+            return _canonical(a1 * a2, b1 * a2, d1 * d2)
+        if not b1:
+            return _canonical(a1 * a2, a1 * b2, d1 * d2)
+        return _canonical(a1 * a2 + 5 * b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+    @staticmethod
+    def is_zero(x: tuple) -> bool:
+        return not x[0] and not x[1]
+
+    @staticmethod
+    def sign(x: tuple) -> Sign:
+        """The sign of ``a + b*sqrt5`` (``d > 0``): when ``a`` and ``b``
+        have opposite signs, the larger of ``a**2`` and ``5*b**2`` wins."""
+        a, b, _ = x
+        if a * b < 0 and a * a > 5 * b * b:
+            return _SIGNS[(a > 0) - (a < 0)]
+        lead = b or a
+        return _SIGNS[(lead > 0) - (lead < 0)]
+
+    @staticmethod
+    def inverse(x: tuple) -> tuple:
+        """``d/(a + b*sqrt5) = d*(a - b*sqrt5)/(a**2 - 5*b**2)``; raises
+        DivisionByZero at zero."""
+        a, b, d = x
+        if not b:
+            if not a:
+                raise DivisionByZero("division by zero")
+            return (d, 0, a) if a > 0 else (-d, 0, -a)
+        norm = a * a - 5 * b * b  # nonzero, as sqrt5 is irrational
+        if norm < 0:
+            return _canonical(-d * a, d * b, -norm)
+        return _canonical(d * a, -d * b, norm)
+
+    def div(self, x: tuple, y: tuple) -> tuple:
+        return self.mul(x, self.inverse(y))
+
+    def sqrt(self, x: tuple) -> tuple | None:
+        """The nonnegative square root of ``x`` in Q(sqrt5), or None.
+
+        ``sqrt(x) = sqrt(y)/d`` for the integral ``y = A + B*sqrt5``,
+        ``A = a*d`` and ``B = b*d``.  For ``B == 0`` the root is
+        ``sqrt(A)`` or ``sqrt(5*A)/5``, when that is an integer.
+        Otherwise this is :meth:`Quadratic.sqrt`'s denesting over the
+        integers: a root ``p + q*sqrt5`` needs the norm ``A**2 - 5*B**2``
+        to be a square ``n**2`` and ``p**2`` to be ``(A + n)/2`` or
+        ``(A - n)/2``, so that ``m = 2*p`` is the integer root of
+        ``2*(A +- n)``, and then ``q = B/m``.
+        """
+        sign = self.sign(x)
+        if sign is Sign.NEGATIVE:
+            return None
+        if sign is Sign.ZERO:
+            return self.zero
+        a, b, d = x
+        A, B = a * d, b * d
+        if not B:
+            m = _root(A)
+            if m is not None:
+                return _canonical(m, 0, d)
+            m = _root(5 * A)
+            return None if m is None else _canonical(0, m, 5 * d)
+        n = _root(A * A - 5 * B * B)
+        if n is None:
+            return None
+        for t in (A + n, A - n):
+            m = _root(2 * t)
+            if m:  # nonzero, since t == 0 would need B == 0
+                # +-(m/2 + (B/m)*sqrt5), over the denominator d
+                root = _canonical(m * m, 2 * B, 2 * m * d)
+                return root if self.sign(root) is Sign.POSITIVE else self.neg(root)
+        return None
 
 
 class Quadratic:
@@ -186,7 +300,7 @@ class Quadratic:
         return None
 
 
-GOLDEN = Quadratic(Rationals, Fraction(5))
-"""Q(sqrt5): the pair ``(a, b)`` is ``a + b*sqrt(5)``."""
+GOLDEN = _Golden()
+"""Q(sqrt5): the triple ``(a, b, d)`` is ``(a + b*sqrt(5))/d``."""
 
-PHI = (Fraction(1, 2), Fraction(1, 2))
+PHI = GOLDEN.of(Fraction(1, 2), Fraction(1, 2))

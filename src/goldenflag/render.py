@@ -32,6 +32,7 @@ from typing import Mapping
 import json
 
 from .constructions import ColorRole, FlagLayout
+from .errors import UnencodableText
 from .exactnum import Add, Expr, Mul, Sub, add, as_rational, decimal_str, div, enclosure_memo, lit, mul, sub
 from .exactnum.decimalfmt import settled, start_bits
 from .exactnum.expr import eval_interval, interval_algebra
@@ -164,7 +165,8 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
 
     Regions are emitted as polygons in layout order, stars after
     regions, each star as a single concave-decagon polygon (no
-    fill-rule dependence).
+    fill-rule dependence).  Raises :class:`UnencodableText` when the
+    layout's name holds a lone surrogate.
     """
     opts = opts or RenderOptions()
     frame = _Frame(layout, opts)
@@ -184,7 +186,11 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
         points = " ".join(",".join(xy) for xy in frame.vertices(star.pentagram))
         lines.append(f'<polygon points="{points}" fill="{DEFAULT_PALETTE[star.color]}"/>')
     lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    try:
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    except UnicodeEncodeError as exc:  # only the title can hold one
+        point = ord(exc.object[exc.start])
+        raise UnencodableText(f"the flag name holds U+{point:04X}, which UTF-8 cannot encode") from None
 
 
 @enclosure_memo()

@@ -97,7 +97,8 @@ def expansion_begins(value: Expr, prefix: str) -> bool:
 
 
 def golden_expr(g: tuple[Fraction, Fraction]) -> Expr:
-    """Expression form of the GOLDEN element ``g[0] + g[1]*sqrt(5)``."""
+    """Expression form of ``g[0] + g[1]*sqrt(5)``, the value of the
+    GOLDEN element ``GOLDEN.of(*g)``."""
     return add(lit(g[0]), mul(lit(g[1]), SQRT5_EXPR))
 
 

@@ -415,7 +415,7 @@ class TestTilingExactFallback:
                 x = div(mul(x, PHI_EXPR), PHI_EXPR)
             values.append(add(x, lit(offset)))
             half_q = Fraction(q) / 2  # phi = (1 + sqrt5)/2
-            exact.append((p + offset + half_q, half_q))
+            exact.append(GOLDEN.of(p + offset + half_q, half_q))
         expected = [
             sum(GOLDEN.sign(GOLDEN.sub(g, h)) is Sign.POSITIVE for h in set(exact))
             for g in exact

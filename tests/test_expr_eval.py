@@ -109,22 +109,20 @@ class TestExprEval:
     @given(rationals, rationals)
     @settings(max_examples=150)
     def test_ball_contains_the_exact_field_value(self, a, b):
-        g = (a, b)
-        expr = golden_expr(g)
+        expr = golden_expr((a, b))
         assert exact_sign(sub(sub(expr, lit(a)), mul(lit(b), SQRT5_EXPR))) is Sign.ZERO
         lo, hi = enclosure(expr, 96)
         # exact containment: value - lo >= 0 and hi - value >= 0,
         # decided inside the field with no floating point
-        assert GOLDEN.sign((a - lo, b)).is_nonnegative
-        assert GOLDEN.sign((hi - a, -b)).is_nonnegative
+        assert GOLDEN.sign(GOLDEN.of(a - lo, b)).is_nonnegative
+        assert GOLDEN.sign(GOLDEN.of(hi - a, -b)).is_nonnegative
 
     @given(rationals, rationals)
     @settings(max_examples=150)
     def test_interval_sign_agrees_with_exact_sign(self, a, b):
-        g = (a, b)
-        sign = enclosure_sign(*enclosure(golden_expr(g), 96))
+        sign = enclosure_sign(*enclosure(golden_expr((a, b)), 96))
         if sign is not None:
-            assert sign is GOLDEN.sign(g)
+            assert sign is GOLDEN.sign(GOLDEN.of(a, b))
 
 
 def four_corner_div(x, y, w):

@@ -18,7 +18,6 @@ from goldenflag.exactnum import (
     Sign,
     Add,
     Div,
-    GOLDEN,
     Mul,
     Neg,
     Sqrt,
@@ -187,8 +186,7 @@ class TestCompareValuesLenient:
     @given(rationals, rationals)
     @settings(max_examples=100)
     def test_field_elements_always_decide(self, a, b):
-        x = (a, b)
-        y = GOLDEN.add(x, GOLDEN.one)
+        x, y = (a, b), (a + 1, b)
         assert compare_values(golden_expr(x), golden_expr(x)) is Verdict.PROVED_EQUAL
         assert compare_values(golden_expr(x), golden_expr(y)) is Verdict.PROVED_UNEQUAL
 
