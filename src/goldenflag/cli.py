@@ -26,6 +26,7 @@ from .constructions import (
 )
 from .errors import GoldenFlagError, PrecisionExhausted
 from .exactnum import as_rational, decimal_str, enclosure_memo
+from .exactnum.decimalfmt import MAX_DIGITS
 from .flagspec import lower_expr, lower_source, parse_expression
 from .render import RenderOptions, json_emit, svg_emit
 
@@ -45,7 +46,7 @@ def _positive_rational(text: str):
     return value
 
 
-def _int_in_range(minimum: int):
+def _int_in_range(minimum: int, maximum: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -53,6 +54,8 @@ def _int_in_range(minimum: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text!r}")
         return value
 
     return parse
@@ -89,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(overrides --scale; e.g. 2.4 for a physical width)",
     )
     build.add_argument(
-        "--digits", type=_int_in_range(3), default=12, help="significant digits"
+        "--digits", type=_int_in_range(3, MAX_DIGITS), default=12, help="significant digits"
     )
     build.add_argument(
         "--format",
@@ -109,14 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("expr", help="expression, e.g. 'sqrt(10-2*sqrt(5))/(1+sqrt(5))'")
     evaluate.add_argument(
         "--digits",
-        type=_int_in_range(1),
+        type=_int_in_range(1, MAX_DIGITS),
         default=12,
         help="significant digits, printed round-half-even (never truncated)",
     )
 
     ratio = commands.add_parser("ratio", help="print a flag's width-height ratio")
     ratio.add_argument("name", help="builtin name or path to a .flag file")
-    ratio.add_argument("--digits", type=_int_in_range(1), default=6)
+    ratio.add_argument("--digits", type=_int_in_range(1, MAX_DIGITS), default=6)
 
     commands.add_parser("list", help="print builtin flag names")
     return parser

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def decimal_reference(compute, digits: int) -> str:
+    """``compute(Decimal)`` in stdlib decimal arithmetic at ``digits + 50``
+    digits, rounded half-even to ``digits`` significant digits and
+    printed as ``eval`` prints, with trailing zeros trimmed."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 50
+        value = compute(Decimal)
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
+        text = format(+value, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def let_chain_spec(depth: int) -> str:
@@ -188,14 +201,44 @@ class TestEval:
     @pytest.mark.parametrize("expr", ["phi", "2"])
     def test_digits_past_the_limit_end_in_one_error_line(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr, "--digits", "4400")
-        assert (code, out) == (1, "")
-        assert err == "goldenflag: error: ValueError: digits must be at most 4300, got 4400\n"
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: goldenflag eval")
+        assert err.endswith("\ngoldenflag eval: error: argument --digits: must be at most 4300, got '4400'\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["ratio", "chile-1818"], ["build", "chile-1818", "--out", "flag.svg"]], ids=["ratio", "build"]
+    )
+    def test_digits_past_the_limit_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--digits", "4301")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"goldenflag {argv[0]}: error: argument --digits: must be at most 4300, got '4301'\n")
 
     def test_digits_at_the_limit(self, capsys):
         code, out, _ = run(capsys, "eval", "phi", "--digits", "4300")
         assert code == 0
         assert out.startswith("1.6180339887498948482")
         assert len(out.strip()) == 4301
+
+    # the shape of the bench's 3000-digit radicals; a 3000-digit eval
+    # encloses it at 12,032 bits, where each end of a product, quotient
+    # and root is thousands of bits wide and the two differ by a few units
+    @pytest.mark.parametrize(
+        "expr, compute",
+        [
+            (
+                "sqrt(3 + sqrt(sqrt(26 + 4*sqrt(sqrt(16 + 5*sqrt(15)))))) * sqrt(7) + 8/phi",
+                lambda D: (3 + (26 + 4 * (16 + 5 * D(15).sqrt()).sqrt().sqrt()).sqrt().sqrt()).sqrt() * D(7).sqrt()
+                + 8 / ((1 + D(5).sqrt()) / 2),
+            ),
+            (
+                "(2 + sqrt(3)) / (sqrt(11 - sqrt(7)) - sqrt(2))",
+                lambda D: (2 + D(3).sqrt()) / ((11 - D(7).sqrt()).sqrt() - D(2).sqrt()),
+            ),
+        ],
+        ids=["nested-radical", "radical-divisor"],
+    )
+    def test_3000_digits_match_a_decimal_reference(self, capsys, expr, compute):
+        assert run(capsys, "eval", expr, "--digits", "3000") == (0, decimal_reference(compute, 3000) + "\n", "")
 
     def test_exact_value_with_thousands_of_digits(self, capsys):
         code, out, _ = run(capsys, "eval", f"{'9' * 3000} * {'9' * 3000}", "--digits", "3")

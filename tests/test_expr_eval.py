@@ -132,19 +132,106 @@ def four_corner_div(x, y, w):
     return math.floor(min(quotients)), math.ceil(max(quotients))
 
 
-ends = st.integers(-(2**80), 2**80)
+def four_corner_mul(x, y, w):
+    """The product interval as the floor of the least and the ceiling of
+    the greatest of the four end-to-end products."""
+    products = [a * b for a in x for b in y]
+    return min(products) >> w, -(-max(products) >> w)
+
+
+def two_isqrt_sqrt(x, w):
+    """The root interval as the floor root of the clamped low end and the
+    ceiling root of the clamped high end."""
+    lo, hi = (max(end, 0) << w for end in x)
+    top = math.isqrt(hi)
+    return math.isqrt(lo), top + (top * top != hi)
+
+
+# up to the working precision of a 3000-digit eval
+precisions = st.one_of(st.integers(1, 128), st.integers(1, 12_032))
+
+
+@st.composite
+def fixed_point(draw, w: int, kinds=("positive", "negative", "straddling")):
+    """An interval at scale 2**-w with ends up to ``w + 64`` bits, as wide
+    as 0 to 2**8 units or up to full width."""
+    magnitude = draw(st.integers(0, 2 ** (w + 64)))
+    width = draw(st.one_of(st.just(0), st.integers(0, 2**8), st.integers(0, 2 ** (w + 64))))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "straddling":
+        return -magnitude, width
+    return (magnitude, magnitude + width) if kind == "positive" else (-magnitude - width, -magnitude)
+
+
+@st.composite
+def operands(draw):
+    w = draw(precisions)
+    return draw(fixed_point(w)), draw(fixed_point(w)), w
+
+
+@st.composite
+def radicands(draw):
+    """A nonnegative interval; or one whose gap ``(hi << w) - r*r``, ``r =
+    isqrt(lo << w)``, is up to the widest at which ``sqrt`` steps the
+    tangent bound down rather than take a second ``isqrt``; or one whose
+    ends are up to 2**8 units below zero, as rounding slack on an exact
+    zero leaves them."""
+    w = draw(precisions)
+    lo, hi = draw(fixed_point(w, kinds=("positive",)))
+    shape = draw(st.sampled_from(["drawn", "tangent", "slack"]))
+    if shape == "tangent":
+        hi = lo + draw(st.integers(0, 2 ** (3 * math.isqrt(lo << w).bit_length() // 2) >> w))
+    elif shape == "slack":
+        slack = draw(st.integers(1, 2**8))
+        lo, hi = -slack, hi - slack
+    return (lo, hi), w
 
 
 class TestIntervalDiv:
-    @given(ends, ends, ends, ends, st.integers(0, 96))
+    @given(operands())
     @settings(max_examples=300)
-    def test_two_divisions_match_the_four_corners(self, x0, x1, y0, y1, w):
-        x, y = (min(x0, x1), max(x0, x1)), (min(y0, y1), max(y0, y1))
+    def test_two_divisions_match_the_four_corners(self, case):
+        x, y, w = case
         if y[0] <= 0 <= y[1]:
             with pytest.raises(iv.StraddlesZero):
                 iv.div(x, y, w)
         else:
             assert iv.div(x, y, w) == four_corner_div(x, y, w)
+
+
+class TestIntervalKernel:
+    """``mul`` and ``sqrt`` compute one end at full width and the other
+    by narrow corrections; the pair is the tightest outward rounding,
+    which the references compute from both ends at full width."""
+
+    @given(operands())
+    @settings(max_examples=300)
+    def test_mul_matches_the_four_corners(self, case):
+        x, y, w = case
+        assert iv.mul(x, y, w) == four_corner_mul(x, y, w)
+
+    @given(radicands())
+    @settings(max_examples=300)
+    def test_sqrt_matches_two_isqrts(self, case):
+        x, w = case
+        assert iv.sqrt(x, w) == two_isqrt_sqrt(x, w)
+
+    def test_sqrt_of_every_small_interval(self):
+        # small roots: here the tangent bound is often above the high
+        # root and must be stepped down
+        for w in range(1, 9):
+            for lo in range(-3, 64):
+                for hi in range(lo, lo + 64):
+                    assert iv.sqrt((lo, hi), w) == two_isqrt_sqrt((lo, hi), w)
+
+    @pytest.mark.parametrize("w", [1, 64, 12_032])
+    def test_point_intervals(self, w):
+        for v in (0, 1, 2, 3, 4, 5, 5 << w, (1 << w) - 1, 1 << w):
+            x = (v, v)
+            assert iv.mul(x, x, w) == four_corner_mul(x, x, w)
+            assert iv.sqrt(x, w) == two_isqrt_sqrt(x, w)
+            if v:
+                assert iv.div((1, 1), x, w) == four_corner_div((1, 1), x, w)
 
 
 class TestEnclosureMemo:
