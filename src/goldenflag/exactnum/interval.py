@@ -89,9 +89,9 @@ def div(x: IntPair, y: IntPair, w: int) -> IntPair:
     ``ceil((x1 << w) / b)`` is ``q + ceil(((x1 << w) - q*b) / b)``, whose
     quotient is only as wide as the interval."""
     (x0, x1), (y0, y1) = x, y
-    if y0 <= 0 <= y1:
-        raise StraddlesZero
-    if y0 < 0:
+    if y0 <= 0:
+        if y1 >= 0:
+            raise StraddlesZero
         x0, x1, y0, y1 = -x1, -x0, -y1, -y0
     q = (x0 << w) // (y1 if x0 >= 0 else y0)
     b = y0 if x1 >= 0 else y1
