@@ -48,23 +48,14 @@ from .exactnum import (
     div,
     lit,
     mul,
+    neg,
     square_of,
     sub,
     verify_identity,
 )
 from .exactnum.expr import SIGN_REFINE_START, eval_interval
 from .exactnum.interval import StraddlesZero
-from .geometry import (
-    TAN36,
-    TAN72,
-    Pentagram,
-    Point,
-    Rect,
-    Segment,
-    angle_tangent_with_horizontal,
-    rect_diagonal_intersection,
-    segment_intersection,
-)
+from .geometry import TAN36, TAN72, Pentagram, Point, Rect, rect_diagonal_intersection
 
 BUILTIN_NAMES = ("chile-1818", "chile-current", "togo", "nepal-ratio")
 
@@ -356,59 +347,81 @@ class Diagonals(NamedTuple):
         return verify_angle_configuration(layout, self.region).checks
 
 
-def _point_check(name: str, proved: bool) -> Check:
-    return Check(name, CheckStatus.PROVED_EQUAL if proved else CheckStatus.FAIL)
+# a point check's status by whether the points coincide (None: undecided)
+_POINT_STATUS = {True: CheckStatus.PROVED_EQUAL, False: CheckStatus.FAIL, None: CheckStatus.UNDECIDED}
 
 
-def _same_point(a: Point, b: Point) -> bool:
-    return (
-        compare_values(a.x, b.x) is Verdict.PROVED_EQUAL
-        and compare_values(a.y, b.y) is Verdict.PROVED_EQUAL
-    )
+def _same_point(a: Point, b: Point) -> bool | None:
+    """Whether two points coincide: False when a coordinate comparison
+    disproves it, None when none does and one is undecided."""
+    same: bool | None = True
+    for u, v in ((a.x, b.x), (a.y, b.y)):
+        verdict = compare_values(u, v)
+        if verdict is Verdict.PROVED_UNEQUAL:
+            return False
+        if verdict is Verdict.UNDECIDED:
+            same = None
+    return same
 
 
 def _squared_distance(a: Point, b: Point) -> Expr:
     return add(square_of(sub(a.x, b.x)), square_of(sub(a.y, b.y)))
 
 
+def _diagonal_crossing(x0: Expr, x1: Expr, y0: Expr, y1: Expr) -> Point:
+    """Where the diagonals of ``[x0, x1] x [y0, y1]`` cross, from the
+    corners and not by the midpoint formula it is checked against: the
+    rising one from p = (x0, y1) along d = (x1 - x0, y0 - y1) meets the
+    falling one from q = (x0, y0) along e = (x1 - x0, y1 - y0) at p + t*d,
+    t = cross(q - p, e)/cross(d, e)."""
+    dx, dy = sub(x1, x0), sub(y0, y1)
+    ex, ey = dx, sub(y1, y0)
+    # q - p = (0, dy), so cross(q - p, e) = -dy*ex
+    t = div(neg(mul(dy, ex)), sub(mul(dx, ey), mul(dy, ex)))
+    return Point(add(x0, mul(t, dx)), add(y1, mul(t, dy)))
+
+
 def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationReport:
     """Certify the angle configuration of the Independence blue
-    rectangle, here the named region: diagonal slopes of tan(36), a
-    crossing angle of tan(72) (checked against both the closed form and
-    the exact double-angle form), the vertical complement, the isosceles
-    half-diagonal triangle, and a star on the crossing when the layout
-    has stars.  Raises :class:`WrongLayout` when the layout has no such
-    region or the region is not in that proportion."""
+    rectangle, here the named region, from its bounds alone: diagonal
+    slopes of tan(36), a crossing angle of tan(72) (checked against both
+    the closed form and the exact double-angle form), the vertical
+    complement, the isosceles half-diagonal triangle, the crossing
+    against the midpoint formula, and a star on the crossing when the
+    layout has stars; a point check that no comparison disproves but one
+    leaves undecided is Undecided.  Raises :class:`WrongLayout` when the
+    layout has no such region or the region is proved not in that
+    proportion, and :class:`PrecisionExhausted` when it is undecided."""
     bounds = next((r.bounds for r in layout.regions if r.name == region), None)
     if bounds is None:
         raise WrongLayout(f"layout has no region {region!r}")
     x0, x1, y0, y1 = bounds
     width, height = sub(x1, x0), sub(y1, y0)
-    if verify_identity(div(height, width), TAN36) is not Verdict.PROVED_EQUAL:
+    # slopes as drawn (rise up the flag over run to the right): the rising
+    # diagonal's is its tangent with the horizontal, and the falling
+    # one's is that tangent negated
+    slope1, slope2 = div(height, width), div(sub(y0, y1), width)
+    proportion = verify_identity(slope1, TAN36)
+    if proportion is Verdict.UNDECIDED:
+        raise PrecisionExhausted(f"region {region!r}: its tan(36) height/width proportion is undecided")
+    if proportion is Verdict.PROVED_UNEQUAL:
         raise WrongLayout(f"region {region!r} is not in the tan(36) height/width proportion")
-    top_left, top_right = Point(x0, y0), Point(x1, y0)
-    bottom_left, bottom_right = Point(x0, y1), Point(x1, y1)
-    rising = Segment(bottom_left, top_right)
-    falling = Segment(top_left, bottom_right)
-    tangent1 = angle_tangent_with_horizontal(rising)
-    # crossing angle between the two diagonals: |(m1 - m2)/(1 + m1 m2)|,
-    # with slopes as drawn (rise up the flag over run to the right)
-    slope1 = div(sub(bottom_left.y, top_right.y), sub(top_right.x, bottom_left.x))
-    slope2 = div(sub(top_left.y, bottom_right.y), sub(bottom_right.x, top_left.x))
+    # crossing angle between the two diagonals: |(m1 - m2)/(1 + m1 m2)|
     crossing = div(sub(slope1, slope2), add(lit(1), mul(slope1, slope2)))
     double_angle = div(mul(lit(2), TAN36), sub(lit(1), mul(TAN36, TAN36)))
     # complement: the diagonal meets the vertical at the complementary
     # angle, whose tangent is the reciprocal of tan(36)
-    complement = div(sub(top_right.x, bottom_left.x), sub(bottom_left.y, top_right.y))
-    center = segment_intersection(rising, falling)
+    complement = div(width, height)
+    center = _diagonal_crossing(x0, x1, y0, y1)
+    top_left, top_right = Point(x0, y0), Point(x1, y0)
     identities = (
-        ("rising diagonal tangent equals tan(36)", tangent1, TAN36),
-        ("falling diagonal tangent equals tan(36)", angle_tangent_with_horizontal(falling), TAN36),
+        ("rising diagonal tangent equals tan(36)", slope1, TAN36),
+        ("falling diagonal tangent equals tan(36)", neg(slope2), TAN36),
         ("diagonal crossing tangent equals tan(72) closed form", crossing, TAN72),
         ("crossing tangent equals double-angle form 2t/(1-t^2)", crossing, double_angle),
         (
             "diagonal-vertical complement satisfies tan(36)*tan(54) = 1",
-            mul(tangent1, complement),
+            mul(slope1, complement),
             lit(1),
         ),
         (
@@ -421,12 +434,20 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
         Check(name, CheckStatus.from_verdict(verify_identity(lhs, rhs)))
         for name, lhs, rhs in identities
     ]
-    reference = rect_diagonal_intersection(Rect(Point(x0, y0), width, height))
+    reference = rect_diagonal_intersection(Rect(top_left, width, height))
     midpoint = _same_point(center, reference)
-    checks.append(_point_check("diagonal intersection matches midpoint formula", midpoint))
+    checks.append(Check("diagonal intersection matches midpoint formula", _POINT_STATUS[midpoint]))
     if layout.stars:
-        on_crossing = any(_same_point(star.pentagram.center, center) for star in layout.stars)
-        checks.append(_point_check("star centered on the diagonal crossing", on_crossing))
+        # some star on the crossing passes; failing that, an undecided one
+        # leaves the check undecided
+        on_crossing: bool | None = False
+        for star in layout.stars:
+            same = _same_point(star.pentagram.center, center)
+            if same is not False:
+                on_crossing = same
+                if same:
+                    break
+        checks.append(Check("star centered on the diagonal crossing", _POINT_STATUS[on_crossing]))
     return VerificationReport(layout.provenance, tuple(checks))
 
 

@@ -51,24 +51,6 @@ class InvalidDimension(GeometryError):
     """A width, height, radius or size parameter is not certified positive."""
 
 
-class DegenerateSegment(GeometryError):
-    """Segment endpoints could not be certified distinct."""
-
-
-class VerticalSegment(GeometryError):
-    """Tangent with the horizontal is undefined for a vertical segment."""
-
-
-class ParallelOrUndecided(GeometryError):
-    """Segment supporting lines are parallel, or their crossing could not
-    be certified non-parallel."""
-
-
-class OutsideSegment(GeometryError):
-    """Line intersection exists but lies outside a segment's bounding box
-    (or containment could not be certified)."""
-
-
 class WrongLayout(GoldenFlagError):
     """A verification was asked about a layout it does not apply to."""
 

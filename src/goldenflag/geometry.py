@@ -1,4 +1,4 @@
-"""Exact planar primitives: points, rectangles, segments, pentagrams.
+"""Exact planar primitives: points, rectangles, pentagrams.
 
 Coordinates are constructible-number expressions in the frame a flag is
 drawn in: y grows downward from the top-left corner.  Angular facts are
@@ -11,23 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateSegment,
-    InvalidDimension,
-    OutsideSegment,
-    ParallelOrUndecided,
-    PrecisionExhausted,
-    VerticalSegment,
-)
+from .errors import InvalidDimension
 from .exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
     Expr,
     Sign,
-    Verdict,
     add,
     certified_sign,
-    compare_values,
+    compare_values,  # noqa: F401  (bound here by the layer tracer in bench/)
     div,
     lit,
     mul,
@@ -73,19 +65,6 @@ class Rect:
 
 
 @dataclass(frozen=True)
-class Segment:
-    p: Point
-    q: Point
-
-    def __post_init__(self) -> None:
-        # p != q must be certified: some coordinate pair provably differs.
-        for a, b in ((self.p.x, self.q.x), (self.p.y, self.q.y)):
-            if compare_values(a, b) is Verdict.PROVED_UNEQUAL:
-                return
-        raise DegenerateSegment("endpoints not certified distinct")
-
-
-@dataclass(frozen=True)
 class Pentagram:
     center: Point
     circumradius: Expr
@@ -101,65 +80,6 @@ def rect_diagonal_intersection(r: Rect) -> Point:
         add(r.origin.x, div(r.width, lit(2))),
         add(r.origin.y, div(r.height, lit(2))),
     )
-
-
-def _cross(ax: Expr, ay: Expr, bx: Expr, by: Expr) -> Expr:
-    return sub(mul(ax, by), mul(ay, bx))
-
-
-def segment_intersection(s1: Segment, s2: Segment) -> Point:
-    """Exact intersection point of two non-parallel segments.
-
-    The crossing of the supporting lines is computed exactly and then
-    certified to lie within both segments' bounding boxes.  Raises
-    :class:`ParallelOrUndecided` when the direction cross product's sign
-    cannot be certified nonzero, and :class:`OutsideSegment` when box
-    containment fails (or cannot be certified).
-    """
-    d1x, d1y = sub(s1.q.x, s1.p.x), sub(s1.q.y, s1.p.y)
-    d2x, d2y = sub(s2.q.x, s2.p.x), sub(s2.q.y, s2.p.y)
-    denom = _cross(d1x, d1y, d2x, d2y)
-    try:
-        if certified_sign(denom) is Sign.ZERO:
-            raise ParallelOrUndecided("segments are parallel")
-    except PrecisionExhausted as exc:
-        raise ParallelOrUndecided("parallelism not certified") from exc
-    t = div(_cross(sub(s2.p.x, s1.p.x), sub(s2.p.y, s1.p.y), d2x, d2y), denom)
-    point = Point(add(s1.p.x, mul(t, d1x)), add(s1.p.y, mul(t, d1y)))
-    for seg in (s1, s2):
-        _certify_in_box(point, seg)
-    return point
-
-
-def _certify_in_box(point: Point, seg: Segment) -> None:
-    # v lies between a and b  iff  (v-a)(v-b) <= 0; exact and order-free.
-    for v, a, b in (
-        (point.x, seg.p.x, seg.q.x),
-        (point.y, seg.p.y, seg.q.y),
-    ):
-        witness = mul(sub(v, a), sub(v, b))
-        try:
-            sign = certified_sign(witness)
-        except PrecisionExhausted as exc:
-            raise OutsideSegment("containment not certified") from exc
-        if sign is Sign.POSITIVE:
-            raise OutsideSegment("intersection outside segment bounding box")
-
-
-def angle_tangent_with_horizontal(s: Segment) -> Expr:
-    """|dy|/|dx| as an exact expression; the angle itself is never
-    materialized in degrees."""
-    dx = sub(s.q.x, s.p.x)
-    dy = sub(s.q.y, s.p.y)
-    sign_dx = certified_sign(dx)
-    if sign_dx is Sign.ZERO:
-        raise VerticalSegment("tangent undefined for a vertical segment")
-    abs_dx = dx if sign_dx is Sign.POSITIVE else neg(dx)
-    sign_dy = certified_sign(dy)
-    if sign_dy is Sign.ZERO:
-        return lit(0)
-    abs_dy = dy if sign_dy is Sign.POSITIVE else neg(dy)
-    return div(abs_dy, abs_dx)
 
 
 # The ten spokes of a point-up {5/2} star: its boundary vertices as a

@@ -11,6 +11,18 @@ from goldenflag.exactnum import SQRT5_EXPR, Expr, Sign, add, certified_sign, lit
 from goldenflag.exactnum.expr import eval_interval
 from goldenflag.flagspec import lower_source
 
+# a sum of three depth-3 radicals: the separation bound for a - a/3*3 is
+# 24937 bits, which the work budget refines past
+THREE_RADICALS = (
+    "sqrt(7 + 2*sqrt(11 + 3*sqrt(5 + sqrt(2))))"
+    " + sqrt(3 + sqrt(13 + 2*sqrt(6 + 4*sqrt(3))))"
+    " + sqrt(9 + 5*sqrt(2 + sqrt(17 + sqrt(7))))"
+)
+
+# with a fourth the bound is 431921 bits, past what the work budget
+# refines to
+FOUR_RADICALS = THREE_RADICALS + " + sqrt(8 + 3*sqrt(19 + sqrt(6 + 2*sqrt(11))))"
+
 # the shipped chile-1818 spec with its band height 1 written as {h}
 CHILE_1818_AT_BAND_HEIGHT = """
 flag "chile-1818" {{

@@ -18,6 +18,8 @@ from goldenflag.cli import main
 from goldenflag.exactnum import interval as iv
 from goldenflag.exactnum.expr import interval_algebra
 
+from conftest import FOUR_RADICALS, THREE_RADICALS
+
 
 OUT_OF_CANVAS = 'flag "oob" { canvas 3 x 2; region a blue rect 0 0 4 2; }'
 
@@ -55,18 +57,10 @@ def claims_spec(name: str, body: str = "") -> str:
     return f'flag "{name}" {{ canvas 2 x 1; region all blue rect 0 0 2 1; {body} }}'
 
 
-# a sum of three depth-3 radicals: the separation bound for a - a/3*3 is
-# 24937 bits, which the work budget refines past
-THREE_RADICALS = (
-    "sqrt(7 + 2*sqrt(11 + 3*sqrt(5 + sqrt(2))))"
-    " + sqrt(3 + sqrt(13 + 2*sqrt(6 + 4*sqrt(3))))"
-    " + sqrt(9 + 5*sqrt(2 + sqrt(17 + sqrt(7))))"
-)
-
-# with a fourth the bound is 431921 bits, past what the work budget
-# refines to
-FOUR_RADICALS = THREE_RADICALS + " + sqrt(8 + 3*sqrt(19 + sqrt(6 + 2*sqrt(11))))"
 UNDECIDABLE = f"let a = {FOUR_RADICALS};"
+
+# 1/tan(36), the width of a tan(36) field of height 1
+TAN36_WIDTH = "(1 + sqrt(5))/sqrt(10 - 2*sqrt(5))"
 
 
 # sqrt(2) + sqrt(3) == sqrt(5 + 2*sqrt(6)), with three independent radicands
@@ -470,6 +464,37 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (3, "")
         assert err.startswith("goldenflag: precision exhausted: refinement spent ")
+
+    @pytest.mark.parametrize("canvas, body, tail, expected_err", [
+        # z is zero, so the star is on the diagonals' crossing, which the
+        # work budget neither proves nor disproves
+        (
+            f"{TAN36_WIDTH} x 1",
+            f"{UNDECIDABLE} let z = a - a/3*3; star white at canvas.width/2 + z 1/2 diameter 1/4;",
+            ["Undecided    star centered on the diagonal crossing", "diagonals: 1 of 8 checks failed"],
+            "",
+        ),
+        # the field is in the tan(36) proportion, which the work budget
+        # does not decide
+        (
+            f"{TAN36_WIDTH} + ({FOUR_RADICALS}) - ({FOUR_RADICALS})/3*3 x 1",
+            "",
+            [],
+            "goldenflag: precision exhausted: region 'blue_field': its tan(36) height/width proportion is undecided\n",
+        ),
+    ], ids=["star-on-crossing", "proportion"])
+    def test_an_undecided_angle_configuration_exits_three(
+        self, capsys, tmp_path, canvas, body, tail, expected_err
+    ):
+        path = tmp_path / "diagonals.flag"
+        path.write_text(
+            f'flag "diagonals" {{ canvas {canvas}; {body}'
+            " region blue_field blue rect 0 0 canvas.width 1; check diagonals of blue_field; }"
+        )
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert out.splitlines()[-2:] == tail
+        assert err == expected_err
 
     def test_a_star_beside_an_undecidable_region_is_placed(self, capsys, tmp_path):
         # the center's x is 1 + (a - a/3*3): neither a1 nor a2 is decided,

@@ -44,9 +44,9 @@ from goldenflag.exactnum import (
 from goldenflag.exactnum.expr import eval_interval
 from goldenflag.exactnum.interval import StraddlesZero
 from goldenflag.flagspec import lower_source
-from goldenflag.geometry import Point, Rect
+from goldenflag.geometry import Point, Rect, rect_diagonal_intersection
 
-from conftest import enclosure, expansion_begins, relative_radius
+from conftest import FOUR_RADICALS, enclosure, expansion_begins, relative_radius
 
 TINY = Fraction(1, 2**80)
 coefficients = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -85,6 +85,20 @@ flag "stars" {{
   region red_band    red   rect 0 1 (1 + phi)*wb 1;
   {stars}
 }}
+"""
+
+
+# a tan(36) blue field at the irrational corner (sqrt2, sqrt3), of band
+# height phi, beside a red strip and below a white one
+OFF_ORIGIN = """
+flag "off-origin" {
+  canvas sqrt(2) + phi/(sqrt(10 - 2*sqrt(5))/(1 + sqrt(5))) x sqrt(3) + phi;
+  let wb = phi/(sqrt(10 - 2*sqrt(5))/(1 + sqrt(5)));
+  region left       red   rect 0 0 sqrt(2) sqrt(3) + phi;
+  region top        white rect sqrt(2) 0 wb sqrt(3);
+  region blue_field blue  rect sqrt(2) sqrt(3) wb phi;
+  star white at diagonal_intersection of blue_field diameter 1/phi;
+}
 """
 
 
@@ -269,15 +283,44 @@ class TestAngleConfiguration:
         assert len(report.checks) == 8
         assert report.all_ok
 
-    @pytest.mark.parametrize("on_crossing", [True, False], ids=["one-on-crossing", "none-on-crossing"])
-    def test_star_line_asks_for_some_star_on_the_crossing(self, on_crossing):
+    @pytest.mark.parametrize(
+        "on_crossing, status",
+        [(True, CheckStatus.PROVED_EQUAL), (False, CheckStatus.FAIL), (None, CheckStatus.UNDECIDED)],
+        ids=["one-on-crossing", "none-on-crossing", "undecided-on-crossing"],
+    )
+    def test_star_line_asks_for_some_star_on_the_crossing(self, on_crossing, status):
         stars = "star white at 1/2 3/2 diameter 1/5;"
         if on_crossing:
             stars += " star white at diagonal_intersection of blue_field diameter 1/phi;"
+        elif on_crossing is None:
+            # z is zero, so this star is on the crossing, but no comparison
+            # within the work budget proves or disproves it
+            stars += f" let a = {FOUR_RADICALS}; let z = a - a/3*3; star white at wb/2 + z 1/2 diameter 1/phi;"
         layout = lower_source(TWO_STAR_INDEPENDENCE.format(stars=stars))
         star_line = verify_angle_configuration(layout, "blue_field").checks[-1]
         assert star_line.name == "star centered on the diagonal crossing"
-        assert star_line.status is (CheckStatus.PROVED_EQUAL if on_crossing else CheckStatus.FAIL)
+        assert star_line.status is status
+
+    def test_all_checks_pass_off_the_origin(self):
+        report = verify_angle_configuration(lower_source(OFF_ORIGIN), "blue_field")
+        assert len(report.checks) == 8
+        assert all(check.status is CheckStatus.PROVED_EQUAL for check in report.checks)
+
+    def test_the_midpoint_check_fails_against_a_wrong_midpoint_formula(self, monkeypatch):
+        # the crossing is found from the corners, not from the midpoint
+        # formula: a formula off by 2**-80 fails the midpoint check, and the
+        # star, placed by the true formula, stays on the crossing
+        layout = lower_source(OFF_ORIGIN)
+        midpoint = constructions.rect_diagonal_intersection
+
+        def off_by_tiny(rect: Rect) -> Point:
+            x, y = midpoint(rect)
+            return Point(add(x, lit(TINY)), y)
+
+        monkeypatch.setattr(constructions, "rect_diagonal_intersection", off_by_tiny)
+        *_, midpoint_line, star_line = verify_angle_configuration(layout, "blue_field").checks
+        assert midpoint_line.status is CheckStatus.FAIL
+        assert star_line.status is CheckStatus.PROVED_EQUAL
 
     def test_current_flag_is_the_wrong_layout(self, layouts):
         # a square canton: its diagonals cross at a right angle
@@ -287,6 +330,28 @@ class TestAngleConfiguration:
     def test_layout_without_blue_region_is_rejected(self, layouts):
         with pytest.raises(WrongLayout, match="layout has no region 'blue_field'"):
             verify_angle_configuration(layouts["nepal-ratio"], "blue_field")
+
+
+class TestDiagonalCrossing:
+    @given(
+        st.fractions(min_value=-10, max_value=10, max_denominator=12),
+        st.fractions(min_value=-10, max_value=10, max_denominator=12),
+        st.fractions(min_value=Fraction(1, 10), max_value=20, max_denominator=12),
+        st.fractions(min_value=Fraction(1, 10), max_value=20, max_denominator=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_crossing_matches_midpoint_for_random_rectangles(self, x, y, w, h):
+        crossing = constructions._diagonal_crossing(lit(x), lit(x + w), lit(y), lit(y + h))
+        assert crossing == Point(lit(x + w / 2), lit(y + h / 2))
+
+    def test_radical_rectangle_diagonals_cross_at_the_midpoint(self):
+        x0, x1, y0, y1 = next(r for r in lower_source(OFF_ORIGIN).regions if r.name == "blue_field").bounds
+        crossing = constructions._diagonal_crossing(x0, x1, y0, y1)
+        midpoint = rect_diagonal_intersection(Rect(Point(x0, y0), sub(x1, x0), sub(y1, y0)))
+        for found, reference in zip(crossing, midpoint):
+            # other nodes, so that the configuration's midpoint check is a proof
+            assert found is not reference
+            assert compare_values(found, reference) is Verdict.PROVED_EQUAL
 
 
 class TestLayoutInvariants:

@@ -234,6 +234,28 @@ class TestIntervalKernel:
                 assert iv.div((1, 1), x, w) == four_corner_div((1, 1), x, w)
 
 
+class TestEnclosuresAreOrdered:
+    """No end of an enclosure may cross the other: digits are printed
+    from both ends, so ``lo > hi`` would print digits that no value
+    has."""
+
+    # sqrt(3 + sqrt(sqrt(26 + 4*sqrt(sqrt(16 + 5*sqrt(15))))))
+    QUARTIC = sqrt_(sqrt_(add(lit(16), mul(lit(5), sqrt_(lit(15))))))
+    NESTED_ROOT = sqrt_(add(lit(3), sqrt_(sqrt_(add(lit(26), mul(lit(4), QUARTIC))))))
+
+    @pytest.mark.parametrize("x", [
+        mul(sub(lit(1), sqrt_(lit(7))), sqrt_(lit(2))),
+        div(sqrt_(lit(2)), sub(lit(1), sqrt_(lit(7)))),
+        NESTED_ROOT,
+    ], ids=["product", "quotient", "nested-root"])
+    def test_every_step_up_to_12032_bits(self, x):
+        # 47 * 2**8 = 12,032 bits, the first enclosure of a 3000-digit eval
+        steps = list(islice(enclosures(x, 47), 9))
+        assert steps[-1][0] == 12_032
+        for w, lo, hi in steps:
+            assert lo <= hi, w
+
+
 class TestEnclosureMemo:
     # sqrt(2) - 1414213562373095/10**15 is about 4.9e-16: its enclosure
     # straddles zero below 64 bits, so dividing by it fails there

@@ -1,4 +1,4 @@
-"""Planar primitives: intersections, tangents, pentagram exactness."""
+"""Planar primitives: rectangle centers, pentagram exactness."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldenflag.errors import (
-    DegenerateSegment,
-    InvalidDimension,
-    OutsideSegment,
-    ParallelOrUndecided,
-    VerticalSegment,
-)
+from goldenflag.errors import InvalidDimension
 from goldenflag.exactnum import (
     SQRT5_EXPR,
     Sign,
@@ -35,11 +29,8 @@ from goldenflag.geometry import (
     Pentagram,
     Point,
     Rect,
-    Segment,
-    angle_tangent_with_horizontal,
     pentagram_vertices,
     rect_diagonal_intersection,
-    segment_intersection,
 )
 
 positive_rationals = st.fractions(min_value=Fraction(1, 10), max_value=20, max_denominator=12)
@@ -48,13 +39,6 @@ coords = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 def rational_point(x, y) -> Point:
     return Point(lit(x), lit(y))
-
-
-def corners(rect: Rect) -> tuple[Point, Point, Point, Point]:
-    """Counterclockwise corners starting at the origin corner."""
-    x0, y0 = rect.origin.x, rect.origin.y
-    x1, y1 = add(x0, rect.width), add(y0, rect.height)
-    return Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)
 
 
 class TestRect:
@@ -79,83 +63,6 @@ class TestRect:
         center = rect_diagonal_intersection(Rect(rational_point(0, 0), blue_width, lit(1)))
         assert compare_values(center.x, div(blue_width, lit(2))) is Verdict.PROVED_EQUAL
         assert center.y == lit(Fraction(1, 2))
-
-
-class TestSegment:
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateSegment):
-            Segment(rational_point(1, 2), rational_point(1, 2))
-
-    def test_unit_square_diagonals(self):
-        d1 = Segment(rational_point(0, 0), rational_point(1, 1))
-        d2 = Segment(rational_point(0, 1), rational_point(1, 0))
-        crossing = segment_intersection(d1, d2)
-        assert crossing.x == lit(Fraction(1, 2))
-        assert crossing.y == lit(Fraction(1, 2))
-
-    def test_two_by_two_cross(self):
-        d1 = Segment(rational_point(0, 0), rational_point(2, 2))
-        d2 = Segment(rational_point(0, 2), rational_point(2, 0))
-        crossing = segment_intersection(d1, d2)
-        assert crossing.x == lit(1)
-        assert crossing.y == lit(1)
-
-    def test_parallel_rejected(self):
-        s1 = Segment(rational_point(0, 0), rational_point(1, 1))
-        s2 = Segment(rational_point(0, 1), rational_point(1, 2))
-        with pytest.raises(ParallelOrUndecided):
-            segment_intersection(s1, s2)
-
-    def test_lines_crossing_outside_the_segments(self):
-        s1 = Segment(rational_point(0, 0), rational_point(1, 1))
-        s2 = Segment(rational_point(2, 1), rational_point(3, 0))
-        with pytest.raises(OutsideSegment):
-            segment_intersection(s1, s2)
-
-    def test_radical_rectangle_diagonals_cross_at_the_midpoint(self):
-        blue = Rect(rational_point(0, 1), div(lit(1), TAN36), lit(1))
-        c0, c1, c2, c3 = corners(blue)
-        crossing = segment_intersection(Segment(c0, c2), Segment(c3, c1))
-        midpoint = rect_diagonal_intersection(blue)
-        assert compare_values(crossing.x, midpoint.x) is Verdict.PROVED_EQUAL
-        assert compare_values(crossing.y, midpoint.y) is Verdict.PROVED_EQUAL
-
-    @given(coords, coords, positive_rationals, positive_rationals)
-    @settings(max_examples=60, deadline=None)
-    def test_diagonal_crossing_matches_midpoint_for_random_rectangles(self, x, y, w, h):
-        rect = Rect(rational_point(x, y), lit(w), lit(h))
-        c0, c1, c2, c3 = corners(rect)
-        crossing = segment_intersection(Segment(c0, c2), Segment(c3, c1))
-        midpoint = rect_diagonal_intersection(rect)
-        assert compare_values(crossing.x, midpoint.x) is Verdict.PROVED_EQUAL
-        assert compare_values(crossing.y, midpoint.y) is Verdict.PROVED_EQUAL
-
-
-class TestTangent:
-    def test_forty_five_degrees(self):
-        seg = Segment(rational_point(0, 0), rational_point(1, 1))
-        assert angle_tangent_with_horizontal(seg) == lit(1)
-
-    def test_horizontal_is_zero(self):
-        seg = Segment(rational_point(0, 0), rational_point(2, 0))
-        assert angle_tangent_with_horizontal(seg) == lit(0)
-
-    def test_vertical_rejected(self):
-        seg = Segment(rational_point(0, 0), rational_point(0, 1))
-        with pytest.raises(VerticalSegment):
-            angle_tangent_with_horizontal(seg)
-
-    def test_orientation_does_not_matter(self):
-        seg = Segment(rational_point(1, 3), rational_point(0, 1))
-        assert compare_values(
-            angle_tangent_with_horizontal(seg), lit(2)
-        ) is Verdict.PROVED_EQUAL
-
-    def test_blue_diagonal_matches_the_closed_form_tangent(self):
-        blue = Rect(rational_point(0, 0), div(lit(1), TAN36), lit(1))
-        c0, _, c2, _ = corners(blue)
-        tangent = angle_tangent_with_horizontal(Segment(c0, c2))
-        assert verify_identity(tangent, TAN36) is Verdict.PROVED_EQUAL
 
 
 @pytest.fixture(scope="module")
