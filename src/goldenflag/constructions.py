@@ -17,7 +17,8 @@ The four builtin designs are the ``.flag`` specs shipped in ``specs/``;
 
 All layouts are validated on construction: axis-aligned regions must
 lie inside the canvas and tile it exactly (grid coverage over the
-certified cut lines) and every star center must lie inside a region.
+certified cut lines) and every star center must lie inside a region,
+which the exact tiling reduces to four signs against the canvas.
 A layout carries the claims its spec states in ``check`` statements,
 lowered but unproved; :func:`verify_layout_identities` proves them in
 source order.  The provenance, the spec's ``flag "<name>"``, only names
@@ -197,25 +198,20 @@ def _check_tiling(layout: FlagLayout) -> None:
 
 
 def _check_star_inside(layout: FlagLayout, star: Star) -> None:
-    # a region whose test runs out of refinement is skipped, and its
-    # exhaustion raised when no other region certainly holds the center
-    center = star.pentagram.center
-    exhausted = None
-    for region in layout.regions:
-        x0, x1, y0, y1 = region.bounds
-        try:
-            if (
-                certified_sign(sub(center.x, x0)).is_nonnegative
-                and certified_sign(sub(x1, center.x)).is_nonnegative
-                and certified_sign(sub(center.y, y0)).is_nonnegative
-                and certified_sign(sub(y1, center.y)).is_nonnegative
-            ):
-                return
-        except PrecisionExhausted as exc:
-            exhausted = exc
-    if exhausted is not None:
-        raise exhausted
-    raise LayoutError("star center lies in no region")
+    # _check_tiling has proved that the closed regions cover the closed
+    # canvas exactly, so the center lies in some region exactly when it
+    # lies in the canvas: four signs, whatever the number of regions, and
+    # a center on a cut line that no refinement can place lies in either
+    # region beside it
+    canvas, (x, y) = layout.canvas, star.pentagram.center
+    cx0, cy0 = canvas.origin
+    if not (
+        certified_sign(sub(x, cx0)).is_nonnegative
+        and certified_sign(sub(add(cx0, canvas.width), x)).is_nonnegative
+        and certified_sign(sub(y, cy0)).is_nonnegative
+        and certified_sign(sub(add(cy0, canvas.height), y)).is_nonnegative
+    ):
+        raise LayoutError("star center lies in no region")
 
 
 # ---------------------------------------------------------------------------

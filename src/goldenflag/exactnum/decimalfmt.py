@@ -28,6 +28,7 @@ across platforms and runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .expr import Expr, Literal, certified_sign, enclosures, lit, sub
 from .expr import eval_interval, exact_rational  # noqa: F401  (bound here by the layer tracer in bench/)
@@ -86,6 +87,13 @@ def round_significant(value: Fraction, digits: int) -> _Rounded:
     return negative, q, d
 
 
+@lru_cache(maxsize=64)
+def _pow10(n: int) -> int:
+    """``10**n``, which :func:`round_scaled` needs for a few ``n`` per
+    digit count: its decade ends and the shifts of nearby magnitudes."""
+    return 10**n
+
+
 def round_scaled(m: int, w: int, digits: int) -> _Rounded:
     """:func:`round_significant` of ``m * 2**-w`` (``w >= 0``, ``digits >=
     1``) in integer arithmetic, so an enclosure's ends are rounded without
@@ -93,7 +101,7 @@ def round_scaled(m: int, w: int, digits: int) -> _Rounded:
     if m == 0:
         return False, 0, 0
     negative, m = m < 0, abs(m)
-    low, high = 10 ** (digits - 1), 10**digits
+    low, high = _pow10(digits - 1), _pow10(digits)
     # first guess at the d with 10**(d-1) <= m * 2**-w < 10**d, from
     # log10(2) ~ 0.30103; the loop steps d until m * 10**(digits-d) * 2**-w
     # rounds down to a q in [low, high), which holds for that d alone
@@ -101,10 +109,10 @@ def round_scaled(m: int, w: int, digits: int) -> _Rounded:
     while True:
         shift = digits - d
         if shift >= 0:
-            num, den = m * 10**shift, 1 << w
+            num, den = m * _pow10(shift), 1 << w
             q, rem = num >> w, num & (den - 1)
         else:
-            den = 10**-shift << w
+            den = _pow10(-shift) << w
             q, rem = divmod(m, den)
         if q >= high:
             d += 1

@@ -6,14 +6,18 @@ whose ends round to the same digits, or of the value itself when
 :func:`exactnum.decimal_str` proves it an exact zero or tie, so the
 exact value lies within half an ulp of the printed decimal.  A
 coordinate is first printed from the enclosures of its parts at
-``decimal_str``'s start precision, combined as its expression would
-combine them: ``(value - origin) * scale``, and for a star vertex
-``(center + radius * unit - origin) * scale`` over
-:data:`geometry.PENTAGRAM_SPOKES`.  Only a coordinate whose ends do
-not round alike there, or whose divisor straddles zero, gets its
-expression built and printed by ``decimal_str``; a certified rounding
-is unique, so both print the same bytes.  One command is one
-:func:`exactnum.enclosure_memo` scope (each emitter opens one for
+``decimal_str``'s start precision: ``(value - origin) * scale``, and
+for a star vertex ``center_s + radius_s * unit`` over
+:data:`geometry.PENTAGRAM_SPOKES`, where the star's scaled center
+``(center - origin) * scale`` and scaled radii ``radius * scale`` are
+enclosed once per star.  Only a coordinate whose ends do not round
+alike there, or whose divisor straddles zero, gets its expression
+built and printed by ``decimal_str``; a certified rounding is unique,
+so any enclosure that settles prints the same bytes.  One emit prints
+each distinct coordinate node once per axis, from a memo that dies
+with the emit: nodes are interned, so the corners that polygons repeat
+and the cut lines that regions share are rounded once.  One command is
+one :func:`exactnum.enclosure_memo` scope (each emitter opens one for
 library callers, which joins the command's), so the scale, ``phi``,
 star trigonometry and spec subterms that coordinates share are enclosed
 once per working precision.  Output bytes are identical across runs and
@@ -103,6 +107,9 @@ class _Frame:
         # the enclosures every coordinate shares
         self._origin = self._enclose(*self.origin)
         self._scale = self._enclose(self.scale)[0]
+        # each axis's printed coordinates by node, for this emit only:
+        # nodes are interned, so a corner that regions share is one key
+        self._texts: tuple[dict[Expr, str], dict[Expr, str]] = ({}, {})
 
     @cached_property
     def _units(self) -> list[list[IntPair | None]]:
@@ -123,34 +130,47 @@ class _Frame:
                 enclosures.append(None)
         return enclosures
 
-    def _settled(self, axis: int, enclosure: IntPair | None) -> str | None:
-        """``(v - origin) * scale`` along ``axis`` as printed for every
-        ``v`` in ``enclosure``, when the ends of that round alike."""
+    def _scaled(self, axis: int, enclosure: IntPair | None) -> IntPair | None:
+        """The enclosure of ``(v - origin) * scale`` along ``axis`` for
+        every ``v`` in ``enclosure``; None when a part is None."""
         origin, scale = self._origin[axis], self._scale
         if enclosure is None or origin is None or scale is None:
             return None
-        return settled(*self._mul(self._sub(enclosure, origin), scale), self.bits, self.digits)
+        return self._mul(self._sub(enclosure, origin), scale)
 
     def _printed(self, axis: int, value: Expr) -> str:
         """``(value - origin) * scale`` along ``axis``, by :func:`decimal_str`."""
         return self.dec(mul(sub(value, self.origin[axis]), self.scale))
 
+    def _coordinate(self, axis: int, value: Expr) -> str:
+        """``(value - origin) * scale`` along ``axis`` as printed, once per
+        node in this emit."""
+        texts = self._texts[axis]
+        text = texts.get(value)
+        if text is None:
+            scaled = self._scaled(axis, self._enclose(value)[0])
+            text = None if scaled is None else settled(*scaled, self.bits, self.digits)
+            text = texts[value] = text or self._printed(axis, value)
+        return text
+
     def point(self, p: Point) -> tuple[str, str]:
-        x, y = self._enclose(*p)
-        return self._settled(0, x) or self._printed(0, p.x), self._settled(1, y) or self._printed(1, p.y)
+        return self._coordinate(0, p.x), self._coordinate(1, p.y)
 
     def vertices(self, star: Pentagram) -> list[tuple[str, str]]:
         """The star's ten vertices, as :func:`geometry.pentagram_vertices`
         gives them."""
         radii = pentagram_radii(star)
-        center, enclosed_radii = self._enclose(*star.center), self._enclose(*radii)
+        scale = self._scale
+        center = [self._scaled(axis, c) for axis, c in enumerate(self._enclose(*star.center))]
+        scaled_radii = [None if r is None or scale is None else self._mul(r, scale) for r in self._enclose(*radii)]
         vertices = []
         for (r, unit), enclosed_unit in zip(PENTAGRAM_SPOKES, self._units):
             vertex = []
             for axis in (0, 1):
-                c, radius, u = center[axis], enclosed_radii[r], enclosed_unit[axis]
-                enclosure = None if None in (c, radius, u) else self._add(c, self._mul(radius, u))
-                text = self._settled(axis, enclosure)
+                c, radius, u = center[axis], scaled_radii[r], enclosed_unit[axis]
+                text = None
+                if None not in (c, radius, u):
+                    text = settled(*self._add(c, self._mul(radius, u)), self.bits, self.digits)
                 vertex.append(text or self._printed(axis, add(star.center[axis], mul(radii[r], unit[axis]))))
             vertices.append(tuple(vertex))
         return vertices

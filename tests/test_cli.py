@@ -509,6 +509,19 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert "beside: 3 checks passed" in out
 
+    def test_a_star_on_an_undecidable_cut_line_is_placed(self, capsys, tmp_path):
+        # the center's x is 1 + (a - a/3*3), on the cut line between l and
+        # r or too close to it for the budget: either region holds it, and
+        # the canvas does certainly
+        path = tmp_path / "cut-star.flag"
+        path.write_text(
+            f'flag "cut-star" {{ canvas 2 x 1; {UNDECIDABLE} let z = a - a/3*3;'
+            " region l blue rect 0 0 1 1; region r red rect 1 0 1 1; star white at 1 + z 1/2 diameter 1/4; }"
+        )
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert "cut-star: 3 checks passed" in out
+
     def test_a_disproved_claim_outranks_an_undecided_one(self, capsys, tmp_path):
         code, out, _ = self.verify_claims(capsys, tmp_path, (
             f'{UNDECIDABLE} check "a" a == a/3*3; check "b" 1 == 2;'

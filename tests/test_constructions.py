@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -383,6 +384,18 @@ class TestLayoutInvariants:
         stray = Star(ColorRole.WHITE, Pentagram(Point(lit(5), lit(5)), lit(Fraction(1, 4))))
         with pytest.raises(LayoutError):
             FlagLayout.create(canvas, regions, (stray,), "broken")
+
+    def test_a_star_grid_lowers_in_linear_time(self):
+        # one star per cell of a 30 x 30 grid: placing a star asks four
+        # signs against the canvas, not four per region
+        n = 30
+        lines = [f'flag "grid" {{ canvas {n} x {n};']
+        lines += [f"region c{i}_{j} red rect {i} {j} 1 1;" for i in range(n) for j in range(n)]
+        lines += [f"star white at {i} + 1/2 {j} + 1/2 diameter 1/2;" for i in range(n) for j in range(n)]
+        start = time.perf_counter()
+        layout = lower_source("\n".join(lines + ["}"]))
+        assert time.perf_counter() - start < 2
+        assert (len(layout.regions), len(layout.stars)) == (900, 900)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins_tile_exactly(self, name, layouts):

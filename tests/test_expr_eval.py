@@ -29,6 +29,7 @@ from goldenflag.exactnum import (
     sqrt_,
     sub,
 )
+from goldenflag.exactnum import decimalfmt
 from goldenflag.exactnum import expr as expr_module
 from goldenflag.exactnum import interval as iv
 from goldenflag.exactnum.decimalfmt import MAX_DIGITS, round_scaled, round_significant
@@ -340,6 +341,22 @@ class TestIntegerRounding:
     @settings(max_examples=300, deadline=None)
     def test_it_matches_the_fraction_rounding(self, m, w, digits):
         assert round_scaled(m, w, digits) == round_significant(Fraction(m, 1 << w), digits)
+
+    def test_evicted_powers_of_ten_round_alike(self):
+        # each digit count needs its own decade ends, so these cases ask
+        # for more distinct powers of ten than the cache holds; the second
+        # pass meets entries the first one evicted
+        held = decimalfmt._pow10.cache_info().maxsize
+        cases = [
+            (sign * 7**k * 12345, w, digits)
+            for digits in range(1, held + 20)
+            for k, w in ((digits, 4 * digits + 7), (3 * digits, 0))
+            for sign in (1, -1)
+        ]
+        for _ in range(2):
+            for m, w, digits in cases:
+                assert round_scaled(m, w, digits) == round_significant(Fraction(m, 1 << w), digits)
+        assert decimalfmt._pow10.cache_info().currsize == held
 
     @given(ties)
     @settings(max_examples=200, deadline=None)

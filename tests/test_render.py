@@ -265,3 +265,40 @@ class TestSharedEnclosures:
         printed.clear()
         assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
         assert len(printed) == 20
+
+
+class TestCoordinateMemo:
+    """One emit prints each distinct coordinate node once per axis."""
+
+    # the stripes share their y nodes, and each polygon names every corner
+    # node twice
+    STRIPES = lower_source("""
+    flag "stripes" {
+      canvas 3 x 3*phi;
+      region a red   rect 0 0 3 phi;
+      region b white rect 0 phi 3 phi;
+      region c blue  rect 0 phi + phi 3 phi;
+    }
+    """)
+
+    @pytest.fixture
+    def settled_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return decimalfmt.settled(*args)
+
+        monkeypatch.setattr(render, "settled", counting)
+        return calls
+
+    def test_each_distinct_coordinate_is_settled_once_per_emit(self, settled_calls):
+        corners = [p for region in self.STRIPES.regions for p in region.polygon]
+        distinct = {(axis, p[axis]) for p in corners for axis in (0, 1)}  # nodes hash by identity
+        assert len(distinct) < 2 * len(corners)
+        first = svg_emit(self.STRIPES)
+        assert len(settled_calls) == len(distinct)
+        # a second emit does the work again: no printed coordinate outlives
+        # the emit that printed it
+        assert svg_emit(self.STRIPES) == first
+        assert len(settled_calls) == 2 * len(distinct)
