@@ -132,9 +132,9 @@ def _load_layout(name_or_path: str) -> FlagLayout:
 
 
 def _print_report(report: VerificationReport, out) -> None:
-    width = max(len(check.status.label) for check in report.checks)
+    width = max(len(check.status.value) for check in report.checks)
     for check in report.checks:
-        line = f"{check.status.label:<{width}}  {check.name}"
+        line = f"{check.status.value:<{width}}  {check.name}"
         if check.detail:
             line += f"  [{check.detail}]"
         print(line, file=out)

@@ -15,10 +15,11 @@ The four builtin designs are the ``.flag`` specs shipped in ``specs/``;
   single-region pseudo-flag so it can be rendered and round-tripped
   like the others.
 
-All layouts are validated on construction: axis-aligned regions must
-lie inside the canvas and tile it exactly (grid coverage over the
-certified cut lines) and every star center must lie inside a region,
-which the exact tiling reduces to four signs against the canvas.
+All layouts are validated on construction, from the ranks of the
+certified cut lines: the canvas (at the origin) and every axis-aligned
+region must have positive sizes, regions must lie inside the canvas and
+tile it exactly (grid coverage), and every star center must lie inside
+a region, which the exact tiling reduces to four signs against the canvas.
 A layout carries the claims its spec states in ``check`` statements,
 lowered but unproved; :func:`verify_layout_identities` proves them in
 source order.  The provenance, the spec's ``flag "<name>"``, only names
@@ -33,6 +34,7 @@ from functools import cache, cmp_to_key
 from typing import NamedTuple
 
 from .errors import (
+    CertificationError,
     LayoutError,
     PrecisionExhausted,
     UnknownFlag,
@@ -56,7 +58,7 @@ from .exactnum import (
 )
 from .exactnum.expr import SIGN_REFINE_START, eval_interval
 from .exactnum.interval import StraddlesZero
-from .geometry import TAN36, TAN72, Pentagram, Point, Rect, rect_diagonal_intersection
+from .geometry import TAN36, TAN72, Pentagram, Point, rect_diagonal_intersection
 
 BUILTIN_NAMES = ("chile-1818", "chile-current", "togo", "nepal-ratio")
 
@@ -76,12 +78,6 @@ class Region(NamedTuple):
     color: ColorRole
     bounds: tuple[Expr, Expr, Expr, Expr]  # x0, x1, y0, y1
 
-    @staticmethod
-    def from_rect(name: str, color: ColorRole, rect: Rect) -> "Region":
-        x0, y0 = rect.origin.x, rect.origin.y
-        x1, y1 = add(x0, rect.width), add(y0, rect.height)
-        return Region(name, color, (x0, x1, y0, y1))
-
     @property
     def polygon(self) -> tuple[Point, Point, Point, Point]:
         """Corners, counterclockwise as drawn from the bottom-left one."""
@@ -95,7 +91,10 @@ class Star(NamedTuple):
 
 
 class FlagLayout(NamedTuple):
-    canvas: Rect
+    """The canvas spans ``[0, width] x [0, height]``."""
+
+    width: Expr
+    height: Expr
     regions: tuple[Region, ...]
     stars: tuple[Star, ...]
     provenance: str
@@ -103,20 +102,23 @@ class FlagLayout(NamedTuple):
 
     @staticmethod
     def create(
-        canvas: Rect,
+        width: Expr,
+        height: Expr,
         regions: tuple[Region, ...],
         stars: tuple[Star, ...],
         provenance: str,
         claims: tuple[Claim | Diagonals, ...] = (),
     ) -> "FlagLayout":
-        layout = FlagLayout(canvas, regions, stars, provenance, claims)
+        """Raises :class:`CertificationError` for a size not certified
+        positive, and :class:`LayoutError` for a bad tiling or stray star."""
+        layout = FlagLayout(width, height, regions, stars, provenance, claims)
         _check_tiling(layout)
         for star in stars:
             _check_star_inside(layout, star)
         return layout
 
     def width_height_ratio(self) -> Expr:
-        return div(self.canvas.width, self.canvas.height)
+        return div(self.width, self.height)
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +163,30 @@ def _certified_distinct_sorted(values: list[Expr]) -> list[int]:
 def _check_tiling(layout: FlagLayout) -> None:
     """Axis-aligned tiling check over the grid of all region/canvas cut
     lines.  With each line replaced by its rank among the distinct lines,
-    a region covers the cells ``rank(x0) <= i < rank(x1)``.  Every region
-    must lie inside the canvas and every cell must be covered by exactly
-    one region; region edges all lie on cut lines, so cell coverage
-    decides both interior-disjointness and the exact area identity."""
-    canvas = layout.canvas
-    cx0, cy0 = canvas.origin.x, canvas.origin.y
-    xs: list[Expr] = [cx0, add(cx0, canvas.width)]
-    ys: list[Expr] = [cy0, add(cy0, canvas.height)]
+    a region covers the cells ``rank(x0) <= i < rank(x1)``, and a size is
+    certified positive exactly when ``rank(x0) < rank(x1)``: this is
+    where the canvas's and every region's are.  Every region must lie
+    inside the canvas and every cell must be covered by exactly one
+    region; region edges all lie on cut lines, so cell coverage decides
+    both interior-disjointness and the exact area identity."""
+    xs: list[Expr] = [lit(0), layout.width]
+    ys: list[Expr] = [lit(0), layout.height]
     for region in layout.regions:
         x0, x1, y0, y1 = region.bounds
         xs.extend((x0, x1))
         ys.extend((y0, y1))
     x_ranks = _certified_distinct_sorted(xs)
     y_ranks = _certified_distinct_sorted(ys)
-    (ci0, ci1, cj0, cj1), *spans = (
+    spans = [
         (x_ranks[k], x_ranks[k + 1], y_ranks[k], y_ranks[k + 1])
         for k in range(0, len(xs), 2)
-    )
+    ]
+    for k, (i0, i1, j0, j1) in enumerate(spans):
+        if i0 >= i1 or j0 >= j1:
+            owner = f"region {layout.regions[k - 1].name!r}" if k else "canvas"
+            size = "width" if i0 >= i1 else "height"
+            raise CertificationError(f"{owner}: {size} is not certified positive")
+    (ci0, ci1, cj0, cj1), *spans = spans
     for i0, i1, j0, j1 in spans:
         if i0 < ci0 or i1 > ci1 or j0 < cj0 or j1 > cj1:
             raise LayoutError("region extends outside the canvas")
@@ -203,13 +211,12 @@ def _check_star_inside(layout: FlagLayout, star: Star) -> None:
     # lies in the canvas: four signs, whatever the number of regions, and
     # a center on a cut line that no refinement can place lies in either
     # region beside it
-    canvas, (x, y) = layout.canvas, star.pentagram.center
-    cx0, cy0 = canvas.origin
+    x, y = star.pentagram.center
     if not (
-        certified_sign(sub(x, cx0)).is_nonnegative
-        and certified_sign(sub(add(cx0, canvas.width), x)).is_nonnegative
-        and certified_sign(sub(y, cy0)).is_nonnegative
-        and certified_sign(sub(add(cy0, canvas.height), y)).is_nonnegative
+        certified_sign(x).is_nonnegative
+        and certified_sign(sub(layout.width, x)).is_nonnegative
+        and certified_sign(y).is_nonnegative
+        and certified_sign(sub(layout.height, y)).is_nonnegative
     ):
         raise LayoutError("star center lies in no region")
 
@@ -249,13 +256,6 @@ class CheckStatus(enum.Enum):
     def ok(self) -> bool:
         return self in (CheckStatus.PROVED_EQUAL, CheckStatus.PASS)
 
-    @property
-    def label(self) -> str:
-        return self.value
-
-    @staticmethod
-    def from_verdict(verdict: Verdict) -> "CheckStatus":
-        return CheckStatus(verdict.label)
 
 
 class Check(NamedTuple):
@@ -265,7 +265,6 @@ class Check(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    subject: str
     checks: tuple[Check, ...]
 
     @property
@@ -427,10 +426,10 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
         ),
     )
     checks = [
-        Check(name, CheckStatus.from_verdict(verify_identity(lhs, rhs)))
+        Check(name, CheckStatus(verify_identity(lhs, rhs).value))
         for name, lhs, rhs in identities
     ]
-    reference = rect_diagonal_intersection(Rect(top_left, width, height))
+    reference = rect_diagonal_intersection(x0, y0, width, height)
     midpoint = _same_point(center, reference)
     checks.append(Check("diagonal intersection matches midpoint formula", _POINT_STATUS[midpoint]))
     if layout.stars:
@@ -444,7 +443,7 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
                 if same:
                     break
         checks.append(Check("star centered on the diagonal crossing", _POINT_STATUS[on_crossing]))
-    return VerificationReport(layout.provenance, tuple(checks))
+    return VerificationReport(tuple(checks))
 
 
 def _structural_report(layout: FlagLayout) -> VerificationReport:
@@ -458,7 +457,7 @@ def _structural_report(layout: FlagLayout) -> VerificationReport:
             f"ratio = {decimal_str(layout.width_height_ratio(), 6)}",
         ),
     )
-    return VerificationReport(layout.provenance, checks)
+    return VerificationReport(checks)
 
 
 def verify_layout_identities(layout: FlagLayout) -> VerificationReport:
@@ -467,4 +466,4 @@ def verify_layout_identities(layout: FlagLayout) -> VerificationReport:
     if not layout.claims:
         return _structural_report(layout)
     checks = tuple(check for claim in layout.claims for check in claim.checks(layout))
-    return VerificationReport(layout.provenance, checks)
+    return VerificationReport(checks)

@@ -37,7 +37,7 @@ class SignMismatch(ExactNumberError):
 
 class CertificationError(ExactNumberError):
     """A construction-time side condition failed: negative radicand,
-    zero divisor, or a nonpositive dimension in a user expression."""
+    zero divisor, or a canvas, region or star size not certified positive."""
 
 
 # --- geometry and constructions -----------------------------------------
@@ -48,7 +48,7 @@ class GeometryError(GoldenFlagError):
 
 
 class InvalidDimension(GeometryError):
-    """A width, height, radius or size parameter is not certified positive."""
+    """A pentagram's circumradius is not certified positive."""
 
 
 class WrongLayout(GoldenFlagError):

@@ -40,10 +40,6 @@ class Verdict(enum.Enum):
     PROVED_UNEQUAL = "ProvedUnequal"
     UNDECIDED = "Undecided"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 def square_of(x: Expr) -> Expr:
     """Expression for x**2 with one radical level peeled.

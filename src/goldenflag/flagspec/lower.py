@@ -5,9 +5,10 @@ lowers to (1+sqrt5)/2 exactly); declarations resolve in source order,
 so every identifier, and every region whose ``width`` or ``height`` an
 expression reads, must be declared earlier in the file.  ``canvas.width``
 and ``canvas.height`` are the canvas dimensions, and a region's are the
-sizes it declares.  ``check`` statements lower to the layout's claims,
-which only ``verify`` proves.  Coordinates keep the spec's frame: y
-grows downward from the canvas's top-left corner.
+sizes it declares; :meth:`FlagLayout.create` certifies them.  ``check``
+statements lower to the layout's claims, which only ``verify`` proves.
+Coordinates keep the spec's frame: y grows downward from the canvas's
+top-left corner, at the origin.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..errors import (
     SemanticError,
 )
 from ..exactnum import PHI_EXPR, Expr, add, div, lit, mul, neg, sqrt_, sub
-from ..geometry import Pentagram, Point, Rect, rect_diagonal_intersection
+from ..geometry import Pentagram, Point, rect_diagonal_intersection
 from .parser import (
     Attribute,
     BinOp,
@@ -43,12 +44,15 @@ from .parser import (
 
 _BINOPS = {"+": add, "-": sub, "*": mul, "/": div}
 
+_Rect = tuple[Expr, Expr, Expr, Expr]  # a declared x, y, width and height
+_SIZES = {"width": 2, "height": 3}  # attribute name -> index in a _Rect
+
 
 def lower_expr(
     ast: ExprAst,
     env: dict[str, Expr],
     where: str = "expression",
-    rects: dict[str, Rect] | None = None,
+    rects: dict[str, _Rect] | None = None,
 ) -> Expr:
     """Certified expression for an AST node; user-level side-condition
     failures surface as CertificationError, and a side condition whose
@@ -62,7 +66,7 @@ def lower_expr(
         raise PrecisionExhausted(f"in {where}: {exc}") from exc
 
 
-def _attribute(ast: Attribute, rects: dict[str, Rect]) -> Expr:
+def _attribute(ast: Attribute, rects: dict[str, _Rect]) -> Expr:
     rect = rects.get(ast.owner)
     if rect is None:
         if ast.owner == "canvas":
@@ -70,15 +74,14 @@ def _attribute(ast: Attribute, rects: dict[str, Rect]) -> Expr:
         else:
             message = f"{ast.owner!r} is not a previously declared region"
         raise SemanticError(ast.line, ast.col, message)
-    if ast.name == "width":
-        return rect.width
-    if ast.name == "height":
-        return rect.height
-    message = f"unknown attribute {ast.name!r} (expected 'width' or 'height')"
-    raise SemanticError(ast.name_line, ast.name_col, message)
+    size = _SIZES.get(ast.name)
+    if size is None:
+        message = f"unknown attribute {ast.name!r} (expected 'width' or 'height')"
+        raise SemanticError(ast.name_line, ast.name_col, message)
+    return rect[size]
 
 
-def _lower_expr(ast: ExprAst, env: dict[str, Expr], rects: dict[str, Rect]) -> Expr:
+def _lower_expr(ast: ExprAst, env: dict[str, Expr], rects: dict[str, _Rect]) -> Expr:
     """Post-order lowering with an explicit stack, so operator chains of
     any length lower (the parser bounds only parenthesised nesting)."""
     values: list[Expr] = []
@@ -115,7 +118,7 @@ def _lower_expr(ast: ExprAst, env: dict[str, Expr], rects: dict[str, Rect]) -> E
     return values[0]
 
 
-def _declared_rect(rects: dict[str, Rect], name: str, line: int, col: int) -> Rect:
+def _declared_rect(rects: dict[str, _Rect], name: str, line: int, col: int) -> _Rect:
     rect = rects.get(name)
     if rect is None:
         raise SemanticError(line, col, f"{name!r} is not a previously declared region")
@@ -123,23 +126,19 @@ def _declared_rect(rects: dict[str, Rect], name: str, line: int, col: int) -> Re
 
 
 def lower(ast: SpecAst) -> FlagLayout:
-    """Resolve bindings, certify every dimension, and assemble the
-    exact layout (which re-validates tiling and star containment)."""
+    """Resolve bindings and assemble the exact layout, whose construction
+    certifies every size, the tiling and star containment."""
     if not ast.regions:
         raise SemanticError(ast.line, ast.col, f"flag {ast.name!r} declares no region")
     env: dict[str, Expr] = {}
-    rects: dict[str, Rect] = {}  # the canvas and each region declared so far
+    rects: dict[str, _Rect] = {}  # the canvas and each region declared so far
     regions: list[Region] = []
     stars: list[Star] = []
     claims: list[Claim | Diagonals] = []
 
-    canvas_width = lower_expr(ast.canvas_width, env, "canvas width")
-    canvas_height = lower_expr(ast.canvas_height, env, "canvas height")
-    try:
-        canvas = Rect(Point(lit(0), lit(0)), canvas_width, canvas_height)
-    except InvalidDimension as exc:
-        raise CertificationError(f"canvas: {exc}") from exc
-    rects["canvas"] = canvas
+    width = lower_expr(ast.canvas_width, env, "canvas width")
+    height = lower_expr(ast.canvas_height, env, "canvas height")
+    rects["canvas"] = (lit(0), lit(0), width, height)
 
     for decl in ast.items:
         if isinstance(decl, (LetDecl, RegionDecl)) and (decl.name in env or decl.name in rects):
@@ -148,20 +147,16 @@ def lower(ast: SpecAst) -> FlagLayout:
             env[decl.name] = lower_expr(decl.expr, env, f"let {decl.name!r}", rects)
         elif isinstance(decl, RegionDecl):
             where = f"region {decl.name!r}"
-            x, y, width, height = (
+            x, y, w, h = (
                 lower_expr(e, env, where, rects) for e in (decl.x, decl.y, decl.width, decl.height)
             )
-            try:
-                rect = Rect(Point(x, y), width, height)
-            except InvalidDimension as exc:
-                raise CertificationError(f"{where}: {exc}") from exc
-            rects[decl.name] = rect
-            regions.append(Region.from_rect(decl.name, ColorRole(decl.color), rect))
+            rects[decl.name] = (x, y, w, h)
+            regions.append(Region(decl.name, ColorRole(decl.color), (x, add(x, w), y, add(y, h))))
         elif isinstance(decl, StarDecl):
             where = f"star {decl.color}"
             if isinstance(decl.center, DiagonalCenter):
                 c = decl.center
-                center = rect_diagonal_intersection(_declared_rect(rects, c.region, c.line, c.col))
+                center = rect_diagonal_intersection(*_declared_rect(rects, c.region, c.line, c.col))
             else:
                 center = Point(
                     lower_expr(decl.center.x, env, where, rects),
@@ -186,7 +181,7 @@ def lower(ast: SpecAst) -> FlagLayout:
         else:  # pragma: no cover
             raise TypeError(f"unknown declaration {decl!r}")
 
-    return FlagLayout.create(canvas, tuple(regions), tuple(stars), ast.name, tuple(claims))
+    return FlagLayout.create(width, height, tuple(regions), tuple(stars), ast.name, tuple(claims))
 
 
 def lower_source(source: str) -> FlagLayout:

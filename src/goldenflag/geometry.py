@@ -1,4 +1,4 @@
-"""Exact planar primitives: points, rectangles, pentagrams.
+"""Exact planar primitives: points, pentagrams, and the center of a rectangle.
 
 Coordinates are constructible-number expressions in the frame a flag is
 drawn in: y grows downward from the top-left corner.  Angular facts are
@@ -47,24 +47,6 @@ class Point(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle spanning ``[x, x+width] x [y, y+height]``.
-
-    ``origin`` is the top-left corner.  Width and height must be
-    certified positive.
-    """
-
-    origin: Point
-    width: Expr
-    height: Expr
-
-    def __post_init__(self) -> None:
-        for name, dim in (("width", self.width), ("height", self.height)):
-            if certified_sign(dim) is not Sign.POSITIVE:
-                raise InvalidDimension(f"{name} is not certified positive")
-
-
-@dataclass(frozen=True)
 class Pentagram:
     center: Point
     circumradius: Expr
@@ -74,12 +56,10 @@ class Pentagram:
             raise InvalidDimension("circumradius is not certified positive")
 
 
-def rect_diagonal_intersection(r: Rect) -> Point:
-    """The crossing point of the two diagonals: origin + half the size."""
-    return Point(
-        add(r.origin.x, div(r.width, lit(2))),
-        add(r.origin.y, div(r.height, lit(2))),
-    )
+def rect_diagonal_intersection(x: Expr, y: Expr, width: Expr, height: Expr) -> Point:
+    """The crossing point of the diagonals of the rectangle with top-left
+    corner ``(x, y)``: that corner plus half the size."""
+    return Point(add(x, div(width, lit(2))), add(y, div(height, lit(2))))
 
 
 # The ten spokes of a point-up {5/2} star: its boundary vertices as a

@@ -1,27 +1,27 @@
 """Deterministic serialization of flag layouts to SVG and JSON.
 
 Every emitted coordinate string is the certified round-half-even
-rendering of an exact value: the rounding of an interval enclosure
-whose ends round to the same digits, or of the value itself when
+rendering of an exact value: the rounding of an interval enclosure whose
+ends round to the same digits, or of the value itself when
 :func:`exactnum.decimal_str` proves it an exact zero or tie, so the
 exact value lies within half an ulp of the printed decimal.  A
 coordinate is first printed from the enclosures of its parts at
-``decimal_str``'s start precision: ``(value - origin) * scale``, and
-for a star vertex ``center_s + radius_s * unit`` over
-:data:`geometry.PENTAGRAM_SPOKES`, where the star's scaled center
-``(center - origin) * scale`` and scaled radii ``radius * scale`` are
-enclosed once per star.  Only a coordinate whose ends do not round
-alike there, or whose divisor straddles zero, gets its expression
-built and printed by ``decimal_str``; a certified rounding is unique,
-so any enclosure that settles prints the same bytes.  One emit prints
-each distinct coordinate node once per axis, from a memo that dies
-with the emit: nodes are interned, so the corners that polygons repeat
-and the cut lines that regions share are rounded once.  One command is
-one :func:`exactnum.enclosure_memo` scope (each emitter opens one for
-library callers, which joins the command's), so the scale, ``phi``,
-star trigonometry and spec subterms that coordinates share are enclosed
-once per working precision.  Output bytes are identical across runs and
-platforms for identical inputs.
+``decimal_str``'s start precision: ``value * scale`` (the canvas is at
+the origin), and for a star vertex ``center_s + radius_s * unit`` over
+:data:`geometry.PENTAGRAM_SPOKES`, where the star's scaled center and
+radii are enclosed once per star.  Only a coordinate whose ends do not
+round alike there, or whose divisor straddles zero, is printed by
+``decimal_str`` from its expression, a star vertex's from
+:func:`geometry.pentagram_vertices`, built once per star; a certified
+rounding is unique, so any enclosure that settles prints the same
+bytes.  One emit prints each distinct coordinate node once per axis,
+from a memo that dies with the emit: nodes are interned, so the corners
+that polygons repeat and the cut lines that regions share are rounded
+once.  One command is one :func:`exactnum.enclosure_memo` scope (each
+emitter opens one for library callers, which joins the command's), so
+the scale, ``phi``, star trigonometry and spec subterms that coordinates
+share are enclosed once per working precision.  Output bytes are
+identical across runs and platforms for identical inputs.
 
 Layouts are already in screen orientation; both emitters share the
 scaling and the decimal policy.
@@ -37,12 +37,11 @@ import json
 
 from .constructions import ColorRole, FlagLayout
 from .errors import UnencodableText
-from .exactnum import Add, Expr, Mul, Sub, add, as_rational, decimal_str, div, enclosure_memo, lit, mul, sub
+from .exactnum import Add, Expr, Mul, as_rational, decimal_str, div, enclosure_memo, lit, mul
 from .exactnum.decimalfmt import settled, start_bits
 from .exactnum.expr import eval_interval, interval_algebra
 from .exactnum.interval import IntPair, StraddlesZero
-from .geometry import PENTAGRAM_SPOKES, Pentagram, Point, pentagram_radii
-from .geometry import pentagram_vertices  # noqa: F401  (bound here by the layer tracer in bench/)
+from .geometry import PENTAGRAM_SPOKES, Pentagram, Point, pentagram_radii, pentagram_vertices
 
 DEFAULT_PALETTE: Mapping[ColorRole, str] = {
     ColorRole.BLUE: "#0039A6",
@@ -93,19 +92,16 @@ class _Frame:
 
     def __init__(self, layout: FlagLayout, opts: RenderOptions) -> None:
         self.digits = opts.digits
-        canvas = layout.canvas
         if opts.target_width is not None:
-            self.scale: Expr = div(lit(opts.target_width), canvas.width)
+            self.scale: Expr = div(lit(opts.target_width), layout.width)
         else:
             self.scale = lit(opts.scale)
-        self.origin = canvas.origin
-        self.width = mul(canvas.width, self.scale)
-        self.height = mul(canvas.height, self.scale)
+        self.width = mul(layout.width, self.scale)
+        self.height = mul(layout.height, self.scale)
         self.bits = start_bits(opts.digits)
         ops = interval_algebra(self.bits)[1]
-        self._add, self._sub, self._mul = ops[Add], ops[Sub], ops[Mul]
-        # the enclosures every coordinate shares
-        self._origin = self._enclose(*self.origin)
+        self._add, self._mul = ops[Add], ops[Mul]
+        # the enclosure every coordinate shares
         self._scale = self._enclose(self.scale)[0]
         # each axis's printed coordinates by node, for this emit only:
         # nodes are interned, so a corner that regions share is one key
@@ -130,27 +126,21 @@ class _Frame:
                 enclosures.append(None)
         return enclosures
 
-    def _scaled(self, axis: int, enclosure: IntPair | None) -> IntPair | None:
-        """The enclosure of ``(v - origin) * scale`` along ``axis`` for
-        every ``v`` in ``enclosure``; None when a part is None."""
-        origin, scale = self._origin[axis], self._scale
-        if enclosure is None or origin is None or scale is None:
+    def _scaled(self, enclosure: IntPair | None) -> IntPair | None:
+        """The enclosure of ``v * scale`` for every ``v`` in ``enclosure``;
+        None when a part is None."""
+        if enclosure is None or self._scale is None:
             return None
-        return self._mul(self._sub(enclosure, origin), scale)
-
-    def _printed(self, axis: int, value: Expr) -> str:
-        """``(value - origin) * scale`` along ``axis``, by :func:`decimal_str`."""
-        return self.dec(mul(sub(value, self.origin[axis]), self.scale))
+        return self._mul(enclosure, self._scale)
 
     def _coordinate(self, axis: int, value: Expr) -> str:
-        """``(value - origin) * scale`` along ``axis`` as printed, once per
-        node in this emit."""
+        """``value * scale`` as printed, once per node and axis in this emit."""
         texts = self._texts[axis]
         text = texts.get(value)
         if text is None:
-            scaled = self._scaled(axis, self._enclose(value)[0])
+            scaled = self._scaled(self._enclose(value)[0])
             text = None if scaled is None else settled(*scaled, self.bits, self.digits)
-            text = texts[value] = text or self._printed(axis, value)
+            text = texts[value] = text or self.length(value)
         return text
 
     def point(self, p: Point) -> tuple[str, str]:
@@ -159,19 +149,21 @@ class _Frame:
     def vertices(self, star: Pentagram) -> list[tuple[str, str]]:
         """The star's ten vertices, as :func:`geometry.pentagram_vertices`
         gives them."""
-        radii = pentagram_radii(star)
-        scale = self._scale
-        center = [self._scaled(axis, c) for axis, c in enumerate(self._enclose(*star.center))]
-        scaled_radii = [None if r is None or scale is None else self._mul(r, scale) for r in self._enclose(*radii)]
+        center = [self._scaled(c) for c in self._enclose(*star.center)]
+        radii = [self._scaled(r) for r in self._enclose(*pentagram_radii(star))]
+        exact = None  # the vertex expressions, built at the first fallback
         vertices = []
-        for (r, unit), enclosed_unit in zip(PENTAGRAM_SPOKES, self._units):
+        for k, ((r, _), unit) in enumerate(zip(PENTAGRAM_SPOKES, self._units)):
             vertex = []
             for axis in (0, 1):
-                c, radius, u = center[axis], scaled_radii[r], enclosed_unit[axis]
+                c, radius, u = center[axis], radii[r], unit[axis]
                 text = None
                 if None not in (c, radius, u):
                     text = settled(*self._add(c, self._mul(radius, u)), self.bits, self.digits)
-                vertex.append(text or self._printed(axis, add(star.center[axis], mul(radii[r], unit[axis]))))
+                if text is None:
+                    exact = exact or pentagram_vertices(star)
+                    text = self.length(exact[k][axis])
+                vertex.append(text)
             vertices.append(tuple(vertex))
         return vertices
 

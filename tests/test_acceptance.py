@@ -142,7 +142,7 @@ def test_06_current_flag_exact_proportions():
             x0, x1, y0, y1 = region.bounds
             areas.append(exact_rational(mul(sub(x1, x0), sub(y1, y0))))
         assert areas == [side**2, 2 * side**2, 3 * side**2]
-        canvas_area = exact_rational(mul(layout.canvas.width, layout.canvas.height))
+        canvas_area = exact_rational(mul(layout.width, layout.height))
         assert sum(areas) == canvas_area == 6 * side**2
 
 

@@ -559,6 +559,20 @@ class TestVerify:
         assert code == 0
         assert "tile" in out
 
+    @pytest.mark.parametrize("body, message", [
+        ("canvas 0 x 1; region r red rect 0 0 1 1;", "canvas: width is not certified positive"),
+        # exactly zero, which only the exact field decides
+        ("canvas 1 x 1; region r red rect 0 0 phi*phi - phi - 1 1;", "region 'r': width is not certified positive"),
+        (
+            "canvas 1 x 1; region r red rect 0 0 1 1; star white at 1/2 1/2 diameter 0;",
+            "star white: circumradius is not certified positive",
+        ),
+    ], ids=["canvas-width", "region-width", "star-diameter"])
+    def test_a_nonpositive_size_is_one_error_line(self, capsys, tmp_path, body, message):
+        path = tmp_path / "size.flag"
+        path.write_text(f'flag "size" {{ {body} }}')
+        assert run(capsys, "verify", str(path)) == (1, "", f"goldenflag: error: {message}\n")
+
     def test_region_outside_the_canvas_fails(self, capsys, tmp_path):
         path = tmp_path / "oob.flag"
         path.write_text(OUT_OF_CANVAS)

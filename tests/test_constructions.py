@@ -22,7 +22,7 @@ from goldenflag.constructions import (
     verify_angle_configuration,
     verify_layout_identities,
 )
-from goldenflag.errors import LayoutError, UnknownFlag, WrongLayout
+from goldenflag.errors import CertificationError, LayoutError, UnknownFlag, WrongLayout
 from goldenflag.exactnum import (
     GOLDEN,
     PHI_EXPR,
@@ -45,7 +45,8 @@ from goldenflag.exactnum import (
 from goldenflag.exactnum.expr import eval_interval
 from goldenflag.exactnum.interval import StraddlesZero
 from goldenflag.flagspec import lower_source
-from goldenflag.geometry import Point, Rect, rect_diagonal_intersection
+import goldenflag.geometry as geometry
+from goldenflag.geometry import Point, rect_diagonal_intersection
 
 from conftest import FOUR_RADICALS, enclosure, expansion_begins, relative_radius
 
@@ -101,6 +102,11 @@ flag "off-origin" {
   star white at diagonal_intersection of blue_field diameter 1/phi;
 }
 """
+
+
+def region(name: str, color: ColorRole, x0, x1, y0, y1) -> Region:
+    """A region over rational bounds."""
+    return Region(name, color, (lit(x0), lit(x1), lit(y0), lit(y1)))
 
 
 def region_size(region: Region):
@@ -174,7 +180,7 @@ class TestCurrentFlag:
             areas.append(exact_rational(mul(w, h)))
         assert areas == [Fraction(4), Fraction(8), Fraction(12)]
         canvas_area = exact_rational(
-            mul(layout.canvas.width, layout.canvas.height)
+            mul(layout.width, layout.height)
         )
         assert sum(areas) == canvas_area == Fraction(24)
 
@@ -182,8 +188,8 @@ class TestCurrentFlag:
 class TestTogo:
     def test_width_is_phi_at_unit_height(self, layouts):
         layout = layouts["togo"]
-        assert verify_identity(layout.canvas.width, PHI_EXPR) is Verdict.PROVED_EQUAL
-        assert decimal_str(layout.canvas.width, 5) == "1.618"
+        assert verify_identity(layout.width, PHI_EXPR) is Verdict.PROVED_EQUAL
+        assert decimal_str(layout.width, 5) == "1.618"
 
     def test_five_equal_stripes_at_height_five(self):
         layout = lower_source(TOGO_AT_HEIGHT_FIVE)
@@ -314,8 +320,8 @@ class TestAngleConfiguration:
         layout = lower_source(OFF_ORIGIN)
         midpoint = constructions.rect_diagonal_intersection
 
-        def off_by_tiny(rect: Rect) -> Point:
-            x, y = midpoint(rect)
+        def off_by_tiny(*rect: Expr) -> Point:
+            x, y = midpoint(*rect)
             return Point(add(x, lit(TINY)), y)
 
         monkeypatch.setattr(constructions, "rect_diagonal_intersection", off_by_tiny)
@@ -348,7 +354,7 @@ class TestDiagonalCrossing:
     def test_radical_rectangle_diagonals_cross_at_the_midpoint(self):
         x0, x1, y0, y1 = next(r for r in lower_source(OFF_ORIGIN).regions if r.name == "blue_field").bounds
         crossing = constructions._diagonal_crossing(x0, x1, y0, y1)
-        midpoint = rect_diagonal_intersection(Rect(Point(x0, y0), sub(x1, x0), sub(y1, y0)))
+        midpoint = rect_diagonal_intersection(x0, y0, sub(x1, x0), sub(y1, y0))
         for found, reference in zip(crossing, midpoint):
             # other nodes, so that the configuration's midpoint check is a proof
             assert found is not reference
@@ -357,33 +363,60 @@ class TestDiagonalCrossing:
 
 class TestLayoutInvariants:
     def test_gap_is_rejected(self):
-        canvas = Rect(Point(lit(0), lit(0)), lit(2), lit(1))
-        only_half = (
-            Region.from_rect("left", ColorRole.RED, Rect(Point(lit(0), lit(0)), lit(1), lit(1))),
-        )
+        only_half = (region("left", ColorRole.RED, 0, 1, 0, 1),)
         with pytest.raises(LayoutError):
-            FlagLayout.create(canvas, only_half, (), "broken")
+            FlagLayout.create(lit(2), lit(1), only_half, (), "broken")
 
     def test_overlap_is_rejected(self):
-        canvas = Rect(Point(lit(0), lit(0)), lit(2), lit(1))
         overlapping = (
-            Region.from_rect("left", ColorRole.RED, Rect(Point(lit(0), lit(0)), lit(Fraction(3, 2)), lit(1))),
-            Region.from_rect("right", ColorRole.BLUE, Rect(Point(lit(1), lit(0)), lit(1), lit(1))),
+            region("left", ColorRole.RED, 0, Fraction(3, 2), 0, 1),
+            region("right", ColorRole.BLUE, 1, 2, 0, 1),
         )
         with pytest.raises(LayoutError):
-            FlagLayout.create(canvas, overlapping, (), "broken")
+            FlagLayout.create(lit(2), lit(1), overlapping, (), "broken")
 
     def test_stray_star_is_rejected(self):
         from goldenflag.geometry import Pentagram
         from goldenflag.constructions import Star
 
-        canvas = Rect(Point(lit(0), lit(0)), lit(2), lit(1))
-        regions = (
-            Region.from_rect("all", ColorRole.RED, Rect(Point(lit(0), lit(0)), lit(2), lit(1))),
-        )
+        regions = (region("all", ColorRole.RED, 0, 2, 0, 1),)
         stray = Star(ColorRole.WHITE, Pentagram(Point(lit(5), lit(5)), lit(Fraction(1, 4))))
         with pytest.raises(LayoutError):
-            FlagLayout.create(canvas, regions, (stray,), "broken")
+            FlagLayout.create(lit(2), lit(1), regions, (stray,), "broken")
+
+    def test_a_zero_height_region_is_a_certification_error(self):
+        # its top and bottom edges rank equal; the region after it is
+        # fine, and the canvas is tiled by the first and third
+        regions = (
+            region("left", ColorRole.RED, 0, 1, 0, 1),
+            region("flat", ColorRole.BLUE, 1, 2, 1, 1),
+            region("right", ColorRole.WHITE, 1, 2, 0, 1),
+        )
+        with pytest.raises(CertificationError, match="^region 'flat': height is not certified positive$"):
+            FlagLayout.create(lit(2), lit(1), regions, (), "flat")
+
+    @pytest.mark.parametrize("width, height, message", [
+        (lit(0), lit(1), "canvas: width is not certified positive"),
+        (lit(2), sub(mul(PHI_EXPR, PHI_EXPR), add(PHI_EXPR, lit(1))), "canvas: height is not certified positive"),
+        (lit(-2), lit(-1), "canvas: width is not certified positive"),
+    ], ids=["zero-width", "height-zero-in-the-field", "negative"])
+    def test_a_nonpositive_canvas_is_a_certification_error(self, width, height, message):
+        with pytest.raises(CertificationError, match=f"^{message}$"):
+            FlagLayout.create(width, height, (region("all", ColorRole.RED, 0, 2, 0, 1),), (), "canvas")
+
+    def test_chile_1818_asks_geometry_for_one_sign(self, spec_sources, monkeypatch):
+        # sizes are certified by the tiling's cut-line ranks, so geometry
+        # asks only for the star's circumradius
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return certified_sign(x)
+
+        monkeypatch.setattr(geometry, "certified_sign", counting)
+        layout = lower_source(spec_sources["chile-1818"])
+        assert verify_layout_identities(layout).all_ok
+        assert calls == [layout.stars[0].pentagram.circumradius]
 
     def test_a_star_grid_lowers_in_linear_time(self):
         # one star per cell of a 30 x 30 grid: placing a star asks four
@@ -409,12 +442,9 @@ class TestLayoutInvariants:
         ids=["right", "left", "top", "bottom"],
     )
     def test_region_outside_the_canvas_is_rejected(self, x, y, width, height):
-        canvas = Rect(Point(lit(0), lit(0)), lit(3), lit(2))
-        spilling = (
-            Region.from_rect("a", ColorRole.BLUE, Rect(Point(lit(x), lit(y)), lit(width), lit(height))),
-        )
+        spilling = (region("a", ColorRole.BLUE, x, x + width, y, y + height),)
         with pytest.raises(LayoutError, match="region extends outside the canvas"):
-            FlagLayout.create(canvas, spilling, (), "broken")
+            FlagLayout.create(lit(3), lit(2), spilling, (), "broken")
 
 
 def stripes_source(n: int) -> str:
@@ -504,15 +534,15 @@ class TestTilingExactFallback:
         # canvas width phi + 1; the right region ends at 1 + (phi*phi - 1)
         right_width = sub(sub(self.phi_squared, lit(1)), sub(split, lit(1)))
         return (
-            Region.from_rect("left", ColorRole.RED, Rect(Point(lit(0), lit(0)), lit(1), lit(1))),
-            Region.from_rect("right", ColorRole.BLUE, Rect(Point(split, lit(0)), right_width, lit(1))),
+            region("left", ColorRole.RED, 0, 1, 0, 1),
+            Region("right", ColorRole.BLUE, (split, add(split, right_width), lit(0), lit(1))),
         )
 
-    def canvas(self) -> Rect:
-        return Rect(Point(lit(0), lit(0)), add(PHI_EXPR, lit(1)), lit(1))
+    def create(self, regions: tuple[Region, ...]) -> FlagLayout:
+        return FlagLayout.create(add(PHI_EXPR, lit(1)), lit(1), regions, (), "close")
 
     def test_equal_lines_written_differently_tile(self):
-        layout = FlagLayout.create(self.canvas(), self.split_canvas(lit(1)), (), "close")
+        layout = self.create(self.split_canvas(lit(1)))
         assert len(layout.regions) == 2
 
     def test_line_without_a_64_bit_enclosure(self):
@@ -520,22 +550,21 @@ class TestTilingExactFallback:
         width = div(lit(1), sub(add(PHI_EXPR, lit(TINY)), PHI_EXPR))
         with pytest.raises(StraddlesZero):
             eval_interval(width, 64)
-        canvas = Rect(Point(lit(0), lit(0)), width, lit(1))
         regions = (
-            Region.from_rect("left", ColorRole.RED, Rect(Point(lit(0), lit(0)), lit(1), lit(1))),
-            Region.from_rect("right", ColorRole.BLUE, Rect(Point(lit(1), lit(0)), sub(width, lit(1)), lit(1))),
+            region("left", ColorRole.RED, 0, 1, 0, 1),
+            Region("right", ColorRole.BLUE, (lit(1), add(lit(1), sub(width, lit(1))), lit(0), lit(1))),
         )
-        assert len(FlagLayout.create(canvas, regions, (), "unbounded").regions) == 2
+        assert len(FlagLayout.create(width, lit(1), regions, (), "unbounded").regions) == 2
         with pytest.raises(LayoutError, match="regions overlap"):
-            FlagLayout.create(canvas, regions + regions[:1], (), "unbounded")
+            FlagLayout.create(width, lit(1), regions + regions[:1], (), "unbounded")
 
     def test_gap_of_two_to_the_minus_80_is_found(self):
         with pytest.raises(LayoutError, match="regions leave a gap in the canvas"):
-            FlagLayout.create(self.canvas(), self.split_canvas(lit(1 + TINY)), (), "close")
+            self.create(self.split_canvas(lit(1 + TINY)))
 
     def test_overlap_of_two_to_the_minus_80_is_found(self):
         with pytest.raises(LayoutError, match="regions overlap"):
-            FlagLayout.create(self.canvas(), self.split_canvas(lit(1 - TINY)), (), "close")
+            self.create(self.split_canvas(lit(1 - TINY)))
 
 
 def _records():

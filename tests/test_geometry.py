@@ -28,7 +28,6 @@ from goldenflag.geometry import (
     TAN36,
     Pentagram,
     Point,
-    Rect,
     pentagram_vertices,
     rect_diagonal_intersection,
 )
@@ -42,25 +41,19 @@ def rational_point(x, y) -> Point:
 
 
 class TestRect:
-    def test_dimensions_must_be_positive(self):
-        with pytest.raises(InvalidDimension):
-            Rect(rational_point(0, 0), lit(0), lit(1))
-        with pytest.raises(InvalidDimension):
-            Rect(rational_point(0, 0), lit(1), lit(-2))
-
     def test_unit_square_center(self):
-        center = rect_diagonal_intersection(Rect(rational_point(0, 0), lit(1), lit(1)))
+        center = rect_diagonal_intersection(lit(0), lit(0), lit(1), lit(1))
         assert center.x == lit(Fraction(1, 2))
         assert center.y == lit(Fraction(1, 2))
 
     def test_offset_rectangle_center(self):
-        center = rect_diagonal_intersection(Rect(rational_point(2, 3), lit(4), lit(2)))
+        center = rect_diagonal_intersection(lit(2), lit(3), lit(4), lit(2))
         assert center.x == lit(4)
         assert center.y == lit(4)
 
     def test_independence_blue_rectangle_center(self):
         blue_width = div(lit(1), TAN36)
-        center = rect_diagonal_intersection(Rect(rational_point(0, 0), blue_width, lit(1)))
+        center = rect_diagonal_intersection(lit(0), lit(0), blue_width, lit(1))
         assert compare_values(center.x, div(blue_width, lit(2))) is Verdict.PROVED_EQUAL
         assert center.y == lit(Fraction(1, 2))
 

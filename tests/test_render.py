@@ -18,7 +18,7 @@ from goldenflag.exactnum import (
     PHI_EXPR, add, certified_sign, decimal_str, decimalfmt, div, lit, mul, sqrt_, sub,
 )
 from goldenflag.flagspec import lower_source
-from goldenflag.geometry import Pentagram, Point, Rect, pentagram_vertices
+from goldenflag.geometry import Pentagram, Point, pentagram_vertices
 from goldenflag.render import DEFAULT_PALETTE, RenderOptions, _Frame, json_emit, svg_emit
 
 from conftest import within_half_ulp
@@ -67,9 +67,8 @@ class TestSvg:
         assert abs(Fraction(height) - expected) <= Fraction(1, 10**5)
 
     def test_title_is_escaped(self):
-        canvas = Rect(Point(lit(0), lit(0)), lit(1), lit(1))
-        region = Region.from_rect("all", ColorRole.RED, canvas)
-        layout = FlagLayout.create(canvas, (region,), (), "<odd & name>")
+        region = Region("all", ColorRole.RED, (lit(0), lit(1), lit(0), lit(1)))
+        layout = FlagLayout.create(lit(1), lit(1), (region,), (), "<odd & name>")
         svg = svg_emit(layout).decode()
         assert "<title>&lt;odd &amp; name&gt;</title>" in svg
         spec = 'flag "A & <B>" { canvas 1 x 1; region all red rect 0 0 1 1; }'
@@ -151,8 +150,8 @@ class TestPrecisionSoundness:
         recheck(doc["canvas"]["height"], frame.height)
         for region, emitted in zip(layout.regions, doc["regions"]):
             for point, (x_text, y_text) in zip(region.polygon, emitted["vertices"]):
-                recheck(x_text, mul(sub(point.x, frame.origin.x), frame.scale))
-                recheck(y_text, mul(sub(point.y, frame.origin.y), frame.scale))
+                recheck(x_text, mul(point.x, frame.scale))
+                recheck(y_text, mul(point.y, frame.scale))
 
     def test_monotone_refinement_of_digits(self, layouts):
         ratio = layouts["chile-1818"].width_height_ratio()
@@ -197,16 +196,13 @@ options = st.builds(
 NEAR_ZERO = sub(sqrt_(lit(2)), lit(Fraction(isqrt(2 * 10**60), 10**30)))
 
 
-def frame_of(origin: Point, width, height, opts: RenderOptions) -> _Frame:
-    return _Frame(FlagLayout(Rect(origin, width, height), (), (), "frame"), opts)
+def frame_of(width, height, opts: RenderOptions) -> _Frame:
+    return _Frame(FlagLayout(width, height, (), (), "frame"), opts)
 
 
 def by_decimal_str(frame: _Frame, point: Point) -> tuple[str, str]:
     """The reference: each coordinate's expression printed by decimal_str."""
-    return tuple(
-        decimal_str(mul(sub(value, origin), frame.scale), frame.digits)
-        for value, origin in zip(point, frame.origin)
-    )
+    return tuple(decimal_str(mul(value, frame.scale), frame.digits) for value in point)
 
 
 class TestSharedEnclosures:
@@ -214,16 +210,16 @@ class TestSharedEnclosures:
     decimal_str prints from its expression."""
 
     @settings(max_examples=80, deadline=None)
-    @given(points, positives, positives, options, st.lists(points, min_size=1, max_size=4))
-    def test_points_print_as_decimal_str(self, origin, width, height, opts, targets):
-        frame = frame_of(origin, width, height, opts)
+    @given(positives, positives, options, st.lists(points, min_size=1, max_size=4))
+    def test_points_print_as_decimal_str(self, width, height, opts, targets):
+        frame = frame_of(width, height, opts)
         for point in targets:
             assert frame.point(point) == by_decimal_str(frame, point)
 
     @settings(max_examples=60, deadline=None)
-    @given(points, positives, options, points, positives)
-    def test_star_vertices_print_as_decimal_str(self, origin, width, opts, center, radius):
-        frame = frame_of(origin, width, width, opts)
+    @given(positives, options, points, positives)
+    def test_star_vertices_print_as_decimal_str(self, width, opts, center, radius):
+        frame = frame_of(width, width, opts)
         star = Pentagram(center, radius)
         assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
 
@@ -239,7 +235,7 @@ class TestSharedEnclosures:
         monkeypatch.setattr(render, "decimal_str", recording)
         return values
 
-    UNIT = Point(lit(0), lit(0)), lit(1), lit(1)
+    UNIT = lit(1), lit(1)
 
     def test_an_exact_tie_falls_back(self, printed):
         # 2 * 247/4000 = 0.1235 through sqrt(2)*sqrt(2): half-even at 3 digits
@@ -260,11 +256,38 @@ class TestSharedEnclosures:
         assert frame.point(Point(x, lit(1))) == by_decimal_str(frame, Point(x, lit(1)))
         assert printed == [x]
         # a scale whose divisor straddles: every coordinate falls back
-        frame = frame_of(Point(lit(0), lit(0)), NEAR_ZERO, lit(1), RenderOptions(digits=3, target_width=2))
+        frame = frame_of(NEAR_ZERO, lit(1), RenderOptions(digits=3, target_width=2))
         star = Pentagram(Point(lit(Fraction(1, 3)), lit(0)), lit(Fraction(1, 4)))
         printed.clear()
         assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
         assert len(printed) == 20
+
+    @pytest.fixture
+    def built_vertices(self, monkeypatch):
+        """The stars whose vertex expressions render built."""
+        stars = []
+
+        def recording(star):
+            stars.append(star)
+            return pentagram_vertices(star)
+
+        monkeypatch.setattr(render, "pentagram_vertices", recording)
+        return stars
+
+    def test_a_vertex_falls_back_to_pentagram_vertices(self, printed, built_vertices):
+        # the top and bottom vertices' x is the center's, NEAR_ZERO, whose
+        # enclosure at 3 digits' 64 bits straddles zero; the other vertices
+        # settle from the enclosures of their parts
+        star = Pentagram(Point(NEAR_ZERO, lit(Fraction(1, 2))), lit(Fraction(1, 4)))
+        frame = frame_of(*self.UNIT, RenderOptions(digits=3))
+        assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
+        assert built_vertices == [star]
+        assert printed == [NEAR_ZERO, NEAR_ZERO]
+
+    def test_a_star_that_settles_builds_no_vertex(self, built_vertices):
+        star = Pentagram(Point(lit(Fraction(1, 2)), lit(Fraction(1, 2))), lit(Fraction(1, 4)))
+        frame_of(*self.UNIT, RenderOptions(digits=3)).vertices(star)
+        assert built_vertices == []
 
 
 class TestCoordinateMemo:
