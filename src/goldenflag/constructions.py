@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import cache, cmp_to_key
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     CertificationError,
@@ -125,24 +125,30 @@ class FlagLayout(NamedTuple):
 # layout invariants
 
 
-def _certified_distinct_sorted(values: list[Expr]) -> list[int]:
+def _certified_distinct_sorted(values: list[Expr], where: Callable[[int, int], str]) -> list[int]:
     """Rank of each value among the distinct values, in increasing order.
 
     One stable sort with one comparator: values whose 64-bit enclosures
     are disjoint are ordered by them, identical nodes are equal, and any
     other pair by the certified sign of its difference, asked once per
-    pair.  A pair whose sign runs out of refinement raises
-    :class:`PrecisionExhausted`."""
+    pair.  A pair ``p, q`` whose sign runs out of refinement raises
+    :class:`PrecisionExhausted` in ``where(p, q)``, and a value ``p``
+    whose first enclosure is past the work budget in ``where(p, p)``."""
     boxes = []
-    for value in values:
+    for p, value in enumerate(values):
         try:
             boxes.append(eval_interval(value, SIGN_REFINE_START))
         except StraddlesZero:
             boxes.append((-math.inf, math.inf))
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(f"in {where(p, p)}: {exc}") from exc
 
     @cache  # local to this call: each pair's sign is asked once
     def difference_sign(p: int, q: int) -> int:
-        return certified_sign(sub(values[p], values[q])).value
+        try:
+            return certified_sign(sub(values[p], values[q])).value
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(f"in {where(p, q)}: {exc}") from exc
 
     def compare(p: int, q: int) -> int:
         if boxes[p][1] < boxes[q][0]:
@@ -168,24 +174,33 @@ def _check_tiling(layout: FlagLayout) -> None:
     where the canvas's and every region's are.  Every region must lie
     inside the canvas and every cell must be covered by exactly one
     region; region edges all lie on cut lines, so cell coverage decides
-    both interior-disjointness and the exact area identity."""
+    both interior-disjointness and the exact area identity.  Cut lines
+    whose order or first enclosure runs out of the work budget are named
+    by axis and owner."""
+
+    def owner(k: int) -> str:  # of the k-th pair of cut lines on an axis
+        return f"region {layout.regions[k - 1].name!r}" if k else "canvas"
+
+    def owners(p: int, q: int) -> str:
+        first, second = owner(p // 2), owner(q // 2)
+        return first if first == second else f"{first} and {second}"
+
     xs: list[Expr] = [lit(0), layout.width]
     ys: list[Expr] = [lit(0), layout.height]
     for region in layout.regions:
         x0, x1, y0, y1 = region.bounds
         xs.extend((x0, x1))
         ys.extend((y0, y1))
-    x_ranks = _certified_distinct_sorted(xs)
-    y_ranks = _certified_distinct_sorted(ys)
+    x_ranks = _certified_distinct_sorted(xs, lambda p, q: f"x cut lines of {owners(p, q)}")
+    y_ranks = _certified_distinct_sorted(ys, lambda p, q: f"y cut lines of {owners(p, q)}")
     spans = [
         (x_ranks[k], x_ranks[k + 1], y_ranks[k], y_ranks[k + 1])
         for k in range(0, len(xs), 2)
     ]
     for k, (i0, i1, j0, j1) in enumerate(spans):
         if i0 >= i1 or j0 >= j1:
-            owner = f"region {layout.regions[k - 1].name!r}" if k else "canvas"
             size = "width" if i0 >= i1 else "height"
-            raise CertificationError(f"{owner}: {size} is not certified positive")
+            raise CertificationError(f"{owner(k)}: {size} is not certified positive")
     (ci0, ci1, cj0, cj1), *spans = spans
     for i0, i1, j0, j1 in spans:
         if i0 < ci0 or i1 > ci1 or j0 < cj0 or j1 > cj1:
@@ -212,12 +227,16 @@ def _check_star_inside(layout: FlagLayout, star: Star) -> None:
     # a center on a cut line that no refinement can place lies in either
     # region beside it
     x, y = star.pentagram.center
-    if not (
-        certified_sign(x).is_nonnegative
-        and certified_sign(sub(layout.width, x)).is_nonnegative
-        and certified_sign(y).is_nonnegative
-        and certified_sign(sub(layout.height, y)).is_nonnegative
-    ):
+    try:
+        inside = (
+            certified_sign(x).is_nonnegative
+            and certified_sign(sub(layout.width, x)).is_nonnegative
+            and certified_sign(y).is_nonnegative
+            and certified_sign(sub(layout.height, y)).is_nonnegative
+        )
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(f"in star {star.color.value}: {exc}") from exc
+    if not inside:
         raise LayoutError("star center lies in no region")
 
 

@@ -72,7 +72,9 @@ T = TypeVar("T")
 # nodes
 
 # (node class, fields) -> weak reference to the live node with those fields;
-# children are keyed by identity, a Literal by its Fraction.  Two threads
+# children are keyed by identity, and a Literal by the integer pair of its
+# value (hashing a pair of ints costs no modular inverse, unlike hashing
+# the Fraction).  Two threads
 # that build the same new node at once may both keep one: that loses
 # sharing, never soundness, since identity is only used to prove equality.
 _interned: dict[tuple, weakref.KeyedRef] = {}
@@ -91,7 +93,7 @@ class Expr:
     _children: tuple["Expr", ...]
 
     def __new__(cls, *fields):
-        key = (cls, fields)
+        key = (cls, fields[0].as_integer_ratio() if cls is Literal else fields)
         ref = _interned.get(key)
         node = None if ref is None else ref()
         if node is None:

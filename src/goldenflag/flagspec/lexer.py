@@ -5,12 +5,18 @@ parser's docstring).  Whitespace and ``#`` comments, which run to end of
 line, are skipped.  A number that ends in ``.`` or runs into a word
 character or a second dot is malformed.  Strings are double-quoted with
 no escapes and may not span lines.  ``==`` and ``<=`` are single symbols.
+
+:func:`tokenize` scans the source once: each match of the pattern is one
+token together with the blanks after it, or a skipped run of whitespace
+or a comment, and the scan stops at the first character where no token
+starts.  A token's kind comes from its pattern group by one dict lookup.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from functools import partial
 from typing import NamedTuple
 
 from ..errors import LexError
@@ -52,11 +58,12 @@ KEYWORDS = frozenset(
 COLOR_KEYWORDS = frozenset({"red", "white", "blue", "green", "yellow"})
 
 _TOKEN = re.compile(
-    r"(?P<skip>[ \t\r\n]+|#[^\n]*)"
+    r"(?:(?P<skip>[ \t\r\n]+|#[^\n]*)"
     r"|(?P<NUMBER>[0-9]+(?:\.[0-9]*)?)"
     r"|(?P<word>[^\W\d]\w*)"
     r'|(?P<STRING>"[^"\n]*")'
-    r"|(?P<SYMBOL>==|<=|[{}();=+\-*/.<])"
+    r"|(?P<SYMBOL>==|<=|[{}();=+\-*/.<]))"
+    r"[ \t]*"  # the blanks after a token, skipped in the same match
 )
 
 
@@ -72,33 +79,45 @@ class Token(NamedTuple):
         return f"{self.kind.value} {self.lexeme!r}"
 
 
+# a Token from one tuple of its fields, without the Python-level __new__
+_token = partial(tuple.__new__, Token)
+# the kind of a token by its pattern group; a word is a KEYWORD or an IDENT
+_GROUP_KINDS = {"NUMBER": TokenKind.NUMBER, "SYMBOL": TokenKind.SYMBOL}
+_WORD_KINDS = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD)
+
+
 def tokenize(source: str) -> list[Token]:
     """Full token stream ending in EOF, or a positioned LexError."""
     tokens: list[Token] = []
+    append = tokens.append
     line, line_start, pos = 1, 0, 0
-    while match := _TOKEN.match(source, pos):
-        group, text, col = match.lastgroup, match.group(), pos - line_start + 1
-        pos = match.end()
+    for match in _TOKEN.finditer(source):
+        start, end = match.span()
+        if start != pos:  # the scan skipped a character where no token starts
+            break
+        group, pos = match.lastgroup, end
         if group == "skip":
+            text = match.group()
             if "\n" in text:
                 line += text.count("\n")
                 line_start = source.rfind("\n", 0, pos) + 1
             continue
-        if group == "NUMBER":
-            if text.endswith("."):
-                raise LexError(line, col + len(text) - 1, "malformed number: expected digits after '.'")
-            after = source[pos : pos + 1]
-            if after and (after.isalnum() or after in "_."):
-                raise LexError(line, col + len(text), f"malformed number near {text + after!r}")
+        text, col = match.group(group), start - line_start + 1
         if group == "word":
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(_token((_WORD_KINDS.get(text, TokenKind.IDENT), text, line, col)))
+        elif group == "STRING":
+            append(_token((TokenKind.STRING, text[1:-1], line, col)))
         else:
-            kind = TokenKind[group]
-        lexeme = text[1:-1] if kind is TokenKind.STRING else text
-        tokens.append(Token(kind, lexeme, line, col))
+            if group == "NUMBER":
+                if text[-1] == ".":
+                    raise LexError(line, col + len(text) - 1, "malformed number: expected digits after '.'")
+                after = source[start + len(text) : start + len(text) + 1]
+                if after and (after.isalnum() or after in "_."):
+                    raise LexError(line, col + len(text), f"malformed number near {text + after!r}")
+            append(_token((_GROUP_KINDS[group], text, line, col)))
     col = pos - line_start + 1
     if pos < len(source):
         message = "unterminated string" if source[pos] == '"' else f"illegal character {source[pos]!r}"
         raise LexError(line, col, message)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    append(Token(TokenKind.EOF, "", line, col))
     return tokens

@@ -20,7 +20,10 @@
     primary   := NUMBER | "phi" | "sqrt" "(" expr ")" | IDENT
                | ( IDENT | "canvas" ) "." IDENT | "(" expr ")"
 
-Numbers are ASCII digits with an optional fraction (``2``, ``2.4``).
+Numbers are ASCII digits with an optional fraction (``2``, ``2.4``),
+and a number's value is exact: the whole and fractional digits convert
+to ints on their own, so ``Fraction(lexeme)`` would accept and reject
+the same literals under the interpreter's int-from-string digit limit.
 An identifier is a word character that is not a decimal digit, followed
 by word characters.  The reserved words are ``lexer.KEYWORDS``; ``x``
 and ``rect`` are not reserved.
@@ -33,6 +36,10 @@ chain of relations must hold.
 AST nodes are immutable ``NamedTuple`` records: they compare as tuples,
 so code that walks them tells node kinds apart with ``isinstance``,
 never by comparing nodes of different kinds.
+
+The parser keeps the current token in an attribute that ``advance``
+moves on, and the expression productions, which see most tokens, test
+its kind and lexeme inline.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from .lexer import COLOR_KEYWORDS, KEYWORDS, Token, TokenKind, tokenize
 _MAX_EXPR_DEPTH = 200
 
 _RELATIONS = ("==", "<", "<=")
+_ADDITIVE = frozenset(("+", "-"))
+_MULTIPLICATIVE = frozenset(("*", "/"))
 
 
 # --- expression AST -------------------------------------------------------
@@ -171,32 +180,46 @@ class SpecAst(NamedTuple):
         return tuple(d for d in self.items if isinstance(d, RegionDecl))
 
 
+def _number(token: Token) -> Fraction:
+    """The exact value of a NUMBER token, from its digits.  The whole and
+    fractional digits convert to ints one part at a time, as
+    ``Fraction(lexeme)`` converts them, so the same literals stay within
+    the interpreter's int-from-string digit limit."""
+    whole, _, frac = token.lexeme.partition(".")
+    try:
+        if not frac:
+            return Fraction(int(whole))
+        scale = 10 ** len(frac)
+        return Fraction(int(whole) * scale + int(frac), scale)
+    except ValueError:  # past the digit limit
+        digits = len(whole) + len(frac)
+        raise ParseError(token.line, token.col, "a shorter number", f"a {digits}-digit number") from None
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.token = tokens[0]  # the current token, tokens[pos]
 
     # -- token helpers ------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
-        token = self.current
+        token = self.token
         if token.kind is not TokenKind.EOF:
             self.pos += 1
+            self.token = self.tokens[self.pos]
         return token
 
     def error(self, expected: str) -> ParseError:
-        found = self.current
+        found = self.token
         return ParseError(found.line, found.col, expected, found.describe())
 
     def at(self, *lexemes: str) -> bool:
         """Whether the current token is one of ``lexemes``: keywords,
         symbols and the grammar's own words differ by lexeme alone, so
         only a string with the same text must be told apart."""
-        token = self.tokens[self.pos]
+        token = self.token
         return token.lexeme in lexemes and token.kind is not TokenKind.STRING
 
     def expect(self, lexeme: str, what: str | None = None) -> Token:
@@ -205,7 +228,7 @@ class _Parser:
         raise self.error(what or (f"keyword {lexeme!r}" if lexeme in KEYWORDS else repr(lexeme)))
 
     def expect_kind(self, kind: TokenKind, what: str) -> Token:
-        if self.current.kind is kind:
+        if self.token.kind is kind:
             return self.advance()
         raise self.error(what)
 
@@ -235,9 +258,9 @@ class _Parser:
         while not self.at("}"):
             if not self.at(*statements):
                 raise self.error("'let', 'region', 'star', 'check', or '}'")
-            items.append(statements[self.current.lexeme]())
+            items.append(statements[self.token.lexeme]())
         self.expect("}")
-        if self.current.kind is not TokenKind.EOF:
+        if self.token.kind is not TokenKind.EOF:
             raise self.error("end of input after '}'")
         return SpecAst(name_token.lexeme, canvas_width, canvas_height, tuple(items), start.line, start.col)
 
@@ -299,7 +322,7 @@ class _Parser:
             relations.append(self.advance().lexeme)
             terms.append(self.parse_expr())
         detail, shown = "", None
-        if self.current.kind is TokenKind.STRING:
+        if self.token.kind is TokenKind.STRING:
             detail = self.advance().lexeme
         elif self.at("show"):
             self.advance()
@@ -314,44 +337,56 @@ class _Parser:
         """The depth inside one more ``(``, ``sqrt(`` or unary ``-``, at
         the current token."""
         if depth >= _MAX_EXPR_DEPTH:
-            raise ParseError(
-                self.current.line, self.current.col, "a shallower expression", "nesting too deep"
-            )
+            raise ParseError(self.token.line, self.token.col, "a shallower expression", "nesting too deep")
         return depth + 1
+
+    # The expression productions test the current token's kind and lexeme
+    # inline: an operator is a SYMBOL, never a STRING of the same text.
 
     def parse_expr(self, depth: int = 0) -> ExprAst:
         node = self.parse_term(depth)
-        while self.at("+", "-"):
-            op = self.advance().lexeme
-            node = BinOp(op, node, self.parse_term(depth))
+        token = self.token
+        while token.kind is TokenKind.SYMBOL and token.lexeme in _ADDITIVE:
+            self.advance()
+            node = BinOp(token.lexeme, node, self.parse_term(depth))
+            token = self.token
         return node
 
     def parse_term(self, depth: int) -> ExprAst:
         node = self.parse_unary(depth)
-        while self.at("*", "/"):
-            op = self.advance().lexeme
-            node = BinOp(op, node, self.parse_unary(depth))
+        token = self.token
+        while token.kind is TokenKind.SYMBOL and token.lexeme in _MULTIPLICATIVE:
+            self.advance()
+            node = BinOp(token.lexeme, node, self.parse_unary(depth))
+            token = self.token
         return node
 
     def parse_unary(self, depth: int) -> ExprAst:
-        if self.at("-"):
+        token = self.token
+        if token.kind is TokenKind.SYMBOL and token.lexeme == "-":
             depth = self.nested(depth)
             self.advance()
             return Negate(self.parse_unary(depth))
         return self.parse_primary(depth)
 
     def parse_primary(self, depth: int) -> ExprAst:
-        token = self.current
-        if token.kind is TokenKind.NUMBER:
-            try:
-                value = Fraction(token.lexeme)
-            except ValueError:  # past the interpreter's int-from-string digit limit
-                digits = sum(ch.isdigit() for ch in token.lexeme)
-                raise ParseError(
-                    token.line, token.col, "a shorter number", f"a {digits}-digit number"
-                ) from None
+        token = self.token
+        kind = token.kind
+        if kind is TokenKind.NUMBER:
+            value = _number(token)
             self.advance()
             return NumberLit(value)
+        if kind is TokenKind.IDENT or self.at("canvas"):
+            self.advance()
+            if self.at("."):
+                self.advance()
+                name = self.expect_kind(TokenKind.IDENT, "attribute name")
+                return Attribute(
+                    token.lexeme, name.lexeme, token.line, token.col, name.line, name.col
+                )
+            if kind is TokenKind.KEYWORD:
+                raise self.error("'.' after 'canvas'")
+            return NameRef(token.lexeme, token.line, token.col)
         if self.at("phi"):
             self.advance()
             return PhiConst()
@@ -362,17 +397,6 @@ class _Parser:
             operand = self.parse_expr(depth)
             self.expect(")")
             return SqrtCall(operand)
-        if token.kind is TokenKind.IDENT or self.at("canvas"):
-            self.advance()
-            if self.at("."):
-                self.advance()
-                name = self.expect_kind(TokenKind.IDENT, "attribute name")
-                return Attribute(
-                    token.lexeme, name.lexeme, token.line, token.col, name.line, name.col
-                )
-            if token.kind is TokenKind.KEYWORD:
-                raise self.error("'.' after 'canvas'")
-            return NameRef(token.lexeme, token.line, token.col)
         if self.at("("):
             depth = self.nested(depth)
             self.advance()
@@ -395,6 +419,6 @@ def parse_expression(source: str) -> ExprAst:
     """Parse a standalone arithmetic expression (the CLI eval input)."""
     parser = _Parser(tokenize(source))
     node = parser.parse_expr()
-    if parser.current.kind is not TokenKind.EOF:
+    if parser.token.kind is not TokenKind.EOF:
         raise parser.error("end of expression")
     return node

@@ -449,21 +449,31 @@ class TestVerify:
         path.write_text(f'flag "w" {{ canvas 2 x 1; {UNDECIDABLE} let w = a - a/3*3; region all blue rect 0 0 w 1; }}')
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (3, "")
-        assert err.startswith("goldenflag: precision exhausted: refinement spent ")
+        # the region's right edge w and the canvas's left edge 0 are equal
+        assert err.startswith(
+            "goldenflag: precision exhausted: in x cut lines of canvas and region 'all': refinement spent "
+        )
         assert err.endswith(" word operations\n")
 
-    @pytest.mark.parametrize("body", [
-        # the cut lines w and 1 are equal, which the work budget cannot prove
-        "let w = 1 + a - a/3*3; region l blue rect 0 0 w 1; region r red rect w 0 2 - w 1;",
+    @pytest.mark.parametrize("body, owner", [
+        # the right edge w + (2 - w) of region r and the canvas's 2 are
+        # equal, which the work budget cannot prove
+        (
+            "let w = 1 + a - a/3*3; region l blue rect 0 0 w 1; region r red rect w 0 2 - w 1;",
+            "x cut lines of canvas and region 'r'",
+        ),
         # the one region may contain the center, which the budget cannot decide
-        "let z = a - a/3*3; region all blue rect 0 0 2 1; star white at z 1/2 diameter 1/4;",
+        (
+            "let z = a - a/3*3; region all blue rect 0 0 2 1; star white at z 1/2 diameter 1/4;",
+            "star white",
+        ),
     ], ids=["cut-line", "star"])
-    def test_a_layout_past_the_work_budget_exits_three(self, capsys, tmp_path, body):
+    def test_a_layout_past_the_work_budget_exits_three(self, capsys, tmp_path, body, owner):
         path = tmp_path / "layout.flag"
         path.write_text(f'flag "l" {{ canvas 2 x 1; {UNDECIDABLE} {body} }}')
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (3, "")
-        assert err.startswith("goldenflag: precision exhausted: refinement spent ")
+        assert err.startswith(f"goldenflag: precision exhausted: in {owner}: refinement spent ")
 
     @pytest.mark.parametrize("canvas, body, tail, expected_err", [
         # z is zero, so the star is on the diagonals' crossing, which the

@@ -496,7 +496,7 @@ class TestTilingExactFallback:
             lit(Fraction(1, 2) + TINY),
             lit(Fraction(1, 2)),
         ]
-        assert _certified_distinct_sorted(values) == [4, 5, 0, 4, 3, 2, 1]
+        assert _certified_distinct_sorted(values, "values {} and {}".format) == [4, 5, 0, 4, 3, 2, 1]
 
     @given(
         st.lists(st.tuples(coefficients, coefficients), min_size=1, max_size=3),
@@ -528,7 +528,7 @@ class TestTilingExactFallback:
             sum(GOLDEN.sign(GOLDEN.sub(g, h)) is Sign.POSITIVE for h in set(exact))
             for g in exact
         ]
-        assert _certified_distinct_sorted(values) == expected
+        assert _certified_distinct_sorted(values, "values {} and {}".format) == expected
 
     def split_canvas(self, split: Expr) -> tuple[Region, ...]:
         # canvas width phi + 1; the right region ends at 1 + (phi*phi - 1)

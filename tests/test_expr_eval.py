@@ -82,6 +82,22 @@ class TestSmartConstructors:
         with pytest.raises(CertificationError):
             sqrt_(sub(lit(0), lit(1)))
 
+    def test_equal_literals_are_one_node(self):
+        from goldenflag.flagspec import lower_expr, parse_expression
+
+        half = lit(Fraction(1, 2))
+        assert lit("0.5") is half
+        assert div(lit(1), lit(2)) is half
+        assert lower_expr(parse_expression("1/2"), {}) is half
+
+    def test_literals_of_equal_hash_are_two_nodes(self):
+        # literals are interned by the integer pair of their value, and
+        # CPython hashes -1 and -2 alike
+        assert hash(-1) == hash(-2)
+        minus_one, minus_two = lit(-1), lit(-2)
+        assert minus_one is not minus_two
+        assert (minus_one.value, minus_two.value) == (-1, -2)
+
 
 class TestExprEval:
     """Interval enclosures; one at ``bits + 32`` has a relative radius of

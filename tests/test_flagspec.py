@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import re
 import string
 
 import pytest
@@ -115,13 +116,24 @@ class TestTokenize:
         except LexError as exc:
             assert 1 <= exc.line <= len(lines)
             assert 1 <= exc.col <= len(lines[exc.line - 1])
+            # the scan stops where no token starts, and says so there
+            at = source[offset(exc.line, exc.col)]
+            if exc.message.startswith("illegal character"):
+                assert exc.message == f"illegal character {at!r}"
+            elif exc.message == "unterminated string":
+                assert at == '"'
             return
         positions = [(t.line, t.col) for t in tokens]
         assert all(a < b for a, b in zip(positions, positions[1:]))
+        end = 0
         for token in tokens:
             text = f'"{token.lexeme}"' if token.kind is TokenKind.STRING else token.lexeme
             start = offset(token.line, token.col)
             assert source[start : start + len(text)] == text
+            # no character between two tokens is skipped unless it is blank
+            # or in a comment
+            assert re.fullmatch(r"(?:[ \t\r\n]|#[^\n]*)*", source[end:start])
+            end = start + len(text)
         assert offset(tokens[-1].line, tokens[-1].col) == len(source)
 
 
@@ -189,6 +201,25 @@ class TestParse:
         with pytest.raises(ParseError) as excinfo:
             parse_expression("canvas + 1")
         assert excinfo.value.col == 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text("0", max_size=4),
+        st.text(string.digits, min_size=1, max_size=30),
+        st.none() | st.tuples(st.text(string.digits, min_size=1, max_size=30), st.text("0", max_size=4)),
+    )
+    def test_a_number_is_the_fraction_of_its_lexeme(self, zeros, whole, fraction):
+        lexeme = zeros + whole if fraction is None else zeros + whole + "." + "".join(fraction)
+        assert parse_expression(lexeme) == NumberLit(Fraction(lexeme))
+
+    def test_each_part_of_a_number_is_within_the_digit_limit_on_its_own(self):
+        # 6000 digits in all, but 3000 on each side of the point, as
+        # Fraction(lexeme) converts them
+        lexeme = "1" * 3000 + "." + "1" * 3000
+        assert parse_expression(lexeme) == NumberLit(Fraction(lexeme))
+        with pytest.raises(ParseError) as excinfo:
+            parse_expression("1" * 5000)
+        assert str(excinfo.value) == "1:1: expected a shorter number, found a 5000-digit number"
 
     def test_deep_nesting_yields_an_error_not_a_crash(self):
         depth = 5000

@@ -89,6 +89,23 @@ def test_a_let_chain_squaring_a_radical_exits_three_at_its_first_enclosure():
     assert seconds < 2
 
 
+@pytest.mark.parametrize("use, owner", [
+    ("region q red rect 1 0 a23 1;", "x cut lines of region 'q'"),
+    ("star white at a23 1/2 diameter 1/4;", "star white"),
+])
+def test_a_layout_value_past_the_budget_at_its_first_enclosure_names_its_owner(use, owner):
+    lets = "\n".join(f"  let a{i} = a{i - 1}*a{i - 1};" for i in range(1, 24))
+    spec = f'flag "big" {{\n  canvas 1 x 1; region r red rect 0 0 1 1;\n  let a0 = sqrt(10);\n{lets}\n  {use}\n}}\n'
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "big.flag"
+        path.write_text(spec)
+        code, out, err, seconds = run("verify", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"goldenflag: precision exhausted: in {owner}: an enclosure of up to ")
+    assert err.endswith(" bits is past the work budget\n")
+    assert seconds < 2
+
+
 def test_an_enclosure_refuses_a_product_or_quotient_a_literal_could_not_be():
     # the widest integer one operation's charge covers: (bits // 64)**2
     # within the work budget
