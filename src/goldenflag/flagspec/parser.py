@@ -21,9 +21,7 @@
                | ( IDENT | "canvas" ) "." IDENT | "(" expr ")"
 
 Numbers are ASCII digits with an optional fraction (``2``, ``2.4``),
-and a number's value is exact: the whole and fractional digits convert
-to ints on their own, so ``Fraction(lexeme)`` would accept and reject
-the same literals under the interpreter's int-from-string digit limit.
+and their values are exact rationals built from their digits.
 An identifier is a word character that is not a decimal digit, followed
 by word characters.  The reserved words are ``lexer.KEYWORDS``; ``x``
 and ``rect`` are not reserved.
@@ -183,8 +181,9 @@ class SpecAst(NamedTuple):
 def _number(token: Token) -> Fraction:
     """The exact value of a NUMBER token, from its digits.  The whole and
     fractional digits convert to ints one part at a time, as
-    ``Fraction(lexeme)`` converts them, so the same literals stay within
-    the interpreter's int-from-string digit limit."""
+    ``Fraction(lexeme)`` converts them, so a number parses exactly when
+    ``Fraction(lexeme)`` is within the interpreter's int-from-string
+    digit limit."""
     whole, _, frac = token.lexeme.partition(".")
     try:
         if not frac:
