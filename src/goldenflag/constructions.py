@@ -347,7 +347,10 @@ class Claim(NamedTuple):
         detail = self.detail
         if self.shown is not None:
             name, value = self.shown
-            detail = f"{name} = {decimal_str(value, 6)}"
+            try:
+                detail = f"{name} = {decimal_str(value, 6)}"
+            except PrecisionExhausted as exc:
+                raise PrecisionExhausted(f"in show {name} of check {self.name!r}: {exc}") from exc
         return (Check(self.name, status, detail),)
 
 

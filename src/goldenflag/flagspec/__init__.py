@@ -1,48 +1,13 @@
-"""Declarative flag-spec language: tokenizer, parser, and lowering
-into exact flag layouts."""
+"""Declarative flag-spec language: tokenizer, expression parser, and the
+one pass that lowers a spec into an exact flag layout."""
 
 from .lexer import KEYWORDS, Token, TokenKind, tokenize
 from .lower import lower, lower_expr, lower_source
-from .parser import (
-    Attribute,
-    BinOp,
-    CheckDecl,
-    CoordCenter,
-    DiagonalCenter,
-    DiagonalsCheck,
-    ExprAst,
-    LetDecl,
-    NameRef,
-    Negate,
-    NumberLit,
-    PhiConst,
-    RegionDecl,
-    SpecAst,
-    SqrtCall,
-    StarDecl,
-    parse,
-    parse_expression,
-    parse_source,
-)
+from .parser import Attribute, parse, parse_expression
 
 __all__ = [
     "Attribute",
-    "BinOp",
-    "CheckDecl",
-    "CoordCenter",
-    "DiagonalCenter",
-    "DiagonalsCheck",
-    "ExprAst",
     "KEYWORDS",
-    "LetDecl",
-    "NameRef",
-    "Negate",
-    "NumberLit",
-    "PhiConst",
-    "RegionDecl",
-    "SpecAst",
-    "SqrtCall",
-    "StarDecl",
     "Token",
     "TokenKind",
     "lower",
@@ -50,6 +15,5 @@ __all__ = [
     "lower_source",
     "parse",
     "parse_expression",
-    "parse_source",
     "tokenize",
 ]

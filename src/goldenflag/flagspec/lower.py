@@ -1,14 +1,20 @@
-"""Lowering: flag-spec AST -> exact FlagLayout.
+"""Lowering: a flag spec, in one pass from tokens to an exact FlagLayout.
+
+The statement productions of the grammar (stated in :mod:`.parser`) lower
+each expression as soon as it parses, against the lets and regions
+declared so far, and raise each error at the token in hand: after a full
+tokenize, the first parse, semantic or certification error in source
+order is the one reported.  Every reference points backward, so every
+identifier, and every region whose ``width`` or ``height`` an
+expression reads, must be declared earlier in the file.
 
 Expressions become certified constructible-number expressions (``phi``
-lowers to (1+sqrt5)/2 exactly); declarations resolve in source order,
-so every identifier, and every region whose ``width`` or ``height`` an
-expression reads, must be declared earlier in the file.  ``canvas.width``
-and ``canvas.height`` are the canvas dimensions, and a region's are the
-sizes it declares; :meth:`FlagLayout.create` certifies them.  ``check``
-statements lower to the layout's claims, which only ``verify`` proves.
-Coordinates keep the spec's frame: y grows downward from the canvas's
-top-left corner, at the origin.
+lowers to (1+sqrt5)/2 exactly).  ``canvas.width`` and ``canvas.height``
+are the canvas dimensions, and a region's are the sizes it declares;
+:meth:`FlagLayout.create` certifies them.  ``check`` statements lower to
+the layout's claims, which only ``verify`` proves.  Coordinates keep the
+spec's frame: y grows downward from the canvas's top-left corner, at the
+origin.
 """
 
 from __future__ import annotations
@@ -21,170 +27,197 @@ from ..errors import (
     PrecisionExhausted,
     SemanticError,
 )
-from ..exactnum import PHI_EXPR, Expr, add, div, lit, mul, neg, sqrt_, sub
+from ..exactnum import Expr, add, div, lit
 from ..geometry import Pentagram, Point, rect_diagonal_intersection
-from .parser import (
-    Attribute,
-    BinOp,
-    CheckDecl,
-    CoordCenter,
-    DiagonalCenter,
-    DiagonalsCheck,
-    ExprAst,
-    LetDecl,
-    NameRef,
-    Negate,
-    NumberLit,
-    PhiConst,
-    RegionDecl,
-    SpecAst,
-    SqrtCall,
-    StarDecl,
-)
+from .lexer import Token, TokenKind, tokenize
+from .parser import Attribute, Code, Parser
 
-_BINOPS = {"+": add, "-": sub, "*": mul, "/": div}
+_RELATIONS = ("==", "<", "<=")
 
 _Rect = tuple[Expr, Expr, Expr, Expr]  # a declared x, y, width and height
 _SIZES = {"width": 2, "height": 3}  # attribute name -> index in a _Rect
 
 
+def _attribute(item: Attribute, rects: dict[str, _Rect]) -> Expr:
+    owner, name = item
+    rect = rects.get(owner.lexeme)
+    if rect is None:
+        if owner.lexeme == "canvas":
+            message = "the canvas has no size inside its own declaration"
+        else:
+            message = f"{owner.lexeme!r} is not a previously declared region"
+        raise SemanticError(owner.line, owner.col, message)
+    size = _SIZES.get(name.lexeme)
+    if size is None:
+        message = f"unknown attribute {name.lexeme!r} (expected 'width' or 'height')"
+        raise SemanticError(name.line, name.col, message)
+    return rect[size]
+
+
 def lower_expr(
-    ast: ExprAst,
+    code: Code,
     env: dict[str, Expr],
     where: str = "expression",
     rects: dict[str, _Rect] | None = None,
 ) -> Expr:
-    """Certified expression for an AST node; user-level side-condition
-    failures surface as CertificationError, and a side condition whose
-    sign runs out of refinement as PrecisionExhausted, each naming
-    ``where``."""
+    """Run an expression program on one value stack, resolving names in
+    ``env`` and attributes in ``rects``.  The loop is flat, so operator
+    chains of any length lower (the parser bounds only nesting).
+    User-level side-condition failures surface as CertificationError,
+    and a side condition whose sign runs out of refinement as
+    PrecisionExhausted, each naming ``where``."""
+    values: list[Expr] = []
+    push = values.append
     try:
-        return _lower_expr(ast, env, rects or {})
+        for item in code:
+            kind = type(item)
+            if kind is tuple:
+                build, arity = item
+                if arity == 2:
+                    rhs = values.pop()
+                    values[-1] = build(values[-1], rhs)
+                else:
+                    values[-1] = build(values[-1])
+            elif kind is Token:
+                value = env.get(item.lexeme)
+                if value is None:
+                    raise SemanticError(item.line, item.col, f"unbound name {item.lexeme!r}")
+                push(value)
+            elif kind is Attribute:
+                push(_attribute(item, rects or {}))
+            else:
+                push(item)
     except (DivisionByZero, CertificationError) as exc:
         raise CertificationError(f"in {where}: {exc}") from exc
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"in {where}: {exc}") from exc
-
-
-def _attribute(ast: Attribute, rects: dict[str, _Rect]) -> Expr:
-    rect = rects.get(ast.owner)
-    if rect is None:
-        if ast.owner == "canvas":
-            message = "the canvas has no size inside its own declaration"
-        else:
-            message = f"{ast.owner!r} is not a previously declared region"
-        raise SemanticError(ast.line, ast.col, message)
-    size = _SIZES.get(ast.name)
-    if size is None:
-        message = f"unknown attribute {ast.name!r} (expected 'width' or 'height')"
-        raise SemanticError(ast.name_line, ast.name_col, message)
-    return rect[size]
-
-
-def _lower_expr(ast: ExprAst, env: dict[str, Expr], rects: dict[str, _Rect]) -> Expr:
-    """Post-order lowering with an explicit stack, so operator chains of
-    any length lower (the parser bounds only parenthesised nesting)."""
-    values: list[Expr] = []
-    # AST nodes still to lower, and (constructor, arity) to apply once
-    # the operands' values are on top of ``values``; AST nodes are
-    # NamedTuples, so only a plain tuple is a work item
-    todo: list = [ast]
-    while todo:
-        item = todo.pop()
-        if type(item) is tuple:
-            build, arity = item
-            operands = values[-arity:]
-            del values[-arity:]
-            values.append(build(*operands))
-        elif isinstance(item, NumberLit):
-            values.append(lit(item.value))
-        elif isinstance(item, PhiConst):
-            values.append(PHI_EXPR)
-        elif isinstance(item, NameRef):
-            try:
-                values.append(env[item.name])
-            except KeyError:
-                raise SemanticError(item.line, item.col, f"unbound name {item.name!r}") from None
-        elif isinstance(item, Attribute):
-            values.append(_attribute(item, rects))
-        elif isinstance(item, BinOp):
-            todo += ((_BINOPS[item.op], 2), item.rhs, item.lhs)
-        elif isinstance(item, Negate):
-            todo += ((neg, 1), item.operand)
-        elif isinstance(item, SqrtCall):
-            todo += ((sqrt_, 1), item.operand)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown AST node {item!r}")
     return values[0]
 
 
-def _declared_rect(rects: dict[str, _Rect], name: str, line: int, col: int) -> _Rect:
-    rect = rects.get(name)
-    if rect is None:
-        raise SemanticError(line, col, f"{name!r} is not a previously declared region")
-    return rect
+class _SpecPass(Parser):
+    """The statement productions, with the lets, rectangles and layout
+    parts declared so far."""
+
+    def __init__(self, tokens: list[Token]) -> None:
+        super().__init__(tokens)
+        self.env: dict[str, Expr] = {}
+        self.rects: dict[str, _Rect] = {}  # the canvas and each region declared so far
+        self.regions: list[Region] = []
+        self.stars: list[Star] = []
+        self.claims: list[Claim | Diagonals] = []
+
+    def value(self, where: str) -> Expr:
+        """The lowered value of the expression at the current token."""
+        return lower_expr(self.parse_expr(), self.env, where, self.rects)
+
+    def binding(self, start: Token, what: str) -> str:
+        """A new name for the statement at ``start``."""
+        name = self.expect_kind(TokenKind.IDENT, what).lexeme
+        if name in self.env or name in self.rects:
+            raise SemanticError(start.line, start.col, f"duplicate binding {name!r}")
+        return name
+
+    def declared_region(self) -> str:
+        token = self.expect_kind(TokenKind.IDENT, "region name")
+        if token.lexeme not in self.rects:
+            raise SemanticError(token.line, token.col, f"{token.lexeme!r} is not a previously declared region")
+        return token.lexeme
+
+    def spec(self) -> FlagLayout:
+        start = self.expect("flag")
+        name = self.expect_kind(TokenKind.STRING, "flag name string").lexeme
+        self.expect("{")
+        self.expect("canvas")
+        width = self.value("canvas width")
+        self.expect("x", "'x' between canvas width and height")
+        height = self.value("canvas height")
+        self.expect(";")
+        self.rects["canvas"] = (lit(0), lit(0), width, height)
+        statements = {"let": self.let, "region": self.region, "star": self.star, "check": self.check}
+        while not self.at("}"):
+            if not self.at(*statements):
+                raise self.error("'let', 'region', 'star', 'check', or '}'")
+            statements[self.token.lexeme]()
+        self.expect("}")
+        if self.token.kind is not TokenKind.EOF:
+            raise self.error("end of input after '}'")
+        if not self.regions:
+            raise SemanticError(start.line, start.col, f"flag {name!r} declares no region")
+        return FlagLayout.create(width, height, tuple(self.regions), tuple(self.stars), name, tuple(self.claims))
+
+    def let(self) -> None:
+        start = self.advance()
+        name = self.binding(start, "binding name")
+        self.expect("=")
+        self.env[name] = self.value(f"let {name!r}")
+        self.expect(";")
+
+    def region(self) -> None:
+        start = self.advance()
+        name = self.binding(start, "region name")
+        color = ColorRole(self.expect_color().lexeme)
+        self.expect("rect")
+        where = f"region {name!r}"
+        x, y, w, h = [self.value(where) for _ in range(4)]
+        self.expect(";")
+        self.rects[name] = (x, y, w, h)
+        self.regions.append(Region(name, color, (x, add(x, w), y, add(y, h))))
+
+    def star(self) -> None:
+        self.advance()
+        color = self.expect_color().lexeme
+        where = f"star {color}"
+        self.expect("at")
+        if self.at("diagonal_intersection"):
+            self.advance()
+            self.expect("of")
+            center = rect_diagonal_intersection(*self.rects[self.declared_region()])
+        else:
+            center = Point(self.value(where), self.value(where))
+        self.expect("diameter")
+        diameter = self.value(where)
+        self.expect(";")
+        try:
+            pentagram = Pentagram(center, div(diameter, lit(2)))
+        except InvalidDimension as exc:
+            raise CertificationError(f"{where}: {exc}") from exc
+        self.stars.append(Star(ColorRole(color), pentagram))
+
+    def check(self) -> None:
+        self.advance()
+        if self.at("diagonals"):
+            self.advance()
+            self.expect("of")
+            region = self.declared_region()
+            self.expect(";")
+            self.claims.append(Diagonals(region))
+            return
+        name = self.expect_kind(TokenKind.STRING, "check name string or 'diagonals'").lexeme
+        where = f"check {name!r}"
+        terms = [self.value(where)]
+        if not self.at(*_RELATIONS):
+            raise self.error("'==', '<', or '<='")
+        relations = []
+        while self.at(*_RELATIONS):
+            relations.append(self.advance().lexeme)
+            terms.append(self.value(where))
+        detail, shown = "", None
+        if self.token.kind is TokenKind.STRING:
+            detail = self.advance().lexeme
+        elif self.at("show"):
+            self.advance()
+            token = self.expect_kind(TokenKind.IDENT, "name to show")
+            shown = (token.lexeme, lower_expr([token], self.env, where))
+        self.expect(";")
+        self.claims.append(Claim(name, tuple(terms), tuple(relations), detail, shown))
 
 
-def lower(ast: SpecAst) -> FlagLayout:
-    """Resolve bindings and assemble the exact layout, whose construction
-    certifies every size, the tiling and star containment."""
-    if not ast.regions:
-        raise SemanticError(ast.line, ast.col, f"flag {ast.name!r} declares no region")
-    env: dict[str, Expr] = {}
-    rects: dict[str, _Rect] = {}  # the canvas and each region declared so far
-    regions: list[Region] = []
-    stars: list[Star] = []
-    claims: list[Claim | Diagonals] = []
-
-    width = lower_expr(ast.canvas_width, env, "canvas width")
-    height = lower_expr(ast.canvas_height, env, "canvas height")
-    rects["canvas"] = (lit(0), lit(0), width, height)
-
-    for decl in ast.items:
-        if isinstance(decl, (LetDecl, RegionDecl)) and (decl.name in env or decl.name in rects):
-            raise SemanticError(decl.line, decl.col, f"duplicate binding {decl.name!r}")
-        if isinstance(decl, LetDecl):
-            env[decl.name] = lower_expr(decl.expr, env, f"let {decl.name!r}", rects)
-        elif isinstance(decl, RegionDecl):
-            where = f"region {decl.name!r}"
-            x, y, w, h = (
-                lower_expr(e, env, where, rects) for e in (decl.x, decl.y, decl.width, decl.height)
-            )
-            rects[decl.name] = (x, y, w, h)
-            regions.append(Region(decl.name, ColorRole(decl.color), (x, add(x, w), y, add(y, h))))
-        elif isinstance(decl, StarDecl):
-            where = f"star {decl.color}"
-            if isinstance(decl.center, DiagonalCenter):
-                c = decl.center
-                center = rect_diagonal_intersection(*_declared_rect(rects, c.region, c.line, c.col))
-            else:
-                center = Point(
-                    lower_expr(decl.center.x, env, where, rects),
-                    lower_expr(decl.center.y, env, where, rects),
-                )
-            diameter = lower_expr(decl.diameter, env, where, rects)
-            try:
-                pentagram = Pentagram(center, div(diameter, lit(2)))
-            except InvalidDimension as exc:
-                raise CertificationError(f"{where}: {exc}") from exc
-            stars.append(Star(ColorRole(decl.color), pentagram))
-        elif isinstance(decl, CheckDecl):
-            where = f"check {decl.name!r}"
-            terms = tuple(lower_expr(term, env, where, rects) for term in decl.terms)
-            shown = None
-            if decl.shown is not None:
-                shown = (decl.shown.name, lower_expr(decl.shown, env, where))
-            claims.append(Claim(decl.name, terms, decl.relations, decl.detail, shown))
-        elif isinstance(decl, DiagonalsCheck):
-            _declared_rect(rects, decl.region, decl.line, decl.col)
-            claims.append(Diagonals(decl.region))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown declaration {decl!r}")
-
-    return FlagLayout.create(width, height, tuple(regions), tuple(stars), ast.name, tuple(claims))
+def lower(tokens: list[Token]) -> FlagLayout:
+    """Parse and lower a full flag spec in one pass, ending in the exact
+    layout, whose construction certifies every size, the tiling and star
+    containment."""
+    return _SpecPass(tokens).spec()
 
 
 def lower_source(source: str) -> FlagLayout:
-    from .parser import parse_source
-
-    return lower(parse_source(source))
+    return lower(tokenize(source))

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the flag-spec grammar.
+"""The flag-spec grammar, and the token cursor and expression productions
+of its recursive-descent parser.
 
 ::
 
@@ -24,182 +25,76 @@ Numbers are ASCII digits with an optional fraction (``2``, ``2.4``),
 and their values are exact rationals built from their digits.
 An identifier is a word character that is not a decimal digit, followed
 by word characters.  The reserved words are ``lexer.KEYWORDS``; ``x``
-and ``rect`` are not reserved.
+and ``rect`` are not reserved.  Region and star coordinates are written
+in screen orientation (y grows downward from the flag's top-left corner),
+the one frame of every layout.
 
-Region and star coordinates are written in screen orientation (y grows
-downward from the flag's top-left corner), the one frame of every layout.
-A ``check`` states a claim that ``verify`` proves: every link of its
-chain of relations must hold.
+The statement productions live in :mod:`.lower`, which lowers each one
+as it parses.  An expression parses to a flat postfix program, a
+:data:`Code` list of items in evaluation order:
 
-AST nodes are immutable ``NamedTuple`` records: they compare as tuples,
-so code that walks them tells node kinds apart with ``isinstance``,
-never by comparing nodes of different kinds.
+- the certified ``Expr`` of a number or of ``phi``;
+- the IDENT ``Token`` of a name;
+- an :class:`Attribute` ``owner.name``;
+- ``(build, arity)``: apply ``build`` to the last ``arity`` values.
 
-The parser keeps the current token in an attribute that ``advance``
-moves on, and the expression productions, which see most tokens, test
-its kind and lexeme inline.
+Names and attributes resolve when the program runs, in
+:func:`.lower.lower_expr`.  The parser keeps the current token in an
+attribute that ``advance`` moves on, and the expression productions,
+which see most tokens, test its kind and lexeme inline.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from ..errors import ParseError
+from ..exactnum import PHI_EXPR, Expr, add, div, lit, mul, neg, sqrt_, sub
 from .lexer import COLOR_KEYWORDS, KEYWORDS, Token, TokenKind, tokenize
 
 _MAX_EXPR_DEPTH = 200
 
-_RELATIONS = ("==", "<", "<=")
-_ADDITIVE = frozenset(("+", "-"))
-_MULTIPLICATIVE = frozenset(("*", "/"))
-
-
-# --- expression AST -------------------------------------------------------
-
-
-class NumberLit(NamedTuple):
-    value: Fraction
-
-
-class PhiConst(NamedTuple):
-    pass
-
-
-class NameRef(NamedTuple):
-    name: str
-    line: int
-    col: int
-
-
-class BinOp(NamedTuple):
-    op: str  # one of + - * /
-    lhs: "ExprAst"
-    rhs: "ExprAst"
-
-
-class Negate(NamedTuple):
-    operand: "ExprAst"
-
-
-class SqrtCall(NamedTuple):
-    operand: "ExprAst"
+# an operator's (build, arity) item by its lexeme
+_ADDITIVE = {"+": (add, 2), "-": (sub, 2)}
+_MULTIPLICATIVE = {"*": (mul, 2), "/": (div, 2)}
+_NEGATE = (neg, 1)
+_SQRT = (sqrt_, 1)
 
 
 class Attribute(NamedTuple):
     """``owner.name``: a size of a region or of the canvas."""
 
-    owner: str  # a region name, or "canvas"
-    name: str
-    line: int
-    col: int
-    name_line: int
-    name_col: int
+    owner: Token  # an IDENT, or the keyword ``canvas``
+    name: Token
 
 
-ExprAst = Union[NumberLit, PhiConst, NameRef, Attribute, BinOp, Negate, SqrtCall]
+Code = list[Union[Expr, Token, Attribute, tuple[Callable[..., Expr], int]]]
 
 
-# --- declaration AST -------------------------------------------------------
-
-
-class LetDecl(NamedTuple):
-    name: str
-    expr: ExprAst
-    line: int
-    col: int
-
-
-class RegionDecl(NamedTuple):
-    name: str
-    color: str
-    x: ExprAst
-    y: ExprAst
-    width: ExprAst
-    height: ExprAst
-    line: int
-    col: int
-
-
-class CoordCenter(NamedTuple):
-    x: ExprAst
-    y: ExprAst
-
-
-class DiagonalCenter(NamedTuple):
-    region: str
-    line: int
-    col: int
-
-
-class StarDecl(NamedTuple):
-    color: str
-    center: CoordCenter | DiagonalCenter
-    diameter: ExprAst
-    line: int
-    col: int
-
-
-class CheckDecl(NamedTuple):
-    """A claim that ``terms[i] relations[i] terms[i + 1]`` holds for
-    every i, printed with a verbatim ``detail`` or the value of the
-    ``shown`` binding."""
-
-    name: str
-    terms: tuple[ExprAst, ...]
-    relations: tuple[str, ...]
-    detail: str
-    shown: NameRef | None
-    line: int
-    col: int
-
-
-class DiagonalsCheck(NamedTuple):
-    """The angle configuration of a region's diagonals."""
-
-    region: str
-    line: int
-    col: int
-
-
-Decl = Union[LetDecl, RegionDecl, StarDecl, CheckDecl, DiagonalsCheck]
-
-
-class SpecAst(NamedTuple):
-    name: str
-    canvas_width: ExprAst
-    canvas_height: ExprAst
-    items: tuple[Decl, ...]
-    line: int
-    col: int
-
-    @property
-    def regions(self) -> tuple[RegionDecl, ...]:
-        return tuple(d for d in self.items if isinstance(d, RegionDecl))
-
-
-def _number(token: Token) -> Fraction:
-    """The exact value of a NUMBER token, from its digits.  The whole and
-    fractional digits convert to ints one part at a time, as
+def _number(token: Token) -> Expr:
+    """The exact literal of a NUMBER token, from its digits.  The whole
+    and fractional digits convert to ints one part at a time, as
     ``Fraction(lexeme)`` converts them, so a number parses exactly when
     ``Fraction(lexeme)`` is within the interpreter's int-from-string
     digit limit."""
     whole, _, frac = token.lexeme.partition(".")
     try:
         if not frac:
-            return Fraction(int(whole))
+            return lit(int(whole))
         scale = 10 ** len(frac)
-        return Fraction(int(whole) * scale + int(frac), scale)
+        return lit(Fraction(int(whole) * scale + int(frac), scale))
     except ValueError:  # past the digit limit
         digits = len(whole) + len(frac)
         raise ParseError(token.line, token.col, "a shorter number", f"a {digits}-digit number") from None
 
 
-class _Parser:
+class Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
         self.token = tokens[0]  # the current token, tokens[pos]
+        self.code: Code = []
 
     # -- token helpers ------------------------------------------------------
 
@@ -236,101 +131,13 @@ class _Parser:
             return self.advance()
         raise self.error("color (red, white, blue, green, yellow)")
 
-    # -- grammar ------------------------------------------------------------
+    # -- expressions --------------------------------------------------------
 
-    def parse_spec(self) -> SpecAst:
-        start = self.expect("flag")
-        name_token = self.expect_kind(TokenKind.STRING, "flag name string")
-        self.expect("{")
-        self.expect("canvas")
-        canvas_width = self.parse_expr()
-        self.expect("x", "'x' between canvas width and height")
-        canvas_height = self.parse_expr()
-        self.expect(";")
-        statements = {
-            "let": self.parse_let,
-            "region": self.parse_region,
-            "star": self.parse_star,
-            "check": self.parse_check,
-        }
-        items: list[Decl] = []
-        while not self.at("}"):
-            if not self.at(*statements):
-                raise self.error("'let', 'region', 'star', 'check', or '}'")
-            items.append(statements[self.token.lexeme]())
-        self.expect("}")
-        if self.token.kind is not TokenKind.EOF:
-            raise self.error("end of input after '}'")
-        return SpecAst(name_token.lexeme, canvas_width, canvas_height, tuple(items), start.line, start.col)
-
-    def parse_let(self) -> LetDecl:
-        start = self.expect("let")
-        name = self.expect_kind(TokenKind.IDENT, "binding name")
-        self.expect("=")
-        value = self.parse_expr()
-        self.expect(";")
-        return LetDecl(name.lexeme, value, start.line, start.col)
-
-    def parse_region(self) -> RegionDecl:
-        start = self.expect("region")
-        name = self.expect_kind(TokenKind.IDENT, "region name")
-        color = self.expect_color()
-        self.expect("rect")
-        x = self.parse_expr()
-        y = self.parse_expr()
-        width = self.parse_expr()
-        height = self.parse_expr()
-        self.expect(";")
-        return RegionDecl(
-            name.lexeme, color.lexeme, x, y, width, height, start.line, start.col
-        )
-
-    def parse_star(self) -> StarDecl:
-        start = self.expect("star")
-        color = self.expect_color()
-        self.expect("at")
-        center: CoordCenter | DiagonalCenter
-        if self.at("diagonal_intersection"):
-            self.advance()
-            self.expect("of")
-            region = self.expect_kind(TokenKind.IDENT, "region name")
-            center = DiagonalCenter(region.lexeme, region.line, region.col)
-        else:
-            cx = self.parse_expr()
-            cy = self.parse_expr()
-            center = CoordCenter(cx, cy)
-        self.expect("diameter")
-        diameter = self.parse_expr()
-        self.expect(";")
-        return StarDecl(color.lexeme, center, diameter, start.line, start.col)
-
-    def parse_check(self) -> CheckDecl | DiagonalsCheck:
-        start = self.expect("check")
-        if self.at("diagonals"):
-            self.advance()
-            self.expect("of")
-            region = self.expect_kind(TokenKind.IDENT, "region name")
-            self.expect(";")
-            return DiagonalsCheck(region.lexeme, region.line, region.col)
-        name = self.expect_kind(TokenKind.STRING, "check name string or 'diagonals'")
-        terms = [self.parse_expr()]
-        if not self.at(*_RELATIONS):
-            raise self.error("'==', '<', or '<='")
-        relations = []
-        while self.at(*_RELATIONS):
-            relations.append(self.advance().lexeme)
-            terms.append(self.parse_expr())
-        detail, shown = "", None
-        if self.token.kind is TokenKind.STRING:
-            detail = self.advance().lexeme
-        elif self.at("show"):
-            self.advance()
-            token = self.expect_kind(TokenKind.IDENT, "name to show")
-            shown = NameRef(token.lexeme, token.line, token.col)
-        self.expect(";")
-        return CheckDecl(
-            name.lexeme, tuple(terms), tuple(relations), detail, shown, start.line, start.col
-        )
+    def parse_expr(self) -> Code:
+        """The program of the expression at the current token."""
+        self.code = []
+        self.expr(0)
+        return self.code
 
     def nested(self, depth: int) -> int:
         """The depth inside one more ``(``, ``sqrt(`` or unary ``-``, at
@@ -339,85 +146,80 @@ class _Parser:
             raise ParseError(self.token.line, self.token.col, "a shallower expression", "nesting too deep")
         return depth + 1
 
-    # The expression productions test the current token's kind and lexeme
-    # inline: an operator is a SYMBOL, never a STRING of the same text.
+    # The productions test the current token's kind and lexeme inline: an
+    # operator is a SYMBOL, never a STRING of the same text.
 
-    def parse_expr(self, depth: int = 0) -> ExprAst:
-        node = self.parse_term(depth)
+    def expr(self, depth: int) -> None:
+        self.term(depth)
         token = self.token
         while token.kind is TokenKind.SYMBOL and token.lexeme in _ADDITIVE:
             self.advance()
-            node = BinOp(token.lexeme, node, self.parse_term(depth))
+            self.term(depth)
+            self.code.append(_ADDITIVE[token.lexeme])
             token = self.token
-        return node
 
-    def parse_term(self, depth: int) -> ExprAst:
-        node = self.parse_unary(depth)
+    def term(self, depth: int) -> None:
+        self.unary(depth)
         token = self.token
         while token.kind is TokenKind.SYMBOL and token.lexeme in _MULTIPLICATIVE:
             self.advance()
-            node = BinOp(token.lexeme, node, self.parse_unary(depth))
+            self.unary(depth)
+            self.code.append(_MULTIPLICATIVE[token.lexeme])
             token = self.token
-        return node
 
-    def parse_unary(self, depth: int) -> ExprAst:
+    def unary(self, depth: int) -> None:
         token = self.token
         if token.kind is TokenKind.SYMBOL and token.lexeme == "-":
             depth = self.nested(depth)
             self.advance()
-            return Negate(self.parse_unary(depth))
-        return self.parse_primary(depth)
+            self.unary(depth)
+            self.code.append(_NEGATE)
+        else:
+            self.primary(depth)
 
-    def parse_primary(self, depth: int) -> ExprAst:
+    def primary(self, depth: int) -> None:
         token = self.token
         kind = token.kind
         if kind is TokenKind.NUMBER:
-            value = _number(token)
+            self.code.append(_number(token))
             self.advance()
-            return NumberLit(value)
-        if kind is TokenKind.IDENT or self.at("canvas"):
+        elif kind is TokenKind.IDENT or self.at("canvas"):
             self.advance()
             if self.at("."):
                 self.advance()
-                name = self.expect_kind(TokenKind.IDENT, "attribute name")
-                return Attribute(
-                    token.lexeme, name.lexeme, token.line, token.col, name.line, name.col
-                )
-            if kind is TokenKind.KEYWORD:
+                self.code.append(Attribute(token, self.expect_kind(TokenKind.IDENT, "attribute name")))
+            elif kind is TokenKind.KEYWORD:
                 raise self.error("'.' after 'canvas'")
-            return NameRef(token.lexeme, token.line, token.col)
-        if self.at("phi"):
+            else:
+                self.code.append(token)
+        elif self.at("phi"):
             self.advance()
-            return PhiConst()
-        if self.at("sqrt"):
+            self.code.append(PHI_EXPR)
+        elif self.at("sqrt"):
             depth = self.nested(depth)
             self.advance()
             self.expect("(")
-            operand = self.parse_expr(depth)
+            self.expr(depth)
             self.expect(")")
-            return SqrtCall(operand)
-        if self.at("("):
+            self.code.append(_SQRT)
+        elif self.at("("):
             depth = self.nested(depth)
             self.advance()
-            node = self.parse_expr(depth)
+            self.expr(depth)
             self.expect(")")
-            return node
-        raise self.error("expression")
+        else:
+            raise self.error("expression")
 
 
-def parse(tokens: list[Token]) -> SpecAst:
-    """Parse a full flag spec from a token stream."""
-    return _Parser(tokens).parse_spec()
-
-
-def parse_source(source: str) -> SpecAst:
-    return parse(tokenize(source))
-
-
-def parse_expression(source: str) -> ExprAst:
-    """Parse a standalone arithmetic expression (the CLI eval input)."""
-    parser = _Parser(tokenize(source))
-    node = parser.parse_expr()
+def parse(tokens: list[Token]) -> Code:
+    """The program of a standalone expression: the whole token stream."""
+    parser = Parser(tokens)
+    code = parser.parse_expr()
     if parser.token.kind is not TokenKind.EOF:
         raise parser.error("end of expression")
-    return node
+    return code
+
+
+def parse_expression(source: str) -> Code:
+    """Parse a standalone arithmetic expression (the CLI eval input)."""
+    return parse(tokenize(source))

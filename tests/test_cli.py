@@ -58,6 +58,7 @@ def claims_spec(name: str, body: str = "") -> str:
 
 
 UNDECIDABLE = f"let a = {FOUR_RADICALS};"
+SPEC_OPENING = 'flag "x" { canvas 1 x 1;'  # the opening of a spec, up to column 25
 
 # 1/tan(36), the width of a tan(36) field of height 1
 TAN36_WIDTH = "(1 + sqrt(5))/sqrt(10 - 2*sqrt(5))"
@@ -474,6 +475,43 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (3, "")
         assert err.startswith(f"goldenflag: precision exhausted: in {owner}: refinement spent ")
+
+    def test_a_shown_binding_past_the_work_budget_names_its_check(self, capsys, tmp_path):
+        code, out, err = self.verify_claims(
+            capsys, tmp_path, f'{UNDECIDABLE} let z = a - a/3*3; check "c" 1 < 2 show z;'
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("goldenflag: precision exhausted: in show z of check 'c': refinement spent ")
+        assert err.endswith(" word operations\n")
+
+    # a spec is lowered as it parses: after a full tokenize, the first
+    # error in source order is the one reported
+    @pytest.mark.parametrize("source, code, err", [
+        (
+            f"{SPEC_OPENING} let q = 1/(phi*phi - phi - 1); region r red rect 0 0 1 1; oops }}",
+            1, "goldenflag: error: in let 'q': divisor is certified zero\n",
+        ),
+        (
+            f"{SPEC_OPENING} region r red rect 0 0 1 1; let a0 = 10;"
+            + "".join(f" let a{i} = a{i - 1}*a{i - 1};" for i in range(1, 26)) + " oops }",
+            3,
+            "goldenflag: precision exhausted: in let 'a19': "
+            "an exact literal of up to 1741649 bits is past the work budget\n",
+        ),
+        (f"{SPEC_OPENING} let q = mystery; }}", 1, "goldenflag: error: 1:34: unbound name 'mystery'\n"),
+        (
+            f"{SPEC_OPENING} region r red rect 0 0 1 1; let r = ; }}",
+            1, "goldenflag: error: 1:53: duplicate binding 'r'\n",
+        ),
+        (
+            f"{SPEC_OPENING} let q = 1/(phi*phi - phi - 1); region r red rect 0 0 1 1; @ }}",
+            1, "goldenflag: error: 1:84: illegal character '@'\n",
+        ),
+    ], ids=["side-condition", "work-budget", "unbound-name", "duplicate-binding", "lexical-first"])
+    def test_the_first_error_in_source_order_is_reported(self, capsys, tmp_path, source, code, err):
+        path = tmp_path / "order.flag"
+        path.write_text(source)
+        assert run(capsys, "verify", str(path)) == (code, "", err)
 
     @pytest.mark.parametrize("canvas, body, tail, expected_err", [
         # z is zero, so the star is on the diagonals' crossing, which the

@@ -20,18 +20,10 @@ from goldenflag.errors import (
 )
 from goldenflag.exactnum import PHI_EXPR, Literal, Verdict, compare_values, div, lit, mul, sub
 from goldenflag.flagspec import (
-    Attribute,
-    CheckDecl,
-    DiagonalsCheck,
-    LetDecl,
-    NumberLit,
-    StarDecl,
     TokenKind,
-    lower,
     lower_expr,
     lower_source,
     parse_expression,
-    parse_source,
     tokenize,
 )
 from goldenflag.geometry import Point
@@ -139,33 +131,34 @@ class TestTokenize:
 
 class TestParse:
     def test_minimal_spec(self):
-        ast = parse_source(MINIMAL)
-        assert ast.name == "minimal"
-        assert len(ast.regions) == 1
-        assert not any(isinstance(d, StarDecl) for d in ast.items)
+        layout = lower_source(MINIMAL)
+        assert layout.provenance == "minimal"
+        assert len(layout.regions) == 1
+        assert layout.stars == ()
 
     def test_shipped_independence_file(self, spec_sources):
-        ast = parse_source(spec_sources["chile-1818"])
-        assert len(ast.regions) == 3
-        assert sum(isinstance(d, StarDecl) for d in ast.items) == 1
-        assert sum(isinstance(d, LetDecl) for d in ast.items) == 4
-        assert sum(isinstance(d, (CheckDecl, DiagonalsCheck)) for d in ast.items) == 6
+        layout = lower_source(spec_sources["chile-1818"])
+        assert len(layout.regions) == 3
+        assert len(layout.stars) == 1
+        assert [type(c) for c in layout.claims] == [Claim] * 5 + [Diagonals]
+        # the shown binding is the let of the same name
+        assert layout.claims[2].shown == ("ratio", layout.width_height_ratio())
 
     def test_missing_region_height_is_a_positioned_error(self):
         source = 'flag "x" { canvas 1 x 1; region a red rect 0 0 1 ; }'
         with pytest.raises(ParseError) as excinfo:
-            parse_source(source)
+            lower_source(source)
         assert "expression" in excinfo.value.expected
         assert excinfo.value.line == 1
 
     def test_missing_canvas_separator(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_source('flag "x" { canvas 1 1; }')
+            lower_source('flag "x" { canvas 1 1; }')
         assert "'x'" in excinfo.value.expected
 
     def test_unknown_declaration(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_source('flag "x" { canvas 1 x 1; circle red; }')
+            lower_source('flag "x" { canvas 1 x 1; circle red; }')
         assert "'let', 'region', 'star'" in excinfo.value.expected
 
     def test_check_chain_with_a_shown_binding(self):
@@ -173,27 +166,26 @@ class TestParse:
             'flag "x" { canvas 2 x 1; let r = canvas.width/canvas.height; '
             'region f red rect 0 0 2 1; check "between" 1 < r <= f.width == 2 show r; }'
         )
-        check = parse_source(source).items[-1]
-        assert isinstance(check, CheckDecl)
+        check = lower_source(source).claims[-1]
+        assert isinstance(check, Claim)
         assert check.name == "between"
         assert check.relations == ("<", "<=", "==")
-        col = source.index("f.width") + 1
-        assert check.terms[2] == Attribute("f", "width", 1, col, 1, col + 2)
-        assert (check.detail, check.shown.name) == ("", "r")
+        assert check.terms == (lit(1), lit(2), lit(2), lit(2))
+        assert (check.detail, check.shown) == ("", ("r", lit(2)))
 
     def test_check_with_a_verbatim_detail_and_diagonals(self):
         source = (
             'flag "x" { canvas 2 x 1; region f red rect 0 0 2 1; '
             'check "wide" 1 < 2 "two wins"; check diagonals of f; }'
         )
-        wide, diagonals = parse_source(source).items[-2:]
+        wide, diagonals = lower_source(source).claims[-2:]
         assert wide.detail == "two wins" and wide.shown is None
-        assert diagonals == DiagonalsCheck("f", 1, source.index("of f") + 4)
+        assert diagonals == Diagonals("f")
 
     def test_check_needs_a_relation(self):
         source = 'flag "x" { canvas 1 x 1; check "lonely" 1; }'
         with pytest.raises(ParseError) as excinfo:
-            parse_source(source)
+            lower_source(source)
         assert "'=='" in excinfo.value.expected
         assert (excinfo.value.line, excinfo.value.col) == (1, source.index("1; }") + 2)
 
@@ -210,13 +202,13 @@ class TestParse:
     )
     def test_a_number_is_the_fraction_of_its_lexeme(self, zeros, whole, fraction):
         lexeme = zeros + whole if fraction is None else zeros + whole + "." + "".join(fraction)
-        assert parse_expression(lexeme) == NumberLit(Fraction(lexeme))
+        assert lower_expr(parse_expression(lexeme), {}) is lit(Fraction(lexeme))
 
     def test_each_part_of_a_number_is_within_the_digit_limit_on_its_own(self):
         # 6000 digits in all, but 3000 on each side of the point, as
         # Fraction(lexeme) converts them
         lexeme = "1" * 3000 + "." + "1" * 3000
-        assert parse_expression(lexeme) == NumberLit(Fraction(lexeme))
+        assert lower_expr(parse_expression(lexeme), {}) is lit(Fraction(lexeme))
         with pytest.raises(ParseError) as excinfo:
             parse_expression("1" * 5000)
         assert str(excinfo.value) == "1:1: expected a shorter number, found a 5000-digit number"
@@ -232,8 +224,7 @@ class TestParse:
             parse_expression("1 + 2 extra")
 
     def test_expression_precedence(self):
-        ast = parse_expression("1 + 2*3")
-        value = lower_expr(ast, {})
+        value = lower_expr(parse_expression("1 + 2*3"), {})
         assert value == lit(7)
 
     def test_unary_minus_binds_tighter_than_multiplication(self):

@@ -1,4 +1,5 @@
-"""Parser totality under mutation fuzzing, plus spec-file round-trips."""
+"""Front-end totality under mutation fuzzing: tokenizing, parsing and
+lowering end in a layout or a package error."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import time
 
 import pytest
 
-from goldenflag.errors import FlagSpecError, LexError, ParseError
-from goldenflag.flagspec import SpecAst, parse_source
+from goldenflag.constructions import FlagLayout
+from goldenflag.errors import FlagSpecError, GoldenFlagError
+from goldenflag.flagspec import lower_source
 
 _MUTATION_ALPHABET = string.ascii_letters + string.digits + ' \n\t(){};=+-*/."#_@$%\\'
 
@@ -43,15 +45,16 @@ def _mutate(source: str, rng: random.Random) -> str:
 
 
 def _assert_total(source: str) -> None:
-    """parse either builds an AST or raises a positioned language error."""
+    """lower_source either builds a layout or raises a package error, a
+    language error with a position; any other exception fails."""
     try:
-        result = parse_source(source)
-    except (LexError, ParseError) as exc:
-        assert isinstance(exc, FlagSpecError)
-        assert exc.line >= 1
-        assert exc.col >= 1
+        result = lower_source(source)
+    except GoldenFlagError as exc:
+        if isinstance(exc, FlagSpecError):
+            assert exc.line >= 1
+            assert exc.col >= 1
         return
-    assert isinstance(result, SpecAst)
+    assert isinstance(result, FlagLayout)
 
 
 class TestFuzz:
