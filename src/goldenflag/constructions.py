@@ -326,7 +326,9 @@ class Claim(NamedTuple):
     every i.  A single ``==`` reports its verdict; any other chain
     reports Pass, Fail, or Undecided when a link cannot be decided.  The
     detail is printed verbatim, or as ``name = <6 digits>`` of the
-    ``shown`` binding."""
+    ``shown`` binding; when those digits run out of work budget, the
+    detail says so and the claim is Undecided unless a link is
+    disproved."""
 
     name: str
     terms: tuple[Expr, ...]
@@ -342,15 +344,17 @@ class Claim(NamedTuple):
                 holds = link
                 if link is False:  # a failed link decides the claim
                     break
-        statuses = _EQUALITY_STATUS if self.relations == ("==",) else _CHAIN_STATUS
-        status = CheckStatus.UNDECIDED if holds is None else statuses[holds]
         detail = self.detail
         if self.shown is not None:
             name, value = self.shown
             try:
                 detail = f"{name} = {decimal_str(value, 6)}"
             except PrecisionExhausted as exc:
-                raise PrecisionExhausted(f"in show {name} of check {self.name!r}: {exc}") from exc
+                detail = f"{name}: precision exhausted: {exc}"
+                if holds is not False:  # only a disproved link still decides
+                    holds = None
+        statuses = _EQUALITY_STATUS if self.relations == ("==",) else _CHAIN_STATUS
+        status = CheckStatus.UNDECIDED if holds is None else statuses[holds]
         return (Check(self.name, status, detail),)
 
 

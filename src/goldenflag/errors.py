@@ -43,14 +43,6 @@ class CertificationError(ExactNumberError):
 # --- geometry and constructions -----------------------------------------
 
 
-class GeometryError(GoldenFlagError):
-    """Base class for planar-geometry errors."""
-
-
-class InvalidDimension(GeometryError):
-    """A pentagram's circumradius is not certified positive."""
-
-
 class WrongLayout(GoldenFlagError):
     """A verification was asked about a layout it does not apply to."""
 

@@ -1,9 +1,10 @@
-"""Exact scalar arithmetic: rationals, the field Q(sqrt5)
-(:data:`GOLDEN`, whose elements are canonical integer triples
-``(a, b, d)`` meaning ``(a + b*sqrt(5))/d``), the generic
-quadratic-extension algebra (:class:`Quadratic`) that is the
-one-radicand tower over it, certified constructible-number expressions
-with fixed-point interval enclosures, and an identity verifier."""
+"""Exact scalar arithmetic: rationals, which are
+:class:`fractions.Fraction`, the field Q(sqrt5) (:data:`GOLDEN`, whose
+elements are canonical integer triples ``(a, b, d)`` meaning
+``(a + b*sqrt(5))/d``), the generic quadratic-extension algebra
+(:class:`Quadratic`) that is the one-radicand tower over it, certified
+constructible-number expressions with fixed-point interval enclosures,
+and an identity verifier."""
 
 from .decimalfmt import decimal_str
 from .expr import (
@@ -18,6 +19,7 @@ from .expr import (
     Sqrt,
     Sub,
     add,
+    as_rational,
     certified_sign,
     div,
     enclosure_memo,
@@ -30,7 +32,6 @@ from .expr import (
 )
 from .golden import GOLDEN, PHI, Quadratic, Sign
 from .identity import Verdict, compare_values, square_of, verify_identity
-from .rational import Rational, as_rational, is_perfect_square
 
 __all__ = [
     "Add",
@@ -43,7 +44,6 @@ __all__ = [
     "PHI",
     "PHI_EXPR",
     "Quadratic",
-    "Rational",
     "SQRT5_EXPR",
     "Sign",
     "Sqrt",
@@ -57,7 +57,6 @@ __all__ = [
     "div",
     "enclosure_memo",
     "exact_rational",
-    "is_perfect_square",
     "lit",
     "mul",
     "neg",

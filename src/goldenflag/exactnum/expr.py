@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt
-from typing import Callable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from ..errors import (
     CertificationError,
@@ -55,7 +55,6 @@ from ..errors import (
 )
 from . import interval as iv
 from .golden import GOLDEN, Quadratic, Sign
-from .rational import Rational, as_rational, is_perfect_square
 
 SIGN_REFINE_START = 64
 
@@ -64,7 +63,6 @@ SIGN_REFINE_START = 64
 # n * (w // 64)**2, the cost of its multiplications and roots.
 WORK_BUDGET = 1 << 28
 
-ExprLike = Union["Expr", int, Fraction]
 T = TypeVar("T")
 
 
@@ -116,7 +114,7 @@ _node = dataclass(frozen=True, eq=False, init=False)
 
 @_node
 class Literal(Expr):
-    value: Rational
+    value: Fraction
 
 
 @_node
@@ -198,12 +196,6 @@ def fold(
     return values[root]
 
 
-def _coerce(value: ExprLike) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    return Literal(as_rational(value))
-
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 # interned, so any literal 0 or 1 is one of these objects
@@ -235,12 +227,32 @@ def _folded(op: Callable[[Fraction, Fraction], Fraction], a: Literal, b: Literal
     return Literal(op(a.value, b.value))
 
 
+def as_rational(value: int | str | Fraction) -> Fraction:
+    """Convert exactly to a Fraction.
+
+    Accepts ints, Fractions, and strings in integer (``"3"``),
+    fraction (``"3/2"``) or finite decimal (``"2.4"``) form.  Decimal
+    strings convert exactly (``2.4`` becomes ``12/5``), never through
+    binary floating point.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not an exact rational literal: {value!r}") from exc
+    raise TypeError(f"cannot convert {type(value).__name__} to Rational")
+
+
 def lit(value: int | str | Fraction) -> Literal:
+    """The one way a number enters an expression."""
     return Literal(as_rational(value))
 
 
-def neg(x: ExprLike) -> Expr:
-    x = _coerce(x)
+def neg(x: Expr) -> Expr:
     if isinstance(x, Literal):
         return Literal(-x.value)
     if isinstance(x, Neg):
@@ -248,8 +260,7 @@ def neg(x: ExprLike) -> Expr:
     return Neg(x)
 
 
-def add(a: ExprLike, b: ExprLike) -> Expr:
-    a, b = _coerce(a), _coerce(b)
+def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Literal) and isinstance(b, Literal):
         return _folded(operator.add, a, b)
     if a is _ZERO_LIT:
@@ -259,8 +270,7 @@ def add(a: ExprLike, b: ExprLike) -> Expr:
     return Add(a, b)
 
 
-def sub(a: ExprLike, b: ExprLike) -> Expr:
-    a, b = _coerce(a), _coerce(b)
+def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Literal) and isinstance(b, Literal):
         return _folded(operator.sub, a, b)
     if b is _ZERO_LIT:
@@ -270,8 +280,7 @@ def sub(a: ExprLike, b: ExprLike) -> Expr:
     return Sub(a, b)
 
 
-def mul(a: ExprLike, b: ExprLike) -> Expr:
-    a, b = _coerce(a), _coerce(b)
+def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Literal) and isinstance(b, Literal):
         return _folded(operator.mul, a, b)
     if a is _ZERO_LIT or b is _ZERO_LIT:
@@ -283,8 +292,7 @@ def mul(a: ExprLike, b: ExprLike) -> Expr:
     return Mul(a, b)
 
 
-def div(a: ExprLike, b: ExprLike) -> Expr:
-    a, b = _coerce(a), _coerce(b)
+def div(a: Expr, b: Expr) -> Expr:
     if certified_sign(b) is Sign.ZERO:
         raise DivisionByZero("divisor is certified zero")
     if isinstance(a, Literal) and isinstance(b, Literal):
@@ -296,17 +304,19 @@ def div(a: ExprLike, b: ExprLike) -> Expr:
     return Div(a, b)
 
 
-def sqrt_(x: ExprLike) -> Expr:
-    x = _coerce(x)
+def sqrt_(x: Expr) -> Expr:
     sign = certified_sign(x)
     if sign is Sign.NEGATIVE:
         raise CertificationError("square root of a certified-negative value")
     if sign is Sign.ZERO:
         return _ZERO_LIT
-    if isinstance(x, Literal):
-        root = is_perfect_square(x.value)
-        if root is not None:
-            return Literal(root)
+    if isinstance(x, Literal):  # a positive literal: fold a rational root
+        p, q = x.value.as_integer_ratio()
+        r = isqrt(p)
+        if r * r == p:
+            s = isqrt(q)
+            if s * s == q:
+                return Literal(Fraction(r, s))
     return Sqrt(x)
 
 

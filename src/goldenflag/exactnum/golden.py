@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ..errors import DivisionByZero
-from .rational import Rational
 
 
 class Sign(enum.Enum):
@@ -71,7 +70,7 @@ class _Golden:
     one = (1, 0, 1)
 
     @staticmethod
-    def of(a: Rational | int, b: Rational | int = 0) -> tuple[int, int, int]:
+    def of(a: Fraction | int, b: Fraction | int = 0) -> tuple[int, int, int]:
         """The element ``a + b*sqrt5`` for rationals ``a`` and ``b``."""
         p, q = a.as_integer_ratio()
         if not b:

@@ -23,7 +23,6 @@ from ..constructions import Claim, ColorRole, Diagonals, FlagLayout, Region, Sta
 from ..errors import (
     CertificationError,
     DivisionByZero,
-    InvalidDimension,
     PrecisionExhausted,
     SemanticError,
 )
@@ -179,7 +178,7 @@ class _SpecPass(Parser):
         self.expect(";")
         try:
             pentagram = Pentagram(center, div(diameter, lit(2)))
-        except InvalidDimension as exc:
+        except CertificationError as exc:
             raise CertificationError(f"{where}: {exc}") from exc
         self.stars.append(Star(ColorRole(color), pentagram))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidDimension
+from .errors import CertificationError
 from .exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
@@ -53,7 +53,7 @@ class Pentagram:
 
     def __post_init__(self) -> None:
         if certified_sign(self.circumradius) is not Sign.POSITIVE:
-            raise InvalidDimension("circumradius is not certified positive")
+            raise CertificationError("circumradius is not certified positive")
 
 
 def rect_diagonal_intersection(x: Expr, y: Expr, width: Expr, height: Expr) -> Point:

@@ -14,10 +14,10 @@ round alike there, or whose divisor straddles zero, is printed by
 ``decimal_str`` from its expression, a star vertex's from
 :func:`geometry.pentagram_vertices`, built once per star; a certified
 rounding is unique, so any enclosure that settles prints the same
-bytes.  One emit prints each distinct coordinate node once per axis,
-from a memo that dies with the emit: nodes are interned, so the corners
-that polygons repeat and the cut lines that regions share are rounded
-once.  One command is one :func:`exactnum.enclosure_memo` scope (each
+bytes.  One emit prints each distinct coordinate node once, on either
+axis, from a memo that dies with the emit: nodes are interned, so the
+corners that polygons repeat and the cut lines that regions share are
+rounded once.  One command is one :func:`exactnum.enclosure_memo` scope (each
 emitter opens one for library callers, which joins the command's), so
 the scale, ``phi``, star trigonometry and spec subterms that coordinates
 share are enclosed once per working precision.  Output bytes are
@@ -103,9 +103,9 @@ class _Frame:
         self._add, self._mul = ops[Add], ops[Mul]
         # the enclosure every coordinate shares
         self._scale = self._enclose(self.scale)[0]
-        # each axis's printed coordinates by node, for this emit only:
-        # nodes are interned, so a corner that regions share is one key
-        self._texts: tuple[dict[Expr, str], dict[Expr, str]] = ({}, {})
+        # the printed coordinates by node, for this emit only: nodes are
+        # interned, so a value on either axis or at a shared corner is one key
+        self._texts: dict[Expr, str] = {}
 
     @cached_property
     def _units(self) -> list[list[IntPair | None]]:
@@ -133,9 +133,9 @@ class _Frame:
             return None
         return self._mul(enclosure, self._scale)
 
-    def _coordinate(self, axis: int, value: Expr) -> str:
-        """``value * scale`` as printed, once per node and axis in this emit."""
-        texts = self._texts[axis]
+    def _coordinate(self, value: Expr) -> str:
+        """``value * scale`` as printed, once per node in this emit."""
+        texts = self._texts
         text = texts.get(value)
         if text is None:
             scaled = self._scaled(self._enclose(value)[0])
@@ -144,7 +144,7 @@ class _Frame:
         return text
 
     def point(self, p: Point) -> tuple[str, str]:
-        return self._coordinate(0, p.x), self._coordinate(1, p.y)
+        return self._coordinate(p.x), self._coordinate(p.y)
 
     def vertices(self, star: Pentagram) -> list[tuple[str, str]]:
         """The star's ten vertices, as :func:`geometry.pentagram_vertices`

@@ -476,13 +476,32 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err.startswith(f"goldenflag: precision exhausted: in {owner}: refinement spent ")
 
+    # a shown binding whose digits run out of budget leaves its check
+    # Undecided, and the report still prints
+    SHOWN_PAST_THE_BUDGET = 'Undecided  c  [z: precision exhausted: refinement spent '
+
     def test_a_shown_binding_past_the_work_budget_names_its_check(self, capsys, tmp_path):
         code, out, err = self.verify_claims(
             capsys, tmp_path, f'{UNDECIDABLE} let z = a - a/3*3; check "c" 1 < 2 show z;'
         )
-        assert (code, out) == (3, "")
-        assert err.startswith("goldenflag: precision exhausted: in show z of check 'c': refinement spent ")
-        assert err.endswith(" word operations\n")
+        assert (code, err) == (3, "")
+        shown, summary = out.splitlines()
+        assert shown.startswith(self.SHOWN_PAST_THE_BUDGET)
+        assert shown.endswith(" word operations]")
+        assert summary == "claims: 1 of 1 checks failed"
+
+    def test_a_shown_binding_past_the_work_budget_keeps_the_other_checks(self, capsys, tmp_path):
+        code, out, err = self.verify_claims(capsys, tmp_path, (
+            f'{UNDECIDABLE} let z = a - a/3*3;'
+            'check "first" 1 < 2; check "c" 1 < 2 show z; check "last" 2 < 1;'
+        ))
+        assert (code, err) == (1, "")
+        first, shown, last, summary = out.splitlines()
+        assert first == "Pass       first"
+        assert shown.startswith(self.SHOWN_PAST_THE_BUDGET)
+        assert shown.endswith(" word operations]")
+        assert last == "Fail       last"
+        assert summary == "claims: 2 of 3 checks failed"
 
     # a spec is lowered as it parses: after a full tokenize, the first
     # error in source order is the one reported

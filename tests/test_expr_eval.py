@@ -65,8 +65,12 @@ class TestSmartConstructors:
     def test_perfect_square_roots_fold(self):
         assert sqrt_(lit(4)) == lit(2)
         assert sqrt_(lit(Fraction(9, 4))) == lit(Fraction(3, 2))
+        assert sqrt_(lit(Fraction(49, 16))) == lit(Fraction(7, 4))
         assert sqrt_(lit(0)) == lit(0)
-        assert isinstance(sqrt_(lit(5)), Sqrt)
+        # no rational root: 20, 1/5 and 5/4 are rational multiples of
+        # sqrt5 in Q(sqrt5), and 4/3 is a square over a non-square
+        for value in (5, 20, Fraction(1, 5), Fraction(5, 4), Fraction(4, 3)):
+            assert sqrt_(lit(value)) is Sqrt(lit(value))
 
     def test_division_by_certified_zero(self):
         with pytest.raises(DivisionByZero):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldenflag.errors import InvalidDimension
+from goldenflag.errors import CertificationError
 from goldenflag.exactnum import (
     SQRT5_EXPR,
     Sign,
@@ -65,7 +65,7 @@ def unit_star_vertices():
 
 class TestPentagram:
     def test_needs_positive_radius(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(CertificationError, match="^circumradius is not certified positive$"):
             Pentagram(rational_point(0, 0), lit(0))
 
     def test_ten_vertices_starting_at_the_top(self, unit_star_vertices):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from goldenflag.constructions import build_flag, verify_layout_identities
 from goldenflag.errors import DivisionByZero
-from goldenflag.exactnum import GOLDEN, PHI, Quadratic, Sign, is_perfect_square
+from goldenflag.exactnum import GOLDEN, PHI, Quadratic, Sign
 from goldenflag.exactnum import expr as expr_module
 from goldenflag.flagspec import lower_source
 
@@ -87,7 +88,15 @@ class FractionField:
     mul = staticmethod(operator.mul)
     is_zero = staticmethod(operator.not_)
     sign = staticmethod(rational_sign)
-    sqrt = staticmethod(is_perfect_square)
+
+    @staticmethod
+    def sqrt(a: Fraction) -> Fraction | None:
+        """The rational root of ``a``, from the one of ``p*q`` for ``a = p/q``."""
+        if a < 0:
+            return None
+        p, q = a.as_integer_ratio()
+        r = isqrt(p * q)
+        return Fraction(r, q) if r * r == p * q else None
 
     @staticmethod
     def inverse(a: Fraction) -> Fraction:
