@@ -19,7 +19,8 @@ All layouts are validated on construction, from the ranks of the
 certified cut lines: the canvas (at the origin) and every axis-aligned
 region must have positive sizes, regions must lie inside the canvas and
 tile it exactly (grid coverage), and every star center must lie inside
-a region, which the exact tiling reduces to four signs against the canvas.
+a region, which the exact tiling reduces to a test against the canvas:
+64-bit boxes first, and four signs only when the boxes overlap an edge.
 A layout carries the claims its spec states in ``check`` statements,
 lowered but unproved; :func:`verify_layout_identities` proves them in
 source order.  The provenance, the spec's ``flag "<name>"``, only names
@@ -223,10 +224,20 @@ def _check_tiling(layout: FlagLayout) -> None:
 def _check_star_inside(layout: FlagLayout, star: Star) -> None:
     # _check_tiling has proved that the closed regions cover the closed
     # canvas exactly, so the center lies in some region exactly when it
-    # lies in the canvas: four signs, whatever the number of regions, and
-    # a center on a cut line that no refinement can place lies in either
-    # region beside it
+    # lies in the canvas.  The 64-bit boxes of the center and the canvas
+    # settle that for a center clear of the edges; only a box that
+    # overlaps an edge, straddles or is past the work budget asks the
+    # four signs, whatever the number of regions, and a center on a cut
+    # line that no refinement can place lies in either region beside it
     x, y = star.pentagram.center
+    try:
+        (x0, x1), (y0, y1), (w0, _), (h0, _) = (
+            eval_interval(value, SIGN_REFINE_START) for value in (x, y, layout.width, layout.height)
+        )
+        if x0 >= 0 and y0 >= 0 and x1 <= w0 and y1 <= h0:
+            return
+    except (StraddlesZero, PrecisionExhausted):
+        pass
     try:
         inside = (
             certified_sign(x).is_nonnegative

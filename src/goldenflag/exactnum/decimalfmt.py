@@ -2,11 +2,12 @@
 
 :func:`decimal_str` rounds half-even to a number of significant digits.
 The printed string is certified: both ends of an interval enclosure
-round to the same digits (:func:`settled`), so the exact value is
-within half an ulp of the output.  A literal, which every all-rational
-expression folds to, is rounded exactly.  Any other value has one
-rounding path, the refinement of :func:`expr.enclosures` from
-:func:`start_bits`, which doubles its working precision until it
+round to the same digits (:func:`settled`, which rounds the end nearer
+zero and compares the other with the edge of that rounding's cell), so
+the exact value is within half an ulp of the output.  A literal, which
+every all-rational expression folds to, is rounded exactly.  Any other
+value has one rounding path, the refinement of :func:`expr.enclosures`
+from :func:`start_bits`, which doubles its working precision until it
 reaches the value's magnitude, so tiny values print like large ones.
 A caller that already holds an enclosure at :func:`start_bits`, as the
 renderer does for coordinates, prints it when :func:`settled` and
@@ -174,9 +175,28 @@ def settled(lo: int, hi: int, w: int, digits: int) -> str | None:
     """The printed rounding of every value in ``[lo * 2**-w, hi *
     2**-w]`` when both ends round alike, else None.  Rounding is
     monotone, so that rounding is certified for any value the interval
-    encloses."""
-    low = round_scaled(lo, w, digits)
-    return format_rounded(low, digits) if low == round_scaled(hi, w, digits) else None
+    encloses.
+
+    Only the end nearer zero is rounded, to ``q`` digits at decade
+    ``d``; the far end rounds alike exactly when its magnitude is below
+    the upper edge of that rounding's cell, the tie ``(2q+1) *
+    10**(d-digits) / 2``, or on it with ``q`` even: one product and one
+    comparison.  An interval that touches or straddles zero settles only
+    when it is ``[0, 0]``, since every other value rounds to nonzero
+    digits."""
+    if lo <= 0 <= hi:
+        return "0" if lo == hi == 0 else None
+    near, far = (lo, hi) if lo > 0 else (hi, -lo)  # the far end's magnitude
+    rounded = round_scaled(near, w, digits)
+    _, q, d = rounded
+    # far * 2**-w against the edge, both times 2**(w+1) * 10**max(digits-d, 0)
+    edge, far = 2 * q + 1, far << 1
+    if d >= digits:
+        edge *= _pow10(d - digits)
+    else:
+        far *= _pow10(digits - d)
+    edge <<= w
+    return format_rounded(rounded, digits) if far < edge or (far == edge and not q & 1) else None
 
 
 def decimal_str(x: Expr, digits: int) -> str:

@@ -14,10 +14,11 @@ The two side conditions are certified when a node is constructed:
 * every ``Div`` divisor has certified sign != 0.
 
 Both are decided by :func:`certified_sign`, the one sign procedure of
-the package.  It first tries one 64-bit interval enclosure, which
-settles every sign it separates from zero, then an exact route
+the package.  A literal's sign is read from its value.  Any other
+node's is first tried on one 64-bit interval enclosure, which settles
+every sign it separates from zero, then by an exact route
 (normalization into a single quadratic extension of the a+b*sqrt(5)
-field), and then interval refinement with a deterministic doubling
+field), and then by interval refinement with a deterministic doubling
 schedule, stopped by a separation bound: an enclosure narrower than the
 bound proves zero.
 
@@ -528,14 +529,19 @@ def enclosures(x: Expr, start: int) -> Iterator[tuple[int, int, int]]:
 def certified_sign(x: Expr) -> Sign:
     """Rigorous sign of an expression: the one sign procedure.
 
-    Every enclosure that excludes zero gives the sign; the first one at
-    64 bits settles most nonzero values.  When it does not, the exact
-    normal form decides every value in the tower, and otherwise the
-    refinement goes on: an enclosure inside ``(-2**-b, 2**-b)`` for the
-    separation bound ``b`` of :func:`separation_bits` proves zero.
+    A literal's sign is its numerator's, read with no enclosure.  For
+    any other node, every enclosure that excludes zero gives the sign;
+    the first one at 64 bits settles most nonzero values.  When it does
+    not, the exact normal form decides every value in the tower, and
+    otherwise the refinement goes on: an enclosure inside ``(-2**-b,
+    2**-b)`` for the separation bound ``b`` of :func:`separation_bits`
+    proves zero.
     Raises :class:`PrecisionExhausted` when the refinement runs out of
     :data:`WORK_BUDGET` first.
     """
+    if isinstance(x, Literal):
+        n = x.value.numerator
+        return Sign.POSITIVE if n > 0 else Sign.NEGATIVE if n < 0 else Sign.ZERO
     bits = None
     for w, lo, hi in enclosures(x, SIGN_REFINE_START):
         if lo > 0 or hi < 0:

@@ -36,6 +36,9 @@ SIN36 = div(sqrt_(sub(lit(10), mul(lit(2), SQRT5_EXPR))), lit(4))
 COS72 = div(sub(PHI_EXPR, lit(1)), lit(2))
 SIN72 = div(sqrt_(add(lit(10), mul(lit(2), SQRT5_EXPR))), lit(4))
 
+# The ratio of a star's outer radius to its inner one.
+PHI_SQUARED = mul(PHI_EXPR, PHI_EXPR)
+
 # The two closed forms used throughout the flag constructions.
 TAN36 = div(sqrt_(sub(lit(10), mul(lit(2), SQRT5_EXPR))), add(lit(1), SQRT5_EXPR))
 TAN72 = div(sqrt_(add(lit(10), mul(lit(2), SQRT5_EXPR))), sub(SQRT5_EXPR, lit(1)))
@@ -65,9 +68,9 @@ def rect_diagonal_intersection(x: Expr, y: Expr, width: Expr, height: Expr) -> P
 # The ten spokes of a point-up {5/2} star: its boundary vertices as a
 # simple concave decagon, counterclockwise as drawn, alternating
 # outer/inner and starting at the topmost outer vertex.  Vertex k is
-# center + radius * unit for the spoke (r, unit), radius being
-# pentagram_radii(star)[r]: the circumradius for an outer vertex, and
-# circumradius/phi^2 for an inner one.  Negative y is up.
+# center + radius * unit for the spoke (r, unit), radius r being the
+# circumradius (r = 0) for an outer vertex, and circumradius/phi^2
+# (r = 1) for an inner one.  Negative y is up.
 PENTAGRAM_SPOKES = (
     (0, (lit(0), lit(-1))),
     (1, (neg(SIN36), neg(COS36))),
@@ -82,15 +85,10 @@ PENTAGRAM_SPOKES = (
 )
 
 
-def pentagram_radii(star: Pentagram) -> tuple[Expr, Expr]:
-    """The outer and inner radius of the star's spokes."""
-    return star.circumradius, div(star.circumradius, mul(PHI_EXPR, PHI_EXPR))
-
-
 def pentagram_vertices(star: Pentagram) -> list[Point]:
     """The ten boundary vertices of the star, as :data:`PENTAGRAM_SPOKES`
     lists them."""
-    radii = pentagram_radii(star)
+    radii = star.circumradius, div(star.circumradius, PHI_SQUARED)
     cx, cy = star.center
     return [
         Point(add(cx, mul(radii[r], ux)), add(cy, mul(radii[r], uy)))

@@ -7,11 +7,14 @@ ends round to the same digits, or of the value itself when
 exact value lies within half an ulp of the printed decimal.  A
 coordinate is first printed from the enclosures of its parts at
 ``decimal_str``'s start precision: ``value * scale`` (the canvas is at
-the origin), and for a star vertex ``center_s + radius_s * unit`` over
-:data:`geometry.PENTAGRAM_SPOKES`, where the star's scaled center and
-radii are enclosed once per star.  Only a coordinate whose ends do not
-round alike there, or whose divisor straddles zero, is printed by
-``decimal_str`` from its expression, a star vertex's from
+the origin), and for a star vertex ``center_s +- radius_s * |unit|``
+over :data:`geometry.PENTAGRAM_SPOKES`.  The star's scaled center and
+radii are enclosed once per star, the inner radius from the enclosures
+of the circumradius and of ``phi**2`` (enclosed once per emit), and
+each radius times each of the six unit magnitudes is one product per
+star.  Only a coordinate whose ends do not round alike there, or whose
+divisor straddles zero, is printed by ``decimal_str`` from its
+expression, a star vertex's from
 :func:`geometry.pentagram_vertices`, built once per star; a certified
 rounding is unique, so any enclosure that settles prints the same
 bytes.  One emit prints each distinct coordinate node once, on either
@@ -37,11 +40,26 @@ import json
 
 from .constructions import ColorRole, FlagLayout
 from .errors import UnencodableText
-from .exactnum import Add, Expr, Mul, as_rational, decimal_str, div, enclosure_memo, lit, mul
+from .exactnum import (
+    Add,
+    Div,
+    Expr,
+    Literal,
+    Mul,
+    Neg,
+    Sub,
+    as_rational,
+    decimal_str,
+    div,
+    enclosure_memo,
+    lit,
+    mul,
+    neg,
+)
 from .exactnum.decimalfmt import settled, start_bits
 from .exactnum.expr import eval_interval, interval_algebra
 from .exactnum.interval import IntPair, StraddlesZero
-from .geometry import PENTAGRAM_SPOKES, Pentagram, Point, pentagram_radii, pentagram_vertices
+from .geometry import PENTAGRAM_SPOKES, PHI_SQUARED, Pentagram, Point, pentagram_vertices
 
 DEFAULT_PALETTE: Mapping[ColorRole, str] = {
     ColorRole.BLUE: "#0039A6",
@@ -100,7 +118,7 @@ class _Frame:
         self.height = mul(layout.height, self.scale)
         self.bits = start_bits(opts.digits)
         ops = interval_algebra(self.bits)[1]
-        self._add, self._mul = ops[Add], ops[Mul]
+        self._add, self._sub, self._mul, self._div = ops[Add], ops[Sub], ops[Mul], ops[Div]
         # the enclosure every coordinate shares
         self._scale = self._enclose(self.scale)[0]
         # the printed coordinates by node, for this emit only: nodes are
@@ -108,9 +126,24 @@ class _Frame:
         self._texts: dict[Expr, str] = {}
 
     @cached_property
-    def _units(self) -> list[list[IntPair | None]]:
-        """The enclosures of the spokes' unit vectors, which every star shares."""
-        return [self._enclose(*unit) for _, unit in PENTAGRAM_SPOKES]
+    def _spokes(self) -> tuple[list[tuple[int, int, int, bool]], list[IntPair], IntPair]:
+        """What every star shares.  Each vertex axis in
+        :data:`geometry.PENTAGRAM_SPOKES` order, as its radius index, the
+        index of its unit's magnitude, the index of the product of the two
+        among their distinct pairs, and whether the unit is negative;
+        then the magnitudes' enclosures, and that of ``phi**2``.  These
+        constants divide only by literals, so each has an enclosure at
+        every precision."""
+        magnitudes: dict[Expr, int] = {}
+        pairs: dict[tuple[int, int], int] = {}
+        axes = []
+        for r, unit in PENTAGRAM_SPOKES:
+            for u in unit:
+                negative = isinstance(u, Neg) or (isinstance(u, Literal) and u.value < 0)
+                m = magnitudes.setdefault(neg(u) if negative else u, len(magnitudes))
+                axes.append((r, m, pairs.setdefault((r, m), len(pairs)), negative))
+        units = [eval_interval(magnitude, self.bits) for magnitude in magnitudes]
+        return axes, units, eval_interval(PHI_SQUARED, self.bits)
 
     def dec(self, value: Expr) -> str:
         return decimal_str(value, self.digits)
@@ -148,24 +181,35 @@ class _Frame:
 
     def vertices(self, star: Pentagram) -> list[tuple[str, str]]:
         """The star's ten vertices, as :func:`geometry.pentagram_vertices`
-        gives them."""
+        gives them.
+
+        A vertex axis is ``center +- radius * |unit|``.  An interval
+        product is odd in each operand and its tightest pair is unique,
+        so ``radius * -|unit|`` is the negated ``radius * |unit|``, and
+        each of those products is taken once per star: 12, not 20."""
+        axes, units, phi_squared = self._spokes
         center = [self._scaled(c) for c in self._enclose(*star.center)]
-        radii = [self._scaled(r) for r in self._enclose(*pentagram_radii(star))]
+        # the inner radius is the circumradius over phi**2, as
+        # pentagram_vertices builds it: its Div node's op on their enclosures
+        outer = self._enclose(star.circumradius)[0]
+        inner = None if outer is None else self._div(outer, phi_squared)
+        radii = [self._scaled(outer), self._scaled(inner)]
+        products: dict[int, IntPair] = {}  # by product index
         exact = None  # the vertex expressions, built at the first fallback
-        vertices = []
-        for k, ((r, _), unit) in enumerate(zip(PENTAGRAM_SPOKES, self._units)):
-            vertex = []
-            for axis in (0, 1):
-                c, radius, u = center[axis], radii[r], unit[axis]
-                text = None
-                if None not in (c, radius, u):
-                    text = settled(*self._add(c, self._mul(radius, u)), self.bits, self.digits)
-                if text is None:
-                    exact = exact or pentagram_vertices(star)
-                    text = self.length(exact[k][axis])
-                vertex.append(text)
-            vertices.append(tuple(vertex))
-        return vertices
+        texts = []
+        for i, (r, m, p, negative) in enumerate(axes):
+            c, radius = center[i & 1], radii[r]
+            text = None
+            if c is not None and radius is not None:
+                product = products.get(p)
+                if product is None:
+                    product = products[p] = self._mul(radius, units[m])
+                text = settled(*(self._sub if negative else self._add)(c, product), self.bits, self.digits)
+            if text is None:
+                exact = exact or pentagram_vertices(star)
+                text = self.length(exact[i >> 1][i & 1])
+            texts.append(text)
+        return list(zip(texts[::2], texts[1::2]))
 
     def length(self, value: Expr) -> str:
         return self.dec(mul(value, self.scale))

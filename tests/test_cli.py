@@ -456,25 +456,27 @@ class TestVerify:
         )
         assert err.endswith(" word operations\n")
 
-    @pytest.mark.parametrize("body, owner", [
+    @pytest.mark.parametrize("body, owner, spent", [
         # the right edge w + (2 - w) of region r and the canvas's 2 are
         # equal, which the work budget cannot prove
         (
             "let w = 1 + a - a/3*3; region l blue rect 0 0 w 1; region r red rect w 0 2 - w 1;",
-            "x cut lines of canvas and region 'r'",
+            "x cut lines of canvas and region 'r'", 81089800,
         ),
         # the one region may contain the center, which the budget cannot decide
         (
             "let z = a - a/3*3; region all blue rect 0 0 2 1; star white at z 1/2 diameter 1/4;",
-            "star white",
+            "star white", 74099300,
         ),
     ], ids=["cut-line", "star"])
-    def test_a_layout_past_the_work_budget_exits_three(self, capsys, tmp_path, body, owner):
+    def test_a_layout_past_the_work_budget_exits_three(self, capsys, tmp_path, body, owner, spent):
         path = tmp_path / "layout.flag"
         path.write_text(f'flag "l" {{ canvas 2 x 1; {UNDECIDABLE} {body} }}')
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (3, "")
-        assert err.startswith(f"goldenflag: precision exhausted: in {owner}: refinement spent ")
+        # the whole of stderr: a star whose 64-bit box meets the canvas's
+        # edge spends what the four signs spend
+        assert err == f"goldenflag: precision exhausted: in {owner}: refinement spent {spent} of 268435456 word operations\n"
 
     # a shown binding whose digits run out of budget leaves its check
     # Undecided, and the report still prints

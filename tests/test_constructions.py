@@ -419,8 +419,8 @@ class TestLayoutInvariants:
         assert calls == [layout.stars[0].pentagram.circumradius]
 
     def test_a_star_grid_lowers_in_linear_time(self):
-        # one star per cell of a 30 x 30 grid: placing a star asks four
-        # signs against the canvas, not four per region
+        # one star per cell of a 30 x 30 grid: a star is placed against
+        # the canvas, not against each region
         n = 30
         lines = [f'flag "grid" {{ canvas {n} x {n};']
         lines += [f"region c{i}_{j} red rect {i} {j} 1 1;" for i in range(n) for j in range(n)]
@@ -445,6 +445,65 @@ class TestLayoutInvariants:
         spilling = (region("a", ColorRole.BLUE, x, x + width, y, y + height),)
         with pytest.raises(LayoutError, match="region extends outside the canvas"):
             FlagLayout.create(lit(3), lit(2), spilling, (), "broken")
+
+
+def star_at(width: str, height: str, x: str, y: str) -> str:
+    """One region over the canvas and one star centered at ``(x, y)``."""
+    return (
+        f'flag "star" {{ canvas {width} x {height}; region all red rect 0 0 {width} {height};'
+        f" star white at {x} {y} diameter 1/4; }}"
+    )
+
+
+OUTSIDE = f"1/{10**30}"  # how far outside a rejected center lies
+
+
+class TestStarContainment:
+    """The closed canvas holds a star center.  Its 64-bit box and the
+    canvas's settle a center clear of the edges, and the four signs are
+    asked only when the boxes overlap an edge."""
+
+    @pytest.fixture
+    def signs(self, monkeypatch):
+        asked = []
+
+        def counting(x):
+            asked.append(x)
+            return certified_sign(x)
+
+        monkeypatch.setattr(constructions, "certified_sign", counting)
+        return asked
+
+    @pytest.mark.parametrize("width, height, x, y", [
+        ("3", "2", "0", "0"),
+        ("3", "2", "3", "2"),
+        ("5/2", "9/4", "5/2", "0"),
+        ("phi", "1", "phi", "1/2"),
+        ("phi", "phi*phi", "phi", "phi + 1"),
+    ], ids=["origin", "far-corner", "rational-edge", "phi-edge", "phi-corner"])
+    def test_a_center_on_the_closed_boundary_is_inside(self, width, height, x, y):
+        layout = lower_source(star_at(width, height, x, y))
+        assert len(layout.stars) == 1
+
+    @pytest.mark.parametrize("width, height, x, y", [
+        ("3", "2", f"3 + {OUTSIDE}", "1"),
+        ("3", "2", f"0 - {OUTSIDE}", "1"),
+        ("3", "2", "1", f"2 + {OUTSIDE}"),
+        ("3", "2", "1", f"0 - {OUTSIDE}"),
+        ("phi", "1", f"phi + {OUTSIDE}", "1/2"),
+    ], ids=["right", "left", "bottom", "top", "right-of-phi"])
+    def test_a_center_just_outside_is_rejected(self, width, height, x, y):
+        with pytest.raises(LayoutError, match="^star center lies in no region$"):
+            lower_source(star_at(width, height, x, y))
+
+    def test_a_center_clear_of_the_edges_asks_no_sign(self, signs):
+        lower_source(star_at("3*phi", "2", "phi + 1/3", "sqrt(2)"))
+        assert signs == []
+
+    def test_a_center_whose_box_meets_an_edge_asks_the_signs(self, signs):
+        layout = lower_source(star_at("phi", "1", "phi", "1/2"))
+        x, y = layout.stars[0].pentagram.center
+        assert signs == [x, sub(layout.width, x), y, sub(layout.height, y)]
 
 
 def stripes_source(n: int) -> str:

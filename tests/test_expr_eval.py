@@ -414,6 +414,26 @@ class TestCertifiedSign:
         nested = sub(sqrt_(sub(lit(118), mul(lit(48), sqrt_(lit(2))))), lit(6))
         assert certified_sign(nested) is Sign.POSITIVE
 
+    @given(st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(),
+        st.builds(Fraction, st.integers(-(2**6000), 2**6000), st.integers(1, 2**3000)),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_a_literal_is_signed_by_its_value(self, q):
+        def no_enclosure(*_):
+            raise AssertionError("a literal's sign needs no enclosure")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(expr_module, "enclosures", no_enclosure)
+            assert certified_sign(lit(q)).value == (q > 0) - (q < 0)
+
+    def test_literal_side_conditions_keep_their_errors(self):
+        with pytest.raises(DivisionByZero, match="^divisor is certified zero$"):
+            div(PHI_EXPR, lit(0))
+        with pytest.raises(CertificationError, match="^square root of a certified-negative value$"):
+            sqrt_(lit(Fraction(-1, 3)))
+
 
 class TestDecimalPolicy:
     def test_round_half_even_at_ties(self):

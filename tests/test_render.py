@@ -8,7 +8,7 @@ from math import isqrt
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldenflag import render
@@ -284,6 +284,24 @@ class TestSharedEnclosures:
         assert built_vertices == [star]
         assert printed == [NEAR_ZERO, NEAR_ZERO]
 
+    def test_one_product_per_spoke_magnitude(self):
+        # a spoke's unit is +-0, +-1, +-sin36, +-cos36, +-sin72 or +-cos72,
+        # so each radius times a magnitude is one product for the star
+        star = Pentagram(Point(add(lit(1), PHI_EXPR), lit(Fraction(1, 2))), mul(lit(Fraction(1, 4)), PHI_EXPR))
+        frame = frame_of(*self.UNIT, RenderOptions(digits=12, scale=Fraction(7, 3)))
+        products = []
+
+        def counting(x, y):
+            products.append(y)
+            return multiply(x, y)
+
+        multiply, frame._mul = frame._mul, counting
+        vertices = frame.vertices(star)
+        spokes = [y for y in products if y is not frame._scale]  # not the center's or radii's scaling
+        assert len(products) - len(spokes) == 4
+        assert len(spokes) <= 12
+        assert vertices == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
+
     def test_a_star_that_settles_builds_no_vertex(self, built_vertices):
         star = Pentagram(Point(lit(Fraction(1, 2)), lit(Fraction(1, 2))), lit(Fraction(1, 4)))
         frame_of(*self.UNIT, RenderOptions(digits=3)).vertices(star)
@@ -326,3 +344,82 @@ class TestCoordinateMemo:
         # the emit that printed it
         assert svg_emit(self.STRIPES) == first
         assert len(settled_calls) == 2 * len(distinct)
+
+
+def settled_by_definition(lo: int, hi: int, w: int, digits: int) -> str | None:
+    """The reference: both ends rounded, and printed when they agree."""
+    low = decimalfmt.round_scaled(lo, w, digits)
+    return decimalfmt.format_rounded(low, digits) if low == decimalfmt.round_scaled(hi, w, digits) else None
+
+
+precisions = st.integers(0, 12_032)
+digit_counts = st.integers(1, 80)
+
+
+@st.composite
+def intervals(draw) -> tuple[int, int, int, int]:
+    """Any interval, its ends within a few hundred bits of 1, from a
+    point to a wide one, on either side of zero or across it."""
+    w, digits = draw(precisions), draw(digit_counts)
+    lo = draw(st.integers(-(2 ** (w + 300)), 2 ** (w + 300)))
+    return lo, lo + draw(st.integers(0, 2 ** draw(st.integers(0, w + 300)))), w, digits
+
+
+@st.composite
+def around_zero(draw) -> tuple[int, int, int, int]:
+    """Intervals that touch or straddle zero, and ones just beside it."""
+    lo = draw(st.integers(-4, 4))
+    return lo, lo + draw(st.integers(0, 4)), draw(precisions), draw(digit_counts)
+
+
+@st.composite
+def at_ties(draw) -> tuple[int, int, int, int]:
+    """Intervals with an end on or beside the tie ``(q + 1/2) *
+    10**e`` between two adjacent outputs, for ``q`` even or odd, and the
+    decade carry ``q = 99...9``, on either side of zero.  An exact tie
+    needs ``2q + 1`` to be a multiple of ``5**-e`` and ``w >= 1 - e``, so
+    half the ties are built that way."""
+    if draw(st.booleans()):
+        digits = draw(digit_counts)
+        q = draw(st.one_of(st.integers(10 ** (digits - 1), 10**digits - 1), st.just(10**digits - 1)))
+        e = draw(st.integers(-40, 40))
+    else:  # 2q + 1 = u * 5**j, an exact tie at e = -j
+        u, j = 2 * draw(st.integers(0, 2**150)) + 1, draw(st.integers(0, 60))
+        q, e = (u * 5**j - 1) // 2, -j
+        digits = len(str(q))
+        assume(digits <= 80)
+    w = draw(precisions)
+    num, den = (2 * q + 1) * 10 ** max(e, 0) << w, 2 * 10 ** max(-e, 0)
+    tie = num // den  # the tie's floor at scale 2**-w
+    lo, hi = sorted((tie - draw(st.integers(-3, 3)), tie + draw(st.integers(-3, 3))))
+    return (-hi, -lo, w, digits) if draw(st.booleans()) else (lo, hi, w, digits)
+
+
+class TestSettled:
+    """``settled`` rounds the end nearer zero only, and is still the
+    rounding of both ends when they agree."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(intervals(), around_zero(), at_ties()))
+    @example((0, 0, 64, 12))
+    @example((-1, 0, 64, 12))
+    @example((0, 1, 0, 1))
+    @example((19, 19, 1, 1))  # 9.5, odd: carried to 10
+    @example((17, 19, 1, 1))  # 8.5 to 9.5: 8 and 10
+    @example((15, 17, 1, 1))  # 7.5 to 8.5: 8 at both ties
+    @example((-17, -15, 1, 1))
+    def test_it_is_the_rounding_of_both_ends(self, case):
+        assert decimalfmt.settled(*case) == settled_by_definition(*case)
+
+    @pytest.mark.parametrize("lo, hi, w, digits, text", [
+        (0, 0, 80, 12, "0"),
+        (-1, 1, 80, 12, None),
+        (0, 1, 80, 12, None),
+        (15, 17, 1, 1, "8"),
+        (17, 19, 1, 1, None),
+        ((19 << 40) - 1, 19 << 40, 41, 1, None),  # 9.5 is carried, just below it is not
+        ((19 << 40) - 2, (19 << 40) - 1, 41, 1, "9"),
+        (-17, -15, 1, 1, "-8"),
+    ])
+    def test_zeros_ties_and_carries(self, lo, hi, w, digits, text):
+        assert decimalfmt.settled(lo, hi, w, digits) == text == settled_by_definition(lo, hi, w, digits)
