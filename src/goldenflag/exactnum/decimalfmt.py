@@ -1,26 +1,29 @@
 """Certified decimal rendering of exact values.
 
 :func:`decimal_str` rounds half-even to a number of significant digits.
-The printed string is certified: both ends of an interval enclosure
-round to the same digits (:func:`settled`, which rounds the end nearer
-zero and compares the other with the edge of that rounding's cell), so
-the exact value is within half an ulp of the output.  A literal, which
-every all-rational expression folds to, is rounded exactly.  Any other
-value has one rounding path, the refinement of :func:`expr.enclosures`
-from :func:`start_bits`, which doubles its working precision until it
-reaches the value's magnitude, so tiny values print like large ones.
-A caller that already holds an enclosure at :func:`start_bits`, as the
-renderer does for coordinates, prints it when :func:`settled` and
-calls :func:`decimal_str` only when not.  The integer ends of each
-enclosure are rounded directly (:func:`round_scaled`), never through a
-``Fraction``; inside one command's :func:`expr.enclosure_memo` scope,
-each subterm shared between values is enclosed once per working
-precision.  An exact zero prints as ``0`` and an exact tie rounds
-half-even; :func:`certified_sign` decides both.  Every refinement
-spends from :data:`expr.WORK_BUDGET`, so whether a value prints does
-not depend on the digits asked for.  Quoting the leading digits of an
-expansion is a different operation, a pair of certified comparisons (a
-spec's ``check ... 0.820 <= ratio < 0.821``).
+Every printed digit comes from one integer rounding,
+:func:`round_scaled`, never through a ``Fraction``.  A literal, which
+every all-rational expression folds to, is rounded exactly by it, as
+its numerator over its denominator.  Any other value is printed from
+an interval enclosure whose ends round to the same digits
+(:func:`settled`, which rounds the end nearer zero and compares the
+other with the edge of that rounding's cell), so the exact value is
+within half an ulp of the output.  It has one rounding path, the
+refinement of :func:`expr.enclosures` from :func:`start_bits`, which
+doubles its working precision until it reaches the value's magnitude,
+so tiny values print like large ones.  A caller that already holds an
+enclosure at :func:`start_bits`, as the renderer does for coordinates,
+prints it when :func:`settled` and calls :func:`decimal_str` only when
+not; inside one command's :func:`expr.enclosure_memo` scope, each
+subterm shared between values is enclosed once per working precision.
+An exact zero prints as ``0`` and an exact tie rounds half-even;
+:func:`certified_sign` decides both.  The tie is read off the
+roundings of an enclosure's two ends, and the far end is rounded only
+for that question.  Every refinement spends from
+:data:`expr.WORK_BUDGET`, so whether a value prints does not depend on
+the digits asked for.  Quoting the leading digits of an expansion is a
+different operation, a pair of certified comparisons (a spec's ``check
+... 0.820 <= ratio < 0.821``).
 
 This is a pure integer/rational computation: output bytes are identical
 across platforms and runs.
@@ -43,51 +46,6 @@ _Rounded = tuple[bool, int, int]  # (negative, digits-as-int, decimal exponent)
 MAX_DIGITS = 4300
 
 
-def _decimal_magnitude(value: Fraction) -> int:
-    """The unique d with 10**(d-1) <= |value| < 10**d."""
-    num, den = abs(value).numerator, abs(value).denominator
-
-    def below_pow10(exp: int) -> bool:
-        if exp >= 0:
-            return num < den * 10**exp
-        return num * 10**-exp < den
-
-    # log10(2) ~ 0.30103; the loops below correct the estimate
-    d = (num.bit_length() - den.bit_length()) * 30103 // 100000 + 1
-    while not below_pow10(d):
-        d += 1
-    while below_pow10(d - 1):
-        d -= 1
-    return d
-
-
-def round_significant(value: Fraction, digits: int) -> _Rounded:
-    """Round half-even to ``digits`` significant decimal digits."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if value == 0:
-        return False, 0, 0
-    negative = value < 0
-    mag = abs(value)
-    d = _decimal_magnitude(mag)
-    # scale into [10**(digits-1), 10**digits) and round to an integer
-    shift = digits - d
-    if shift >= 0:
-        num = mag.numerator * 10**shift
-        den = mag.denominator
-    else:
-        num = mag.numerator
-        den = mag.denominator * 10**-shift
-    q, rem = divmod(num, den)
-    doubled = 2 * rem
-    if doubled > den or (doubled == den and q % 2 == 1):
-        q += 1
-    if q == 10**digits:  # carried into the next decade
-        q //= 10
-        d += 1
-    return negative, q, d
-
-
 @lru_cache(maxsize=64)
 def _pow10(n: int) -> int:
     """``10**n``, which :func:`round_scaled` needs for a few ``n`` per
@@ -95,26 +53,30 @@ def _pow10(n: int) -> int:
     return 10**n
 
 
-def round_scaled(m: int, w: int, digits: int) -> _Rounded:
-    """:func:`round_significant` of ``m * 2**-w`` (``w >= 0``, ``digits >=
-    1``) in integer arithmetic, so an enclosure's ends are rounded without
-    building a ``Fraction``."""
+def round_scaled(m: int, w: int, digits: int, den: int = 1) -> _Rounded:
+    """Round ``m * 2**-w / den`` (``w >= 0``, ``den >= 1``, ``digits >=
+    1``) half-even to ``digits`` significant decimal digits, in integer
+    arithmetic: the one rounding of this module.  An enclosure's ends
+    pass ``den == 1`` and are divided by shifting and masking; a
+    literal ``p/q`` passes ``(p, 0, digits, q)`` and is rounded exactly."""
     if m == 0:
         return False, 0, 0
     negative, m = m < 0, abs(m)
     low, high = _pow10(digits - 1), _pow10(digits)
-    # first guess at the d with 10**(d-1) <= m * 2**-w < 10**d, from
+    # first guess at the d with 10**(d-1) <= m * 2**-w / den < 10**d, from
     # log10(2) ~ 0.30103; the loop steps d until m * 10**(digits-d) * 2**-w
-    # rounds down to a q in [low, high), which holds for that d alone
-    d = (m.bit_length() - w) * 30103 // 100000 + 1
+    # / den rounds down to a q in [low, high), which holds for that d alone
+    d = (m.bit_length() - den.bit_length() - w) * 30103 // 100000 + 1
     while True:
         shift = digits - d
         if shift >= 0:
-            num, den = m * _pow10(shift), 1 << w
-            q, rem = num >> w, num & (den - 1)
+            num, div = m * _pow10(shift), den << w
         else:
-            den = _pow10(-shift) << w
-            q, rem = divmod(m, den)
+            num, div = m, _pow10(-shift) * den << w
+        if den == 1 and shift >= 0:
+            q, rem = num >> w, num & (div - 1)
+        else:
+            q, rem = divmod(num, div)
         if q >= high:
             d += 1
         elif q < low:
@@ -122,7 +84,7 @@ def round_scaled(m: int, w: int, digits: int) -> _Rounded:
         else:
             break
     doubled = rem << 1
-    if doubled > den or (doubled == den and q & 1):
+    if doubled > div or (doubled == div and q & 1):
         q += 1
     if q == high:  # carried into the next decade
         q = low
@@ -150,19 +112,21 @@ def format_rounded(rounded: _Rounded, digits: int) -> str:
     return "-" + text if negative else text
 
 
-def _tie(ends: tuple[_Rounded, _Rounded], digits: int) -> Fraction | None:
-    """The one rounding tie in an enclosure that excludes zero, when the
-    roundings ``ends`` of its ends are adjacent outputs; else None.
-    Rounding is to the nearest output, so the tie is the midpoint of
-    the two."""
-    negative = ends[0][0]
-    near, far = ends[::-1] if negative else ends  # nearer to zero first
-    _, q, d = near
-    ulp = Fraction(10) ** (d - digits)
-    if round_significant((q + 1) * ulp, digits)[1:] != far[1:]:
+def _tie(lo: int, hi: int, w: int, digits: int) -> tuple[Fraction, str] | None:
+    """The one rounding tie in ``[lo * 2**-w, hi * 2**-w]``, which
+    excludes zero, and the tie's half-even text, when its ends round to
+    adjacent outputs; else None.  The end nearer zero rounds to ``q``
+    at decade ``d``; the tie is the midpoint ``(2q+1) * 10**(d-digits) /
+    2`` of that output and the next, which the far end must round to."""
+    negative = hi < 0
+    near, far = (-hi, -lo) if negative else (lo, hi)
+    _, q, d = round_scaled(near, w, digits)
+    after = (q + 1, d) if q + 1 < _pow10(digits) else (_pow10(digits - 1), d + 1)
+    if round_scaled(far, w, digits)[1:] != after:
         return None
-    tie = (q + Fraction(1, 2)) * ulp
-    return -tie if negative else tie
+    tie = Fraction(2 * q + 1, 2) * Fraction(10) ** (d - digits)
+    text = format_rounded((negative, *after) if q & 1 else (negative, q, d), digits)
+    return -tie if negative else tie, text
 
 
 def start_bits(digits: int) -> int:
@@ -203,14 +167,16 @@ def decimal_str(x: Expr, digits: int) -> str:
     """Certified round-half-even rendering of ``x`` with ``digits``
     significant digits, at most :data:`MAX_DIGITS`.
 
-    A literal is rounded exactly.  Otherwise the enclosures of ``x``
-    start at :func:`start_bits` and double until one is
-    :func:`settled`.  Two points are asked about once each, by
-    :func:`certified_sign`: zero, at the first enclosure that
-    contains it, and the tie between two adjacent outputs, at the first
-    enclosure whose ends round to them.  A proved equality is rounded
-    exactly, so values whose enclosures settle the rounding pay nothing
-    for it.  Raises :class:`PrecisionExhausted` when a refinement runs
+    A literal ``p/q`` is rounded exactly, by :func:`round_scaled` with
+    denominator ``q``.  Otherwise the enclosures of ``x`` start at
+    :func:`start_bits` and double until one is :func:`settled`.  Two
+    points are asked about once each, by :func:`certified_sign`: zero,
+    at the first enclosure that contains it, and the tie between two
+    adjacent outputs, at the first enclosure that excludes zero and
+    whose ends round to them (:func:`_tie`, the only place the far end
+    is rounded).  A proved zero prints ``0`` and a proved tie its
+    half-even text, both from integers, so values whose enclosures
+    settle the rounding pay nothing for either.  Raises :class:`PrecisionExhausted` when a refinement runs
     out of :data:`expr.WORK_BUDGET` first.
     """
     if digits > MAX_DIGITS:
@@ -218,19 +184,21 @@ def decimal_str(x: Expr, digits: int) -> str:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if isinstance(x, Literal):
-        return format_rounded(round_significant(x.value, digits), digits)
+        p, q = x.value.as_integer_ratio()
+        return format_rounded(round_scaled(p, 0, digits, q), digits)
     asked_zero = asked_tie = False
     for w, lo, hi in enclosures(x, start_bits(digits)):
         text = settled(lo, hi, w, digits)
         if text is not None:
             return text
-        ends = round_scaled(lo, w, digits), round_scaled(hi, w, digits)
-        point = None
         if lo <= 0 <= hi:
             if not asked_zero:
-                asked_zero, point = True, Fraction(0)
+                asked_zero = True
+                if certified_sign(x) is Sign.ZERO:
+                    return "0"
         elif not asked_tie:
-            point = _tie(ends, digits)
-            asked_tie = point is not None
-        if point is not None and certified_sign(sub(x, lit(point))) is Sign.ZERO:
-            return format_rounded(round_significant(point, digits), digits)
+            tie = _tie(lo, hi, w, digits)
+            if tie is not None:
+                asked_tie, (point, text) = True, tie
+                if certified_sign(sub(x, lit(point))) is Sign.ZERO:
+                    return text

@@ -55,7 +55,7 @@ from ..errors import (
     PrecisionExhausted,
 )
 from . import interval as iv
-from .golden import GOLDEN, Quadratic, Sign
+from .golden import GOLDEN, Quadratic, Sign, perfect_sqrt
 
 SIGN_REFINE_START = 64
 
@@ -313,11 +313,9 @@ def sqrt_(x: Expr) -> Expr:
         return _ZERO_LIT
     if isinstance(x, Literal):  # a positive literal: fold a rational root
         p, q = x.value.as_integer_ratio()
-        r = isqrt(p)
-        if r * r == p:
-            s = isqrt(q)
-            if s * s == q:
-                return Literal(Fraction(r, s))
+        r, s = perfect_sqrt(p), perfect_sqrt(q)
+        if r is not None and s is not None:
+            return Literal(Fraction(r, s))
     return Sqrt(x)
 
 

@@ -45,7 +45,7 @@ def _canonical(a: int, b: int, d: int) -> tuple[int, int, int]:
     return (a, b, d) if g == 1 else (a // g, b // g, d // g)
 
 
-def _root(n: int) -> int | None:
+def perfect_sqrt(n: int) -> int | None:
     """The integer square root of ``n`` when ``n`` is a square, else None."""
     if n < 0:
         return None
@@ -166,16 +166,16 @@ class _Golden:
         a, b, d = x
         A, B = a * d, b * d
         if not B:
-            m = _root(A)
+            m = perfect_sqrt(A)
             if m is not None:
                 return _canonical(m, 0, d)
-            m = _root(5 * A)
+            m = perfect_sqrt(5 * A)
             return None if m is None else _canonical(0, m, 5 * d)
-        n = _root(A * A - 5 * B * B)
+        n = perfect_sqrt(A * A - 5 * B * B)
         if n is None:
             return None
         for t in (A + n, A - n):
-            m = _root(2 * t)
+            m = perfect_sqrt(2 * t)
             if m:  # nonzero, since t == 0 would need B == 0
                 # +-(m/2 + (B/m)*sqrt5), over the denominator d
                 root = _canonical(m * m, 2 * B, 2 * m * d)

@@ -56,7 +56,7 @@ from .exactnum import (
     mul,
     neg,
 )
-from .exactnum.decimalfmt import settled, start_bits
+from .exactnum.decimalfmt import MAX_DIGITS, settled, start_bits
 from .exactnum.expr import eval_interval, interval_algebra
 from .exactnum.interval import IntPair, StraddlesZero
 from .geometry import PENTAGRAM_SPOKES, PHI_SQUARED, Pentagram, Point, pentagram_vertices
@@ -79,7 +79,7 @@ class RenderOptions:
     scaled so the emitted width equals it exactly (the scale factor is
     then generally irrational, e.g. physical sizing of an irrational
     canvas).  ``digits`` is the significant-digit count for every
-    emitted coordinate.
+    emitted coordinate, from 3 to :data:`MAX_DIGITS`.
     """
 
     scale: Fraction = Fraction(1)
@@ -92,6 +92,8 @@ class RenderOptions:
             raise ValueError("scale must be positive")
         if self.digits < 3:
             raise ValueError("digits must be at least 3")
+        if self.digits > MAX_DIGITS:
+            raise ValueError(f"digits must be at most {MAX_DIGITS}, got {self.digits}")
         if self.target_width is not None:
             object.__setattr__(self, "target_width", as_rational(self.target_width))
             if self.target_width <= 0:

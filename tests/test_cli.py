@@ -310,7 +310,9 @@ class TestEval:
         assert err.startswith("goldenflag: precision exhausted: in eval expression: refinement spent ")
         assert err.endswith(" word operations\n")
 
-    @pytest.mark.parametrize("tie,digits,expected", [("1/8", "2", "0.12"), ("5/2", "1", "2")])
+    @pytest.mark.parametrize("tie,digits,expected", [
+        ("1/8", "2", "0.12"), ("5/2", "1", "2"), ("99.95", "3", "100"), ("-5/2", "1", "-2"),
+    ])
     def test_an_exact_tie_beyond_the_tower_rounds_half_even(self, capsys, tie, digits, expected):
         expr = f"sqrt(2)*sqrt(3) - sqrt(6) + {tie}"
         code, out, err = run(capsys, "eval", expr, "--digits", digits)

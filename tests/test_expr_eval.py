@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import time
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_05UP, ROUND_HALF_EVEN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -32,7 +34,7 @@ from goldenflag.exactnum import (
 from goldenflag.exactnum import decimalfmt
 from goldenflag.exactnum import expr as expr_module
 from goldenflag.exactnum import interval as iv
-from goldenflag.exactnum.decimalfmt import MAX_DIGITS, round_scaled, round_significant
+from goldenflag.exactnum.decimalfmt import MAX_DIGITS, round_scaled
 from goldenflag.exactnum.expr import interval_algebra, enclosures, eval_interval, exact_sign, fold
 from goldenflag.geometry import TAN36
 
@@ -339,28 +341,74 @@ class TestEnclosureMemo:
             assert fresh not in values
 
 
-# (m, w, digits) with m * 2**-w a rounding tie: (q + 1/2) * 10**-j with
-# 2q + 1 = u * 5**j, for odd u, and digits the digit count of q
-ties = st.builds(
-    lambda u, j, sign: (sign * u, j + 1, len(str((u * 5**j - 1) // 2))),
-    st.integers(0, 2**200).map(lambda k: 2 * k + 3),
-    st.integers(0, 80),
-    st.sampled_from([1, -1]),
+def decimal_rounding(num: int | Decimal, den: int | Decimal, digits: int) -> Decimal:
+    """``num / den`` rounded half-even to ``digits`` significant digits by
+    the stdlib ``decimal`` module: the quotient is taken to ``digits + 2``
+    digits with ROUND_05UP, which keeps the rounding of it to ``digits``
+    digits exact, then rounded ROUND_HALF_EVEN."""
+    with localcontext() as context:
+        context.Emax, context.Emin = MAX_EMAX, MIN_EMIN
+        context.prec, context.rounding = digits + 2, ROUND_05UP
+        quotient = Decimal(num) / Decimal(den)
+        context.prec, context.rounding = digits, ROUND_HALF_EVEN
+        return +quotient
+
+
+def reference(num: int | Decimal, den: int | Decimal, digits: int) -> tuple[bool, int, int]:
+    """:func:`decimal_rounding` as ``round_scaled`` returns it: the sign,
+    the ``digits`` leading digits as an int and the decimal exponent."""
+    rounded = decimal_rounding(num, den, digits)
+    if not rounded:
+        return False, 0, 0
+    sign, figures, exponent = rounded.as_tuple()
+    pad = digits - len(figures)
+    return bool(sign), int("".join(map(str, figures))) * 10**pad, exponent - pad + digits
+
+
+# (m, w, den, digits) with m * 2**-w / den a rounding tie of either sign:
+# (q + 1/2) * 10**-j with 2q + 1 = u * 5**j, for odd u, over a power of
+# two, or (2q+1)/2 * 10**-j over a power of ten; digits the digit count of q
+ties = st.one_of(
+    st.builds(
+        lambda u, j, sign: (sign * u, j + 1, 1, len(str((u * 5**j - 1) // 2))),
+        st.integers(0, 2**200).map(lambda k: 2 * k + 3),
+        st.integers(0, 80),
+        st.sampled_from([1, -1]),
+    ),
+    st.builds(
+        lambda q, j, sign: (sign * (2 * q + 1) * 10 ** max(-j, 0), 0, 2 * 10 ** max(j, 0), len(str(q))),
+        st.integers(1, 10**60),
+        st.integers(-20, 80),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+# (m, w, den): a binary fraction, or an exact rational whose denominator
+# is not a power of two
+scaled = st.one_of(
+    st.tuples(st.integers(-(2**4000), 2**4000), st.integers(0, 8192), st.just(1)),
+    st.tuples(
+        st.integers(-(2**400), 2**400),
+        st.just(0),
+        st.one_of(
+            st.sampled_from([3, 7]),
+            st.integers(1, 300).map(lambda k: 10**k),
+            st.integers(1, 300).map(lambda k: 5**k),
+            st.integers(3, 2**200),
+        ).filter(lambda q: q & (q - 1)),
+    ),
 )
 
 
 class TestIntegerRounding:
-    """``round_scaled`` against its reference, ``round_significant`` of a
-    ``Fraction``."""
+    """``round_scaled`` against its reference, the stdlib ``decimal``
+    rounding of the exact quotient."""
 
-    @given(
-        st.integers(-(2**4000), 2**4000),
-        st.integers(0, 8192),
-        st.one_of(st.integers(1, 40), st.integers(1, MAX_DIGITS)),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_it_matches_the_fraction_rounding(self, m, w, digits):
-        assert round_scaled(m, w, digits) == round_significant(Fraction(m, 1 << w), digits)
+    @given(scaled, st.one_of(st.integers(1, 40), st.integers(1, MAX_DIGITS)))
+    @settings(max_examples=500, deadline=None)
+    def test_it_matches_the_decimal_reference(self, value, digits):
+        m, w, den = value
+        assert round_scaled(m, w, digits, den) == reference(m, den << w, digits)
 
     def test_evicted_powers_of_ten_round_alike(self):
         # each digit count needs its own decade ends, so these cases ask
@@ -375,15 +423,16 @@ class TestIntegerRounding:
         ]
         for _ in range(2):
             for m, w, digits in cases:
-                assert round_scaled(m, w, digits) == round_significant(Fraction(m, 1 << w), digits)
+                assert round_scaled(m, w, digits) == reference(m, 1 << w, digits)
         assert decimalfmt._pow10.cache_info().currsize == held
 
     @given(ties)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_exact_ties_round_half_even(self, tie):
-        m, w, digits = tie
-        rounded = round_scaled(m, w, digits)
-        assert rounded == round_significant(Fraction(m, 1 << w), digits)
+        m, w, den, digits = tie
+        rounded = round_scaled(m, w, digits, den)
+        assert rounded == reference(m, den << w, digits)
+        assert rounded[0] == (m < 0)
         assert rounded[1] % 2 == 0 or rounded[1] == 10 ** (digits - 1)  # even, or carried
 
     @pytest.mark.parametrize(
@@ -397,12 +446,21 @@ class TestIntegerRounding:
             (19, 1, 1, (False, 1, 2)),  # 9.5, a tie, carried to 10
             ((1 << 20) - 1, 20, 3, (False, 100, 1)),  # 0.99999..., carried to 1
             (999 << 40, 40, 2, (False, 10, 4)),  # 999, carried to 1000
-            (1, 8192, 1, round_significant(Fraction(1, 1 << 8192), 1)),
+            (1, 8192, 1, reference(1, 1 << 8192, 1)),
         ],
     )
     def test_zeros_ties_and_carries(self, m, w, digits, expected):
         assert round_scaled(m, w, digits) == expected
-        assert round_significant(Fraction(m, 1 << w), digits) == expected
+        assert reference(m, 1 << w, digits) == expected
+
+    def test_a_literal_of_a_million_binary_places_prints_quickly(self):
+        with localcontext() as context:  # 2**1_000_000 exactly, or Inexact is raised
+            context.prec, context.Emax, context.traps[Inexact] = 310_000, MAX_EMAX, True
+            den = Decimal(2) ** 1_000_000
+        start = time.perf_counter()
+        text = decimal_str(lit(Fraction(1, 2**1_000_000)), 3)
+        assert time.perf_counter() - start < 2
+        assert text == format(decimal_rounding(1, den, 3), "f")
 
 
 class TestCertifiedSign:

@@ -167,6 +167,11 @@ class TestOptions:
         with pytest.raises(ValueError):
             RenderOptions(digits=2)
 
+    def test_digits_ceiling(self):
+        RenderOptions(digits=4300)
+        with pytest.raises(ValueError, match="^digits must be at most 4300, got 5000$"):
+            RenderOptions(digits=5000)
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             RenderOptions(scale=Fraction(-1))
@@ -423,3 +428,16 @@ class TestSettled:
     ])
     def test_zeros_ties_and_carries(self, lo, hi, w, digits, text):
         assert decimalfmt.settled(lo, hi, w, digits) == text == settled_by_definition(lo, hi, w, digits)
+
+    def test_an_enclosure_across_zero_is_not_rounded(self, monkeypatch):
+        # NEAR_ZERO's 64-bit enclosure straddles zero and the next one
+        # settles: only that one's near end is rounded
+        calls, rounding = [], decimalfmt.round_scaled
+
+        def counting(*args):
+            calls.append(args)
+            return rounding(*args)
+
+        monkeypatch.setattr(decimalfmt, "round_scaled", counting)
+        decimal_str(NEAR_ZERO, 3)
+        assert len(calls) == 1
