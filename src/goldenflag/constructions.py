@@ -43,13 +43,13 @@ from .errors import (
 )
 from .exactnum import (
     Expr,
-    Sign,
     Verdict,
     add,
     certified_sign,
     compare_values,
     decimal_str,
     div,
+    holds,
     lit,
     mul,
     neg,
@@ -287,7 +287,6 @@ class CheckStatus(enum.Enum):
         return self in (CheckStatus.PROVED_EQUAL, CheckStatus.PASS)
 
 
-
 class Check(NamedTuple):
     name: str
     status: CheckStatus
@@ -311,21 +310,6 @@ class VerificationReport(NamedTuple):
         return any(check.status in disproved for check in self.checks)
 
 
-# the signs of ``rhs - lhs`` under which ``lhs <relation> rhs`` holds
-_HOLDS_FOR = {"==": {Sign.ZERO}, "<": {Sign.POSITIVE}, "<=": {Sign.ZERO, Sign.POSITIVE}}
-
-
-def _holds(lhs: Expr, relation: str, rhs: Expr) -> bool | None:
-    """Whether ``lhs <relation> rhs`` holds, or None when the sign of
-    the difference cannot be certified."""
-    if lhs is rhs:
-        return relation != "<"
-    try:
-        return certified_sign(sub(rhs, lhs)) in _HOLDS_FOR[relation]
-    except PrecisionExhausted:
-        return None
-
-
 # a claim's status by whether it holds (None: undecided), for a single
 # ``==`` and for any other chain
 _EQUALITY_STATUS = {True: CheckStatus.PROVED_EQUAL, False: CheckStatus.PROVED_UNEQUAL}
@@ -334,12 +318,12 @@ _CHAIN_STATUS = {True: CheckStatus.PASS, False: CheckStatus.FAIL}
 
 class Claim(NamedTuple):
     """A ``check`` statement: ``terms[i] relations[i] terms[i + 1]`` for
-    every i.  A single ``==`` reports its verdict; any other chain
-    reports Pass, Fail, or Undecided when a link cannot be decided.  The
-    detail is printed verbatim, or as ``name = <6 digits>`` of the
-    ``shown`` binding; when those digits run out of work budget, the
-    detail says so and the claim is Undecided unless a link is
-    disproved."""
+    every i, each link decided by :func:`holds`.  A single ``==``
+    reports its verdict; any other chain, the empty one too, reports
+    Pass, Fail, or Undecided when a link cannot be decided.  The detail
+    is printed verbatim, or as ``name = <6 digits>`` of the ``shown``
+    binding; when those digits run out of work budget, the detail says
+    so and the claim is Undecided unless a link is disproved."""
 
     name: str
     terms: tuple[Expr, ...]
@@ -348,11 +332,11 @@ class Claim(NamedTuple):
     shown: tuple[str, Expr] | None = None
 
     def checks(self, layout: FlagLayout) -> tuple[Check, ...]:
-        holds: bool | None = True
+        outcome: bool | None = True
         for lhs, relation, rhs in zip(self.terms, self.relations, self.terms[1:]):
-            link = _holds(lhs, relation, rhs)
+            link = holds(lhs, relation, rhs)
             if link is not True:
-                holds = link
+                outcome = link
                 if link is False:  # a failed link decides the claim
                     break
         detail = self.detail
@@ -362,10 +346,10 @@ class Claim(NamedTuple):
                 detail = f"{name} = {decimal_str(value, 6)}"
             except PrecisionExhausted as exc:
                 detail = f"{name}: precision exhausted: {exc}"
-                if holds is not False:  # only a disproved link still decides
-                    holds = None
+                if outcome is not False:  # only a disproved link still decides
+                    outcome = None
         statuses = _EQUALITY_STATUS if self.relations == ("==",) else _CHAIN_STATUS
-        status = CheckStatus.UNDECIDED if holds is None else statuses[holds]
+        status = CheckStatus.UNDECIDED if outcome is None else statuses[outcome]
         return (Check(self.name, status, detail),)
 
 
@@ -447,7 +431,6 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
     center = _diagonal_crossing(x0, x1, y0, y1)
     top_left, top_right = Point(x0, y0), Point(x1, y0)
     identities = (
-        ("rising diagonal tangent equals tan(36)", slope1, TAN36),
         ("falling diagonal tangent equals tan(36)", neg(slope2), TAN36),
         ("diagonal crossing tangent equals tan(72) closed form", crossing, TAN72),
         ("crossing tangent equals double-angle form 2t/(1-t^2)", crossing, double_angle),
@@ -462,10 +445,9 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
             _squared_distance(center, top_right),
         ),
     )
-    checks = [
-        Check(name, CheckStatus(verify_identity(lhs, rhs).value))
-        for name, lhs, rhs in identities
-    ]
+    # the gate above has proved the rising diagonal's tangent
+    checks = [Check("rising diagonal tangent equals tan(36)", CheckStatus(proportion.value))]
+    checks.extend(Check(name, CheckStatus(verify_identity(lhs, rhs).value)) for name, lhs, rhs in identities)
     reference = rect_diagonal_intersection(x0, y0, width, height)
     midpoint = _same_point(center, reference)
     checks.append(Check("diagonal intersection matches midpoint formula", _POINT_STATUS[midpoint]))
@@ -483,24 +465,15 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
     return VerificationReport(tuple(checks))
 
 
-def _structural_report(layout: FlagLayout) -> VerificationReport:
-    # construction already validated tiling and star containment
-    checks = (
-        Check("regions tile the canvas exactly", CheckStatus.PASS),
-        Check("star centers lie inside regions", CheckStatus.PASS),
-        Check(
-            "canvas ratio evaluates",
-            CheckStatus.PASS,
-            f"ratio = {decimal_str(layout.width_height_ratio(), 6)}",
-        ),
-    )
-    return VerificationReport(checks)
-
-
 def verify_layout_identities(layout: FlagLayout) -> VerificationReport:
-    """Prove every claim the layout's spec states, in source order; a
-    layout that states none gets the generic structural report."""
-    if not layout.claims:
-        return _structural_report(layout)
-    checks = tuple(check for claim in layout.claims for check in claim.checks(layout))
-    return VerificationReport(checks)
+    """Prove every claim the layout's spec states, in source order.  A
+    layout that states none gets the structural report, three claims:
+    the tiling and the star containment, which construction has already
+    validated, as chains with no links, and the canvas ratio as a shown
+    binding, Undecided when its digits run out of work budget."""
+    claims = layout.claims or (
+        Claim("regions tile the canvas exactly", (), ()),
+        Claim("star centers lie inside regions", (), ()),
+        Claim("canvas ratio evaluates", (), (), shown=("ratio", layout.width_height_ratio())),
+    )
+    return VerificationReport(tuple(check for claim in claims for check in claim.checks(layout)))

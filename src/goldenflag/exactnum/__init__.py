@@ -4,7 +4,7 @@ elements are canonical integer triples ``(a, b, d)`` meaning
 ``(a + b*sqrt(5))/d``), the generic quadratic-extension algebra
 (:class:`Quadratic`) that is the one-radicand tower over it, certified
 constructible-number expressions with fixed-point interval enclosures,
-and an identity verifier."""
+and an identity verifier whose :func:`holds` decides every relation."""
 
 from .decimalfmt import decimal_str
 from .expr import (
@@ -31,7 +31,7 @@ from .expr import (
     sub,
 )
 from .golden import GOLDEN, PHI, Quadratic, Sign
-from .identity import Verdict, compare_values, square_of, verify_identity
+from .identity import Verdict, compare_values, holds, square_of, verify_identity
 
 __all__ = [
     "Add",
@@ -57,6 +57,7 @@ __all__ = [
     "div",
     "enclosure_memo",
     "exact_rational",
+    "holds",
     "lit",
     "mul",
     "neg",

@@ -1,11 +1,15 @@
 """Identity verification for constructible expressions.
 
-Two expressions are equal exactly when their difference is zero, so a
-verdict is the :func:`certified_sign` of ``lhs - rhs`` (filter, exact
-tower, then refinement stopped by a separation bound), after a
-short-circuit for identical nodes (nodes are hash-consed, so that is
-structural equality).  Undecided means only that the refinement ran out
-of its work budget before an enclosure was narrower than the bound.
+Every relation between two expressions is decided in one place,
+:func:`holds`: ``lhs <relation> rhs`` holds exactly when the
+:func:`certified_sign` of ``rhs - lhs`` (filter, exact tower, then
+refinement stopped by a separation bound) is one that :data:`RELATIONS`
+lists for it, after a short-circuit for identical nodes (nodes are
+hash-consed, so that is structural equality).  Spec claims and
+:func:`compare_values` both ask it, and :data:`RELATIONS` is also the
+set of relations the spec grammar accepts.  Undecided means only that
+the refinement ran out of its work budget before an enclosure was
+narrower than the bound.
 """
 
 from __future__ import annotations
@@ -72,16 +76,31 @@ _SQUARE_OPS = {
 }
 
 
+# the signs of ``rhs - lhs`` under which ``lhs <relation> rhs`` holds
+RELATIONS = {"==": {Sign.ZERO}, "<": {Sign.POSITIVE}, "<=": {Sign.ZERO, Sign.POSITIVE}}
+
+
+def holds(lhs: Expr, relation: str, rhs: Expr) -> bool | None:
+    """Whether ``lhs <relation> rhs`` holds, for a relation of
+    :data:`RELATIONS`, or None when the sign of the difference runs out
+    of its work budget.  The difference is the raw :class:`Sub` node, so
+    asking never folds two literals into one, whose width could be past
+    the budget."""
+    if lhs is rhs:
+        return relation != "<"
+    try:
+        return certified_sign(Sub(rhs, lhs)) in RELATIONS[relation]
+    except PrecisionExhausted:
+        return None
+
+
+_VERDICTS = {True: Verdict.PROVED_EQUAL, False: Verdict.PROVED_UNEQUAL, None: Verdict.UNDECIDED}
+
+
 def compare_values(lhs: Expr, rhs: Expr) -> Verdict:
     """Decide whether two expressions denote the same real, whatever
-    their signs: the certified sign of their difference."""
-    if lhs is rhs:
-        return Verdict.PROVED_EQUAL
-    try:
-        sign = certified_sign(Sub(lhs, rhs))
-    except PrecisionExhausted:
-        return Verdict.UNDECIDED
-    return Verdict.PROVED_EQUAL if sign is Sign.ZERO else Verdict.PROVED_UNEQUAL
+    their signs: the verdict of ``holds(lhs, "==", rhs)``."""
+    return _VERDICTS[holds(lhs, "==", rhs)]
 
 
 def verify_identity(lhs: Expr, rhs: Expr) -> Verdict:

@@ -27,11 +27,10 @@ from ..errors import (
     SemanticError,
 )
 from ..exactnum import Expr, add, div, lit
+from ..exactnum.identity import RELATIONS
 from ..geometry import Pentagram, Point, rect_diagonal_intersection
 from .lexer import Token, TokenKind, tokenize
 from .parser import Attribute, Code, Parser
-
-_RELATIONS = ("==", "<", "<=")
 
 _Rect = tuple[Expr, Expr, Expr, Expr]  # a declared x, y, width and height
 _SIZES = {"width": 2, "height": 3}  # attribute name -> index in a _Rect
@@ -194,10 +193,10 @@ class _SpecPass(Parser):
         name = self.expect_kind(TokenKind.STRING, "check name string or 'diagonals'").lexeme
         where = f"check {name!r}"
         terms = [self.value(where)]
-        if not self.at(*_RELATIONS):
+        if not self.at(*RELATIONS):
             raise self.error("'==', '<', or '<='")
         relations = []
-        while self.at(*_RELATIONS):
+        while self.at(*RELATIONS):
             relations.append(self.advance().lexeme)
             terms.append(self.value(where))
         detail, shown = "", None

@@ -22,7 +22,9 @@ of its recursive-descent parser.
                | ( IDENT | "canvas" ) "." IDENT | "(" expr ")"
 
 Numbers are ASCII digits with an optional fraction (``2``, ``2.4``),
-and their values are exact rationals built from their digits.
+and their values are exact rationals built from their digits.  The
+relations are the keys of ``exactnum.identity.RELATIONS``, which
+``holds`` decides.
 An identifier is a word character that is not a decimal digit, followed
 by word characters.  The reserved words are ``lexer.KEYWORDS``; ``x``
 and ``rect`` are not reserved.  Region and star coordinates are written

@@ -494,6 +494,22 @@ class TestVerify:
         assert shown.endswith(" word operations]")
         assert summary == "claims: 1 of 1 checks failed"
 
+    def test_a_canvas_ratio_past_the_work_budget_leaves_the_structural_report(self, capsys, tmp_path):
+        # the ratio is exactly 1.000005, a rounding tie at six digits, and
+        # the tie's sign is past the work budget
+        path = tmp_path / "tie.flag"
+        path.write_text(
+            f'flag "r" {{ canvas 1.000005 + ({FOUR_RADICALS}) - ({FOUR_RADICALS})/3*3 x 1;'
+            " region all blue rect 0 0 canvas.width 1; }"
+        )
+        assert run(capsys, "verify", str(path)) == (3, (
+            "Pass       regions tile the canvas exactly\n"
+            "Pass       star centers lie inside regions\n"
+            "Undecided  canvas ratio evaluates  [ratio: precision exhausted: "
+            "refinement spent 78293600 of 268435456 word operations]\n"
+            "r: 1 of 3 checks failed\n"
+        ), "")
+
     def test_a_shown_binding_past_the_work_budget_keeps_the_other_checks(self, capsys, tmp_path):
         code, out, err = self.verify_claims(capsys, tmp_path, (
             f'{UNDECIDABLE} let z = a - a/3*3;'

@@ -19,6 +19,7 @@ from goldenflag.errors import (
     SemanticError,
 )
 from goldenflag.exactnum import PHI_EXPR, Literal, Verdict, compare_values, div, lit, mul, sub
+from goldenflag.exactnum.identity import RELATIONS
 from goldenflag.flagspec import (
     TokenKind,
     lower_expr,
@@ -188,6 +189,14 @@ class TestParse:
             lower_source(source)
         assert "'=='" in excinfo.value.expected
         assert (excinfo.value.line, excinfo.value.col) == (1, source.index("1; }") + 2)
+
+    def test_a_check_chains_exactly_the_relations_the_verifier_decides(self):
+        chain = " ".join(f"{relation} {k}" for k, relation in enumerate(RELATIONS, 1))
+        source = f'flag "x" {{ canvas 1 x 1; region f red rect 0 0 1 1; check "all" 0 {chain}; }}'
+        assert lower_source(source).claims[-1].relations == tuple(RELATIONS)
+        with pytest.raises(ParseError) as excinfo:
+            lower_source(source.replace("== 1", "= 1"))
+        assert excinfo.value.expected == "'==', '<', or '<='"
 
     def test_canvas_is_only_an_attribute_owner(self):
         with pytest.raises(ParseError) as excinfo:

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goldenflag.constructions import build_flag
-from goldenflag.errors import SignMismatch
+from goldenflag.errors import PrecisionExhausted, SignMismatch
 from goldenflag.exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
@@ -27,6 +27,7 @@ from goldenflag.exactnum import (
     certified_sign,
     compare_values,
     div,
+    holds,
     lit,
     mul,
     neg,
@@ -36,6 +37,7 @@ from goldenflag.exactnum import (
     verify_identity,
 )
 from goldenflag.exactnum import identity as identity_module
+from goldenflag.exactnum.identity import RELATIONS
 from goldenflag.exactnum.expr import (
     _log2_up,
     _plus,
@@ -347,3 +349,62 @@ class TestSeparationBound:
         start = time.perf_counter()
         assert compare_values(x, lit(1)) is Verdict.PROVED_EQUAL
         assert time.perf_counter() - start < 1.0
+
+
+def folding_holds(lhs, relation, rhs):
+    """The rule spec claims decided by before :func:`holds`, kept as the
+    reference: the same sign table, over the difference that ``sub``
+    folds."""
+    if lhs is rhs:
+        return relation != "<"
+    signs = {"==": {Sign.ZERO}, "<": {Sign.POSITIVE}, "<=": {Sign.ZERO, Sign.POSITIVE}}[relation]
+    try:
+        return certified_sign(sub(rhs, lhs)) in signs
+    except PrecisionExhausted:
+        return None
+
+
+relation_operands = tower_exprs() | recipes.map(build) | rationals.map(lit)
+relation_pairs = (
+    st.tuples(relation_operands, relation_operands)
+    | st.tuples(rationals, rationals).map(lambda pair: (lit(pair[0]), lit(pair[1])))
+    | relation_operands.map(lambda x: (x, x))
+)
+VERDICT_OF = {True: Verdict.PROVED_EQUAL, False: Verdict.PROVED_UNEQUAL, None: Verdict.UNDECIDED}
+
+
+class TestHolds:
+    """Spec claims and :func:`compare_values` decide every relation
+    through :func:`holds`."""
+
+    @given(relation_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_holds_agrees_with_compare_values_and_the_folding_rule(self, pair):
+        a, b = pair
+        for relation in RELATIONS:
+            assert holds(a, relation, b) is folding_holds(a, relation, b)
+        assert compare_values(a, b) is VERDICT_OF[holds(a, "==", b)]
+
+    @given(relation_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_the_relations_are_one_order(self, pair):
+        a, b = pair
+        below, equal, above = holds(a, "<", b), holds(a, "==", b), holds(b, "<", a)
+        if None not in (below, equal, above):
+            assert [below, equal, above].count(True) == 1
+        at_most = holds(a, "<=", b)
+        if None in (below, equal):
+            assert at_most is None
+        else:
+            assert at_most is (below or equal)
+        assert holds(a, "<", a) is False
+
+    def test_two_literals_past_the_folding_width_compare(self):
+        # folding big + 1 - big would make a literal wider than the work
+        # budget allows; holds asks the sign of the unfolded difference
+        big = lit(2 ** 2**20)
+        above = lit(2 ** 2**20 + 1)
+        with pytest.raises(PrecisionExhausted):
+            sub(above, big)
+        assert (holds(big, "<", above), holds(above, "<=", big), holds(big, "==", above)) == (True, False, False)
+        assert compare_values(big, above) is Verdict.PROVED_UNEQUAL
