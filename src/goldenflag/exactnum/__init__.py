@@ -30,7 +30,7 @@ from .expr import (
     sqrt_,
     sub,
 )
-from .golden import GOLDEN, PHI, Quadratic, Sign
+from .golden import GOLDEN, Quadratic, Sign
 from .identity import Verdict, compare_values, holds, square_of, verify_identity
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "Literal",
     "Mul",
     "Neg",
-    "PHI",
     "PHI_EXPR",
     "Quadratic",
     "SQRT5_EXPR",

@@ -301,5 +301,3 @@ class Quadratic:
 
 GOLDEN = _Golden()
 """Q(sqrt5): the triple ``(a, b, d)`` is ``(a + b*sqrt(5))/d``."""
-
-PHI = GOLDEN.of(Fraction(1, 2), Fraction(1, 2))

@@ -179,6 +179,8 @@ class _SpecPass(Parser):
             pentagram = Pentagram(center, div(diameter, lit(2)))
         except CertificationError as exc:
             raise CertificationError(f"{where}: {exc}") from exc
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(f"in {where}: {exc}") from exc
         self.stars.append(Star(ColorRole(color), pentagram))
 
     def check(self) -> None:

@@ -7,15 +7,14 @@ ends round to the same digits, or of the value itself when
 exact value lies within half an ulp of the printed decimal.  A
 coordinate is first printed from the enclosures of its parts at
 ``decimal_str``'s start precision: ``value * scale`` (the canvas is at
-the origin), and for a star vertex ``center_s +- radius_s * |unit|``
-over :data:`geometry.PENTAGRAM_SPOKES`.  The star's scaled center and
-radii are enclosed once per star, the inner radius from the enclosures
-of the circumradius and of ``phi**2`` (enclosed once per emit), and
-each radius times each of the six unit magnitudes is one product per
+the origin), and for a star vertex geometry's one star formula,
+:func:`geometry.pentagram_coordinates`, run over the enclosures of the
+star's scaled center and circumradius (enclosed once per star) and of
+the spoke units and ``phi**2`` (once per emit): twelve products per
 star.  Only a coordinate whose ends do not round alike there, or whose
 divisor straddles zero, is printed by ``decimal_str`` from its
-expression, a star vertex's from
-:func:`geometry.pentagram_vertices`, built once per star; a certified
+expression, a star vertex's from :func:`geometry.pentagram_vertices`,
+the same formula over expressions, built once per star; a certified
 rounding is unique, so any enclosure that settles prints the same
 bytes.  One emit prints each distinct coordinate node once, on either
 axis, from a memo that dies with the emit: nodes are interned, so the
@@ -44,9 +43,7 @@ from .exactnum import (
     Add,
     Div,
     Expr,
-    Literal,
     Mul,
-    Neg,
     Sub,
     as_rational,
     decimal_str,
@@ -54,12 +51,11 @@ from .exactnum import (
     enclosure_memo,
     lit,
     mul,
-    neg,
 )
 from .exactnum.decimalfmt import MAX_DIGITS, settled, start_bits
 from .exactnum.expr import eval_interval, interval_algebra
 from .exactnum.interval import IntPair, StraddlesZero
-from .geometry import PENTAGRAM_SPOKES, PHI_SQUARED, Pentagram, Point, pentagram_vertices
+from .geometry import PHI_SQUARED, SPOKE_UNITS, Pentagram, Point, pentagram_coordinates, pentagram_vertices
 
 DEFAULT_PALETTE: Mapping[ColorRole, str] = {
     ColorRole.BLUE: "#0039A6",
@@ -128,24 +124,11 @@ class _Frame:
         self._texts: dict[Expr, str] = {}
 
     @cached_property
-    def _spokes(self) -> tuple[list[tuple[int, int, int, bool]], list[IntPair], IntPair]:
-        """What every star shares.  Each vertex axis in
-        :data:`geometry.PENTAGRAM_SPOKES` order, as its radius index, the
-        index of its unit's magnitude, the index of the product of the two
-        among their distinct pairs, and whether the unit is negative;
-        then the magnitudes' enclosures, and that of ``phi**2``.  These
-        constants divide only by literals, so each has an enclosure at
-        every precision."""
-        magnitudes: dict[Expr, int] = {}
-        pairs: dict[tuple[int, int], int] = {}
-        axes = []
-        for r, unit in PENTAGRAM_SPOKES:
-            for u in unit:
-                negative = isinstance(u, Neg) or (isinstance(u, Literal) and u.value < 0)
-                m = magnitudes.setdefault(neg(u) if negative else u, len(magnitudes))
-                axes.append((r, m, pairs.setdefault((r, m), len(pairs)), negative))
-        units = [eval_interval(magnitude, self.bits) for magnitude in magnitudes]
-        return axes, units, eval_interval(PHI_SQUARED, self.bits)
+    def _units(self) -> tuple[list[IntPair], IntPair]:
+        """The enclosures of :data:`geometry.SPOKE_UNITS` and of
+        ``phi**2``, which every star shares.  These constants divide only
+        by literals, so each has an enclosure at every precision."""
+        return [eval_interval(unit, self.bits) for unit in SPOKE_UNITS], eval_interval(PHI_SQUARED, self.bits)
 
     def dec(self, value: Expr) -> str:
         return decimal_str(value, self.digits)
@@ -185,32 +168,22 @@ class _Frame:
         """The star's ten vertices, as :func:`geometry.pentagram_vertices`
         gives them.
 
-        A vertex axis is ``center +- radius * |unit|``.  An interval
-        product is odd in each operand and its tightest pair is unique,
-        so ``radius * -|unit|`` is the negated ``radius * |unit|``, and
-        each of those products is taken once per star: 12, not 20."""
-        axes, units, phi_squared = self._spokes
-        center = [self._scaled(c) for c in self._enclose(*star.center)]
-        # the inner radius is the circumradius over phi**2, as
-        # pentagram_vertices builds it: its Div node's op on their enclosures
-        outer = self._enclose(star.circumradius)[0]
-        inner = None if outer is None else self._div(outer, phi_squared)
-        radii = [self._scaled(outer), self._scaled(inner)]
-        products: dict[int, IntPair] = {}  # by product index
+        Each coordinate is first settled from
+        :func:`geometry.pentagram_coordinates` run over the enclosures of
+        the scaled center and circumradius; one that does not settle, and
+        every one when a part has no enclosure, prints from its
+        expression."""
+        cx, cy, radius = (self._scaled(part) for part in self._enclose(*star.center, star.circumradius))
+        texts: list[str | None] = [None] * 20
+        if None not in (cx, cy, radius):
+            ops = self._add, self._sub, self._mul, self._div
+            coordinates = pentagram_coordinates((cx, cy), radius, ops, *self._units)
+            texts = [settled(*c, self.bits, self.digits) for c in coordinates]
         exact = None  # the vertex expressions, built at the first fallback
-        texts = []
-        for i, (r, m, p, negative) in enumerate(axes):
-            c, radius = center[i & 1], radii[r]
-            text = None
-            if c is not None and radius is not None:
-                product = products.get(p)
-                if product is None:
-                    product = products[p] = self._mul(radius, units[m])
-                text = settled(*(self._sub if negative else self._add)(c, product), self.bits, self.digits)
+        for i, text in enumerate(texts):
             if text is None:
                 exact = exact or pentagram_vertices(star)
-                text = self.length(exact[i >> 1][i & 1])
-            texts.append(text)
+                texts[i] = self.length(exact[i >> 1][i & 1])
         return list(zip(texts[::2], texts[1::2]))
 
     def length(self, value: Expr) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -470,7 +471,12 @@ class TestVerify:
             "let z = a - a/3*3; region all blue rect 0 0 2 1; star white at z 1/2 diameter 1/4;",
             "star white", 74099300,
         ),
-    ], ids=["cut-line", "star"])
+        # the circumradius z/2 is zero, whose sign the budget cannot decide
+        (
+            "let z = a - a/3*3; region all blue rect 0 0 2 1; star white at 1 1/2 diameter z;",
+            "star white", 75497400,
+        ),
+    ], ids=["cut-line", "star", "star-circumradius"])
     def test_a_layout_past_the_work_budget_exits_three(self, capsys, tmp_path, body, owner, spent):
         path = tmp_path / "layout.flag"
         path.write_text(f'flag "l" {{ canvas 2 x 1; {UNDECIDABLE} {body} }}')
@@ -763,6 +769,39 @@ class TestBuild:
         star = json.loads(out_path.read_text())["stars"][0]
         assert star["circumradius"] == "0." + "0" * 1400 + "707"
         assert star["center"] == ["1", "0.5"]
+
+    # a 12 x 12 grid of stars at phi-dependent centers, one per cell, as
+    # SVG and JSON at 60 and 12 digits: the hashes these files had before
+    # a star's spokes shared their products
+    STAR_GRID = "".join(
+        ['flag "stars" { canvas 12*phi x 12;\n']
+        + [
+            f"region c{i}_{j} red rect {i}*phi {j} phi 1;"
+            f" star white at ({i} + 1/2)*phi {j} + phi/4 diameter phi/({j} + 3);\n"
+            for i in range(12) for j in range(12)
+        ]
+        + ["}\n"]
+    )
+
+    @pytest.mark.parametrize("name, digest", [
+        ("stars60.svg", "8817ef00da2e3ee40cf29362598426349047640bb801d02dc59916f74e50c191"),
+        ("stars60.json", "285be7da1956902e6d2707492fc0452d2c82feb905876ea980b644dc054eabff"),
+        ("stars12.svg", "840841b28934d93541ddbed9a4324bd0fdf8fb8a564df3bff066052aaf55c5de"),
+        ("stars12.json", "301ea62b14935ec91290a36c8861f46721626c6204394d946904c4e2a24331e7"),
+    ])
+    def test_a_grid_of_stars_keeps_its_bytes(self, capsys, tmp_path, name, digest):
+        src = tmp_path / "stars.flag"
+        src.write_text(self.STAR_GRID)
+        out_path = tmp_path / name
+        code, _, err = run(capsys, "build", str(src), "--out", str(out_path), "--digits", name[5:7])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("option, value", [("--scale", "abc"), ("--width", "1/0")])
+    def test_a_size_that_is_not_a_rational_is_a_usage_error(self, capsys, tmp_path, option, value):
+        code, out, err = run(capsys, "build", "togo", "--out", str(tmp_path / "togo.svg"), option, value)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"goldenflag build: error: argument {option}: not an exact rational literal: {value!r}\n")
 
     def test_building_a_spec_file(self, capsys, tmp_path, spec_sources):
         src = tmp_path / "nepal.flag"

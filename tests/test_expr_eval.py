@@ -21,6 +21,7 @@ from goldenflag.exactnum import (
     Sign,
     Sqrt,
     add,
+    as_rational,
     certified_sign,
     decimal_str,
     div,
@@ -95,6 +96,11 @@ class TestSmartConstructors:
         assert lit("0.5") is half
         assert div(lit(1), lit(2)) is half
         assert lower_expr(parse_expression("1/2"), {}) is half
+
+    def test_a_float_is_not_a_rational(self):
+        # binary floating point never enters an expression
+        with pytest.raises(TypeError, match="^cannot convert float to Rational$"):
+            as_rational(1.5)
 
     def test_literals_of_equal_hash_are_two_nodes(self):
         # literals are interned by the integer pair of their value, and
@@ -523,6 +529,10 @@ class TestDecimalPolicy:
     def test_fewer_than_one_digit_is_an_error(self, value):
         with pytest.raises(ValueError, match="digits must be >= 1"):
             decimal_str(value, 0)
+
+    def test_more_than_max_digits_is_an_error(self):
+        with pytest.raises(ValueError, match=f"^digits must be at most {MAX_DIGITS}, got {MAX_DIGITS + 1}$"):
+            decimal_str(TAN36, MAX_DIGITS + 1)
 
     def test_certified_output_stable_under_extra_precision(self):
         for value in (TAN36, PHI_EXPR, SQRT5_EXPR):

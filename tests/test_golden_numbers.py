@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from goldenflag.constructions import build_flag, verify_layout_identities
 from goldenflag.errors import DivisionByZero
-from goldenflag.exactnum import GOLDEN, PHI, Quadratic, Sign
+from goldenflag.exactnum import GOLDEN, Quadratic, Sign
 from goldenflag.exactnum import expr as expr_module
 from goldenflag.flagspec import lower_source
 
 ONE, ZERO = GOLDEN.one, GOLDEN.zero
+PHI = GOLDEN.of(Fraction(1, 2), Fraction(1, 2))
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 # (a, b) for a + b*sqrt5
 coordinates = st.tuples(rationals, rationals)
@@ -156,7 +157,9 @@ class TestDefiningIdentities:
         assert GOLDEN.mul(GOLDEN.of(2, 1), GOLDEN.of(-2, 1)) == ONE
 
     def test_phi_is_half_of_one_plus_sqrt5(self):
-        assert PHI == GOLDEN.of(Fraction(1, 2), Fraction(1, 2))
+        sqrt5 = GOLDEN.sub(GOLDEN.add(PHI, PHI), ONE)
+        assert GOLDEN.mul(sqrt5, sqrt5) == GOLDEN.of(5, 0)
+        assert GOLDEN.sign(sqrt5) is Sign.POSITIVE
 
 
 class TestArithDispatch:

@@ -49,9 +49,10 @@ from goldenflag.exactnum.expr import (
     fold,
     separation_bits,
 )
+from goldenflag.flagspec import lower_expr, parse_expression
 from goldenflag.geometry import TAN36
 
-from conftest import golden_expr
+from conftest import FOUR_RADICALS, golden_expr
 
 TAN36_SECOND_FORM = div(sqrt_(sqrt_(lit(5))), sqrt_(add(lit(2), SQRT5_EXPR)))
 
@@ -162,6 +163,15 @@ class TestSignPrecondition:
     def test_strictly_opposed_signs_raise(self):
         with pytest.raises(SignMismatch):
             verify_identity(PHI_EXPR, neg(PHI_EXPR))
+
+    def test_an_undecidable_side_sign_is_skipped(self):
+        # z is zero, whose sign the work budget cannot prove, and z + 1
+        # differs from it by 1
+        a = lower_expr(parse_expression(FOUR_RADICALS), {})
+        z = sub(a, mul(div(a, lit(3)), lit(3)))
+        with pytest.raises(PrecisionExhausted):
+            certified_sign(z)
+        assert verify_identity(z, add(z, lit(1))) is Verdict.PROVED_UNEQUAL
 
     def test_zero_is_compatible_with_either_sign(self):
         zero = sub(sub(mul(PHI_EXPR, PHI_EXPR), PHI_EXPR), lit(1))

@@ -176,6 +176,10 @@ class TestOptions:
         with pytest.raises(ValueError):
             RenderOptions(scale=Fraction(-1))
 
+    def test_target_width_must_be_positive(self):
+        with pytest.raises(ValueError, match="^target width must be positive$"):
+            RenderOptions(target_width=0)
+
 
 # a + b*phi, rational when b is 0
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
@@ -302,8 +306,8 @@ class TestSharedEnclosures:
 
         multiply, frame._mul = frame._mul, counting
         vertices = frame.vertices(star)
-        spokes = [y for y in products if y is not frame._scale]  # not the center's or radii's scaling
-        assert len(products) - len(spokes) == 4
+        spokes = [y for y in products if y is not frame._scale]  # not the center's or circumradius's scaling
+        assert len(products) - len(spokes) == 3
         assert len(spokes) <= 12
         assert vertices == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
 
