@@ -12,14 +12,15 @@ within half an ulp of the output.  It has one rounding path, the
 refinement of :func:`expr.enclosures` from :func:`start_bits`, which
 doubles its working precision until it reaches the value's magnitude,
 so tiny values print like large ones.  A caller that already holds an
-enclosure at :func:`start_bits`, as the renderer does for coordinates,
-prints it when :func:`settled` and calls :func:`decimal_str` only when
-not; inside one command's :func:`expr.enclosure_memo` scope, each
-subterm shared between values is enclosed once per working precision.
-An exact zero prints as ``0`` and an exact tie rounds half-even;
-:func:`certified_sign` decides both.  The tie is read off the
-roundings of an enclosure's two ends, and the far end is rounded only
-for that question.  Every refinement spends from
+enclosure at :func:`start_bits`, as the renderer does for every scaled
+value, prints it when :func:`settled` and calls :func:`decimal_str`
+only when not; inside one command's :func:`expr.enclosure_memo` scope,
+each subterm shared between values is enclosed once per working
+precision.  An enclosure that does not settle holds one rounding
+boundary, zero or a tie read off the roundings of its two ends, and
+:func:`certified_sign` is asked once per boundary point whether the
+value is on it: an exact zero prints as ``0`` and an exact tie rounds
+half-even.  Every refinement spends from
 :data:`expr.WORK_BUDGET`, so whether a value prints does not depend on
 the digits asked for.  Quoting the leading digits of an expansion is a
 different operation, a pair of certified comparisons (a spec's ``check
@@ -169,15 +170,16 @@ def decimal_str(x: Expr, digits: int) -> str:
 
     A literal ``p/q`` is rounded exactly, by :func:`round_scaled` with
     denominator ``q``.  Otherwise the enclosures of ``x`` start at
-    :func:`start_bits` and double until one is :func:`settled`.  Two
-    points are asked about once each, by :func:`certified_sign`: zero,
-    at the first enclosure that contains it, and the tie between two
-    adjacent outputs, at the first enclosure that excludes zero and
-    whose ends round to them (:func:`_tie`, the only place the far end
-    is rounded).  A proved zero prints ``0`` and a proved tie its
-    half-even text, both from integers, so values whose enclosures
-    settle the rounding pay nothing for either.  Raises :class:`PrecisionExhausted` when a refinement runs
-    out of :data:`expr.WORK_BUDGET` first.
+    :func:`start_bits` and double until one is :func:`settled`.  An
+    enclosure that does not settle holds one rounding boundary: zero,
+    when it contains zero, and else the tie between two adjacent
+    outputs when its ends round to them (:func:`_tie`, the only place
+    the far end is rounded).  Each boundary point is asked about once,
+    by :func:`certified_sign` of ``x`` minus it: a proved zero prints
+    ``0`` and a proved tie its half-even text, both from integers, so
+    values whose enclosures settle the rounding pay nothing for either.
+    Raises :class:`PrecisionExhausted` when a refinement runs out of
+    :data:`expr.WORK_BUDGET` first.
     """
     if digits > MAX_DIGITS:
         raise ValueError(f"digits must be at most {MAX_DIGITS}, got {digits}")
@@ -186,19 +188,14 @@ def decimal_str(x: Expr, digits: int) -> str:
     if isinstance(x, Literal):
         p, q = x.value.as_integer_ratio()
         return format_rounded(round_scaled(p, 0, digits, q), digits)
-    asked_zero = asked_tie = False
+    asked = set()  # the boundary points certified_sign was asked about
     for w, lo, hi in enclosures(x, start_bits(digits)):
         text = settled(lo, hi, w, digits)
         if text is not None:
             return text
-        if lo <= 0 <= hi:
-            if not asked_zero:
-                asked_zero = True
-                if certified_sign(x) is Sign.ZERO:
-                    return "0"
-        elif not asked_tie:
-            tie = _tie(lo, hi, w, digits)
-            if tie is not None:
-                asked_tie, (point, text) = True, tie
-                if certified_sign(sub(x, lit(point))) is Sign.ZERO:
-                    return text
+        boundary = (0, "0") if lo <= 0 <= hi else _tie(lo, hi, w, digits)
+        if boundary is not None and boundary[0] not in asked:
+            point, text = boundary
+            asked.add(point)
+            if certified_sign(sub(x, lit(point))) is Sign.ZERO:
+                return text

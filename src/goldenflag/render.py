@@ -1,25 +1,26 @@
 """Deterministic serialization of flag layouts to SVG and JSON.
 
-Every emitted coordinate string is the certified round-half-even
+Every emitted decimal string is the certified round-half-even
 rendering of an exact value: the rounding of an interval enclosure whose
 ends round to the same digits, or of the value itself when
 :func:`exactnum.decimal_str` proves it an exact zero or tie, so the
-exact value lies within half an ulp of the printed decimal.  A
-coordinate is first printed from the enclosures of its parts at
-``decimal_str``'s start precision: ``value * scale`` (the canvas is at
-the origin), and for a star vertex geometry's one star formula,
-:func:`geometry.pentagram_coordinates`, run over the enclosures of the
-star's scaled center and circumradius (enclosed once per star) and of
-the spoke units and ``phi**2`` (once per emit): twelve products per
-star.  Only a coordinate whose ends do not round alike there, or whose
-divisor straddles zero, is printed by ``decimal_str`` from its
-expression, a star vertex's from :func:`geometry.pentagram_vertices`,
-the same formula over expressions, built once per star; a certified
-rounding is unique, so any enclosure that settles prints the same
-bytes.  One emit prints each distinct coordinate node once, on either
-axis, from a memo that dies with the emit: nodes are interned, so the
-corners that polygons repeat and the cut lines that regions share are
-rounded once.  One command is one :func:`exactnum.enclosure_memo` scope (each
+exact value lies within half an ulp of the printed decimal.  One
+method, :meth:`_Frame.scaled`, prints every scaled value (the canvas
+size, region corners, star centers and circumradii): settled from the
+enclosures of the value and the scale at ``decimal_str``'s start
+precision (the canvas is at the origin), else by ``decimal_str`` from
+``value * scale``, and once per distinct node per emit, from a memo that
+dies with the emit, so the corners that polygons repeat and the cut
+lines that regions share are rounded once.  Star vertices are settled
+from geometry's one star formula, :func:`geometry.pentagram_coordinates`,
+run over the enclosures of the star's scaled center and circumradius
+and of the spoke units and ``phi**2``: twelve products per star.  A
+coordinate that does not settle there, or every one when a part's
+divisor straddles zero, goes to ``_Frame.scaled`` as its expression from
+:func:`geometry.pentagram_vertices`, built once per star.  A certified
+rounding is unique, so every path prints the same bytes.  Only the JSON
+``ratio``, which is not scaled, goes to ``decimal_str`` directly.
+One command is one :func:`exactnum.enclosure_memo` scope (each
 emitter opens one for library callers, which joins the command's), so
 the scale, ``phi``, star trigonometry and spec subterms that coordinates
 share are enclosed once per working precision.  Output bytes are
@@ -112,14 +113,12 @@ class _Frame:
             self.scale: Expr = div(lit(opts.target_width), layout.width)
         else:
             self.scale = lit(opts.scale)
-        self.width = mul(layout.width, self.scale)
-        self.height = mul(layout.height, self.scale)
         self.bits = start_bits(opts.digits)
         ops = interval_algebra(self.bits)[1]
         self._add, self._sub, self._mul, self._div = ops[Add], ops[Sub], ops[Mul], ops[Div]
-        # the enclosure every coordinate shares
-        self._scale = self._enclose(self.scale)[0]
-        # the printed coordinates by node, for this emit only: nodes are
+        # the enclosure every scaled value shares
+        self._scale = self._enclose(self.scale)
+        # the printed scaled values by node, for this emit only: nodes are
         # interned, so a value on either axis or at a shared corner is one key
         self._texts: dict[Expr, str] = {}
 
@@ -130,39 +129,33 @@ class _Frame:
         by literals, so each has an enclosure at every precision."""
         return [eval_interval(unit, self.bits) for unit in SPOKE_UNITS], eval_interval(PHI_SQUARED, self.bits)
 
-    def dec(self, value: Expr) -> str:
-        return decimal_str(value, self.digits)
-
-    def _enclose(self, *values: Expr) -> list[IntPair | None]:
-        """The enclosures of ``values`` at the start precision; None for
-        one whose divisor straddles zero there."""
-        enclosures = []
-        for value in values:
-            try:
-                enclosures.append(eval_interval(value, self.bits))
-            except StraddlesZero:
-                enclosures.append(None)
-        return enclosures
-
-    def _scaled(self, enclosure: IntPair | None) -> IntPair | None:
-        """The enclosure of ``v * scale`` for every ``v`` in ``enclosure``;
-        None when a part is None."""
-        if enclosure is None or self._scale is None:
+    def _enclose(self, value: Expr) -> IntPair | None:
+        """The enclosure of ``value`` at the start precision; None when a
+        divisor in it straddles zero there."""
+        try:
+            return eval_interval(value, self.bits)
+        except StraddlesZero:
             return None
-        return self._mul(enclosure, self._scale)
 
-    def _coordinate(self, value: Expr) -> str:
-        """``value * scale`` as printed, once per node in this emit."""
+    def _enclose_scaled(self, value: Expr) -> IntPair | None:
+        """The enclosure of ``value * scale``; None when ``value`` or the
+        scale has none."""
+        enclosure = self._enclose(value)
+        return None if enclosure is None or self._scale is None else self._mul(enclosure, self._scale)
+
+    def scaled(self, value: Expr) -> str:
+        """``value * scale`` as printed, once per node in this emit: settled
+        from :meth:`_enclose_scaled`, else by :func:`decimal_str`."""
         texts = self._texts
         text = texts.get(value)
         if text is None:
-            scaled = self._scaled(self._enclose(value)[0])
+            scaled = self._enclose_scaled(value)
             text = None if scaled is None else settled(*scaled, self.bits, self.digits)
-            text = texts[value] = text or self.length(value)
+            text = texts[value] = text or decimal_str(mul(value, self.scale), self.digits)
         return text
 
     def point(self, p: Point) -> tuple[str, str]:
-        return self._coordinate(p.x), self._coordinate(p.y)
+        return self.scaled(p.x), self.scaled(p.y)
 
     def vertices(self, star: Pentagram) -> list[tuple[str, str]]:
         """The star's ten vertices, as :func:`geometry.pentagram_vertices`
@@ -171,9 +164,9 @@ class _Frame:
         Each coordinate is first settled from
         :func:`geometry.pentagram_coordinates` run over the enclosures of
         the scaled center and circumradius; one that does not settle, and
-        every one when a part has no enclosure, prints from its
-        expression."""
-        cx, cy, radius = (self._scaled(part) for part in self._enclose(*star.center, star.circumradius))
+        every one when a part has no enclosure, is printed by
+        :meth:`scaled` from its expression."""
+        cx, cy, radius = (self._enclose_scaled(part) for part in (*star.center, star.circumradius))
         texts: list[str | None] = [None] * 20
         if None not in (cx, cy, radius):
             ops = self._add, self._sub, self._mul, self._div
@@ -183,11 +176,8 @@ class _Frame:
         for i, text in enumerate(texts):
             if text is None:
                 exact = exact or pentagram_vertices(star)
-                texts[i] = self.length(exact[i >> 1][i & 1])
+                texts[i] = self.scaled(exact[i >> 1][i & 1])
         return list(zip(texts[::2], texts[1::2]))
-
-    def length(self, value: Expr) -> str:
-        return self.dec(mul(value, self.scale))
 
 
 @enclosure_memo()
@@ -201,7 +191,7 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     """
     opts = opts or RenderOptions()
     frame = _Frame(layout, opts)
-    width, height = frame.dec(frame.width), frame.dec(frame.height)
+    width, height = frame.scaled(layout.width), frame.scaled(layout.height)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (
@@ -238,10 +228,10 @@ def json_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     document = {
         "flag": layout.provenance,
         "canvas": {
-            "width": frame.dec(frame.width),
-            "height": frame.dec(frame.height),
+            "width": frame.scaled(layout.width),
+            "height": frame.scaled(layout.height),
         },
-        "ratio": frame.dec(layout.width_height_ratio()),
+        "ratio": decimal_str(layout.width_height_ratio(), opts.digits),
         "regions": [
             {
                 "name": region.name,
@@ -254,7 +244,7 @@ def json_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
             {
                 "color": star.color.value,
                 "center": list(frame.point(star.pentagram.center)),
-                "circumradius": frame.length(star.pentagram.circumradius),
+                "circumradius": frame.scaled(star.pentagram.circumradius),
                 "vertices": [list(xy) for xy in frame.vertices(star.pentagram)],
             }
             for star in layout.stars

@@ -552,7 +552,28 @@ class TestVerify:
             f"{SPEC_OPENING} let q = 1/(phi*phi - phi - 1); region r red rect 0 0 1 1; @ }}",
             1, "goldenflag: error: 1:84: illegal character '@'\n",
         ),
-    ], ids=["side-condition", "work-budget", "unbound-name", "duplicate-binding", "lexical-first"])
+        # within one expression too: the part that parsed runs before the
+        # parse error is reported
+        (
+            f"{SPEC_OPENING} let a = b + ; region r red rect 0 0 1 1; }}",
+            1, "goldenflag: error: 1:34: unbound name 'b'\n",
+        ),
+        (
+            f"{SPEC_OPENING} let a = sqrt(0-1) + ; region r red rect 0 0 1 1; }}",
+            1, "goldenflag: error: in let 'a': square root of a certified-negative value\n",
+        ),
+        (
+            f"{SPEC_OPENING} let a = q.width + ; region r red rect 0 0 1 1; }}",
+            1, "goldenflag: error: 1:34: 'q' is not a previously declared region\n",
+        ),
+        (
+            f"{SPEC_OPENING} let a = ; region r red rect 0 0 1 1; }}",
+            1, "goldenflag: error: 1:34: expected expression, found symbol ';'\n",
+        ),
+    ], ids=[
+        "side-condition", "work-budget", "unbound-name", "duplicate-binding", "lexical-first",
+        "unbound-name-then-syntax", "certification-then-syntax", "undeclared-region-then-syntax", "empty-expression",
+    ])
     def test_the_first_error_in_source_order_is_reported(self, capsys, tmp_path, source, code, err):
         path = tmp_path / "order.flag"
         path.write_text(source)

@@ -576,6 +576,23 @@ class TestZeroBeyondTheTower:
         with pytest.raises(DivisionByZero):
             div(lit(1), self.ZERO)
 
+    @pytest.mark.parametrize("value, digits, expected, asked", [
+        (ZERO, 12, "0", 1),
+        # exactly 3/8, the tie between 0.37 and 0.38
+        (add(sub(mul(sqrt_(lit(2)), sqrt_(lit(3))), sqrt_(lit(6))), lit(Fraction(3, 8))), 2, "0.38", 1),
+        (PHI_EXPR, 12, "1.61803398875", 0),  # its first enclosure settles
+    ], ids=["zero", "tie", "settled"])
+    def test_each_rounding_boundary_is_asked_once(self, monkeypatch, value, digits, expected, asked):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return certified_sign(x)
+
+        monkeypatch.setattr(decimalfmt, "certified_sign", counting)
+        assert decimal_str(value, digits) == expected
+        assert len(calls) == asked
+
 
 class TestNormalize:
     def test_phi_expression(self):

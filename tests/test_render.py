@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldenflag import render
-from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout, Region
+from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout, Region, Star
 from goldenflag.errors import UnencodableText
 from goldenflag.exactnum import (
     PHI_EXPR, add, certified_sign, decimal_str, decimalfmt, div, lit, mul, sqrt_, sub,
@@ -146,8 +146,8 @@ class TestPrecisionSoundness:
         def recheck(text: str, expr) -> None:
             assert within_half_ulp(expr, text, opts.digits)
 
-        recheck(doc["canvas"]["width"], frame.width)
-        recheck(doc["canvas"]["height"], frame.height)
+        recheck(doc["canvas"]["width"], mul(layout.width, frame.scale))
+        recheck(doc["canvas"]["height"], mul(layout.height, frame.scale))
         for region, emitted in zip(layout.regions, doc["regions"]):
             for point, (x_text, y_text) in zip(region.polygon, emitted["vertices"]):
                 recheck(x_text, mul(point.x, frame.scale))
@@ -232,6 +232,19 @@ class TestSharedEnclosures:
         star = Pentagram(center, radius)
         assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(positives, positives, options, points, positives)
+    def test_the_canvas_size_and_circumradius_print_as_decimal_str(self, width, height, opts, center, radius):
+        # options by target width too, where the canvas width prints exactly it
+        star = Pentagram(center, radius)
+        layout = FlagLayout(width, height, (), (Star(ColorRole.WHITE, star),), "frame")
+        doc = json.loads(json_emit(layout, opts))
+        frame = _Frame(layout, opts)
+        assert (doc["canvas"]["width"], doc["canvas"]["height"]) == by_decimal_str(frame, Point(width, height))
+        (printed,) = doc["stars"]
+        assert printed["circumradius"] == decimal_str(mul(radius, frame.scale), opts.digits)
+        assert printed["center"] == list(by_decimal_str(frame, center))
+
     @pytest.fixture
     def printed(self, monkeypatch):
         """The values render printed through decimal_str."""
@@ -268,8 +281,10 @@ class TestSharedEnclosures:
         frame = frame_of(NEAR_ZERO, lit(1), RenderOptions(digits=3, target_width=2))
         star = Pentagram(Point(lit(Fraction(1, 3)), lit(0)), lit(Fraction(1, 4)))
         printed.clear()
-        assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
-        assert len(printed) == 20
+        vertices = pentagram_vertices(star)
+        assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in vertices]
+        # once per distinct vertex node: the top and bottom share the center's x
+        assert len(printed) == len({node for vertex in vertices for node in vertex}) < 20
 
     @pytest.fixture
     def built_vertices(self, monkeypatch):
@@ -285,13 +300,13 @@ class TestSharedEnclosures:
 
     def test_a_vertex_falls_back_to_pentagram_vertices(self, printed, built_vertices):
         # the top and bottom vertices' x is the center's, NEAR_ZERO, whose
-        # enclosure at 3 digits' 64 bits straddles zero; the other vertices
-        # settle from the enclosures of their parts
+        # enclosure at 3 digits' 64 bits straddles zero, printed once; the
+        # other vertices settle from the enclosures of their parts
         star = Pentagram(Point(NEAR_ZERO, lit(Fraction(1, 2))), lit(Fraction(1, 4)))
         frame = frame_of(*self.UNIT, RenderOptions(digits=3))
         assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
         assert built_vertices == [star]
-        assert printed == [NEAR_ZERO, NEAR_ZERO]
+        assert printed == [NEAR_ZERO]
 
     def test_one_product_per_spoke_magnitude(self):
         # a spoke's unit is +-0, +-1, +-sin36, +-cos36, +-sin72 or +-cos72,
@@ -347,6 +362,10 @@ class TestCoordinateMemo:
         distinct = {node for p in corners for node in p}  # nodes hash by identity
         # 0, 3, phi, 2*phi and 3*phi: 0 is on both axes
         assert len(distinct) == 5
+        # the canvas width is the corners' 3; its height, the node 3*phi, is
+        # not the corners' phi + phi + phi
+        distinct |= {self.STRIPES.width, self.STRIPES.height}
+        assert len(distinct) == 6
         first = svg_emit(self.STRIPES)
         assert len(settled_calls) == len(distinct)
         # a second emit does the work again: no printed coordinate outlives
