@@ -165,9 +165,8 @@ def _cmd_verify(args, out) -> int:
         return EXIT_OK
     failed = sum(not check.status.ok for check in report.checks)
     print(f"{layout.provenance}: {failed} of {total} checks failed", file=out)
-    if report.any_undecided and not report.any_disproved:
-        return EXIT_UNDECIDED
-    return EXIT_ERROR
+    # a check that is not ok is disproved or undecided
+    return EXIT_ERROR if report.any_disproved else EXIT_UNDECIDED
 
 
 def _cmd_eval(args, out) -> int:

@@ -275,21 +275,9 @@ def build_flag(name: str) -> FlagLayout:
 # verification
 
 
-class CheckStatus(enum.Enum):
-    PROVED_EQUAL = "ProvedEqual"
-    PROVED_UNEQUAL = "ProvedUnequal"
-    UNDECIDED = "Undecided"
-    PASS = "Pass"
-    FAIL = "Fail"
-
-    @property
-    def ok(self) -> bool:
-        return self in (CheckStatus.PROVED_EQUAL, CheckStatus.PASS)
-
-
 class Check(NamedTuple):
     name: str
-    status: CheckStatus
+    status: Verdict
     detail: str = ""
 
 
@@ -302,18 +290,11 @@ class VerificationReport(NamedTuple):
 
     @property
     def any_undecided(self) -> bool:
-        return any(check.status is CheckStatus.UNDECIDED for check in self.checks)
+        return any(check.status is Verdict.UNDECIDED for check in self.checks)
 
     @property
     def any_disproved(self) -> bool:
-        disproved = (CheckStatus.PROVED_UNEQUAL, CheckStatus.FAIL)
-        return any(check.status in disproved for check in self.checks)
-
-
-# a claim's status by whether it holds (None: undecided), for a single
-# ``==`` and for any other chain
-_EQUALITY_STATUS = {True: CheckStatus.PROVED_EQUAL, False: CheckStatus.PROVED_UNEQUAL}
-_CHAIN_STATUS = {True: CheckStatus.PASS, False: CheckStatus.FAIL}
+        return any(check.status in (Verdict.PROVED_UNEQUAL, Verdict.FAIL) for check in self.checks)
 
 
 class Claim(NamedTuple):
@@ -348,9 +329,7 @@ class Claim(NamedTuple):
                 detail = f"{name}: precision exhausted: {exc}"
                 if outcome is not False:  # only a disproved link still decides
                     outcome = None
-        statuses = _EQUALITY_STATUS if self.relations == ("==",) else _CHAIN_STATUS
-        status = CheckStatus.UNDECIDED if outcome is None else statuses[outcome]
-        return (Check(self.name, status, detail),)
+        return (Check(self.name, Verdict.of(outcome, self.relations == ("==",)), detail),)
 
 
 class Diagonals(NamedTuple):
@@ -363,21 +342,14 @@ class Diagonals(NamedTuple):
         return verify_angle_configuration(layout, self.region).checks
 
 
-# a point check's status by whether the points coincide (None: undecided)
-_POINT_STATUS = {True: CheckStatus.PROVED_EQUAL, False: CheckStatus.FAIL, None: CheckStatus.UNDECIDED}
-
-
-def _same_point(a: Point, b: Point) -> bool | None:
-    """Whether two points coincide: False when a coordinate comparison
-    disproves it, None when none does and one is undecided."""
-    same: bool | None = True
-    for u, v in ((a.x, b.x), (a.y, b.y)):
-        verdict = compare_values(u, v)
-        if verdict is Verdict.PROVED_UNEQUAL:
-            return False
-        if verdict is Verdict.UNDECIDED:
-            same = None
-    return same
+def _same_point(a: Point, b: Point) -> Verdict:
+    """Whether two points coincide: ProvedUnequal when a coordinate
+    comparison disproves it, else Undecided when one is undecided."""
+    x = compare_values(a.x, b.x)
+    if x is Verdict.PROVED_UNEQUAL:
+        return x
+    y = compare_values(a.y, b.y)
+    return x if y is Verdict.PROVED_EQUAL else y
 
 
 def _squared_distance(a: Point, b: Point) -> Expr:
@@ -404,8 +376,9 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
     the closed form and the exact double-angle form), the vertical
     complement, the isosceles half-diagonal triangle, the crossing
     against the midpoint formula, and a star on the crossing when the
-    layout has stars; a point check that no comparison disproves but one
-    leaves undecided is Undecided.  Raises :class:`WrongLayout` when the
+    layout has stars.  Every check is an equality: a point check is
+    ProvedUnequal when a coordinate comparison disproves it, and else
+    Undecided when one is undecided.  Raises :class:`WrongLayout` when the
     layout has no such region or the region is proved not in that
     proportion, and :class:`PrecisionExhausted` when it is undecided."""
     bounds = next((r.bounds for r in layout.regions if r.name == region), None)
@@ -446,22 +419,21 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
         ),
     )
     # the gate above has proved the rising diagonal's tangent
-    checks = [Check("rising diagonal tangent equals tan(36)", CheckStatus(proportion.value))]
-    checks.extend(Check(name, CheckStatus(verify_identity(lhs, rhs).value)) for name, lhs, rhs in identities)
+    checks = [Check("rising diagonal tangent equals tan(36)", proportion)]
+    checks.extend(Check(name, verify_identity(lhs, rhs)) for name, lhs, rhs in identities)
     reference = rect_diagonal_intersection(x0, y0, width, height)
-    midpoint = _same_point(center, reference)
-    checks.append(Check("diagonal intersection matches midpoint formula", _POINT_STATUS[midpoint]))
+    checks.append(Check("diagonal intersection matches midpoint formula", _same_point(center, reference)))
     if layout.stars:
         # some star on the crossing passes; failing that, an undecided one
         # leaves the check undecided
-        on_crossing: bool | None = False
+        on_crossing = Verdict.PROVED_UNEQUAL
         for star in layout.stars:
             same = _same_point(star.pentagram.center, center)
-            if same is not False:
+            if same is not Verdict.PROVED_UNEQUAL:
                 on_crossing = same
-                if same:
+                if same.ok:
                     break
-        checks.append(Check("star centered on the diagonal crossing", _POINT_STATUS[on_crossing]))
+        checks.append(Check("star centered on the diagonal crossing", on_crossing))
     return VerificationReport(tuple(checks))
 
 

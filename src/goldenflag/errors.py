@@ -30,11 +30,6 @@ class PrecisionExhausted(ExactNumberError):
     side condition, a sign, or a rounding."""
 
 
-class SignMismatch(ExactNumberError):
-    """A stated identity relates two sides of one sign, but one side is
-    certified positive and the other negative."""
-
-
 class CertificationError(ExactNumberError):
     """A construction-time side condition failed: negative radicand,
     zero divisor, or a canvas, region or star size not certified positive."""

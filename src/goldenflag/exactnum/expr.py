@@ -31,9 +31,9 @@ decided depends only on the value.  An interval product or quotient
 wider than one operation's charge can cover raises
 :class:`PrecisionExhausted` too, so the first enclosure is bounded as
 well.  One :func:`enclosure_memo` scope, such as one CLI command or one
-:func:`identity.verify_identity` call, is the request scope: inside it,
-each shared subterm is enclosed once per working precision, an inner
-scope joins the outer one, and the memo dies with the outermost scope.
+emitted document, is the request scope: inside it, each shared subterm
+is enclosed once per working precision, an inner scope joins the outer
+one, and the memo dies with the outermost scope.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ refinement stopped by a separation bound) is one that :data:`RELATIONS`
 lists for it, after a short-circuit for identical nodes (nodes are
 hash-consed, so that is structural equality).  Spec claims and
 :func:`compare_values` both ask it, and :data:`RELATIONS` is also the
-set of relations the spec grammar accepts.  Undecided means only that
-the refinement ran out of its work budget before an enclosure was
+set of relations the spec grammar accepts.  :class:`Verdict` is the one
+outcome type: :meth:`Verdict.of` names each answer of :func:`holds`, for
+an identity, a spec claim and a point check alike.  Undecided means only
+that the refinement ran out of its work budget before an enclosure was
 narrower than the bound.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import enum
 
-from ..errors import PrecisionExhausted, SignMismatch
+from ..errors import PrecisionExhausted
 from .expr import (
     Add,
     Div,
@@ -30,7 +32,6 @@ from .expr import (
     add,
     certified_sign,
     div,
-    enclosure_memo,
     eval_interval,  # noqa: F401  (bound here by the layer tracer in bench/)
     fold,
     lit,
@@ -40,9 +41,29 @@ from .expr import (
 
 
 class Verdict(enum.Enum):
+    """The outcome of a question: ProvedEqual or ProvedUnequal for a
+    single ``==``, Pass or Fail for any other chain of relations, and
+    Undecided when the work budget ran out first."""
+
     PROVED_EQUAL = "ProvedEqual"
     PROVED_UNEQUAL = "ProvedUnequal"
     UNDECIDED = "Undecided"
+    PASS = "Pass"
+    FAIL = "Fail"
+
+    @property
+    def ok(self) -> bool:
+        return self in (Verdict.PROVED_EQUAL, Verdict.PASS)
+
+    @classmethod
+    def of(cls, answer: bool | None, equality: bool = True) -> Verdict:
+        """The verdict on an answer of :func:`holds`: of an ``==``
+        question, or with ``equality`` false of any other chain."""
+        if answer is None:
+            return cls.UNDECIDED
+        if equality:
+            return cls.PROVED_EQUAL if answer else cls.PROVED_UNEQUAL
+        return cls.PASS if answer else cls.FAIL
 
 
 def square_of(x: Expr) -> Expr:
@@ -94,31 +115,14 @@ def holds(lhs: Expr, relation: str, rhs: Expr) -> bool | None:
         return None
 
 
-_VERDICTS = {True: Verdict.PROVED_EQUAL, False: Verdict.PROVED_UNEQUAL, None: Verdict.UNDECIDED}
-
-
 def compare_values(lhs: Expr, rhs: Expr) -> Verdict:
     """Decide whether two expressions denote the same real, whatever
     their signs: the verdict of ``holds(lhs, "==", rhs)``."""
-    return _VERDICTS[holds(lhs, "==", rhs)]
+    return Verdict.of(holds(lhs, "==", rhs))
 
 
 def verify_identity(lhs: Expr, rhs: Expr) -> Verdict:
-    """Decide whether two certified expressions denote the same real.
-
-    Contract: a stated identity relates two sides of one sign, so
-    :class:`SignMismatch` is raised when the certified signs strictly
-    disagree (one side positive, the other negative).  When a sign
-    cannot be certified the check is skipped; the verdict itself never
-    depends on it.  One call is one :func:`enclosure_memo` scope, so the
-    three signs share the enclosures of the two sides' subterms.
-    """
-    with enclosure_memo():
-        try:
-            signs = certified_sign(lhs), certified_sign(rhs)
-        except PrecisionExhausted:
-            pass
-        else:
-            if set(signs) == {Sign.POSITIVE, Sign.NEGATIVE}:
-                raise SignMismatch(f"certified signs disagree: {signs[0].name} vs {signs[1].name}")
-        return compare_values(lhs, rhs)
+    """Decide a stated identity ``lhs == rhs``: :func:`compare_values`
+    under the name the layout verifier asks, so sides of opposite signs
+    are ProvedUnequal, from the one sign of their difference."""
+    return compare_values(lhs, rhs)

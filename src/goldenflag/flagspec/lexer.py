@@ -10,6 +10,9 @@ no escapes and may not span lines.  ``==`` and ``<=`` are single symbols.
 token together with the blanks after it, or a skipped run of whitespace
 or a comment, and the scan stops at the first character where no token
 starts.  A token's kind comes from its pattern group by one dict lookup.
+The stream ends in EOF, or in an ERROR token whose lexeme is the
+message of the first lexical error, which the parser raises when it
+reaches the token, so an earlier error in source order comes first.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import re
 from functools import partial
 from typing import NamedTuple
 
-from ..errors import LexError
-
 
 class TokenKind(enum.Enum):
     IDENT = "ident"
@@ -29,6 +30,7 @@ class TokenKind(enum.Enum):
     SYMBOL = "symbol"
     STRING = "string"
     EOF = "eof"
+    ERROR = "error"
 
 
 KEYWORDS = frozenset(
@@ -87,10 +89,11 @@ _WORD_KINDS = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Full token stream ending in EOF, or a positioned LexError."""
+    """The token stream, ending in EOF or in the first lexical error's ERROR token."""
     tokens: list[Token] = []
     append = tokens.append
     line, line_start, pos = 1, 0, 0
+    kind, message = TokenKind.EOF, ""  # of the last token, which stands at pos
     for match in _TOKEN.finditer(source):
         start, end = match.span()
         if start != pos:  # the scan skipped a character where no token starts
@@ -109,15 +112,17 @@ def tokenize(source: str) -> list[Token]:
             append(_token((TokenKind.STRING, text[1:-1], line, col)))
         else:
             if group == "NUMBER":
+                stop = start + len(text)  # the number's end, before its blanks
                 if text[-1] == ".":
-                    raise LexError(line, col + len(text) - 1, "malformed number: expected digits after '.'")
-                after = source[start + len(text) : start + len(text) + 1]
+                    kind, message, pos = TokenKind.ERROR, "malformed number: expected digits after '.'", stop - 1
+                    break
+                after = source[stop : stop + 1]
                 if after and (after.isalnum() or after in "_."):
-                    raise LexError(line, col + len(text), f"malformed number near {text + after!r}")
+                    kind, message, pos = TokenKind.ERROR, f"malformed number near {text + after!r}", stop
+                    break
             append(_token((_GROUP_KINDS[group], text, line, col)))
-    col = pos - line_start + 1
-    if pos < len(source):
+    if kind is TokenKind.EOF and pos < len(source):
+        kind = TokenKind.ERROR
         message = "unterminated string" if source[pos] == '"' else f"illegal character {source[pos]!r}"
-        raise LexError(line, col, message)
-    append(Token(TokenKind.EOF, "", line, col))
+    append(Token(kind, message, line, pos - line_start + 1))
     return tokens

@@ -2,11 +2,11 @@
 
 The statement productions of the grammar (stated in :mod:`.parser`) lower
 each expression as soon as it parses, against the lets and regions
-declared so far, and raise each error at the token in hand: after a full
-tokenize, the first parse, semantic or certification error in source
-order is the one reported, within one expression too.  Every reference
-points backward, so every identifier, and every region whose ``width``
-or ``height`` an expression reads, must be declared earlier in the file.
+declared so far, and raise each error at the token in hand: the first
+lexical, parse, semantic or certification error in source order is the
+one reported, within one expression too.  Every reference points
+backward, so every identifier, and every region whose ``width`` or
+``height`` an expression reads, must be declared earlier in the file.
 
 Expressions become certified constructible-number expressions (``phi``
 lowers to (1+sqrt5)/2 exactly).  ``canvas.width`` and ``canvas.height``
@@ -23,7 +23,7 @@ from ..constructions import Claim, ColorRole, Diagonals, FlagLayout, Region, Sta
 from ..errors import (
     CertificationError,
     DivisionByZero,
-    ParseError,
+    FlagSpecError,
     PrecisionExhausted,
     SemanticError,
 )
@@ -107,11 +107,11 @@ class _SpecPass(Parser):
 
     def value(self, where: str) -> Expr:
         """The lowered value of the expression at the current token.  On
-        a parse error, the program parsed so far runs first, so an error
-        that comes before it in source order is the one raised."""
+        a lexical or parse error, the program parsed so far runs first, so
+        an error that comes before it in source order is the one raised."""
         try:
             code = self.parse_expr()
-        except ParseError:
+        except FlagSpecError:  # a lexical or parse error
             if self.code:
                 lower_expr(self.code, self.env, where, self.rects)
             raise

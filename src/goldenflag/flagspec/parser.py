@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
-from ..errors import ParseError
+from ..errors import LexError, ParseError
 from ..exactnum import PHI_EXPR, Expr, add, div, lit, mul, neg, sqrt_, sub
 from .lexer import COLOR_KEYWORDS, KEYWORDS, Token, TokenKind, tokenize
 
@@ -95,6 +95,7 @@ class Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.last = len(tokens) - 1  # the EOF or ERROR token, never moved past
         self.token = tokens[0]  # the current token, tokens[pos]
         self.code: Code = []
 
@@ -102,13 +103,16 @@ class Parser:
 
     def advance(self) -> Token:
         token = self.token
-        if token.kind is not TokenKind.EOF:
+        if self.pos < self.last:
             self.pos += 1
             self.token = self.tokens[self.pos]
         return token
 
-    def error(self, expected: str) -> ParseError:
+    def error(self, expected: str) -> LexError | ParseError:
+        """The error at the current token: its LexError if it is an ERROR token, else a ParseError."""
         found = self.token
+        if found.kind is TokenKind.ERROR:
+            return LexError(found.line, found.col, found.lexeme)
         return ParseError(found.line, found.col, expected, found.describe())
 
     def at(self, *lexemes: str) -> bool:

@@ -529,8 +529,8 @@ class TestVerify:
         assert last == "Fail       last"
         assert summary == "claims: 2 of 3 checks failed"
 
-    # a spec is lowered as it parses: after a full tokenize, the first
-    # error in source order is the one reported
+    # a spec is lowered as it parses: the first error in source order,
+    # a lexical one too, is the one reported
     @pytest.mark.parametrize("source, code, err", [
         (
             f"{SPEC_OPENING} let q = 1/(phi*phi - phi - 1); region r red rect 0 0 1 1; oops }}",
@@ -549,8 +549,12 @@ class TestVerify:
             1, "goldenflag: error: 1:53: duplicate binding 'r'\n",
         ),
         (
+            f"{SPEC_OPENING} @ let q = 1/(phi*phi - phi - 1); region r red rect 0 0 1 1; }}",
+            1, "goldenflag: error: 1:26: illegal character '@'\n",
+        ),
+        (
             f"{SPEC_OPENING} let q = 1/(phi*phi - phi - 1); region r red rect 0 0 1 1; @ }}",
-            1, "goldenflag: error: 1:84: illegal character '@'\n",
+            1, "goldenflag: error: in let 'q': divisor is certified zero\n",
         ),
         # within one expression too: the part that parsed runs before the
         # parse error is reported
@@ -563,6 +567,10 @@ class TestVerify:
             1, "goldenflag: error: in let 'a': square root of a certified-negative value\n",
         ),
         (
+            f"{SPEC_OPENING} let a = sqrt(0-1) + 1.; region r red rect 0 0 1 1; }}",
+            1, "goldenflag: error: in let 'a': square root of a certified-negative value\n",
+        ),
+        (
             f"{SPEC_OPENING} let a = q.width + ; region r red rect 0 0 1 1; }}",
             1, "goldenflag: error: 1:34: 'q' is not a previously declared region\n",
         ),
@@ -572,7 +580,8 @@ class TestVerify:
         ),
     ], ids=[
         "side-condition", "work-budget", "unbound-name", "duplicate-binding", "lexical-first",
-        "unbound-name-then-syntax", "certification-then-syntax", "undeclared-region-then-syntax", "empty-expression",
+        "certification-then-lexical", "unbound-name-then-syntax", "certification-then-syntax",
+        "certification-then-malformed-number", "undeclared-region-then-syntax", "empty-expression",
     ])
     def test_the_first_error_in_source_order_is_reported(self, capsys, tmp_path, source, code, err):
         path = tmp_path / "order.flag"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import goldenflag.constructions as constructions
 from goldenflag.constructions import (
     BUILTIN_NAMES,
-    CheckStatus,
     ColorRole,
     FlagLayout,
     Region,
@@ -262,7 +261,7 @@ class TestDispatchAndReports:
         angles = verify_angle_configuration(layouts["chile-1818"], "blue_field")
         assert len(report.checks) == 5 + len(angles.checks)
         assert report.checks[5:] == angles.checks
-        assert all(c.status is CheckStatus.PROVED_EQUAL for c in report.checks)
+        assert all(c.status is Verdict.PROVED_EQUAL for c in report.checks)
 
     def test_current_report(self, layouts):
         report = verify_layout_identities(layouts["chile-current"])
@@ -272,12 +271,12 @@ class TestDispatchAndReports:
     def test_togo_report(self, layouts):
         report = verify_layout_identities(layouts["togo"])
         assert len(report.checks) == 1
-        assert report.checks[0].status is CheckStatus.PROVED_EQUAL
+        assert report.checks[0].status is Verdict.PROVED_EQUAL
 
     def test_nepal_report(self, layouts):
         report = verify_layout_identities(layouts["nepal-ratio"])
         assert len(report.checks) == 1
-        assert report.checks[0].status is CheckStatus.PASS
+        assert report.checks[0].status is Verdict.PASS
 
 
 class TestAngleConfiguration:
@@ -292,7 +291,7 @@ class TestAngleConfiguration:
 
     @pytest.mark.parametrize(
         "on_crossing, status",
-        [(True, CheckStatus.PROVED_EQUAL), (False, CheckStatus.FAIL), (None, CheckStatus.UNDECIDED)],
+        [(True, Verdict.PROVED_EQUAL), (False, Verdict.PROVED_UNEQUAL), (None, Verdict.UNDECIDED)],
         ids=["one-on-crossing", "none-on-crossing", "undecided-on-crossing"],
     )
     def test_star_line_asks_for_some_star_on_the_crossing(self, on_crossing, status):
@@ -311,7 +310,7 @@ class TestAngleConfiguration:
     def test_all_checks_pass_off_the_origin(self):
         report = verify_angle_configuration(lower_source(OFF_ORIGIN), "blue_field")
         assert len(report.checks) == 8
-        assert all(check.status is CheckStatus.PROVED_EQUAL for check in report.checks)
+        assert all(check.status is Verdict.PROVED_EQUAL for check in report.checks)
 
     def test_the_midpoint_check_fails_against_a_wrong_midpoint_formula(self, monkeypatch):
         # the crossing is found from the corners, not from the midpoint
@@ -326,8 +325,8 @@ class TestAngleConfiguration:
 
         monkeypatch.setattr(constructions, "rect_diagonal_intersection", off_by_tiny)
         *_, midpoint_line, star_line = verify_angle_configuration(layout, "blue_field").checks
-        assert midpoint_line.status is CheckStatus.FAIL
-        assert star_line.status is CheckStatus.PROVED_EQUAL
+        assert midpoint_line.status is Verdict.PROVED_UNEQUAL
+        assert star_line.status is Verdict.PROVED_EQUAL
 
     def test_current_flag_is_the_wrong_layout(self, layouts):
         # a square canton: its diagonals cross at a right angle
@@ -636,7 +635,7 @@ def _records():
         "attribute": (Attribute(owner, name), "name"),
         "point": (Point(lit(0), lit(1)), "x"),
         "region": (build_flag("togo").regions[0], "bounds"),
-        "check": (constructions.Check("c", CheckStatus.PASS), "status"),
+        "check": (constructions.Check("c", Verdict.PASS), "status"),
     }
 
 
@@ -651,6 +650,6 @@ class TestRecords:
             setattr(record, field, getattr(record, field))
 
     def test_defaults_hold(self):
-        assert constructions.Check("c", CheckStatus.PASS).detail == ""
+        assert constructions.Check("c", Verdict.PASS).detail == ""
         claim = constructions.Claim("c", (lit(1), lit(1)), ("==",))
         assert (claim.detail, claim.shown) == ("", None)

@@ -29,6 +29,14 @@ from goldenflag.flagspec import (
 )
 from goldenflag.geometry import Point
 
+
+def lexical_error(source: str):
+    """The ERROR token that ends the token stream of ``source``."""
+    last = tokenize(source)[-1]
+    assert last.kind is TokenKind.ERROR
+    return last
+
+
 MINIMAL = """
 flag "minimal" {
   canvas 2 x 1;
@@ -49,14 +57,13 @@ class TestTokenize:
         assert len(tokens) - 1 == 11  # content tokens before the EOF
 
     def test_malformed_number_position(self):
-        with pytest.raises(LexError) as excinfo:
-            tokenize("1/0x")
-        assert excinfo.value.line == 1
-        assert excinfo.value.col == 4
+        error = lexical_error("1/0x")
+        assert (error.line, error.col) == (1, 4)
+        assert error.lexeme == "malformed number near '0x'"
 
     def test_trailing_dot_is_malformed(self):
-        with pytest.raises(LexError):
-            tokenize("region r red rect 1. 0 1 1;")
+        error = lexical_error("region r red rect 1. 0 1 1;")
+        assert error.lexeme == "malformed number: expected digits after '.'"
 
     def test_positions_strictly_increase(self):
         tokens = tokenize('flag "x" {\n  canvas 1 x 1;\n}')
@@ -75,13 +82,20 @@ class TestTokenize:
         assert tokens[0].lexeme == "hello flag"
 
     def test_unterminated_string(self):
-        with pytest.raises(LexError):
-            tokenize('"oops')
+        assert lexical_error('"oops').lexeme == "unterminated string"
 
     def test_illegal_character(self):
-        with pytest.raises(LexError) as excinfo:
-            tokenize("canvas 1 @ 1;")
-        assert excinfo.value.col == 10
+        error = lexical_error("canvas 1 @ 1;")
+        assert error.col == 10
+        assert error.lexeme == "illegal character '@'"
+
+    def test_the_parser_raises_the_error_token_as_a_lex_error(self):
+        with pytest.raises(LexError, match="^1:6: malformed number near '0x'$") as excinfo:
+            parse_expression("1 / 0x")
+        assert (excinfo.value.line, excinfo.value.col) == (1, 6)
+        # the tokens before it parse first, so an earlier parse error wins
+        with pytest.raises(ParseError, match="^1:4: expected expression, found symbol '\\*'$"):
+            parse_expression("1 +* @")
 
     def test_decimal_numbers(self):
         tokens = tokenize("2.4")
@@ -104,22 +118,26 @@ class TestTokenize:
         def offset(line: int, col: int) -> int:
             return sum(len(text) + 1 for text in lines[: line - 1]) + col - 1
 
-        try:
-            tokens = tokenize(source)
-        except LexError as exc:
-            assert 1 <= exc.line <= len(lines)
-            assert 1 <= exc.col <= len(lines[exc.line - 1])
+        tokens = tokenize(source)
+        *content, last = tokens
+        if last.kind is TokenKind.ERROR:
+            assert 1 <= last.line <= len(lines)
+            assert 1 <= last.col <= len(lines[last.line - 1])
             # the scan stops where no token starts, and says so there
-            at = source[offset(exc.line, exc.col)]
-            if exc.message.startswith("illegal character"):
-                assert exc.message == f"illegal character {at!r}"
-            elif exc.message == "unterminated string":
+            at = source[offset(last.line, last.col)]
+            if last.lexeme.startswith("illegal character"):
+                assert last.lexeme == f"illegal character {at!r}"
+            elif last.lexeme == "unterminated string":
                 assert at == '"'
-            return
+            else:
+                assert last.lexeme.startswith("malformed number")
+        else:
+            assert last.kind is TokenKind.EOF
+            content = tokens
         positions = [(t.line, t.col) for t in tokens]
         assert all(a < b for a, b in zip(positions, positions[1:]))
         end = 0
-        for token in tokens:
+        for token in content:
             text = f'"{token.lexeme}"' if token.kind is TokenKind.STRING else token.lexeme
             start = offset(token.line, token.col)
             assert source[start : start + len(text)] == text
@@ -127,7 +145,8 @@ class TestTokenize:
             # or in a comment
             assert re.fullmatch(r"(?:[ \t\r\n]|#[^\n]*)*", source[end:start])
             end = start + len(text)
-        assert offset(tokens[-1].line, tokens[-1].col) == len(source)
+        if last.kind is TokenKind.EOF:
+            assert offset(last.line, last.col) == len(source)
 
 
 class TestParse:

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goldenflag.constructions import build_flag
-from goldenflag.errors import PrecisionExhausted, SignMismatch
+from goldenflag.errors import PrecisionExhausted
 from goldenflag.exactnum import (
     PHI_EXPR,
     SQRT5_EXPR,
@@ -159,19 +159,30 @@ class TestReflexivity:
         assert verify_identity(nepal, nepal) is Verdict.PROVED_EQUAL
 
 
-class TestSignPrecondition:
-    def test_strictly_opposed_signs_raise(self):
-        with pytest.raises(SignMismatch):
-            verify_identity(PHI_EXPR, neg(PHI_EXPR))
+class TestNoSignPrecondition:
+    """verify_identity is compare_values: it asks the sign of the
+    difference alone, never the sides' own signs."""
 
-    def test_an_undecidable_side_sign_is_skipped(self):
+    def test_opposite_signs_are_proved_unequal(self):
+        assert verify_identity(PHI_EXPR, neg(PHI_EXPR)) is Verdict.PROVED_UNEQUAL
+
+    def test_an_undecidable_side_asks_one_sign(self, monkeypatch):
         # z is zero, whose sign the work budget cannot prove, and z + 1
-        # differs from it by 1
+        # differs from it by 1, which the one sign of the difference proves
         a = lower_expr(parse_expression(FOUR_RADICALS), {})
         z = sub(a, mul(div(a, lit(3)), lit(3)))
+        rhs = add(z, lit(1))
         with pytest.raises(PrecisionExhausted):
             certified_sign(z)
-        assert verify_identity(z, add(z, lit(1))) is Verdict.PROVED_UNEQUAL
+        asked = []
+
+        def counting(x):
+            asked.append(x)
+            return certified_sign(x)
+
+        monkeypatch.setattr(identity_module, "certified_sign", counting)
+        assert verify_identity(z, rhs) is Verdict.PROVED_UNEQUAL
+        assert asked == [Sub(rhs, z)]
 
     def test_zero_is_compatible_with_either_sign(self):
         zero = sub(sub(mul(PHI_EXPR, PHI_EXPR), PHI_EXPR), lit(1))
