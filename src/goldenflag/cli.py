@@ -18,14 +18,14 @@ from pathlib import Path
 
 from .constructions import (
     BUILTIN_NAMES,
+    Check,
     FlagLayout,
-    VerificationReport,
     build_flag,
     verify_angle_configuration,  # noqa: F401  (bound here by the layer tracer in bench/)
     verify_layout_identities,
 )
 from .errors import GoldenFlagError, PrecisionExhausted
-from .exactnum import as_rational, decimal_str, enclosure_memo
+from .exactnum import Verdict, as_rational, decimal_str, enclosure_memo
 from .exactnum.decimalfmt import MAX_DIGITS
 from .flagspec import lower_expr, lower_source, parse_expression
 from .render import RenderOptions, json_emit, svg_emit
@@ -131,9 +131,9 @@ def _load_layout(name_or_path: str) -> FlagLayout:
     return build_flag(name_or_path)
 
 
-def _print_report(report: VerificationReport, out) -> None:
-    width = max(len(check.status.value) for check in report.checks)
-    for check in report.checks:
+def _print_report(checks: tuple[Check, ...], out) -> None:
+    width = max(len(check.status.value) for check in checks)
+    for check in checks:
         line = f"{check.status.value:<{width}}  {check.name}"
         if check.detail:
             line += f"  [{check.detail}]"
@@ -157,16 +157,15 @@ def _cmd_build(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     layout = _load_layout(args.flag)
-    report = verify_layout_identities(layout)
-    _print_report(report, out)
-    total = len(report.checks)
-    if report.all_ok:
-        print(f"{layout.provenance}: {total} checks passed", file=out)
+    checks = verify_layout_identities(layout)
+    _print_report(checks, out)
+    failed = [check.status for check in checks if not check.status.ok]
+    if not failed:
+        print(f"{layout.provenance}: {len(checks)} checks passed", file=out)
         return EXIT_OK
-    failed = sum(not check.status.ok for check in report.checks)
-    print(f"{layout.provenance}: {failed} of {total} checks failed", file=out)
+    print(f"{layout.provenance}: {len(failed)} of {len(checks)} checks failed", file=out)
     # a check that is not ok is disproved or undecided
-    return EXIT_ERROR if report.any_disproved else EXIT_UNDECIDED
+    return EXIT_UNDECIDED if all(status is Verdict.UNDECIDED for status in failed) else EXIT_ERROR
 
 
 def _cmd_eval(args, out) -> int:

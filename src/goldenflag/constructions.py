@@ -281,22 +281,6 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-class VerificationReport(NamedTuple):
-    checks: tuple[Check, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(check.status.ok for check in self.checks)
-
-    @property
-    def any_undecided(self) -> bool:
-        return any(check.status is Verdict.UNDECIDED for check in self.checks)
-
-    @property
-    def any_disproved(self) -> bool:
-        return any(check.status in (Verdict.PROVED_UNEQUAL, Verdict.FAIL) for check in self.checks)
-
-
 class Claim(NamedTuple):
     """A ``check`` statement: ``terms[i] relations[i] terms[i + 1]`` for
     every i, each link decided by :func:`holds`.  A single ``==``
@@ -339,7 +323,7 @@ class Diagonals(NamedTuple):
     region: str
 
     def checks(self, layout: FlagLayout) -> tuple[Check, ...]:
-        return verify_angle_configuration(layout, self.region).checks
+        return verify_angle_configuration(layout, self.region)
 
 
 def _same_point(a: Point, b: Point) -> Verdict:
@@ -369,7 +353,7 @@ def _diagonal_crossing(x0: Expr, x1: Expr, y0: Expr, y1: Expr) -> Point:
     return Point(add(x0, mul(t, dx)), add(y1, mul(t, dy)))
 
 
-def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationReport:
+def verify_angle_configuration(layout: FlagLayout, region: str) -> tuple[Check, ...]:
     """Certify the angle configuration of the Independence blue
     rectangle, here the named region, from its bounds alone: diagonal
     slopes of tan(36), a crossing angle of tan(72) (checked against both
@@ -434,10 +418,10 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> VerificationR
                 if same.ok:
                     break
         checks.append(Check("star centered on the diagonal crossing", on_crossing))
-    return VerificationReport(tuple(checks))
+    return tuple(checks)
 
 
-def verify_layout_identities(layout: FlagLayout) -> VerificationReport:
+def verify_layout_identities(layout: FlagLayout) -> tuple[Check, ...]:
     """Prove every claim the layout's spec states, in source order.  A
     layout that states none gets the structural report, three claims:
     the tiling and the star containment, which construction has already
@@ -448,4 +432,4 @@ def verify_layout_identities(layout: FlagLayout) -> VerificationReport:
         Claim("star centers lie inside regions", (), ()),
         Claim("canvas ratio evaluates", (), (), shown=("ratio", layout.width_height_ratio())),
     )
-    return VerificationReport(tuple(check for claim in claims for check in claim.checks(layout)))
+    return tuple(check for claim in claims for check in claim.checks(layout))

@@ -10,29 +10,25 @@ class GoldenFlagError(Exception):
 # --- exact arithmetic ---------------------------------------------------
 
 
-class ExactNumberError(GoldenFlagError):
-    """Base class for errors from the exact-arithmetic kernel."""
+class CertificationError(GoldenFlagError):
+    """A construction-time side condition failed: negative radicand,
+    zero divisor, or a canvas, region or star size not certified positive."""
 
 
-class DivisionByZero(ExactNumberError):
+class DivisionByZero(CertificationError):
     """Division by a value that is certified to be exactly zero."""
 
 
-class NotInField(ExactNumberError):
+class NotInField(GoldenFlagError):
     """An expression's value has no exact normal form in the algebra
     asked for: it keeps a radical part outside the a+b*sqrt(5) field, or
     needs a square root that neither exists in the one-radicand tower
     nor can be its radicand."""
 
 
-class PrecisionExhausted(ExactNumberError):
+class PrecisionExhausted(GoldenFlagError):
     """Interval refinement spent its work budget without certifying a
     side condition, a sign, or a rounding."""
-
-
-class CertificationError(ExactNumberError):
-    """A construction-time side condition failed: negative radicand,
-    zero divisor, or a canvas, region or star size not certified positive."""
 
 
 # --- geometry and constructions -----------------------------------------

@@ -106,10 +106,10 @@ class Expr:
 
 
 # Fields are set once, by Expr.__new__; a second construction returns the
-# live node and never rewrites it.  The nodes stay dataclasses, unlike the
-# package's plain records (NamedTuples): a node is compared by identity,
-# not as a tuple of its fields, and dataclasses.fields lists the fields of
-# any node, which the benchmark's tracer walks.
+# live node and never rewrites it.  The nodes are dataclasses, not
+# NamedTuples like most of the package's records: a node is compared by
+# identity, not as a tuple of its fields, and dataclasses.fields lists the
+# fields of any node, which the benchmark's tracer walks.
 _node = dataclass(frozen=True, eq=False, init=False)
 
 

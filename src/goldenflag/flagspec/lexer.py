@@ -11,8 +11,9 @@ token together with the blanks after it, or a skipped run of whitespace
 or a comment, and the scan stops at the first character where no token
 starts.  A token's kind comes from its pattern group by one dict lookup.
 The stream ends in EOF, or in an ERROR token whose lexeme is the
-message of the first lexical error, which the parser raises when it
-reaches the token, so an earlier error in source order comes first.
+message of the first lexical error.  The parser reaches that token only
+after the tokens before it, so an earlier error in source order comes
+first.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import enum
 import re
 from functools import partial
 from typing import NamedTuple
+
+from ..constructions import ColorRole
 
 
 class TokenKind(enum.Enum):
@@ -32,6 +35,9 @@ class TokenKind(enum.Enum):
     EOF = "eof"
     ERROR = "error"
 
+
+# the color words, in ColorRole's order
+COLOR_KEYWORDS = tuple(role.value for role in ColorRole)
 
 KEYWORDS = frozenset(
     {
@@ -49,15 +55,9 @@ KEYWORDS = frozenset(
         "diagonal_intersection",
         "sqrt",
         "phi",
-        "red",
-        "white",
-        "blue",
-        "green",
-        "yellow",
+        *COLOR_KEYWORDS,
     }
 )
-
-COLOR_KEYWORDS = frozenset({"red", "white", "blue", "green", "yellow"})
 
 _TOKEN = re.compile(
     r"(?:(?P<skip>[ \t\r\n]+|#[^\n]*)"

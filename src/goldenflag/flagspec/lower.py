@@ -19,14 +19,8 @@ origin.
 
 from __future__ import annotations
 
-from ..constructions import Claim, ColorRole, Diagonals, FlagLayout, Region, Star
-from ..errors import (
-    CertificationError,
-    DivisionByZero,
-    FlagSpecError,
-    PrecisionExhausted,
-    SemanticError,
-)
+from ..constructions import Claim, Diagonals, FlagLayout, Region, Star
+from ..errors import CertificationError, FlagSpecError, PrecisionExhausted, SemanticError
 from ..exactnum import Expr, add, div, lit
 from ..exactnum.identity import RELATIONS
 from ..geometry import Pentagram, Point, rect_diagonal_intersection
@@ -37,14 +31,17 @@ _Rect = tuple[Expr, Expr, Expr, Expr]  # a declared x, y, width and height
 _SIZES = {"width": 2, "height": 3}  # attribute name -> index in a _Rect
 
 
-def _attribute(item: Attribute, rects: dict[str, _Rect]) -> Expr:
+def _attribute(item: Attribute, rects: dict[str, _Rect] | None) -> Expr:
+    """A size in ``rects``, which is None outside a spec."""
     owner, name = item
-    rect = rects.get(owner.lexeme)
+    rect = None if rects is None else rects.get(owner.lexeme)
     if rect is None:
-        if owner.lexeme == "canvas":
-            message = "the canvas has no size inside its own declaration"
-        else:
+        if owner.lexeme != "canvas":
             message = f"{owner.lexeme!r} is not a previously declared region"
+        elif rects is None:
+            message = "there is no canvas outside a flag spec"
+        else:
+            message = "the canvas has no size inside its own declaration"
         raise SemanticError(owner.line, owner.col, message)
     size = _SIZES.get(name.lexeme)
     if size is None:
@@ -64,7 +61,8 @@ def lower_expr(
     chains of any length lower (the parser bounds only nesting).
     User-level side-condition failures surface as CertificationError,
     and a side condition whose sign runs out of refinement as
-    PrecisionExhausted, each naming ``where``."""
+    PrecisionExhausted, each naming ``where``; a lexical or parse error
+    item, which ends a program, is raised as it is."""
     values: list[Expr] = []
     push = values.append
     try:
@@ -83,10 +81,12 @@ def lower_expr(
                     raise SemanticError(item.line, item.col, f"unbound name {item.lexeme!r}")
                 push(value)
             elif kind is Attribute:
-                push(_attribute(item, rects or {}))
+                push(_attribute(item, rects))
+            elif isinstance(item, FlagSpecError):
+                raise item
             else:
                 push(item)
-    except (DivisionByZero, CertificationError) as exc:
+    except CertificationError as exc:
         raise CertificationError(f"in {where}: {exc}") from exc
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"in {where}: {exc}") from exc
@@ -106,16 +106,8 @@ class _SpecPass(Parser):
         self.claims: list[Claim | Diagonals] = []
 
     def value(self, where: str) -> Expr:
-        """The lowered value of the expression at the current token.  On
-        a lexical or parse error, the program parsed so far runs first, so
-        an error that comes before it in source order is the one raised."""
-        try:
-            code = self.parse_expr()
-        except FlagSpecError:  # a lexical or parse error
-            if self.code:
-                lower_expr(self.code, self.env, where, self.rects)
-            raise
-        return lower_expr(code, self.env, where, self.rects)
+        """The lowered value of the expression at the current token."""
+        return lower_expr(self.parse_expr(), self.env, where, self.rects)
 
     def binding(self, start: Token, what: str) -> str:
         """A new name for the statement at ``start``."""
@@ -162,7 +154,7 @@ class _SpecPass(Parser):
     def region(self) -> None:
         start = self.advance()
         name = self.binding(start, "region name")
-        color = ColorRole(self.expect_color().lexeme)
+        color = self.expect_color()
         self.expect("rect")
         where = f"region {name!r}"
         x, y, w, h = [self.value(where) for _ in range(4)]
@@ -172,8 +164,8 @@ class _SpecPass(Parser):
 
     def star(self) -> None:
         self.advance()
-        color = self.expect_color().lexeme
-        where = f"star {color}"
+        color = self.expect_color()
+        where = f"star {color.value}"
         self.expect("at")
         if self.at("diagonal_intersection"):
             self.advance()
@@ -190,7 +182,7 @@ class _SpecPass(Parser):
             raise CertificationError(f"{where}: {exc}") from exc
         except PrecisionExhausted as exc:
             raise PrecisionExhausted(f"in {where}: {exc}") from exc
-        self.stars.append(Star(ColorRole(color), pentagram))
+        self.stars.append(Star(color, pentagram))
 
     def check(self) -> None:
         self.advance()

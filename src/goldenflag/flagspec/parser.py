@@ -38,10 +38,13 @@ as it parses.  An expression parses to a flat postfix program, a
 - the certified ``Expr`` of a number or of ``phi``;
 - the IDENT ``Token`` of a name;
 - an :class:`Attribute` ``owner.name``;
-- ``(build, arity)``: apply ``build`` to the last ``arity`` values.
+- ``(build, arity)``: apply ``build`` to the last ``arity`` values;
+- last, if there is one, the expression's first lexical or parse error:
+  the program ends there, as the token list ends in an ERROR token.
 
-Names and attributes resolve when the program runs, in
-:func:`.lower.lower_expr`.  The parser keeps the current token in an
+Names and attributes resolve, and the error item is raised, when the
+program runs in :func:`.lower.lower_expr`, so the first error in source
+order is the one reported.  The parser keeps the current token in an
 attribute that ``advance`` moves on, and the expression productions,
 which see most tokens, test its kind and lexeme inline.
 """
@@ -51,7 +54,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
-from ..errors import LexError, ParseError
+from ..constructions import ColorRole
+from ..errors import FlagSpecError, LexError, ParseError
 from ..exactnum import PHI_EXPR, Expr, add, div, lit, mul, neg, sqrt_, sub
 from .lexer import COLOR_KEYWORDS, KEYWORDS, Token, TokenKind, tokenize
 
@@ -71,7 +75,7 @@ class Attribute(NamedTuple):
     name: Token
 
 
-Code = list[Union[Expr, Token, Attribute, tuple[Callable[..., Expr], int]]]
+Code = list[Union[Expr, Token, Attribute, tuple[Callable[..., Expr], int], FlagSpecError]]
 
 
 def _number(token: Token) -> Expr:
@@ -132,17 +136,21 @@ class Parser:
             return self.advance()
         raise self.error(what)
 
-    def expect_color(self) -> Token:
+    def expect_color(self) -> ColorRole:
         if self.at(*COLOR_KEYWORDS):
-            return self.advance()
-        raise self.error("color (red, white, blue, green, yellow)")
+            return ColorRole(self.advance().lexeme)
+        raise self.error(f"color ({', '.join(COLOR_KEYWORDS)})")
 
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Code:
-        """The program of the expression at the current token."""
+        """The program of the expression at the current token, ending in
+        the first lexical or parse error, if any."""
         self.code = []
-        self.expr(0)
+        try:
+            self.expr(0)
+        except FlagSpecError as exc:
+            self.code.append(exc)
         return self.code
 
     def nested(self, depth: int) -> int:
@@ -221,8 +229,8 @@ def parse(tokens: list[Token]) -> Code:
     """The program of a standalone expression: the whole token stream."""
     parser = Parser(tokens)
     code = parser.parse_expr()
-    if parser.token.kind is not TokenKind.EOF:
-        raise parser.error("end of expression")
+    if parser.token.kind is not TokenKind.EOF and not isinstance(code[-1], FlagSpecError):
+        code.append(parser.error("end of expression"))
     return code
 
 

@@ -149,10 +149,10 @@ def test_06_current_flag_exact_proportions():
 def test_07_angle_configuration_at_two_scales(layouts, chile_1818_at):
     with criterion(7, "angle configuration fully proved at two scales"):
         for layout in (layouts["chile-1818"], chile_1818_at(Fraction(7, 3))):
-            report = verify_angle_configuration(layout, "blue_field")
-            assert report.checks
-            assert report.all_ok
-            assert not report.any_undecided
+            checks = verify_angle_configuration(layout, "blue_field")
+            assert checks
+            assert all(check.status.ok for check in checks)
+            assert all(check.status is not Verdict.UNDECIDED for check in checks)
 
 
 def test_08_pentagram_property_suite():

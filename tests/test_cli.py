@@ -304,12 +304,28 @@ class TestEval:
     # for a sum of four depth-3 radicals a, the sign of a - a/3*3 runs out
     # of the work budget: a side condition that needs it is exhausted
     # refinement, not an error
-    @pytest.mark.parametrize("template", ["1/(A - A/3*3)", "sqrt(A/3*3 - A)"])
+    @pytest.mark.parametrize("template", ["1/(A - A/3*3)", "sqrt(A/3*3 - A)", "1/(A - A/3*3) +"])
     def test_a_side_condition_past_the_work_budget_exits_three(self, capsys, template):
         code, out, err = run(capsys, "eval", template.replace("A", f"({FOUR_RADICALS})"))
         assert (code, out) == (3, "")
         assert err.startswith("goldenflag: precision exhausted: in eval expression: refinement spent ")
         assert err.endswith(" word operations\n")
+
+    # the part that parsed runs before a parse error is reported, as in
+    # a spec
+    @pytest.mark.parametrize("expr, err", [
+        ("b + ", "1:1: unbound name 'b'"),
+        ("1/(phi*phi - phi - 1) + ", "in eval expression: divisor is certified zero"),
+        ("sqrt(0-1) + 1.", "in eval expression: square root of a certified-negative value"),
+        ("1 + ) extra", "1:5: expected expression, found symbol ')'"),
+    ], ids=["unbound-name-then-syntax", "certification-then-syntax", "certification-then-malformed-number",
+            "syntax-then-trailing"])
+    def test_the_first_error_in_source_order_is_reported(self, capsys, expr, err):
+        assert run(capsys, "eval", expr) == (1, "", f"goldenflag: error: {err}\n")
+
+    def test_there_is_no_canvas_outside_a_spec(self, capsys):
+        code, out, err = run(capsys, "eval", "canvas.width + 1")
+        assert (code, out, err) == (1, "", "goldenflag: error: 1:1: there is no canvas outside a flag spec\n")
 
     @pytest.mark.parametrize("tie,digits,expected", [
         ("1/8", "2", "0.12"), ("5/2", "1", "2"), ("99.95", "3", "100"), ("-5/2", "1", "-2"),
@@ -703,6 +719,12 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == "goldenflag: error: region extends outside the canvas\n"
+
+    def test_the_canvas_has_no_size_inside_its_own_declaration(self, capsys, tmp_path):
+        path = tmp_path / "canvas.flag"
+        path.write_text('flag "c" { canvas canvas.width x 1; region r red rect 0 0 1 1; }')
+        err = "goldenflag: error: 1:19: the canvas has no size inside its own declaration\n"
+        assert run(capsys, "verify", str(path)) == (1, "", err)
 
     def test_spec_file_parse_error_is_positioned(self, capsys, tmp_path):
         path = tmp_path / "broken.flag"

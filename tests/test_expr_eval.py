@@ -616,3 +616,9 @@ class TestNormalize:
         nested = sqrt_(add(sub(lit(11), mul(lit(2), SQRT5_EXPR)), mul(lit(2), root)))
         assert exact_sign(sub(nested, add(lit(1), root))) is Sign.ZERO
         assert exact_sign(sub(sub(nested, root), golden_expr((1, 0)))) is Sign.ZERO
+
+    def test_a_raw_root_of_a_negative_value_is_outside_the_tower(self):
+        # sqrt_ refuses a certified-negative radicand, but a raw Sqrt node
+        # can hold one; adjoined as the tower's radicand, it would get a sign
+        for radicand in (lit(-2), sub(lit(1), SQRT5_EXPR)):
+            assert exact_sign(Sqrt(radicand)) is None

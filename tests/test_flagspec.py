@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from goldenflag.constructions import Claim, ColorRole, Diagonals, build_flag
 from goldenflag.errors import (
     CertificationError,
+    FlagSpecError,
     LexError,
     ParseError,
     SemanticError,
@@ -91,11 +92,11 @@ class TestTokenize:
 
     def test_the_parser_raises_the_error_token_as_a_lex_error(self):
         with pytest.raises(LexError, match="^1:6: malformed number near '0x'$") as excinfo:
-            parse_expression("1 / 0x")
+            lower_expr(parse_expression("1 / 0x"), {})
         assert (excinfo.value.line, excinfo.value.col) == (1, 6)
         # the tokens before it parse first, so an earlier parse error wins
         with pytest.raises(ParseError, match="^1:4: expected expression, found symbol '\\*'$"):
-            parse_expression("1 +* @")
+            lower_expr(parse_expression("1 +* @"), {})
 
     def test_decimal_numbers(self):
         tokens = tokenize("2.4")
@@ -176,6 +177,13 @@ class TestParse:
             lower_source('flag "x" { canvas 1 1; }')
         assert "'x'" in excinfo.value.expected
 
+    @pytest.mark.parametrize("statement", ["region r purple rect 0 0 1 1;", "star purple at 1/2 1/2 diameter 1/4;"])
+    def test_a_color_is_one_of_the_five_roles(self, statement):
+        assert [tokenize(role.value)[0].kind for role in ColorRole] == [TokenKind.KEYWORD] * 5
+        with pytest.raises(ParseError) as excinfo:
+            lower_source(f'flag "x" {{ canvas 1 x 1; {statement} }}')
+        assert excinfo.value.expected == "color (red, white, blue, green, yellow)"
+
     def test_unknown_declaration(self):
         with pytest.raises(ParseError) as excinfo:
             lower_source('flag "x" { canvas 1 x 1; circle red; }')
@@ -219,7 +227,7 @@ class TestParse:
 
     def test_canvas_is_only_an_attribute_owner(self):
         with pytest.raises(ParseError) as excinfo:
-            parse_expression("canvas + 1")
+            lower_expr(parse_expression("canvas + 1"), {})
         assert excinfo.value.col == 8
 
     @settings(max_examples=300, deadline=None)
@@ -238,18 +246,32 @@ class TestParse:
         lexeme = "1" * 3000 + "." + "1" * 3000
         assert lower_expr(parse_expression(lexeme), {}) is lit(Fraction(lexeme))
         with pytest.raises(ParseError) as excinfo:
-            parse_expression("1" * 5000)
+            lower_expr(parse_expression("1" * 5000), {})
         assert str(excinfo.value) == "1:1: expected a shorter number, found a 5000-digit number"
 
     def test_deep_nesting_yields_an_error_not_a_crash(self):
         depth = 5000
         source = "(" * depth + "1" + ")" * depth
         with pytest.raises(ParseError):
-            parse_expression(source)
+            lower_expr(parse_expression(source), {})
 
     def test_expression_entry_point_rejects_trailing_tokens(self):
         with pytest.raises(ParseError):
-            parse_expression("1 + 2 extra")
+            lower_expr(parse_expression("1 + 2 extra"), {})
+
+    @pytest.mark.parametrize("source, error, col", [
+        ("b + ", ParseError, 5),
+        ("b + 1.", LexError, 6),
+        ("b + ) extra", ParseError, 5),
+        ("b extra )", ParseError, 3),
+    ], ids=["parse", "lexical", "parse-then-trailing", "trailing"])
+    def test_an_expression_program_ends_in_its_first_error(self, source, error, col):
+        *code, last = parse_expression(source)
+        assert type(last) is error and last.col == col
+        assert not any(isinstance(item, FlagSpecError) for item in code)
+        # the name before the error resolves first
+        with pytest.raises(SemanticError, match="^1:1: unbound name 'b'$"):
+            lower_expr(code + [last], {})
 
     def test_expression_precedence(self):
         value = lower_expr(parse_expression("1 + 2*3"), {})
@@ -463,7 +485,7 @@ class TestRoundTrip:
         from goldenflag.constructions import verify_layout_identities
 
         lowered = lower_source(spec_sources["chile-1818"])
-        report = verify_layout_identities(lowered)
-        assert report == verify_layout_identities(build_flag("chile-1818"))
-        assert len(report.checks) == 13
-        assert report.all_ok
+        checks = verify_layout_identities(lowered)
+        assert checks == verify_layout_identities(build_flag("chile-1818"))
+        assert len(checks) == 13
+        assert all(check.status.ok for check in checks)
