@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_layout(name_or_path: str) -> FlagLayout:
     if name_or_path.endswith(".flag"):
-        return lower_source(Path(name_or_path).read_text(encoding="utf-8"))
+        return lower_source(Path(name_or_path).read_text(encoding="utf-8-sig"))
     return build_flag(name_or_path)
 
 

@@ -34,13 +34,7 @@ import math
 from functools import cache, cmp_to_key
 from typing import Callable, NamedTuple
 
-from .errors import (
-    CertificationError,
-    LayoutError,
-    PrecisionExhausted,
-    UnknownFlag,
-    WrongLayout,
-)
+from .errors import CertificationError, LayoutError, PrecisionExhausted, UnknownFlag
 from .exactnum import (
     Expr,
     Verdict,
@@ -362,23 +356,23 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> tuple[Check, 
     against the midpoint formula, and a star on the crossing when the
     layout has stars.  Every check is an equality: a point check is
     ProvedUnequal when a coordinate comparison disproves it, and else
-    Undecided when one is undecided.  Raises :class:`WrongLayout` when the
-    layout has no such region or the region is proved not in that
-    proportion, and :class:`PrecisionExhausted` when it is undecided."""
+    Undecided when one is undecided.  When the rising diagonal's tangent
+    is not proved tan(36), that check is the whole report: the other
+    facts are about a tan(36) rectangle, and a square region's crossing
+    tangent would divide by zero.  Raises :class:`LayoutError` when the
+    layout has no such region."""
     bounds = next((r.bounds for r in layout.regions if r.name == region), None)
     if bounds is None:
-        raise WrongLayout(f"layout has no region {region!r}")
+        raise LayoutError(f"layout has no region {region!r}")
     x0, x1, y0, y1 = bounds
     width, height = sub(x1, x0), sub(y1, y0)
     # slopes as drawn (rise up the flag over run to the right): the rising
     # diagonal's is its tangent with the horizontal, and the falling
     # one's is that tangent negated
     slope1, slope2 = div(height, width), div(sub(y0, y1), width)
-    proportion = verify_identity(slope1, TAN36)
-    if proportion is Verdict.UNDECIDED:
-        raise PrecisionExhausted(f"region {region!r}: its tan(36) height/width proportion is undecided")
-    if proportion is Verdict.PROVED_UNEQUAL:
-        raise WrongLayout(f"region {region!r} is not in the tan(36) height/width proportion")
+    proportion = Check("rising diagonal tangent equals tan(36)", verify_identity(slope1, TAN36))
+    if not proportion.status.ok:
+        return (proportion,)
     # crossing angle between the two diagonals: |(m1 - m2)/(1 + m1 m2)|
     crossing = div(sub(slope1, slope2), add(lit(1), mul(slope1, slope2)))
     double_angle = div(mul(lit(2), TAN36), sub(lit(1), mul(TAN36, TAN36)))
@@ -402,8 +396,7 @@ def verify_angle_configuration(layout: FlagLayout, region: str) -> tuple[Check, 
             _squared_distance(center, top_right),
         ),
     )
-    # the gate above has proved the rising diagonal's tangent
-    checks = [Check("rising diagonal tangent equals tan(36)", proportion)]
+    checks = [proportion]
     checks.extend(Check(name, verify_identity(lhs, rhs)) for name, lhs, rhs in identities)
     reference = rect_diagonal_intersection(x0, y0, width, height)
     checks.append(Check("diagonal intersection matches midpoint formula", _same_point(center, reference)))

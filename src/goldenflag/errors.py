@@ -34,10 +34,6 @@ class PrecisionExhausted(GoldenFlagError):
 # --- geometry and constructions -----------------------------------------
 
 
-class WrongLayout(GoldenFlagError):
-    """A verification was asked about a layout it does not apply to."""
-
-
 class UnknownFlag(GoldenFlagError):
     """Name does not identify a builtin flag."""
 

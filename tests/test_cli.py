@@ -604,27 +604,23 @@ class TestVerify:
         path.write_text(source)
         assert run(capsys, "verify", str(path)) == (code, "", err)
 
-    @pytest.mark.parametrize("canvas, body, tail, expected_err", [
+    @pytest.mark.parametrize("canvas, body, tail", [
         # z is zero, so the star is on the diagonals' crossing, which the
         # work budget neither proves nor disproves
         (
             f"{TAN36_WIDTH} x 1",
             f"{UNDECIDABLE} let z = a - a/3*3; star white at canvas.width/2 + z 1/2 diameter 1/4;",
             ["Undecided    star centered on the diagonal crossing", "diagonals: 1 of 8 checks failed"],
-            "",
         ),
         # the field is in the tan(36) proportion, which the work budget
-        # does not decide
+        # does not decide: that check is the whole report
         (
             f"{TAN36_WIDTH} + ({FOUR_RADICALS}) - ({FOUR_RADICALS})/3*3 x 1",
             "",
-            [],
-            "goldenflag: precision exhausted: region 'blue_field': its tan(36) height/width proportion is undecided\n",
+            ["Undecided  rising diagonal tangent equals tan(36)", "diagonals: 1 of 1 checks failed"],
         ),
     ], ids=["star-on-crossing", "proportion"])
-    def test_an_undecided_angle_configuration_exits_three(
-        self, capsys, tmp_path, canvas, body, tail, expected_err
-    ):
+    def test_an_undecided_angle_configuration_exits_three(self, capsys, tmp_path, canvas, body, tail):
         path = tmp_path / "diagonals.flag"
         path.write_text(
             f'flag "diagonals" {{ canvas {canvas}; {body}'
@@ -633,7 +629,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert code == 3
         assert out.splitlines()[-2:] == tail
-        assert err == expected_err
+        assert err == ""
 
     def test_a_star_beside_an_undecidable_region_is_placed(self, capsys, tmp_path):
         # the center's x is 1 + (a - a/3*3): neither a1 nor a2 is decided,
@@ -682,11 +678,23 @@ class TestVerify:
         assert run(capsys, "build", str(path), "--out", str(tmp_path / "f.svg"))[0] == 0
         assert run(capsys, "ratio", str(path)) == (0, "2\n", "")
 
-    def test_diagonals_of_a_square_region_is_one_error_line(self, capsys, tmp_path):
-        code, out, err = self.verify_claims(capsys, tmp_path, "check diagonals of all;")
-        assert (code, out) == (1, "")
-        assert err == (
-            "goldenflag: error: region 'all' is not in the tan(36) height/width proportion\n"
+    def test_diagonals_of_a_region_outside_the_proportion_is_one_failed_check(self, capsys, tmp_path):
+        assert self.verify_claims(capsys, tmp_path, "check diagonals of all;") == (
+            1,
+            "ProvedUnequal  rising diagonal tangent equals tan(36)\nclaims: 1 of 1 checks failed\n",
+            "",
+        )
+
+    def test_a_region_outside_the_proportion_leaves_the_other_claims_reported(self, capsys, tmp_path):
+        assert self.verify_claims(
+            capsys, tmp_path, 'check "before" 1 < 2; check diagonals of all; check "after" 2 < 1;'
+        ) == (
+            1,
+            "Pass           before\n"
+            "ProvedUnequal  rising diagonal tangent equals tan(36)\n"
+            "Fail           after\n"
+            "claims: 2 of 3 checks failed\n",
+            "",
         )
 
     def test_spec_file_with_custom_provenance(self, capsys, tmp_path):
@@ -697,6 +705,29 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "tile" in out
+
+    def test_a_leading_byte_order_mark_is_ignored(self, capsys, tmp_path, spec_sources):
+        # as some editors write UTF-8
+        plain, marked = tmp_path / "plain.flag", tmp_path / "marked.flag"
+        plain.write_text(spec_sources["chile-1818"], encoding="utf-8")
+        marked.write_text(spec_sources["chile-1818"], encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run(capsys, "verify", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "verify", str(marked)) == expected
+
+    @pytest.mark.parametrize("source, position", [
+        ("\ufeff" + claims_spec("twice"), "1:1"),
+        (claims_spec("inside").replace("{ ", "{ \ufeff"), "1:17"),
+    ], ids=["second-at-start", "inside"])
+    def test_a_byte_order_mark_after_the_first_is_an_illegal_character(
+        self, capsys, tmp_path, source, position
+    ):
+        path = tmp_path / "marks.flag"
+        path.write_text(source, encoding="utf-8-sig")
+        assert run(capsys, "verify", str(path)) == (
+            1, "", f"goldenflag: error: {position}: illegal character '\\ufeff'\n"
+        )
 
     @pytest.mark.parametrize("body, message", [
         ("canvas 0 x 1; region r red rect 0 0 1 1;", "canvas: width is not certified positive"),
@@ -795,6 +826,19 @@ class TestBuild:
         assert "wrote json" in out
         doc = json.loads(out_path.read_text())
         assert doc["canvas"]["width"] == "1.61803"
+
+    def test_format_overrides_the_suffix(self, capsys, tmp_path):
+        by_suffix, by_format = tmp_path / "current.json", tmp_path / "current.svg"
+        assert run(capsys, "build", "chile-current", "--out", str(by_suffix))[0] == 0
+        code, out, err = run(capsys, "build", "chile-current", "--out", str(by_format), "--format", "json")
+        assert (code, err) == (0, "")
+        assert by_format.read_bytes() == by_suffix.read_bytes()
+        assert out == f"chile-current: wrote json to {by_format} ({by_suffix.stat().st_size} bytes)\n"
+        svg = tmp_path / "svg.json"
+        assert run(capsys, "build", "chile-current", "--out", str(svg), "--format", "svg")[0] == 0
+        assert run(capsys, "build", "chile-current", "--out", str(by_format))[0] == 0
+        assert svg.read_bytes() == by_format.read_bytes()
+        assert svg.read_bytes().startswith(b'<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
 
     def test_physical_width(self, capsys, tmp_path):
         out_path = tmp_path / "big.svg"

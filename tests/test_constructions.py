@@ -21,7 +21,7 @@ from goldenflag.constructions import (
     verify_angle_configuration,
     verify_layout_identities,
 )
-from goldenflag.errors import CertificationError, LayoutError, UnknownFlag, WrongLayout
+from goldenflag.errors import CertificationError, LayoutError, UnknownFlag
 from goldenflag.exactnum import (
     GOLDEN,
     PHI_EXPR,
@@ -329,12 +329,15 @@ class TestAngleConfiguration:
         assert star_line.status is Verdict.PROVED_EQUAL
 
     def test_current_flag_is_the_wrong_layout(self, layouts):
-        # a square canton: its diagonals cross at a right angle
-        with pytest.raises(WrongLayout, match="not in the tan\\(36\\) height/width proportion"):
-            verify_angle_configuration(layouts["chile-current"], "blue_canton")
+        # a square canton: its diagonals cross at a right angle, where the
+        # crossing tangent's divisor 1 + m1*m2 is zero, so the failed
+        # proportion is the whole report
+        assert verify_angle_configuration(layouts["chile-current"], "blue_canton") == (
+            constructions.Check("rising diagonal tangent equals tan(36)", Verdict.PROVED_UNEQUAL),
+        )
 
     def test_layout_without_blue_region_is_rejected(self, layouts):
-        with pytest.raises(WrongLayout, match="layout has no region 'blue_field'"):
+        with pytest.raises(LayoutError, match="layout has no region 'blue_field'"):
             verify_angle_configuration(layouts["nepal-ratio"], "blue_field")
 
 
