@@ -126,9 +126,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_layout(name_or_path: str) -> FlagLayout:
-    if name_or_path.endswith(".flag"):
-        return lower_source(Path(name_or_path).read_text(encoding="utf-8-sig"))
-    return build_flag(name_or_path)
+    if not name_or_path.lower().endswith(".flag"):
+        return build_flag(name_or_path)
+    data = Path(name_or_path).read_bytes()
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GoldenFlagError(f"{name_or_path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+    return lower_source(source.removeprefix("\ufeff"))  # a byte order mark, as some editors write
 
 
 def _print_report(checks: tuple[Check, ...], out) -> None:
@@ -144,7 +149,7 @@ def _cmd_build(args, out) -> int:
     layout = _load_layout(args.flag)
     fmt = args.format
     if fmt is None:
-        fmt = "json" if args.out.endswith(".json") else "svg"
+        fmt = "json" if args.out.lower().endswith(".json") else "svg"
     options = RenderOptions(
         scale=args.scale, digits=args.digits, target_width=args.width
     )

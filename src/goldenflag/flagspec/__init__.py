@@ -3,10 +3,9 @@ one pass that lowers a spec into an exact flag layout."""
 
 from .lexer import KEYWORDS, Token, TokenKind, tokenize
 from .lower import lower, lower_expr, lower_source
-from .parser import Attribute, parse, parse_expression
+from .parser import parse, parse_expression
 
 __all__ = [
-    "Attribute",
     "KEYWORDS",
     "Token",
     "TokenKind",

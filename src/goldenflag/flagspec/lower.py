@@ -1,10 +1,11 @@
 """Lowering: a flag spec, in one pass from tokens to an exact FlagLayout.
 
-The statement productions of the grammar (stated in :mod:`.parser`) lower
-each expression as soon as it parses, against the lets and regions
-declared so far, and raise each error at the token in hand: the first
-lexical, parse, semantic or certification error in source order is the
-one reported, within one expression too.  Every reference points
+The statement productions of the grammar (stated in :mod:`.parser`)
+lower each statement as it parses, and the expression productions they
+inherit build each value against the lets and regions declared so far.
+Each error is raised at the token in hand, so the first lexical, parse,
+semantic or certification error in source order is the one reported,
+within one expression too.  Every reference points
 backward, so every identifier, and every region whose ``width`` or
 ``height`` an expression reads, must be declared earlier in the file.
 
@@ -20,77 +21,15 @@ origin.
 from __future__ import annotations
 
 from ..constructions import Claim, Diagonals, FlagLayout, Region, Star
-from ..errors import CertificationError, FlagSpecError, PrecisionExhausted, SemanticError
-from ..exactnum import Expr, add, div, lit
+from ..errors import CertificationError, PrecisionExhausted, SemanticError
+from ..exactnum import add, div, lit
 from ..exactnum.identity import RELATIONS
 from ..geometry import Pentagram, Point, rect_diagonal_intersection
 from .lexer import Token, TokenKind, tokenize
-from .parser import Attribute, Code, Parser
+from .parser import Parser, parse
 
-_Rect = tuple[Expr, Expr, Expr, Expr]  # a declared x, y, width and height
-_SIZES = {"width": 2, "height": 3}  # attribute name -> index in a _Rect
-
-
-def _attribute(item: Attribute, rects: dict[str, _Rect] | None) -> Expr:
-    """A size in ``rects``, which is None outside a spec."""
-    owner, name = item
-    rect = None if rects is None else rects.get(owner.lexeme)
-    if rect is None:
-        if owner.lexeme != "canvas":
-            message = f"{owner.lexeme!r} is not a previously declared region"
-        elif rects is None:
-            message = "there is no canvas outside a flag spec"
-        else:
-            message = "the canvas has no size inside its own declaration"
-        raise SemanticError(owner.line, owner.col, message)
-    size = _SIZES.get(name.lexeme)
-    if size is None:
-        message = f"unknown attribute {name.lexeme!r} (expected 'width' or 'height')"
-        raise SemanticError(name.line, name.col, message)
-    return rect[size]
-
-
-def lower_expr(
-    code: Code,
-    env: dict[str, Expr],
-    where: str = "expression",
-    rects: dict[str, _Rect] | None = None,
-) -> Expr:
-    """Run an expression program on one value stack, resolving names in
-    ``env`` and attributes in ``rects``.  The loop is flat, so operator
-    chains of any length lower (the parser bounds only nesting).
-    User-level side-condition failures surface as CertificationError,
-    and a side condition whose sign runs out of refinement as
-    PrecisionExhausted, each naming ``where``; a lexical or parse error
-    item, which ends a program, is raised as it is."""
-    values: list[Expr] = []
-    push = values.append
-    try:
-        for item in code:
-            kind = type(item)
-            if kind is tuple:
-                build, arity = item
-                if arity == 2:
-                    rhs = values.pop()
-                    values[-1] = build(values[-1], rhs)
-                else:
-                    values[-1] = build(values[-1])
-            elif kind is Token:
-                value = env.get(item.lexeme)
-                if value is None:
-                    raise SemanticError(item.line, item.col, f"unbound name {item.lexeme!r}")
-                push(value)
-            elif kind is Attribute:
-                push(_attribute(item, rects))
-            elif isinstance(item, FlagSpecError):
-                raise item
-            else:
-                push(item)
-    except CertificationError as exc:
-        raise CertificationError(f"in {where}: {exc}") from exc
-    except PrecisionExhausted as exc:
-        raise PrecisionExhausted(f"in {where}: {exc}") from exc
-    return values[0]
+# the standalone expression entry point, under the name the CLI calls
+lower_expr = parse
 
 
 class _SpecPass(Parser):
@@ -98,16 +37,10 @@ class _SpecPass(Parser):
     parts declared so far."""
 
     def __init__(self, tokens: list[Token]) -> None:
-        super().__init__(tokens)
-        self.env: dict[str, Expr] = {}
-        self.rects: dict[str, _Rect] = {}  # the canvas and each region declared so far
+        super().__init__(tokens, {}, {})  # the lets, and the canvas and each region
         self.regions: list[Region] = []
         self.stars: list[Star] = []
         self.claims: list[Claim | Diagonals] = []
-
-    def value(self, where: str) -> Expr:
-        """The lowered value of the expression at the current token."""
-        return lower_expr(self.parse_expr(), self.env, where, self.rects)
 
     def binding(self, start: Token, what: str) -> str:
         """A new name for the statement at ``start``."""
@@ -208,7 +141,7 @@ class _SpecPass(Parser):
         elif self.at("show"):
             self.advance()
             token = self.expect_kind(TokenKind.IDENT, "name to show")
-            shown = (token.lexeme, lower_expr([token], self.env, where))
+            shown = (token.lexeme, self.bound(token))
         self.expect(";")
         self.claims.append(Claim(name, tuple(terms), tuple(relations), detail, shown))
 

@@ -31,51 +31,33 @@ and ``rect`` are not reserved.  Region and star coordinates are written
 in screen orientation (y grows downward from the flag's top-left corner),
 the one frame of every layout.
 
-The statement productions live in :mod:`.lower`, which lowers each one
-as it parses.  An expression parses to a flat postfix program, a
-:data:`Code` list of items in evaluation order:
-
-- the certified ``Expr`` of a number or of ``phi``;
-- the IDENT ``Token`` of a name;
-- an :class:`Attribute` ``owner.name``;
-- ``(build, arity)``: apply ``build`` to the last ``arity`` values;
-- last, if there is one, the expression's first lexical or parse error:
-  the program ends there, as the token list ends in an ERROR token.
-
-Names and attributes resolve, and the error item is raised, when the
-program runs in :func:`.lower.lower_expr`, so the first error in source
-order is the one reported.  The parser keeps the current token in an
-attribute that ``advance`` moves on, and the expression productions,
-which see most tokens, test its kind and lexeme inline.
+The statement productions live in :mod:`.lower`.  The expression
+productions return certified values: each resolves a name or an
+attribute at its token and builds a node as soon as its operands are
+parsed, so no syntax tree or intermediate program is built, and the
+first lexical, parse, semantic or certification error in source order
+is the one raised.  The parser keeps the current token in an attribute
+that ``advance`` moves on, and the expression productions, which see
+most tokens, test its kind and lexeme inline.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
 
 from ..constructions import ColorRole
-from ..errors import FlagSpecError, LexError, ParseError
+from ..errors import CertificationError, LexError, ParseError, PrecisionExhausted, SemanticError
 from ..exactnum import PHI_EXPR, Expr, add, div, lit, mul, neg, sqrt_, sub
 from .lexer import COLOR_KEYWORDS, KEYWORDS, Token, TokenKind, tokenize
 
 _MAX_EXPR_DEPTH = 200
 
-# an operator's (build, arity) item by its lexeme
-_ADDITIVE = {"+": (add, 2), "-": (sub, 2)}
-_MULTIPLICATIVE = {"*": (mul, 2), "/": (div, 2)}
-_NEGATE = (neg, 1)
-_SQRT = (sqrt_, 1)
+# an operator's build by its lexeme
+_ADDITIVE = {"+": add, "-": sub}
+_MULTIPLICATIVE = {"*": mul, "/": div}
 
-
-class Attribute(NamedTuple):
-    """``owner.name``: a size of a region or of the canvas."""
-
-    owner: Token  # an IDENT, or the keyword ``canvas``
-    name: Token
-
-
-Code = list[Union[Expr, Token, Attribute, tuple[Callable[..., Expr], int], FlagSpecError]]
+_Rect = tuple[Expr, Expr, Expr, Expr]  # a declared x, y, width and height
+_SIZES = {"width": 2, "height": 3}  # attribute name -> index in a _Rect
 
 
 def _number(token: Token) -> Expr:
@@ -96,12 +78,16 @@ def _number(token: Token) -> Expr:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]) -> None:
+    """The token cursor and the expression productions, which resolve
+    names in ``env`` and attributes in ``rects`` (None outside a spec)."""
+
+    def __init__(self, tokens: list[Token], env: dict[str, Expr], rects: dict[str, _Rect] | None = None) -> None:
         self.tokens = tokens
         self.pos = 0
         self.last = len(tokens) - 1  # the EOF or ERROR token, never moved past
         self.token = tokens[0]  # the current token, tokens[pos]
-        self.code: Code = []
+        self.env = env
+        self.rects = rects
 
     # -- token helpers ------------------------------------------------------
 
@@ -141,17 +127,45 @@ class Parser:
             return ColorRole(self.advance().lexeme)
         raise self.error(f"color ({', '.join(COLOR_KEYWORDS)})")
 
+    # -- names --------------------------------------------------------------
+
+    def bound(self, token: Token) -> Expr:
+        """The value of the name ``token`` in ``env``."""
+        value = self.env.get(token.lexeme)
+        if value is None:
+            raise SemanticError(token.line, token.col, f"unbound name {token.lexeme!r}")
+        return value
+
+    def attribute(self, owner: Token, name: Token) -> Expr:
+        """``owner.name``: a size of a region or of the canvas in ``rects``."""
+        rects = self.rects
+        rect = None if rects is None else rects.get(owner.lexeme)
+        if rect is None:
+            if owner.lexeme != "canvas":
+                message = f"{owner.lexeme!r} is not a previously declared region"
+            elif rects is None:
+                message = "there is no canvas outside a flag spec"
+            else:
+                message = "the canvas has no size inside its own declaration"
+            raise SemanticError(owner.line, owner.col, message)
+        size = _SIZES.get(name.lexeme)
+        if size is None:
+            message = f"unknown attribute {name.lexeme!r} (expected 'width' or 'height')"
+            raise SemanticError(name.line, name.col, message)
+        return rect[size]
+
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self) -> Code:
-        """The program of the expression at the current token, ending in
-        the first lexical or parse error, if any."""
-        self.code = []
+    def value(self, where: str) -> Expr:
+        """The value of the expression at the current token.  A failed
+        side condition surfaces as CertificationError, and one whose sign
+        runs out of refinement as PrecisionExhausted, each naming ``where``."""
         try:
-            self.expr(0)
-        except FlagSpecError as exc:
-            self.code.append(exc)
-        return self.code
+            return self.expr(0)
+        except CertificationError as exc:
+            raise CertificationError(f"in {where}: {exc}") from exc
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(f"in {where}: {exc}") from exc
 
     def nested(self, depth: int) -> int:
         """The depth inside one more ``(``, ``sqrt(`` or unary ``-``, at
@@ -161,79 +175,80 @@ class Parser:
         return depth + 1
 
     # The productions test the current token's kind and lexeme inline: an
-    # operator is a SYMBOL, never a STRING of the same text.
+    # operator is a SYMBOL, never a STRING of the same text.  Operator
+    # chains are loops, so a chain of any length lowers; only nesting is
+    # bounded.
 
-    def expr(self, depth: int) -> None:
-        self.term(depth)
+    def expr(self, depth: int) -> Expr:
+        value = self.term(depth)
         token = self.token
         while token.kind is TokenKind.SYMBOL and token.lexeme in _ADDITIVE:
             self.advance()
-            self.term(depth)
-            self.code.append(_ADDITIVE[token.lexeme])
+            value = _ADDITIVE[token.lexeme](value, self.term(depth))
             token = self.token
+        return value
 
-    def term(self, depth: int) -> None:
-        self.unary(depth)
+    def term(self, depth: int) -> Expr:
+        value = self.unary(depth)
         token = self.token
         while token.kind is TokenKind.SYMBOL and token.lexeme in _MULTIPLICATIVE:
             self.advance()
-            self.unary(depth)
-            self.code.append(_MULTIPLICATIVE[token.lexeme])
+            value = _MULTIPLICATIVE[token.lexeme](value, self.unary(depth))
             token = self.token
+        return value
 
-    def unary(self, depth: int) -> None:
+    def unary(self, depth: int) -> Expr:
         token = self.token
         if token.kind is TokenKind.SYMBOL and token.lexeme == "-":
             depth = self.nested(depth)
             self.advance()
-            self.unary(depth)
-            self.code.append(_NEGATE)
-        else:
-            self.primary(depth)
+            return neg(self.unary(depth))
+        return self.primary(depth)
 
-    def primary(self, depth: int) -> None:
+    def primary(self, depth: int) -> Expr:
         token = self.token
         kind = token.kind
         if kind is TokenKind.NUMBER:
-            self.code.append(_number(token))
             self.advance()
-        elif kind is TokenKind.IDENT or self.at("canvas"):
+            return _number(token)
+        if kind is TokenKind.IDENT or self.at("canvas"):
             self.advance()
             if self.at("."):
                 self.advance()
-                self.code.append(Attribute(token, self.expect_kind(TokenKind.IDENT, "attribute name")))
-            elif kind is TokenKind.KEYWORD:
+                return self.attribute(token, self.expect_kind(TokenKind.IDENT, "attribute name"))
+            if kind is TokenKind.KEYWORD:
                 raise self.error("'.' after 'canvas'")
-            else:
-                self.code.append(token)
-        elif self.at("phi"):
+            return self.bound(token)
+        if self.at("phi"):
             self.advance()
-            self.code.append(PHI_EXPR)
-        elif self.at("sqrt"):
+            return PHI_EXPR
+        if self.at("sqrt"):
             depth = self.nested(depth)
             self.advance()
             self.expect("(")
-            self.expr(depth)
+            value = self.expr(depth)
             self.expect(")")
-            self.code.append(_SQRT)
-        elif self.at("("):
+            return sqrt_(value)
+        if self.at("("):
             depth = self.nested(depth)
             self.advance()
-            self.expr(depth)
+            value = self.expr(depth)
             self.expect(")")
-        else:
-            raise self.error("expression")
+            return value
+        raise self.error("expression")
 
 
-def parse(tokens: list[Token]) -> Code:
-    """The program of a standalone expression: the whole token stream."""
-    parser = Parser(tokens)
-    code = parser.parse_expr()
-    if parser.token.kind is not TokenKind.EOF and not isinstance(code[-1], FlagSpecError):
-        code.append(parser.error("end of expression"))
-    return code
+def parse(tokens: list[Token], env: dict[str, Expr], where: str = "expression") -> Expr:
+    """The value of a standalone expression: the whole token stream,
+    with names resolved in ``env``."""
+    parser = Parser(tokens, env)
+    value = parser.value(where)
+    if parser.token.kind is not TokenKind.EOF:
+        raise parser.error("end of expression")
+    return value
 
 
-def parse_expression(source: str) -> Code:
-    """Parse a standalone arithmetic expression (the CLI eval input)."""
-    return parse(tokenize(source))
+def parse_expression(source: str) -> list[Token]:
+    """The tokens of a standalone arithmetic expression (the CLI eval
+    input), which :func:`parse` lowers."""
+    return tokenize(source)

@@ -716,6 +716,26 @@ class TestVerify:
         assert expected[0] == 0
         assert run(capsys, "verify", str(marked)) == expected
 
+    @pytest.mark.parametrize("data, offset, reason", [
+        (b"\xff\xfe", 0, "invalid start byte"),
+        # the offset counts the byte order mark
+        (b"\xef\xbb\xbfflag \xe2\x82", 8, "unexpected end of data"),
+    ], ids=["utf-16-mark", "cut-after-a-mark"])
+    def test_a_spec_that_is_not_utf8_is_one_error_line(self, capsys, tmp_path, data, offset, reason):
+        path = tmp_path / "bad.flag"
+        path.write_bytes(data)
+        assert run(capsys, "verify", str(path)) == (
+            1, "", f"goldenflag: error: {path}: not UTF-8 text: {reason} at byte offset {offset}\n"
+        )
+
+    def test_the_spec_suffix_is_matched_in_any_case(self, capsys, tmp_path, spec_sources):
+        lower, upper = tmp_path / "up.flag", tmp_path / "UP.FLAG"
+        lower.write_text(spec_sources["chile-1818"], encoding="utf-8")
+        upper.write_text(spec_sources["chile-1818"], encoding="utf-8")
+        expected = run(capsys, "verify", str(lower))
+        assert expected[0] == 0
+        assert run(capsys, "verify", str(upper)) == expected
+
     @pytest.mark.parametrize("source, position", [
         ("\ufeff" + claims_spec("twice"), "1:1"),
         (claims_spec("inside").replace("{ ", "{ \ufeff"), "1:17"),
@@ -826,6 +846,14 @@ class TestBuild:
         assert "wrote json" in out
         doc = json.loads(out_path.read_text())
         assert doc["canvas"]["width"] == "1.61803"
+
+    def test_the_json_suffix_is_matched_in_any_case(self, capsys, tmp_path):
+        lower, upper = tmp_path / "x.json", tmp_path / "X.JSON"
+        assert run(capsys, "build", "chile-1818", "--out", str(lower))[0] == 0
+        code, out, err = run(capsys, "build", "chile-1818", "--out", str(upper))
+        assert (code, err) == (0, "")
+        assert upper.read_bytes() == lower.read_bytes()
+        assert out == f"chile-1818: wrote json to {upper} ({lower.stat().st_size} bytes)\n"
 
     def test_format_overrides_the_suffix(self, capsys, tmp_path):
         by_suffix, by_format = tmp_path / "current.json", tmp_path / "current.svg"

@@ -630,12 +630,9 @@ class TestTilingExactFallback:
 
 def _records():
     from goldenflag.flagspec.lexer import tokenize
-    from goldenflag.flagspec.parser import Attribute
 
-    owner, _, name, _ = tokenize("w.height")
     return {
         "token": (tokenize("flag")[0], "lexeme"),
-        "attribute": (Attribute(owner, name), "name"),
         "point": (Point(lit(0), lit(1)), "x"),
         "region": (build_flag("togo").regions[0], "bounds"),
         "check": (constructions.Check("c", Verdict.PASS), "status"),
@@ -643,10 +640,10 @@ def _records():
 
 
 class TestRecords:
-    """Tokens, attributes, points and the layout records are immutable
+    """Tokens, points and the layout records are immutable
     NamedTuples whose defaults hold."""
 
-    @pytest.mark.parametrize("kind", ["token", "attribute", "point", "region", "check"])
+    @pytest.mark.parametrize("kind", ["token", "point", "region", "check"])
     def test_a_field_cannot_be_assigned(self, kind):
         record, field = _records()[kind]
         with pytest.raises(AttributeError):

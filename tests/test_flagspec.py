@@ -150,6 +150,34 @@ class TestTokenize:
             assert offset(last.line, last.col) == len(source)
 
 
+# positive operands, so no drawn expression fails a side condition
+_OPERANDS = ("1", "7", "2.5", "phi", "b")  # b is bound to 2
+
+
+def _nested(children):
+    return (
+        st.tuples(children, st.sampled_from("+*/"), children).map(lambda t: [*t[0], t[1], *t[2]])
+        | children.map(lambda t: ["sqrt", "(", *t, ")"])
+        | children.map(lambda t: ["(", *t, ")"])
+    )
+
+
+_POSITIVE = st.recursive(st.sampled_from(_OPERANDS).map(lambda operand: [operand]), _nested, max_leaves=8)
+# the tokens of a drawn expression; a difference only at the top, where nothing divides by it or roots it
+EXPRESSIONS = st.tuples(_POSITIVE, st.none() | _POSITIVE).map(lambda t: t[0] if t[1] is None else [*t[0], "-", *t[1]])
+
+
+def laid_out(tokens: list[str], gaps: list[str]):
+    """The source of ``tokens``, each followed by its gap, and the
+    (line, col) of each token and of the end of input."""
+    line, col, positions = 1, 1, []
+    for token, gap in zip(tokens, gaps):
+        positions.append((line, col))
+        line, col = (line + 1, 1) if gap == "\n" else (line, col + len(token) + len(gap))
+    positions.append((line, col))
+    return "".join(token + gap for token, gap in zip(tokens, gaps)), positions
+
+
 class TestParse:
     def test_minimal_spec(self):
         layout = lower_source(MINIMAL)
@@ -266,12 +294,41 @@ class TestParse:
         ("b extra )", ParseError, 3),
     ], ids=["parse", "lexical", "parse-then-trailing", "trailing"])
     def test_an_expression_program_ends_in_its_first_error(self, source, error, col):
-        *code, last = parse_expression(source)
-        assert type(last) is error and last.col == col
-        assert not any(isinstance(item, FlagSpecError) for item in code)
         # the name before the error resolves first
         with pytest.raises(SemanticError, match="^1:1: unbound name 'b'$"):
-            lower_expr(code + [last], {})
+            lower_expr(parse_expression(source), {})
+        # bound, it lets the parse reach the error
+        with pytest.raises(error) as excinfo:
+            lower_expr(parse_expression(source), {"b": lit(1)})
+        assert type(excinfo.value) is error and (excinfo.value.line, excinfo.value.col) == (1, col)
+
+    @settings(max_examples=300, deadline=None)
+    @given(EXPRESSIONS, st.sampled_from(["@", "1.", ";", "dangling"]), st.data())
+    def test_the_first_of_an_unbound_name_and_a_syntax_error_is_raised(self, tokens, error, data):
+        tokens = list(tokens)
+        operands = [i for i, token in enumerate(tokens) if token in _OPERANDS]
+        tokens[data.draw(st.sampled_from(operands))] = "mystery"
+        if error == "dangling":
+            # an operator before a ')' or the end: the token after it is the error
+            ends = [i for i, token in enumerate(tokens) if token == ")"] + [len(tokens)]
+            at = data.draw(st.sampled_from(ends))
+            tokens.insert(at, data.draw(st.sampled_from("+-*/")))
+            expected, error_at, shift = ParseError, at + 1, 0
+        else:
+            at = data.draw(st.integers(0, len(tokens)))
+            tokens.insert(at, error)
+            # a number that ends in '.' is malformed at its dot
+            expected, error_at, shift = (ParseError if error == ";" else LexError), at, max(error.find("."), 0)
+        gaps = data.draw(st.lists(st.sampled_from([" ", "  ", "\n"]), min_size=len(tokens), max_size=len(tokens)))
+        source, positions = laid_out(tokens, gaps)
+        line, col = positions[error_at]
+        position = (line, col + shift)
+        name_at = positions[tokens.index("mystery")]
+        if name_at < position:
+            expected, position = SemanticError, name_at
+        with pytest.raises(FlagSpecError) as excinfo:
+            lower_expr(parse_expression(source), {"b": lit(2)})
+        assert (type(excinfo.value), excinfo.value.line, excinfo.value.col) == (expected, *position)
 
     def test_expression_precedence(self):
         value = lower_expr(parse_expression("1 + 2*3"), {})
