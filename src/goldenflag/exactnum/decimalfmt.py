@@ -9,9 +9,12 @@ an interval enclosure whose ends round to the same digits
 (:func:`settled`, which rounds the end nearer zero and compares the
 other with the edge of that rounding's cell), so the exact value is
 within half an ulp of the output.  It has one rounding path, the
-refinement of :func:`expr.enclosures` from :func:`start_bits`, which
-doubles its working precision until it reaches the value's magnitude,
-so tiny values print like large ones.  A caller that already holds an
+refinement of :func:`expr.enclosures` from :func:`start_bits`
+(``ceil(digits * log2(10)) + 32`` bits, at least 64: the bits the
+digits carry and a few guard bits, as in Ziv's strategy for correct
+rounding), which doubles its working precision only when an enclosure
+does not settle, until it reaches the value's magnitude, so tiny values
+print like large ones.  A caller that already holds an
 enclosure at :func:`start_bits`, as the renderer does for every scaled
 value, prints it when :func:`settled` and calls :func:`decimal_str`
 only when not; inside one command's :func:`expr.enclosure_memo` scope,
@@ -21,8 +24,9 @@ boundary, zero or a tie read off the roundings of its two ends, and
 :func:`certified_sign` is asked once per boundary point whether the
 value is on it: an exact zero prints as ``0`` and an exact tie rounds
 half-even.  Every refinement spends from
-:data:`expr.WORK_BUDGET`, so whether a value prints does not depend on
-the digits asked for.  Quoting the leading digits of an expansion is a
+:data:`expr.WORK_BUDGET`, on a schedule that starts at the digits'
+precision, so a value at the edge of the budget may print at some digit
+counts and not at others.  Quoting the leading digits of an expansion is a
 different operation, a pair of certified comparisons (a spec's ``check
 ... 0.820 <= ratio < 0.821``).
 
@@ -132,8 +136,11 @@ def _tie(lo: int, hi: int, w: int, digits: int) -> tuple[Fraction, str] | None:
 
 def start_bits(digits: int) -> int:
     """The working precision of the first enclosure a value is printed
-    from at ``digits`` significant digits."""
-    return max(64, 4 * digits + 32)
+    from at ``digits`` significant digits: the bits the digits carry,
+    ``ceil(digits * log2(10))`` (from 3.322 >= log2(10), in integers),
+    and 32 guard bits, at least 64.  Only a value that does not settle
+    there is enclosed again, at twice the precision."""
+    return max(64, (digits * 3322 + 999) // 1000 + 32)
 
 
 def settled(lo: int, hi: int, w: int, digits: int) -> str | None:

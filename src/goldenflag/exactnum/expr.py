@@ -39,6 +39,7 @@ one, and the memo dies with the outermost scope.
 from __future__ import annotations
 
 import operator
+import re
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -228,23 +229,34 @@ def _folded(op: Callable[[Fraction, Fraction], Fraction], a: Literal, b: Literal
     return Literal(op(a.value, b.value))
 
 
+# the strings as_rational converts: the forms that Fraction(str) accepts
+# on every supported Python, in ASCII digits (its grammar takes
+# underscores from 3.11, blanks around "/" from 3.12, and any Unicode
+# digit everywhere)
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
+
+
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Convert exactly to a Fraction.
 
     Accepts ints, Fractions, and strings in integer (``"3"``),
-    fraction (``"3/2"``) or finite decimal (``"2.4"``) form.  Decimal
-    strings convert exactly (``2.4`` becomes ``12/5``), never through
-    binary floating point.
+    fraction (``"3/2"``) or finite decimal (``"2.4"``, ``"1e3"``) form,
+    in ASCII digits with an optional sign and surrounding blanks.
+    Decimal strings convert exactly (``2.4`` becomes ``12/5``), never
+    through binary floating point.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not an exact rational literal: {value!r}") from exc
+        text = value.strip()
+        if _RATIONAL.fullmatch(text):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError):  # p/0, or past the int-from-string limit
+                pass
+        raise ValueError(f"not an exact rational literal: {value!r}")
     raise TypeError(f"cannot convert {type(value).__name__} to Rational")
 
 

@@ -18,7 +18,9 @@ units while each is about ``w`` bits wide.  So each operation computes
 one end at full width -- one product, one long division or one
 ``isqrt`` -- and gets the other end from it by corrections whose
 operands are as wide as the interval: products of a full-width and a
-narrow integer, and divisions with a narrow quotient.
+narrow integer, and divisions with a narrow quotient.  A quotient by an
+exact integer (``phi``'s ``/2``, any integer literal divisor) needs no
+long division: each end is divided by that integer.
 """
 
 from __future__ import annotations
@@ -87,12 +89,19 @@ def div(x: IntPair, y: IntPair, w: int) -> IntPair:
     moved to the positive side by negating both operands.  The low end
     ``q`` is one long division.  For any integer ``q``, the high end
     ``ceil((x1 << w) / b)`` is ``q + ceil(((x1 << w) - q*b) / b)``, whose
-    quotient is only as wide as the interval."""
+    quotient is only as wide as the interval.  A point divisor whose low
+    ``w`` bits are zero is the exact integer ``k``, and the same
+    tightest pair is ``(floor(x0 / k), ceil(x1 / k))``: two divisions by
+    an integer ``w`` bits narrower than the divisor, linear in the width
+    for a small ``k``."""
     (x0, x1), (y0, y1) = x, y
     if y0 <= 0:
         if y1 >= 0:
             raise StraddlesZero
         x0, x1, y0, y1 = -x1, -x0, -y1, -y0
+    if y0 == y1 and not y0 & ((1 << w) - 1):
+        k = y0 >> w
+        return x0 // k, -(-x1 // k)
     q = (x0 << w) // (y1 if x0 >= 0 else y0)
     b = y0 if x1 >= 0 else y1
     return q, q - ((q * b - (x1 << w)) // b)

@@ -121,10 +121,11 @@ def enclosure(x: Expr, w: int) -> tuple[Fraction, Fraction]:
 
 
 def within_half_ulp(x: Expr, text: str, digits: int) -> bool:
-    """Whether the enclosure of ``x`` at four times the precision that a
-    rounding to ``digits`` digits starts at (``4 * digits + 32`` bits)
-    lies within half an ulp of the printed ``text``; a printed ``0``
-    needs an enclosure that contains zero."""
+    """Whether the enclosure of ``x`` at ``4 * (4 * digits + 32)`` bits,
+    more than four times the precision that a rounding to ``digits``
+    digits starts at (:func:`decimalfmt.start_bits`), lies within half
+    an ulp of the printed ``text``; a printed ``0`` needs an enclosure
+    that contains zero."""
     lo, hi = enclosure(x, 4 * (4 * digits + 32))
     printed = Fraction(text)
     if printed == 0:

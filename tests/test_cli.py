@@ -17,6 +17,7 @@ import pytest
 import goldenflag
 from goldenflag.cli import main
 from goldenflag.exactnum import interval as iv
+from goldenflag.exactnum.decimalfmt import start_bits
 from goldenflag.exactnum.expr import interval_algebra
 
 from conftest import FOUR_RADICALS, THREE_RADICALS
@@ -216,7 +217,7 @@ class TestEval:
         assert len(out.strip()) == 4301
 
     # the shape of the bench's 3000-digit radicals; a 3000-digit eval
-    # encloses it at 12,032 bits, where each end of a product, quotient
+    # encloses it at 9,998 bits, where each end of a product, quotient
     # and root is thousands of bits wide and the two differ by a few units
     @pytest.mark.parametrize(
         "expr, compute",
@@ -825,7 +826,7 @@ class TestBuild:
         finally:
             interval_algebra.cache_clear()
         assert (code, err) == (0, "")
-        assert set(enclosed) >= {64, 80}  # certification, and the render at 12 digits
+        assert set(enclosed) >= {64, start_bits(12)}  # certification, and the render at 12 digits
         assert set(enclosed.values()) == {1}
 
     def test_svg_with_viewbox(self, capsys, tmp_path):
@@ -921,11 +922,46 @@ class TestBuild:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("option, value", [("--scale", "abc"), ("--width", "1/0")])
+    # Fraction(str) takes underscores from Python 3.11, blanks around "/"
+    # from 3.12 and any Unicode digit on every version; a size takes only
+    # the ASCII forms that every supported version takes
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--scale", "abc"), ("--width", "1/0")]
+        + [
+            (option, value)
+            for value in ("1_000", "1_0.5", "1e1_0", "3/ 2", "3 /2", "3 / 2", "١٢", "1٢", "3/2e5", "0x10", "inf", "½", ".", "e5")
+            for option in ("--scale", "--width")
+        ],
+    )
     def test_a_size_that_is_not_a_rational_is_a_usage_error(self, capsys, tmp_path, option, value):
         code, out, err = run(capsys, "build", "togo", "--out", str(tmp_path / "togo.svg"), option, value)
         assert (code, out) == (2, "")
         assert err.endswith(f"goldenflag build: error: argument {option}: not an exact rational literal: {value!r}\n")
+        assert not (tmp_path / "togo.svg").exists()
+
+    # chile-current is 3 x 2: the SVG is 3 * scale wide, or the width asked for
+    @pytest.mark.parametrize(
+        "value, scaled, width",
+        [
+            ("3", "9", "3"),
+            ("+3", "9", "3"),
+            ("3/2", "4.5", "1.5"),
+            (" 3/2\n", "4.5", "1.5"),
+            ("1.5", "4.5", "1.5"),
+            ("2.", "6", "2"),
+            (".5", "1.5", "0.5"),
+            ("15e-1", "4.5", "1.5"),
+            ("0.5E+1", "15", "5"),
+            ("\t1000 ", "3000", "1000"),
+        ],
+    )
+    def test_the_size_forms_every_python_accepts(self, capsys, tmp_path, value, scaled, width):
+        for option, expected in (("--scale", scaled), ("--width", width)):
+            out_path = tmp_path / "c.svg"
+            code, _, err = run(capsys, "build", "chile-current", "--out", str(out_path), option, value)
+            assert (code, err) == (0, "")
+            assert f' width="{expected}" ' in out_path.read_text()
 
     def test_building_a_spec_file(self, capsys, tmp_path, spec_sources):
         src = tmp_path / "nepal.flag"

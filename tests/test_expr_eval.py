@@ -35,7 +35,7 @@ from goldenflag.exactnum import (
 from goldenflag.exactnum import decimalfmt
 from goldenflag.exactnum import expr as expr_module
 from goldenflag.exactnum import interval as iv
-from goldenflag.exactnum.decimalfmt import MAX_DIGITS, round_scaled
+from goldenflag.exactnum.decimalfmt import MAX_DIGITS, round_scaled, start_bits
 from goldenflag.exactnum.expr import interval_algebra, enclosures, eval_interval, exact_sign, fold
 from goldenflag.geometry import TAN36
 
@@ -216,6 +216,20 @@ def radicands(draw):
     return (lo, hi), w
 
 
+@st.composite
+def point_divisors(draw):
+    """An interval at scale 2**-w, ``0 <= w <= 400``, that may straddle
+    zero, and a point divisor of either sign: the exact integer ``k <<
+    w`` or, when ``w > 0``, ``k + r / 2**w`` for some ``0 < r < 2**w``."""
+    w = draw(st.integers(0, 400))
+    ends = st.integers(-(2 ** (w + 64)), 2 ** (w + 64))
+    x0, x1 = sorted((draw(ends), draw(ends)))
+    k = draw(st.one_of(st.integers(1, 2**8), st.integers(1, 2**80)))
+    fraction = draw(st.integers(1, (1 << w) - 1)) if w and draw(st.booleans()) else 0
+    d = (k << w) + fraction
+    return (x0, x1), d if draw(st.booleans()) else -d, w
+
+
 class TestIntervalDiv:
     @given(operands())
     @settings(max_examples=300)
@@ -226,6 +240,16 @@ class TestIntervalDiv:
                 iv.div(x, y, w)
         else:
             assert iv.div(x, y, w) == four_corner_div(x, y, w)
+
+    @given(point_divisors())
+    @settings(max_examples=300)
+    def test_a_point_divisor_gives_the_tightest_pair(self, case):
+        # an exact integer k is divided through narrowly; any other point
+        # divisor takes the long division, and both give the floor of the
+        # least and the ceiling of the greatest quotient
+        (x0, x1), d, w = case
+        quotients = [Fraction(end << w, d) for end in (x0, x1)]
+        assert iv.div((x0, x1), (d, d), w) == (math.floor(min(quotients)), math.ceil(max(quotients)))
 
 
 class TestIntervalKernel:
@@ -278,7 +302,8 @@ class TestEnclosuresAreOrdered:
         NESTED_ROOT,
     ], ids=["product", "quotient", "nested-root"])
     def test_every_step_up_to_12032_bits(self, x):
-        # 47 * 2**8 = 12,032 bits, the first enclosure of a 3000-digit eval
+        # 47 * 2**8 = 12,032 bits, past 9,998, the first enclosure of a
+        # 3000-digit eval
         steps = list(islice(enclosures(x, 47), 9))
         assert steps[-1][0] == 12_032
         for w, lo, hi in steps:
@@ -538,6 +563,39 @@ class TestDecimalPolicy:
         for value in (TAN36, PHI_EXPR, SQRT5_EXPR):
             for digits in (1, 3, 12, 40):
                 assert within_half_ulp(value, decimal_str(value, digits), digits)
+
+
+class TestStartPrecision:
+    """A value is printed from an enclosure at :func:`start_bits`: the
+    bits its digits carry and 32 guard bits, which most values settle
+    at."""
+
+    def test_the_digits_bits_and_32_guard_bits(self):
+        # ceil(d * log2(10)) is the bit length of 10**d, which is not a
+        # power of two; the integer 3.322 overshoots log2(10) by at most a bit
+        for d in range(1, MAX_DIGITS + 1):
+            carried = (10**d).bit_length()
+            assert carried + 32 <= start_bits(d) <= max(64, carried + 33), d
+
+    @pytest.mark.parametrize("digits", [12, 60, 600, 3000])
+    def test_one_enclosure_prints_a_value_of_any_magnitude(self, monkeypatch, digits):
+        refined = enclosures
+        taken = 0
+
+        def counting(x, start):
+            nonlocal taken
+            for enclosure in refined(x, start):
+                taken += 1
+                yield enclosure
+
+        monkeypatch.setattr(decimalfmt, "enclosures", counting)
+        for k in range(-9, 10):
+            scale = lit(Fraction(10) ** k)
+            for value in (mul(sqrt_(lit(2)), scale), div(PHI_EXPR, scale)):
+                taken = 0
+                text = decimal_str(value, digits)
+                assert taken == 1, (k, digits)
+                assert within_half_ulp(value, text, digits)
 
 
 class TestZeroBeyondTheTower:
