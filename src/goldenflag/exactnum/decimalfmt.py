@@ -12,22 +12,25 @@ within half an ulp of the output.  It has one rounding path, the
 refinement of :func:`expr.enclosures` from :func:`start_bits`
 (``ceil(digits * log2(10)) + 32`` bits, at least 64: the bits the
 digits carry and a few guard bits, as in Ziv's strategy for correct
-rounding), which doubles its working precision only when an enclosure
-does not settle, until it reaches the value's magnitude, so tiny values
-print like large ones.  A caller that already holds an
-enclosure at :func:`start_bits`, as the renderer does for every scaled
-value, prints it when :func:`settled` and calls :func:`decimal_str`
-only when not; inside one command's :func:`expr.enclosure_memo` scope,
-each subterm shared between values is enclosed once per working
-precision.  An enclosure that does not settle holds one rounding
+rounding), which moves on only when an enclosure does not settle.  The
+precision is absolute, so a value below one that the first enclosure
+shows too small to settle is enclosed again once at the precision its
+magnitude asks for; after that, and for a value whose first enclosure
+holds zero, the precision doubles until it reaches the value's
+magnitude, so tiny values print like large ones.  A caller that already
+holds an enclosure at :func:`start_bits`, as the renderer does for
+every scaled value, prints it when :func:`settled` and calls
+:func:`decimal_str` only when not; inside one command's
+:func:`expr.enclosure_memo` scope, each subterm shared between values
+is enclosed once per working precision.  An enclosure that does not settle holds one rounding
 boundary, zero or a tie read off the roundings of its two ends, and
 :func:`certified_sign` is asked once per boundary point whether the
 value is on it: an exact zero prints as ``0`` and an exact tie rounds
-half-even.  Every refinement spends from
-:data:`expr.WORK_BUDGET`, on a schedule that starts at the digits'
-precision, so a value at the edge of the budget may print at some digit
-counts and not at others.  Quoting the leading digits of an expansion is a
-different operation, a pair of certified comparisons (a spec's ``check
+half-even.  Every enclosure past the first and the restart's first
+spends from :data:`expr.WORK_BUDGET`, on a schedule that starts at the
+digits' precision, so a value at the edge of the budget may print at
+some digit counts and not at others.  Quoting the leading digits of an
+expansion is a different operation, a pair of certified comparisons (a spec's ``check
 ... 0.820 <= ratio < 0.821``).
 
 This is a pure integer/rational computation: output bytes are identical
@@ -36,6 +39,7 @@ across platforms and runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -138,9 +142,30 @@ def start_bits(digits: int) -> int:
     """The working precision of the first enclosure a value is printed
     from at ``digits`` significant digits: the bits the digits carry,
     ``ceil(digits * log2(10))`` (from 3.322 >= log2(10), in integers),
-    and 32 guard bits, at least 64.  Only a value that does not settle
-    there is enclosed again, at twice the precision."""
+    and 32 guard bits, at least 64.  The precision is absolute, so the
+    guard bits are spent on the value's magnitude: a value of at least
+    about ``2**-32`` settles there unless it is near a rounding
+    boundary, and a smaller one is enclosed again (:func:`_refinement`)."""
     return max(64, (digits * 3322 + 999) // 1000 + 32)
+
+
+def _refinement(x: Expr, digits: int) -> Iterator[tuple[int, int, int]]:
+    """The enclosures of ``x`` from :func:`start_bits`, doubling, except
+    that a first enclosure that does not settle, excludes zero, and
+    shows ``|x| < 1`` restarts them once.  Its end nearer zero has
+    ``short`` bits fewer than ``start_bits``, so the refinement starts
+    again at ``start_bits + short``, where that end has as many bits as
+    a value of magnitude one has at the start, and doubles from there.
+    Like the first, the restart's first enclosure is not charged to
+    :data:`expr.WORK_BUDGET`; its precision is below twice the start's.
+    A value whose first enclosure holds zero doubles from the start."""
+    start = start_bits(digits)
+    for w, lo, hi in enclosures(x, start):
+        yield w, lo, hi
+        short = start - min(abs(lo), abs(hi)).bit_length()
+        if w == start and (lo > 0 or hi < 0) and short > 0:
+            yield from enclosures(x, start + short)
+            return
 
 
 def settled(lo: int, hi: int, w: int, digits: int) -> str | None:
@@ -177,7 +202,8 @@ def decimal_str(x: Expr, digits: int) -> str:
 
     A literal ``p/q`` is rounded exactly, by :func:`round_scaled` with
     denominator ``q``.  Otherwise the enclosures of ``x`` start at
-    :func:`start_bits` and double until one is :func:`settled`.  An
+    :func:`start_bits`, restart once at a small value's magnitude and
+    double until one is :func:`settled` (:func:`_refinement`).  An
     enclosure that does not settle holds one rounding boundary: zero,
     when it contains zero, and else the tie between two adjacent
     outputs when its ends round to them (:func:`_tie`, the only place
@@ -196,7 +222,7 @@ def decimal_str(x: Expr, digits: int) -> str:
         p, q = x.value.as_integer_ratio()
         return format_rounded(round_scaled(p, 0, digits, q), digits)
     asked = set()  # the boundary points certified_sign was asked about
-    for w, lo, hi in enclosures(x, start_bits(digits)):
+    for w, lo, hi in _refinement(x, digits):
         text = settled(lo, hi, w, digits)
         if text is not None:
             return text

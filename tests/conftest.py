@@ -127,7 +127,7 @@ def within_half_ulp(x: Expr, text: str, digits: int) -> bool:
     an ulp of the printed ``text``; a printed ``0`` needs an enclosure
     that contains zero."""
     lo, hi = enclosure(x, 4 * (4 * digits + 32))
-    printed = Fraction(text)
+    printed = Fraction(Decimal(text))  # no int parse, so no 4300-digit limit
     if printed == 0:
         return lo <= 0 <= hi
     half_ulp = Fraction(10) ** (Decimal(text).adjusted() + 1 - digits) / 2

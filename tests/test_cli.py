@@ -285,6 +285,21 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--digits", digits, "--", expr.replace("Z", TEN_TO_700))
         assert (code, out, err) == (0, point + "0" * zeros + tail + "\n", "")
 
+    # the doubling starts at the digits' precision, so a value at the edge
+    # of the work budget can print at one digit count and not at another:
+    # the enclosures of sqrt(2) / Z**41 hold zero until its magnitude,
+    # about 2**-95000, which the doubling from 232 bits (60 digits)
+    # reaches within the budget and the one from 72 bits (12) does not
+    @pytest.mark.parametrize("digits", ["12", "60"])
+    def test_a_value_at_the_budget_edge_prints_at_some_digit_counts(self, capsys, digits):
+        code, out, err = run(capsys, "eval", "--digits", digits, "--", "sqrt(2)" + ("/" + TEN_TO_700) * 41)
+        if digits == "12":
+            assert (code, out) == (3, "")
+            assert err.startswith("goldenflag: precision exhausted: refinement spent ")
+        else:
+            reference = decimal_reference(lambda D: D(2).sqrt() / D(10) ** 28700, 60)
+            assert (code, out, err) == (0, reference + "\n", "")
+
     @pytest.mark.parametrize("sign,expected", [("+", "0.124"), ("-", "0.123")])
     def test_a_value_beside_a_tie_rounds_to_its_side(self, capsys, sign, expected):
         # 0.1235 +- 10**-1400: only refinement far past the first enclosure

@@ -577,25 +577,50 @@ class TestStartPrecision:
             carried = (10**d).bit_length()
             assert carried + 32 <= start_bits(d) <= max(64, carried + 33), d
 
-    @pytest.mark.parametrize("digits", [12, 60, 600, 3000])
-    def test_one_enclosure_prints_a_value_of_any_magnitude(self, monkeypatch, digits):
-        refined = enclosures
-        taken = 0
+    @staticmethod
+    def precisions(monkeypatch, x, digits):
+        """The working precisions of the enclosures ``decimal_str(x,
+        digits)`` takes, once its text is checked."""
+        refined, taken = enclosures, []
 
-        def counting(x, start):
-            nonlocal taken
+        def recording(x, start):
             for enclosure in refined(x, start):
-                taken += 1
+                taken.append(enclosure[0])
                 yield enclosure
 
-        monkeypatch.setattr(decimalfmt, "enclosures", counting)
+        monkeypatch.setattr(decimalfmt, "enclosures", recording)
+        text = decimal_str(x, digits)
+        monkeypatch.undo()
+        assert within_half_ulp(x, text, digits)
+        return taken
+
+    # sqrt(2) * 10**k and phi / 10**k for k >= -9 are at least 2**-29.9
+    @pytest.mark.parametrize("digits", [12, 60, 600, 3000])
+    def test_one_enclosure_prints_a_value_down_to_2_to_the_minus_32(self, monkeypatch, digits):
         for k in range(-9, 10):
             scale = lit(Fraction(10) ** k)
             for value in (mul(sqrt_(lit(2)), scale), div(PHI_EXPR, scale)):
-                taken = 0
-                text = decimal_str(value, digits)
-                assert taken == 1, (k, digits)
-                assert within_half_ulp(value, text, digits)
+                assert self.precisions(monkeypatch, value, digits) == [start_bits(digits)], (k, digits)
+
+    # below about 2**-32 the guard bits are spent on the magnitude (at
+    # 10**-10, about 2**-32.6, one enclosure settles some values and not
+    # others): from 10**-11 down to where the first enclosure's near end
+    # has 8 bits, a second enclosure, at start_bits plus the bits that
+    # end lacks, prints the value; a value whose first enclosure holds
+    # zero doubles instead
+    @pytest.mark.parametrize("digits", [12, 60, 600, 3000])
+    def test_a_value_below_2_to_the_minus_32_is_enclosed_again_at_its_magnitude(self, monkeypatch, digits):
+        start = start_bits(digits)
+        deepest = (start - 8) * 30103 // 100000  # 10**-deepest is above 2**(8 - start)
+        for k in sorted({11, 12, (11 + deepest) // 2, deepest}):
+            for value in (div(sqrt_(lit(2)), lit(10**k)), div(PHI_EXPR, lit(10**k))):
+                near = min(abs(end) for end in eval_interval(value, start))
+                taken = self.precisions(monkeypatch, value, digits)
+                assert taken == [start, 2 * start - near.bit_length()], (k, digits)
+                assert start < taken[1] < 2 * start
+        hidden = div(sqrt_(lit(2)), lit(10 ** (deepest + 25)))
+        assert eval_interval(hidden, start)[0] <= 0
+        assert self.precisions(monkeypatch, hidden, digits)[:2] == [start, 2 * start]
 
 
 class TestZeroBeyondTheTower:
