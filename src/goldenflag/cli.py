@@ -32,7 +32,6 @@ from .render import RenderOptions, json_emit, svg_emit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
 

@@ -164,8 +164,7 @@ def _refinement(x: Expr, digits: int) -> Iterator[tuple[int, int, int]]:
         yield w, lo, hi
         short = start - min(abs(lo), abs(hi)).bit_length()
         if w == start and (lo > 0 or hi < 0) and short > 0:
-            yield from enclosures(x, start + short)
-            return
+            yield from enclosures(x, start + short)  # ends only by raising
 
 
 def settled(lo: int, hi: int, w: int, digits: int) -> str | None:

@@ -61,9 +61,8 @@ class _Golden:
     integer coefficient vector over one common denominator that is the
     standard representation of a number-field element (Cohen, "A Course
     in Computational Algebraic Number Theory", GTM 138, 4.2).  Each
-    operation works on ints and reduces by one gcd (``div``, a product
-    by an inverse, by two); a product by a rational (``b == 0``) skips
-    the ``sqrt5`` cross terms, and the inverse of one needs no gcd.
+    operation is one integer formula reduced by one gcd (``div``, a
+    product by an inverse, by two).
     """
 
     zero = (0, 0, 1)
@@ -73,8 +72,6 @@ class _Golden:
     def of(a: Fraction | int, b: Fraction | int = 0) -> tuple[int, int, int]:
         """The element ``a + b*sqrt5`` for rationals ``a`` and ``b``."""
         p, q = a.as_integer_ratio()
-        if not b:
-            return p, 0, q
         r, s = b.as_integer_ratio()
         return _canonical(p * s, r * q, q * s)
 
@@ -88,16 +85,12 @@ class _Golden:
     def add(x: tuple, y: tuple) -> tuple:
         a1, b1, d1 = x
         a2, b2, d2 = y
-        if d1 == d2:
-            return _canonical(a1 + a2, b1 + b2, d1)
         return _canonical(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     @staticmethod
     def sub(x: tuple, y: tuple) -> tuple:
         a1, b1, d1 = x
         a2, b2, d2 = y
-        if d1 == d2:
-            return _canonical(a1 - a2, b1 - b2, d1)
         return _canonical(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     @staticmethod
@@ -109,10 +102,6 @@ class _Golden:
     def mul(x: tuple, y: tuple) -> tuple:
         a1, b1, d1 = x
         a2, b2, d2 = y
-        if not b2:
-            return _canonical(a1 * a2, b1 * a2, d1 * d2)
-        if not b1:
-            return _canonical(a1 * a2, a1 * b2, d1 * d2)
         return _canonical(a1 * a2 + 5 * b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     @staticmethod
@@ -134,11 +123,9 @@ class _Golden:
         """``d/(a + b*sqrt5) = d*(a - b*sqrt5)/(a**2 - 5*b**2)``; raises
         DivisionByZero at zero."""
         a, b, d = x
-        if not b:
-            if not a:
-                raise DivisionByZero("division by zero")
-            return (d, 0, a) if a > 0 else (-d, 0, -a)
-        norm = a * a - 5 * b * b  # nonzero, as sqrt5 is irrational
+        norm = a * a - 5 * b * b  # zero only at zero, as sqrt5 is irrational
+        if not norm:
+            raise DivisionByZero("division by zero")
         if norm < 0:
             return _canonical(-d * a, d * b, -norm)
         return _canonical(d * a, -d * b, norm)
@@ -158,11 +145,8 @@ class _Golden:
         ``(A - n)/2``, so that ``m = 2*p`` is the integer root of
         ``2*(A +- n)``, and then ``q = B/m``.
         """
-        sign = self.sign(x)
-        if sign is Sign.NEGATIVE:
+        if self.sign(x) is Sign.NEGATIVE:
             return None
-        if sign is Sign.ZERO:
-            return self.zero
         a, b, d = x
         A, B = a * d, b * d
         if not B:
@@ -191,6 +175,8 @@ class Quadratic:
     in ``base``, so the pair of a value is unique and the norm
     ``a**2 - b**2*radicand`` is zero only at zero.  While every element
     has ``b == 0`` the radicand is never read and may still be None.
+    An operand with ``b == 0`` is the one case the operations test for:
+    a product by one also skips the radicand's cross terms.
     """
 
     def __init__(self, base, radicand) -> None:
@@ -256,8 +242,6 @@ class Quadratic:
         if base.is_zero(b):
             return base.sign(a)
         sign_b = base.sign(b)
-        if base.is_zero(a):
-            return sign_b
         sign_a = base.sign(a)
         if sign_a is sign_b:
             return sign_a
@@ -275,11 +259,8 @@ class Quadratic:
         ``q = b/(2p)``.  For ``b != 0`` at most one of the two is a square,
         as their product ``b**2 r/4`` is not.
         """
-        sign = self.sign(x)
-        if sign is Sign.NEGATIVE:
+        if self.sign(x) is Sign.NEGATIVE:
             return None
-        if sign is Sign.ZERO:
-            return self.zero
         base = self.base
         a, b = x
         if base.is_zero(b):

@@ -118,8 +118,7 @@ def sqrt(x: IntPair, w: int) -> IntPair:
     end ``ceil(sqrt(hi << w))``, and when ``gap`` has at most 3/2 the
     bits of ``r`` it is above it by at most 1; it is stepped down while
     ``(r + s - 1)**2 >= hi << w``, a test whose product is narrow by
-    full-width.  A point interval needs only whether ``r*r`` is exact;
-    ``r == 0`` or a wider ``gap`` takes a second ``isqrt``."""
+    full-width.  ``r == 0`` or a wider ``gap`` takes a second ``isqrt``."""
     lo, hi = x
     if lo < 0:
         lo = 0
@@ -129,8 +128,6 @@ def sqrt(x: IntPair, w: int) -> IntPair:
     hi <<= w
     r = isqrt(lo)
     gap = hi - r * r
-    if lo == hi:
-        return r, r + (gap != 0)
     if r and 2 * gap.bit_length() <= 3 * r.bit_length():
         s = -(-gap // (2 * r))
         while (s - 1) * (2 * r + s - 1) >= gap:

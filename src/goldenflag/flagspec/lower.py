@@ -112,7 +112,7 @@ class _SpecPass(Parser):
         try:
             pentagram = Pentagram(center, div(diameter, lit(2)))
         except CertificationError as exc:
-            raise CertificationError(f"{where}: {exc}") from exc
+            raise CertificationError(f"{where}: diameter is not certified positive") from exc
         except PrecisionExhausted as exc:
             raise PrecisionExhausted(f"in {where}: {exc}") from exc
         self.stars.append(Star(color, pentagram))

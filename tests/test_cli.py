@@ -92,6 +92,17 @@ class TestList:
             "nepal-ratio",
         ]
 
+    def test_the_module_runs_as_a_program(self):
+        # console_main and the __main__ guard, in a fresh interpreter
+        src = str(Path(goldenflag.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "goldenflag.cli", "list"], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout.split(), done.stderr) == (
+            0, ["chile-1818", "chile-current", "togo", "nepal-ratio"], ""
+        )
+
 
 class TestRatio:
     def test_independence_ratio(self, capsys):
@@ -771,7 +782,7 @@ class TestVerify:
         ("canvas 1 x 1; region r red rect 0 0 phi*phi - phi - 1 1;", "region 'r': width is not certified positive"),
         (
             "canvas 1 x 1; region r red rect 0 0 1 1; star white at 1/2 1/2 diameter 0;",
-            "star white: circumradius is not certified positive",
+            "star white: diameter is not certified positive",
         ),
     ], ids=["canvas-width", "region-width", "star-diameter"])
     def test_a_nonpositive_size_is_one_error_line(self, capsys, tmp_path, body, message):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldenflag.constructions import build_flag, verify_layout_identities
@@ -314,9 +314,22 @@ differential_coordinates = st.tuples(
 )
 
 
+def coords(*coordinates):
+    """Rational coordinates, each written as an int or a string ``"p/q"``."""
+    return tuple(Fraction(c) for c in coordinates)
+
+
 class TestGoldenAgainstReference:
     @given(differential_coordinates, differential_coordinates)
     @settings(max_examples=300)
+    # equal denominators, irrational and rational, and a difference that is zero
+    @example(x=coords("1/3", "2/3"), y=coords("-2/3", "1/3"))
+    @example(x=coords("5/6", 0), y=coords("-1/6", 0))
+    @example(x=coords("1/3", "2/3"), y=coords("1/3", "2/3"))
+    # a rational on one side, and a zero divisor
+    @example(x=coords("7/2", 0), y=coords("1/4", "-3/4"))
+    @example(x=coords("1/4", "-3/4"), y=coords("-7/2", 0))
+    @example(x=coords(2, 1), y=coords(0, 0))
     def test_every_operation(self, x, y):
         gx, gy = lift(x), lift(y)
         rx, ry = reference(x), reference(y)
@@ -347,9 +360,29 @@ class TestGoldenAgainstReference:
                 assert GOLDEN.sqrt(lift(value)) == lifted(REFERENCE.sqrt(value))
 
 
+# an exact zero on each side, and elements with a zero coordinate in
+# the base or in the radical, on each of the three towers
+ZERO_TOWER_ELEMENT = (coords(0, 0), coords(0, 0))
+TOWER_EXAMPLES = [
+    (TOWERS[0], RADICANDS[0], ZERO_TOWER_ELEMENT, ZERO_TOWER_ELEMENT),
+    (TOWERS[1], RADICANDS[1], (coords(0, 0), coords(1, "1/2")), (coords(3, -1), coords(0, 0))),
+    (TOWERS[2], RADICANDS[2], (coords(-2, "1/3"), coords(0, 0)), (coords(0, 0), coords("-1/2", 1))),
+    (TOWERS[1], RADICANDS[1], (coords("5/2", 0), coords(0, 0)), ZERO_TOWER_ELEMENT),
+    (TOWERS[2], RADICANDS[2], ZERO_TOWER_ELEMENT, (coords(1, 0), coords(0, -2))),
+]
+
+
+def tower_examples(test):
+    """``test`` with each of :data:`TOWER_EXAMPLES` among its draws."""
+    for drawn in TOWER_EXAMPLES:
+        test = example(drawn=drawn)(test)
+    return test
+
+
 class TestTowerAgainstReference:
     @given(tower_elements(count=2))
     @settings(max_examples=200)
+    @tower_examples
     def test_mul_inverse_and_sign(self, drawn):
         field, radicand, x, y = drawn
         ref = REFERENCE_TOWERS[RADICANDS.index(radicand)]
@@ -364,6 +397,7 @@ class TestTowerAgainstReference:
 
     @given(tower_elements(count=2))
     @settings(max_examples=200)
+    @tower_examples
     def test_sqrt_of_non_squares_squares_and_zero(self, drawn):
         field, radicand, x, y = drawn
         ref = REFERENCE_TOWERS[RADICANDS.index(radicand)]
