@@ -202,12 +202,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = parser.parse_args(argv)  # an option's type may raise PrecisionExhausted
         with enclosure_memo():  # one command is one request scope
             return _COMMANDS[args.command](args, sys.stdout)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code or 0)
     except PrecisionExhausted as exc:
         print(f"goldenflag: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -58,7 +58,6 @@ class FlagSpecError(GoldenFlagError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-        self.message = message
 
 
 class LexError(FlagSpecError):
@@ -70,8 +69,6 @@ class ParseError(FlagSpecError):
 
     def __init__(self, line: int, col: int, expected: str, found: str) -> None:
         super().__init__(line, col, f"expected {expected}, found {found}")
-        self.expected = expected
-        self.found = found
 
 
 class SemanticError(FlagSpecError):

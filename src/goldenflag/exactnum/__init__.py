@@ -13,7 +13,6 @@ from .expr import (
     Expr,
     Literal,
     Mul,
-    Neg,
     PHI_EXPR,
     SQRT5_EXPR,
     Sqrt,
@@ -40,7 +39,6 @@ __all__ = [
     "GOLDEN",
     "Literal",
     "Mul",
-    "Neg",
     "PHI_EXPR",
     "Quadratic",
     "SQRT5_EXPR",

@@ -144,11 +144,6 @@ class Div(Expr):
 
 
 @_node
-class Neg(Expr):
-    operand: Expr
-
-
-@_node
 class Sqrt(Expr):
     operand: Expr
 
@@ -200,9 +195,10 @@ def fold(
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-# interned, so any literal 0 or 1 is one of these objects
+# interned, so any literal 0, 1 or -1 is one of these objects
 _ZERO_LIT = Literal(_ZERO)
 _ONE_LIT = Literal(_ONE)
+_MINUS_ONE_LIT = Literal(-_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +239,9 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     fraction (``"3/2"``) or finite decimal (``"2.4"``, ``"1e3"``) form,
     in ASCII digits with an optional sign and surrounding blanks.
     Decimal strings convert exactly (``2.4`` becomes ``12/5``), never
-    through binary floating point.
+    through binary floating point.  Raises :class:`PrecisionExhausted`
+    when ``10**|e|`` for the exponent ``e`` is too wide for
+    :func:`_within_budget`, before building it.
     """
     if isinstance(value, Fraction):
         return value
@@ -253,6 +251,8 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         text = value.strip()
         if _RATIONAL.fullmatch(text):
             try:
+                exponent = abs(int(text.lower().partition("e")[2] or 0))
+                _within_budget(exponent * 3321 // 1000, "an exact literal")  # 3.321 <= log2(10)
                 return Fraction(text)
             except (ValueError, ZeroDivisionError):  # p/0, or past the int-from-string limit
                 pass
@@ -266,11 +266,12 @@ def lit(value: int | str | Fraction) -> Literal:
 
 
 def neg(x: Expr) -> Expr:
+    """``-x``, as the product ``(-1) * x``."""
     if isinstance(x, Literal):
         return Literal(-x.value)
-    if isinstance(x, Neg):
-        return x.operand
-    return Neg(x)
+    if isinstance(x, Mul) and x.lhs is _MINUS_ONE_LIT:
+        return x.rhs
+    return Mul(_MINUS_ONE_LIT, x)
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -358,7 +359,6 @@ class _Tower(Quadratic):
             Sub: self.sub,
             Mul: self.mul,
             Div: self.div,
-            Neg: self.neg,
             Sqrt: self.root,
         }
 
@@ -406,7 +406,7 @@ def exact_rational(x: Expr) -> Fraction | None:
     """Exact rational value when normalization proves one, else None."""
     try:
         _, (g, v) = _tower_normalize(x)
-    except (NotInField, DivisionByZero):
+    except NotInField:
         return None
     return GOLDEN.rational(g) if GOLDEN.is_zero(v) else None
 
@@ -487,7 +487,6 @@ def interval_algebra(w: int) -> tuple[Callable, dict[type, Callable]]:
     return leaf, {
         Add: iv.add,
         Sub: iv.sub,
-        Neg: iv.neg,
         Mul: _bounded(iv.mul, w),
         Div: _bounded(iv.div, w),
         Sqrt: partial(iv.sqrt, w=w),
@@ -502,7 +501,7 @@ def _size(x: Expr) -> int:
         nonlocal nodes
         nodes += 1
 
-    fold(x, count, dict.fromkeys((Add, Sub, Mul, Div, Neg, Sqrt), count))
+    fold(x, count, dict.fromkeys((Add, Sub, Mul, Div, Sqrt), count))
     return nodes
 
 
@@ -603,8 +602,9 @@ def separation_bits(x: Expr) -> int:
     algebraic integers ``U`` and ``L`` whose conjugates are at most ``u``
     and ``l`` in absolute value (``u, l >= 1``): a literal ``p/q`` has
     ``(max(|p|, 1), q)``, ``x +- y`` has ``(u_x l_y + u_y l_x, l_x l_y)``,
-    ``x * y`` has ``(u_x u_y, l_x l_y)``, ``x / y`` has ``(u_x l_y, l_x u_y)``
-    and ``-x`` has ``x``'s.  ``sqrt(x)`` has ``((u_x l_x)**(1/2), l_x)``,
+    ``x * y`` has ``(u_x u_y, l_x l_y)`` (so ``-x``, which is ``(-1) * x``,
+    has ``x``'s, as ``-1`` has ``(1, 1)``) and ``x / y`` has
+    ``(u_x l_y, l_x u_y)``.  ``sqrt(x)`` has ``((u_x l_x)**(1/2), l_x)``,
     from ``sqrt(U/L) = sqrt(U L) / L``, when ``u_x >= l_x`` by bit length,
     else ``(u_x, (u_x l_x)**(1/2))``, from ``sqrt(U/L) = U / sqrt(U L)``;
     both are sound, and either way the root adds one algebraic integer
@@ -632,7 +632,6 @@ def separation_bits(x: Expr) -> int:
     u, power = fold(x, leaf, {
         Add: total,
         Sub: total,
-        Neg: lambda a: a,
         Mul: lambda a, b: (_times(a[0], b[0]), _times(a[1], b[1])),
         Div: lambda a, b: (_times(a[0], b[1]), _times(a[1], b[0])),
         Sqrt: root,

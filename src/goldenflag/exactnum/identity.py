@@ -25,7 +25,6 @@ from .expr import (
     Expr,
     Literal,
     Mul,
-    Neg,
     Sign,
     Sqrt,
     Sub,
@@ -89,7 +88,6 @@ def _square_leaf(x: Expr) -> tuple[Expr, Expr]:
 
 
 _SQUARE_OPS = {
-    Neg: lambda a: (Neg(a[0]), a[1]),
     Mul: lambda a, b: (Mul(a[0], b[0]), mul(a[1], b[1])),
     Div: lambda a, b: (Div(a[0], b[0]), div(a[1], b[1])),
     Add: lambda a, b: (Add(a[0], b[0]), add(add(a[1], b[1]), mul(lit(2), mul(a[0], b[0])))),

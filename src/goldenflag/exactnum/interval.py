@@ -52,10 +52,6 @@ def sub(x: IntPair, y: IntPair) -> IntPair:
     return x[0] - y[1], x[1] - y[0]
 
 
-def neg(x: IntPair) -> IntPair:
-    return -x[1], -x[0]
-
-
 def mul(x: IntPair, y: IntPair, w: int) -> IntPair:
     """Product interval.
 

@@ -486,6 +486,12 @@ class TestVerify:
             code, out, _ = self.verify_claims(capsys, tmp_path, UNDECIDABLE + claim)
             assert (code, out.splitlines()[0]) == (3, line)
 
+    def test_a_double_negation_past_the_work_budget_is_proved(self, capsys, tmp_path):
+        # -(-a) is the node a itself, so the claim needs no refinement
+        code, out, err = self.verify_claims(capsys, tmp_path, f'{UNDECIDABLE} check "dn" -(-a) == a;')
+        assert (code, err) == (0, "")
+        assert out == "ProvedEqual  dn\nclaims: 1 checks passed\n"
+
     def test_a_claim_within_the_work_budget_is_proved(self, capsys, tmp_path):
         code, out, err = self.verify_claims(capsys, tmp_path, f'let a = {THREE_RADICALS}; check "a" a == a/3*3;')
         assert (code, err) == (0, "")
@@ -966,6 +972,19 @@ class TestBuild:
         assert err.endswith(f"goldenflag build: error: argument {option}: not an exact rational literal: {value!r}\n")
         assert not (tmp_path / "togo.svg").exists()
 
+    @pytest.mark.parametrize(
+        "option, value", [("--scale", "1e99999999"), ("--width", "1e-99999999"), ("--width", "1e400000")]
+    )
+    def test_a_size_past_the_work_budget_exits_three_at_once(self, capsys, tmp_path, option, value):
+        out_path = tmp_path / "togo.svg"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "togo", "--out", str(out_path), option, value)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("goldenflag: precision exhausted: an exact literal of up to ")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
     # chile-current is 3 x 2: the SVG is 3 * scale wide, or the width asked for
     @pytest.mark.parametrize(
         "value, scaled, width",
@@ -980,6 +999,7 @@ class TestBuild:
             ("15e-1", "4.5", "1.5"),
             ("0.5E+1", "15", "5"),
             ("\t1000 ", "3000", "1000"),
+            ("1e300", "3" + "0" * 300, "1" + "0" * 300),
         ],
     )
     def test_the_size_forms_every_python_accepts(self, capsys, tmp_path, value, scaled, width):

@@ -18,6 +18,7 @@ from goldenflag.exactnum import (
     SQRT5_EXPR,
     GOLDEN,
     Literal,
+    Mul,
     Sign,
     Sqrt,
     add,
@@ -58,6 +59,11 @@ class TestSmartConstructors:
         assert mul(lit(Fraction(3, 4)), lit(4)) == lit(3)
         assert div(lit(3), lit(10)) == lit(Fraction(3, 10))
         assert neg(lit(2)) == lit(-2)
+
+    def test_negation_is_the_product_by_minus_one(self):
+        assert neg(TAN36) is Mul(lit(-1), TAN36)
+        assert neg(neg(TAN36)) is TAN36
+        assert neg(mul(lit(-1), TAN36)) is TAN36
 
     def test_identity_elements_vanish(self):
         assert add(lit(0), TAN36) is TAN36

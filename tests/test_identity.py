@@ -19,7 +19,6 @@ from goldenflag.exactnum import (
     Add,
     Div,
     Mul,
-    Neg,
     Sqrt,
     Sub,
     Verdict,
@@ -37,6 +36,7 @@ from goldenflag.exactnum import (
     verify_identity,
 )
 from goldenflag.exactnum import identity as identity_module
+from goldenflag.exactnum.decimalfmt import start_bits
 from goldenflag.exactnum.identity import RELATIONS
 from goldenflag.exactnum.expr import (
     _log2_up,
@@ -253,6 +253,22 @@ class TestHashConsing:
         assert build(recipe) is build(recipe)
 
 
+class TestNegation:
+    """``neg(x)`` is the product ``(-1) * x``, which every fold over the
+    DAG takes exactly."""
+
+    @given(recipes)
+    @settings(max_examples=100, deadline=None)
+    def test_negation_reflects_the_enclosure_and_keeps_the_bound(self, recipe):
+        x = build(recipe)
+        for w in (64, start_bits(60)):
+            lo, hi = eval_interval(x, w)
+            assert eval_interval(neg(x), w) == (-hi, -lo)
+        assert separation_bits(neg(x)) == separation_bits(x)
+        sign = exact_sign(x)
+        assert exact_sign(neg(x)) == (None if sign is None else Sign(-sign.value))
+
+
 class TestOneWalk:
     def test_fold_steps_once_per_distinct_node(self):
         calls = []
@@ -261,7 +277,7 @@ class TestOneWalk:
             calls.append(values)
             return len(calls)
 
-        fold(doubling(30), step, {kind: step for kind in (Add, Sub, Mul, Div, Neg, Sqrt)})
+        fold(doubling(30), step, {kind: step for kind in (Add, Sub, Mul, Div, Sqrt)})
         assert len(calls) == 30 + 6
 
     def test_square_of_does_work_linear_in_the_node_count(self, monkeypatch):
