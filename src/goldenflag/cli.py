@@ -25,10 +25,10 @@ from .constructions import (
     verify_layout_identities,
 )
 from .errors import GoldenFlagError, PrecisionExhausted
-from .exactnum import Verdict, as_rational, decimal_str, enclosure_memo
+from .exactnum import Verdict, as_rational, decimal_str, div, enclosure_memo, lit
 from .exactnum.decimalfmt import MAX_DIGITS
 from .flagspec import lower_expr, lower_source, parse_expression
-from .render import RenderOptions, json_emit, svg_emit
+from .render import json_emit, svg_emit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -77,18 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument("flag", help="builtin name or path to a .flag file")
     build.add_argument("--out", required=True, help="output file path")
-    build.add_argument(
+    size = build.add_mutually_exclusive_group()
+    size.add_argument(
         "--scale",
         type=_positive_rational,
-        default=as_rational(1),
+        default=1,
         help="output units per canvas unit (exact rational, e.g. 300 or 12/5)",
     )
-    build.add_argument(
+    size.add_argument(
         "--width",
         type=_positive_rational,
-        default=None,
-        help="scale so the emitted width equals this exact rational "
-        "(overrides --scale; e.g. 2.4 for a physical width)",
+        help="scale so the emitted width equals this exact rational (e.g. 2.4 for a physical width)",
     )
     build.add_argument(
         "--digits", type=_int_in_range(3, MAX_DIGITS), default=12, help="significant digits"
@@ -149,11 +148,9 @@ def _cmd_build(args, out) -> int:
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out.lower().endswith(".json") else "svg"
-    options = RenderOptions(
-        scale=args.scale, digits=args.digits, target_width=args.width
-    )
+    scale = lit(args.scale) if args.width is None else div(lit(args.width), layout.width)
     emit = json_emit if fmt == "json" else svg_emit
-    payload = emit(layout, options)
+    payload = emit(layout, scale, args.digits)
     Path(args.out).write_bytes(payload)
     print(f"{layout.provenance}: wrote {fmt} to {args.out} ({len(payload)} bytes)", file=out)
     return EXIT_OK

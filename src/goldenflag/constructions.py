@@ -197,9 +197,9 @@ def _check_tiling(layout: FlagLayout) -> None:
             size = "width" if i0 >= i1 else "height"
             raise CertificationError(f"{owner(k)}: {size} is not certified positive")
     (ci0, ci1, cj0, cj1), *spans = spans
-    for i0, i1, j0, j1 in spans:
+    for k, (i0, i1, j0, j1) in enumerate(spans, 1):
         if i0 < ci0 or i1 > ci1 or j0 < cj0 or j1 > cj1:
-            raise LayoutError("region extends outside the canvas")
+            raise LayoutError(f"{owner(k)} extends outside the canvas")
     # every cut line now lies on the canvas (ci0 == cj0 == 0), so the
     # canvas cells are the whole grid
     coverage = [[0] * cj1 for _ in range(ci1)]
@@ -242,7 +242,7 @@ def _check_star_inside(layout: FlagLayout, star: Star) -> None:
     except PrecisionExhausted as exc:
         raise PrecisionExhausted(f"in star {star.color.value}: {exc}") from exc
     if not inside:
-        raise LayoutError("star center lies in no region")
+        raise LayoutError(f"star {star.color.value}: center lies in no region")
 
 
 # ---------------------------------------------------------------------------

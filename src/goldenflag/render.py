@@ -26,13 +26,14 @@ the scale, ``phi``, star trigonometry and spec subterms that coordinates
 share are enclosed once per working precision.  Output bytes are
 identical across runs and platforms for identical inputs.
 
-Layouts are already in screen orientation; both emitters share the
-scaling and the decimal policy.
+Layouts are already in screen orientation.  Both emitters take one
+scale, an exact rational or an ``Expr`` (``div(lit(width), layout.width)``
+draws a layout ``width`` wide), and a digit count, which :class:`_Frame`
+validates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -45,10 +46,10 @@ from .exactnum import (
     Div,
     Expr,
     Mul,
+    Sign,
     Sub,
-    as_rational,
+    certified_sign,
     decimal_str,
-    div,
     enclosure_memo,
     lit,
     mul,
@@ -67,34 +68,9 @@ DEFAULT_PALETTE: Mapping[ColorRole, str] = {
 }
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    """Output-time choices: geometry itself is never affected.
-
-    ``scale`` multiplies canvas units into output units.  When
-    ``target_width`` is set it wins over ``scale``: the drawing is
-    scaled so the emitted width equals it exactly (the scale factor is
-    then generally irrational, e.g. physical sizing of an irrational
-    canvas).  ``digits`` is the significant-digit count for every
-    emitted coordinate, from 3 to :data:`MAX_DIGITS`.
-    """
-
-    scale: Fraction = Fraction(1)
-    digits: int = 12
-    target_width: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", as_rational(self.scale))
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.digits < 3:
-            raise ValueError("digits must be at least 3")
-        if self.digits > MAX_DIGITS:
-            raise ValueError(f"digits must be at most {MAX_DIGITS}, got {self.digits}")
-        if self.target_width is not None:
-            object.__setattr__(self, "target_width", as_rational(self.target_width))
-            if self.target_width <= 0:
-                raise ValueError("target width must be positive")
+# the name bench/scaling.py imports, until a change to the benchmark ports it
+def RenderOptions(scale: int | str | Fraction = 1) -> Expr:  # noqa: N802
+    return lit(scale)
 
 
 def _escape(text: str) -> str:
@@ -105,15 +81,18 @@ def _escape(text: str) -> str:
 
 
 class _Frame:
-    """Scaled coordinate emission for one layout."""
+    """Scaled coordinate emission at one scale and digit count.  Raises
+    :class:`ValueError` unless ``3 <= digits <= MAX_DIGITS`` and the
+    scale's :func:`certified_sign`, free for a literal, is positive."""
 
-    def __init__(self, layout: FlagLayout, opts: RenderOptions) -> None:
-        self.digits = opts.digits
-        if opts.target_width is not None:
-            self.scale: Expr = div(lit(opts.target_width), layout.width)
-        else:
-            self.scale = lit(opts.scale)
-        self.bits = start_bits(opts.digits)
+    def __init__(self, scale: Expr | int | str | Fraction, digits: int) -> None:
+        if not 3 <= digits <= MAX_DIGITS:
+            raise ValueError(f"digits must be from 3 to {MAX_DIGITS}, got {digits}")
+        self.scale = scale if isinstance(scale, Expr) else lit(scale)
+        if certified_sign(self.scale) is not Sign.POSITIVE:
+            raise ValueError("scale must be positive")
+        self.digits = digits
+        self.bits = start_bits(digits)
         ops = interval_algebra(self.bits)[1]
         self._add, self._sub, self._mul, self._div = ops[Add], ops[Sub], ops[Mul], ops[Div]
         # the enclosure every scaled value shares
@@ -181,7 +160,7 @@ class _Frame:
 
 
 @enclosure_memo()
-def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
+def svg_emit(layout: FlagLayout, scale: Expr | int | str | Fraction = 1, digits: int = 12) -> bytes:
     """Standalone SVG 1.1 document as UTF-8 bytes.
 
     Regions are emitted as polygons in layout order, stars after
@@ -189,8 +168,7 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     fill-rule dependence).  Raises :class:`UnencodableText` when the
     layout's name holds a lone surrogate.
     """
-    opts = opts or RenderOptions()
-    frame = _Frame(layout, opts)
+    frame = _Frame(scale, digits)
     width, height = frame.scaled(layout.width), frame.scaled(layout.height)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -215,7 +193,7 @@ def svg_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
 
 
 @enclosure_memo()
-def json_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
+def json_emit(layout: FlagLayout, scale: Expr | int | str | Fraction = 1, digits: int = 12) -> bytes:
     """Machine-readable layout dump as UTF-8 JSON bytes.
 
     Fixed key order: flag, canvas (width, height), ratio, regions
@@ -223,15 +201,14 @@ def json_emit(layout: FlagLayout, opts: RenderOptions | None = None) -> bytes:
     vertices).  All decimals are strings under the same certified
     rounding policy as the SVG emitter; vertices are in scaled units.
     """
-    opts = opts or RenderOptions()
-    frame = _Frame(layout, opts)
+    frame = _Frame(scale, digits)
     document = {
         "flag": layout.provenance,
         "canvas": {
             "width": frame.scaled(layout.width),
             "height": frame.scaled(layout.height),
         },
-        "ratio": decimal_str(layout.width_height_ratio(), opts.digits),
+        "ratio": decimal_str(layout.width_height_ratio(), digits),
         "regions": [
             {
                 "name": region.name,

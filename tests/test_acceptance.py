@@ -39,7 +39,7 @@ from goldenflag.exactnum import (
 )
 from goldenflag.flagspec import lower_source
 from goldenflag.geometry import TAN36, Pentagram, Point, pentagram_vertices
-from goldenflag.render import RenderOptions, _Frame, json_emit, svg_emit
+from goldenflag.render import json_emit, svg_emit
 
 from goldenflag.exactnum import Sign, certified_sign
 from goldenflag.exactnum.expr import exact_sign
@@ -241,15 +241,14 @@ def test_10_parser_roundtrip_and_fuzz(layouts, spec_sources, tmp_path):
 def test_11_render_determinism_and_physical_scale(layouts, spec_sources):
     with criterion(11, "byte-identical renders; viewBox 900x600; 2.4 m height within one ulp"):
         for name in BUILTIN_NAMES:
-            opts = RenderOptions()
             fresh = lower_source(spec_sources[name])
-            assert svg_emit(layouts[name], opts) == svg_emit(fresh, opts)
-            assert json_emit(layouts[name], opts) == json_emit(fresh, opts)
-        svg = svg_emit(layouts["chile-current"], RenderOptions(scale=300)).decode()
+            assert svg_emit(layouts[name]) == svg_emit(fresh)
+            assert json_emit(layouts[name]) == json_emit(fresh)
+        svg = svg_emit(layouts["chile-current"], 300).decode()
         assert 'viewBox="0 0 900 600"' in svg
 
-        opts = RenderOptions(digits=6, target_width=Fraction("2.4"))
-        doc = json.loads(json_emit(layouts["chile-1818"], opts))
+        layout = layouts["chile-1818"]
+        doc = json.loads(json_emit(layout, div(lit(Fraction("2.4")), layout.width), 6))
         assert doc["canvas"]["width"] == "2.4"
         emitted_height = Fraction(doc["canvas"]["height"])
         six_digit_ratio = Fraction(doc["ratio"])

@@ -10,15 +10,19 @@ import sys
 import time
 from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import goldenflag
 from goldenflag.cli import main
+from goldenflag.constructions import BUILTIN_NAMES, build_flag
+from goldenflag.exactnum import div, lit
 from goldenflag.exactnum import interval as iv
 from goldenflag.exactnum.decimalfmt import start_bits
 from goldenflag.exactnum.expr import interval_algebra
+from goldenflag.render import json_emit, svg_emit
 
 from conftest import FOUR_RADICALS, THREE_RADICALS
 
@@ -802,7 +806,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert code == 1
         assert out == ""
-        assert err == "goldenflag: error: region extends outside the canvas\n"
+        assert err == "goldenflag: error: region 'a' extends outside the canvas\n"
 
     def test_the_canvas_has_no_size_inside_its_own_declaration(self, capsys, tmp_path):
         path = tmp_path / "canvas.flag"
@@ -917,6 +921,24 @@ class TestBuild:
         assert code == 0
         assert 'width="2.4"' in out_path.read_text()
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_a_width_is_the_scale_width_over_the_canvas_width(self, capsys, tmp_path, name):
+        layout = build_flag(name)
+        scale = div(lit(Fraction("2.4")), layout.width)
+        for emit, suffix in ((svg_emit, "svg"), (json_emit, "json")):
+            out_path = tmp_path / f"{name}.{suffix}"
+            code, _, err = run(capsys, "build", name, "--out", str(out_path), "--width", "2.4", "--digits", "6")
+            assert (code, err) == (0, "")
+            assert out_path.read_bytes() == emit(layout, scale, 6)
+
+    def test_a_scale_and_a_width_together_are_a_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "x.svg"
+        code, out, err = run(capsys, "build", "togo", "--out", str(out_path), "--scale", "2", "--width", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: goldenflag build ")
+        assert err.endswith("goldenflag build: error: argument --width: not allowed with argument --scale\n")
+        assert not out_path.exists()
+
     def test_a_tiny_star_renders(self, capsys, tmp_path):
         src = tmp_path / "tiny.flag"
         src.write_text(TINY_STAR)
@@ -1024,7 +1046,7 @@ class TestBuild:
         code, out, err = run(capsys, "build", str(src), "--out", str(out_path))
         assert code == 1
         assert out == ""
-        assert err == "goldenflag: error: region extends outside the canvas\n"
+        assert err == "goldenflag: error: region 'a' extends outside the canvas\n"
         assert not out_path.exists()
 
     def test_out_path_that_is_a_directory_is_one_error_line(self, capsys, tmp_path):

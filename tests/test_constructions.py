@@ -445,8 +445,13 @@ class TestLayoutInvariants:
     )
     def test_region_outside_the_canvas_is_rejected(self, x, y, width, height):
         spilling = (region("a", ColorRole.BLUE, x, x + width, y, y + height),)
-        with pytest.raises(LayoutError, match="region extends outside the canvas"):
+        with pytest.raises(LayoutError, match="^region 'a' extends outside the canvas$"):
             FlagLayout.create(lit(3), lit(2), spilling, (), "broken")
+
+    def test_the_region_outside_the_canvas_is_named(self):
+        regions = (region("r1", ColorRole.BLUE, 0, 3, 0, 1), region("r2", ColorRole.RED, 0, 3, 1, 3))
+        with pytest.raises(LayoutError, match="^region 'r2' extends outside the canvas$"):
+            FlagLayout.create(lit(3), lit(2), regions, (), "broken")
 
 
 def star_at(width: str, height: str, x: str, y: str) -> str:
@@ -495,7 +500,7 @@ class TestStarContainment:
         ("phi", "1", f"phi + {OUTSIDE}", "1/2"),
     ], ids=["right", "left", "bottom", "top", "right-of-phi"])
     def test_a_center_just_outside_is_rejected(self, width, height, x, y):
-        with pytest.raises(LayoutError, match="^star center lies in no region$"):
+        with pytest.raises(LayoutError, match="^star white: center lies in no region$"):
             lower_source(star_at(width, height, x, y))
 
     def test_a_center_clear_of_the_edges_asks_no_sign(self, signs):

@@ -450,7 +450,7 @@ class TestLowerLayouts:
         source = 'flag "oob" { canvas 3 x 2; region a blue rect 0 0 4 2; }'
         from goldenflag.errors import LayoutError
 
-        with pytest.raises(LayoutError, match="region extends outside the canvas"):
+        with pytest.raises(LayoutError, match="^region 'a' extends outside the canvas$"):
             lower_source(source)
 
     def test_a_spec_without_regions_is_positioned(self):

@@ -15,11 +15,11 @@ from goldenflag import render
 from goldenflag.constructions import BUILTIN_NAMES, ColorRole, FlagLayout, Region, Star
 from goldenflag.errors import UnencodableText
 from goldenflag.exactnum import (
-    PHI_EXPR, add, certified_sign, decimal_str, decimalfmt, div, lit, mul, sqrt_, sub,
+    PHI_EXPR, Expr, add, certified_sign, decimal_str, decimalfmt, div, lit, mul, sqrt_, sub,
 )
 from goldenflag.flagspec import lower_source
 from goldenflag.geometry import Pentagram, Point, pentagram_vertices
-from goldenflag.render import DEFAULT_PALETTE, RenderOptions, _Frame, json_emit, svg_emit
+from goldenflag.render import DEFAULT_PALETTE, _Frame, json_emit, svg_emit
 
 from conftest import within_half_ulp
 
@@ -29,21 +29,20 @@ UNIT_SQUARE = lower_source('flag "unit" { canvas 1 x 1; region all red rect 0 0 
 class TestDeterminism:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_svg_bytes_identical_across_runs(self, name, layouts, spec_sources):
-        opts = RenderOptions(scale=Fraction(100))
-        first = svg_emit(layouts[name], opts)
-        second = svg_emit(lower_source(spec_sources[name]), RenderOptions(scale=Fraction(100)))
+        first = svg_emit(layouts[name], Fraction(100))
+        second = svg_emit(lower_source(spec_sources[name]), Fraction(100))
         assert first == second
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_json_bytes_identical_across_runs(self, name, layouts, spec_sources):
-        first = json_emit(layouts[name], RenderOptions())
-        second = json_emit(lower_source(spec_sources[name]), RenderOptions())
+        first = json_emit(layouts[name])
+        second = json_emit(lower_source(spec_sources[name]))
         assert first == second
 
 
 class TestSvg:
     def test_current_flag_viewbox_at_scale_300(self, layouts):
-        svg = svg_emit(layouts["chile-current"], RenderOptions(scale=300)).decode()
+        svg = svg_emit(layouts["chile-current"], 300).decode()
         assert 'viewBox="0 0 900 600"' in svg
         assert 'width="900" height="600"' in svg
 
@@ -55,8 +54,8 @@ class TestSvg:
         assert polygons[-1].endswith(f'fill="{DEFAULT_PALETTE[ColorRole.WHITE]}"/>')
 
     def test_physical_width_two_point_four(self, layouts):
-        opts = RenderOptions(digits=6, target_width=Fraction(12, 5))
-        svg = svg_emit(layouts["chile-1818"], opts).decode()
+        layout = layouts["chile-1818"]
+        svg = svg_emit(layout, div(lit(Fraction(12, 5)), layout.width), 6).decode()
         assert 'width="2.4"' in svg
         # emitted height must equal 2.4 divided by the 6-digit ratio to
         # within one ulp of the 6-digit output
@@ -117,11 +116,11 @@ class TestJson:
         assert doc["stars"][0]["center"] == ["0.5", "0.5"]
 
     def test_independence_ratio_field_at_six_digits(self, layouts):
-        doc = json.loads(json_emit(layouts["chile-1818"], RenderOptions(digits=6)))
+        doc = json.loads(json_emit(layouts["chile-1818"], digits=6))
         assert doc["ratio"] == "1.80171"
 
     def test_togo_width_at_six_digits(self, layouts):
-        doc = json.loads(json_emit(layouts["togo"], RenderOptions(digits=6)))
+        doc = json.loads(json_emit(layouts["togo"], digits=6))
         assert doc["canvas"]["width"] == "1.61803"
 
     def test_key_order_is_documented_and_stable(self, layouts):
@@ -138,13 +137,12 @@ class TestJson:
 class TestPrecisionSoundness:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_reevaluation_at_quadruple_precision_reproduces_strings(self, name, layouts):
-        opts = RenderOptions(digits=10)
         layout = layouts[name]
-        doc = json.loads(json_emit(layout, opts))
-        frame = _Frame(layout, opts)
+        doc = json.loads(json_emit(layout, digits=10))
+        frame = _Frame(1, 10)
 
         def recheck(text: str, expr) -> None:
-            assert within_half_ulp(expr, text, opts.digits)
+            assert within_half_ulp(expr, text, 10)
 
         recheck(doc["canvas"]["width"], mul(layout.width, frame.scale))
         recheck(doc["canvas"]["height"], mul(layout.height, frame.scale))
@@ -163,22 +161,44 @@ class TestPrecisionSoundness:
 
 
 class TestOptions:
+    """``_Frame`` holds the one validation of a scale and a digit count,
+    for both emitters."""
+
     def test_digits_floor(self):
+        with pytest.raises(ValueError, match="^digits must be from 3 to 4300, got 2$"):
+            _Frame(1, 2)
         with pytest.raises(ValueError):
-            RenderOptions(digits=2)
+            svg_emit(UNIT_SQUARE, digits=2)
 
     def test_digits_ceiling(self):
-        RenderOptions(digits=4300)
-        with pytest.raises(ValueError, match="^digits must be at most 4300, got 5000$"):
-            RenderOptions(digits=5000)
+        assert _Frame(1, 4300).digits == 4300
+        with pytest.raises(ValueError, match="^digits must be from 3 to 4300, got 4301$"):
+            _Frame(1, 4301)
+        with pytest.raises(ValueError):
+            json_emit(UNIT_SQUARE, digits=4301)
 
     def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RenderOptions(scale=Fraction(-1))
+        for scale in (0, -1, sub(lit(1), PHI_EXPR)):
+            with pytest.raises(ValueError, match="^scale must be positive$"):
+                _Frame(scale, 12)
+            with pytest.raises(ValueError, match="^scale must be positive$"):
+                json_emit(UNIT_SQUARE, scale)
 
-    def test_target_width_must_be_positive(self):
-        with pytest.raises(ValueError, match="^target width must be positive$"):
-            RenderOptions(target_width=0)
+    def test_target_width_must_be_positive(self, layouts):
+        # a width w is the scale w / canvas width
+        layout = layouts["chile-1818"]
+        for width in (0, Fraction("-2.4")):
+            with pytest.raises(ValueError, match="^scale must be positive$"):
+                svg_emit(layout, div(lit(width), layout.width))
+
+    @pytest.mark.parametrize("forms", [
+        (3, "3", Fraction(3), lit(3)),
+        (Fraction(7, 3), "7/3", lit(Fraction(7, 3)), lit("7/3")),
+    ], ids=["three", "seven-thirds"])
+    def test_every_form_of_an_exact_scale_gives_the_same_bytes(self, layouts, forms):
+        layout = layouts["chile-1818"]
+        for emit in (svg_emit, json_emit):
+            assert len({emit(layout, scale) for scale in forms}) == 1
 
 
 # a + b*phi, rational when b is 0
@@ -192,21 +212,19 @@ positives = st.builds(
     lambda a, b: add(lit(abs(a) + Fraction(1, 50)), mul(lit(abs(b)), PHI_EXPR)), rationals, rationals
 )
 sizes = st.fractions(min_value=Fraction(1, 50), max_value=400, max_denominator=50)
-# RenderOptions by scale or by target width, at 3 to 60 digits
-options = st.builds(
-    lambda size, by_width, digits: RenderOptions(
-        digits=digits, **{"target_width" if by_width else "scale": size}
-    ),
-    sizes, st.booleans(), st.integers(3, 60),
-)
+
+
+@st.composite
+def scaled_widths(draw) -> tuple[Expr, Expr, int]:
+    """A canvas width, a scale by size, ``lit(size)``, or by width,
+    ``div(lit(size), width)``, and 3 to 60 digits."""
+    width, size = draw(positives), draw(sizes)
+    return width, draw(st.sampled_from([lit(size), div(lit(size), width)])), draw(st.integers(3, 60))
+
 
 # sqrt(2) - (its first 30 decimals) lies in (0, 10**-30): at 3 digits'
 # 64 bits, its enclosure straddles zero
 NEAR_ZERO = sub(sqrt_(lit(2)), lit(Fraction(isqrt(2 * 10**60), 10**30)))
-
-
-def frame_of(width, height, opts: RenderOptions) -> _Frame:
-    return _Frame(FlagLayout(width, height, (), (), "frame"), opts)
 
 
 def by_decimal_str(frame: _Frame, point: Point) -> tuple[str, str]:
@@ -219,30 +237,33 @@ class TestSharedEnclosures:
     decimal_str prints from its expression."""
 
     @settings(max_examples=80, deadline=None)
-    @given(positives, positives, options, st.lists(points, min_size=1, max_size=4))
-    def test_points_print_as_decimal_str(self, width, height, opts, targets):
-        frame = frame_of(width, height, opts)
+    @given(scaled_widths(), st.lists(points, min_size=1, max_size=4))
+    def test_points_print_as_decimal_str(self, sized, targets):
+        _, scale, digits = sized
+        frame = _Frame(scale, digits)
         for point in targets:
             assert frame.point(point) == by_decimal_str(frame, point)
 
     @settings(max_examples=60, deadline=None)
-    @given(positives, options, points, positives)
-    def test_star_vertices_print_as_decimal_str(self, width, opts, center, radius):
-        frame = frame_of(width, width, opts)
+    @given(scaled_widths(), points, positives)
+    def test_star_vertices_print_as_decimal_str(self, sized, center, radius):
+        _, scale, digits = sized
+        frame = _Frame(scale, digits)
         star = Pentagram(center, radius)
         assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
 
     @settings(max_examples=60, deadline=None)
-    @given(positives, positives, options, points, positives)
-    def test_the_canvas_size_and_circumradius_print_as_decimal_str(self, width, height, opts, center, radius):
-        # options by target width too, where the canvas width prints exactly it
+    @given(scaled_widths(), positives, points, positives)
+    def test_the_canvas_size_and_circumradius_print_as_decimal_str(self, sized, height, center, radius):
+        # scales by width too, where the canvas width prints exactly the size
+        width, scale, digits = sized
         star = Pentagram(center, radius)
         layout = FlagLayout(width, height, (), (Star(ColorRole.WHITE, star),), "frame")
-        doc = json.loads(json_emit(layout, opts))
-        frame = _Frame(layout, opts)
+        doc = json.loads(json_emit(layout, scale, digits))
+        frame = _Frame(scale, digits)
         assert (doc["canvas"]["width"], doc["canvas"]["height"]) == by_decimal_str(frame, Point(width, height))
         (printed,) = doc["stars"]
-        assert printed["circumradius"] == decimal_str(mul(radius, frame.scale), opts.digits)
+        assert printed["circumradius"] == decimal_str(mul(radius, frame.scale), digits)
         assert printed["center"] == list(by_decimal_str(frame, center))
 
     @pytest.fixture
@@ -257,28 +278,26 @@ class TestSharedEnclosures:
         monkeypatch.setattr(render, "decimal_str", recording)
         return values
 
-    UNIT = lit(1), lit(1)
-
     def test_an_exact_tie_falls_back(self, printed):
         # 2 * 247/4000 = 0.1235 through sqrt(2)*sqrt(2): half-even at 3 digits
         tie = mul(mul(sqrt_(lit(2)), sqrt_(lit(2))), lit(Fraction(247, 4000)))
-        frame = frame_of(*self.UNIT, RenderOptions(digits=3))
+        frame = _Frame(1, 3)
         assert frame.point(Point(tie, lit(Fraction(1, 3)))) == ("0.124", "0.333")
         assert printed == [tie]
 
     def test_an_exact_zero_through_a_non_literal_falls_back(self, printed):
         zero = sub(PHI_EXPR, PHI_EXPR)
-        frame = frame_of(*self.UNIT, RenderOptions(digits=12))
+        frame = _Frame(1, 12)
         assert frame.point(Point(zero, lit(1))) == ("0", "1")
         assert printed == [zero]
 
     def test_a_straddling_divisor_falls_back(self, printed):
         x = div(lit(Fraction(1, 10**31)), NEAR_ZERO)
-        frame = frame_of(*self.UNIT, RenderOptions(digits=3))
+        frame = _Frame(1, 3)
         assert frame.point(Point(x, lit(1))) == by_decimal_str(frame, Point(x, lit(1)))
         assert printed == [x]
         # a scale whose divisor straddles: every coordinate falls back
-        frame = frame_of(NEAR_ZERO, lit(1), RenderOptions(digits=3, target_width=2))
+        frame = _Frame(div(lit(2), NEAR_ZERO), 3)
         star = Pentagram(Point(lit(Fraction(1, 3)), lit(0)), lit(Fraction(1, 4)))
         printed.clear()
         vertices = pentagram_vertices(star)
@@ -303,7 +322,7 @@ class TestSharedEnclosures:
         # enclosure at 3 digits' 64 bits straddles zero, printed once; the
         # other vertices settle from the enclosures of their parts
         star = Pentagram(Point(NEAR_ZERO, lit(Fraction(1, 2))), lit(Fraction(1, 4)))
-        frame = frame_of(*self.UNIT, RenderOptions(digits=3))
+        frame = _Frame(1, 3)
         assert frame.vertices(star) == [by_decimal_str(frame, vertex) for vertex in pentagram_vertices(star)]
         assert built_vertices == [star]
         assert printed == [NEAR_ZERO]
@@ -312,7 +331,7 @@ class TestSharedEnclosures:
         # a spoke's unit is +-0, +-1, +-sin36, +-cos36, +-sin72 or +-cos72,
         # so each radius times a magnitude is one product for the star
         star = Pentagram(Point(add(lit(1), PHI_EXPR), lit(Fraction(1, 2))), mul(lit(Fraction(1, 4)), PHI_EXPR))
-        frame = frame_of(*self.UNIT, RenderOptions(digits=12, scale=Fraction(7, 3)))
+        frame = _Frame(Fraction(7, 3), 12)
         products = []
 
         def counting(x, y):
@@ -328,7 +347,7 @@ class TestSharedEnclosures:
 
     def test_a_star_that_settles_builds_no_vertex(self, built_vertices):
         star = Pentagram(Point(lit(Fraction(1, 2)), lit(Fraction(1, 2))), lit(Fraction(1, 4)))
-        frame_of(*self.UNIT, RenderOptions(digits=3)).vertices(star)
+        _Frame(1, 3).vertices(star)
         assert built_vertices == []
 
 
